@@ -23,10 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import flat_zeta
-from .feynman import PropagatorKernel
 from .graded_core import ToyBFComplex
 from .series import HbarSeries
 
@@ -96,9 +94,6 @@ class RegularizedPropagator:
     lam: complex
     matrix: np.ndarray
 
-    def kernel(self) -> PropagatorKernel:
-        return PropagatorKernel(self.matrix, (self.L1, self.L2), self.lam)
-
 
 def regularized_propagator(
     model: MatrixBFModel, L1: float, L2: float, lam: complex = 0.0
@@ -115,6 +110,9 @@ def regularized_propagator(
     if L1 == L2:
         return RegularizedPropagator(L1, L2, lam, np.zeros((n, n), dtype=np.complex128))
     shifted = cx.L0 + lam * np.eye(n)
+    if L1 > 0 or not math.isinf(L2):
+        # only finite window edges need expm; importing it here keeps scipy out of the CLI
+        from scipy.linalg import expm
     if math.isinf(L2):
         if np.any(np.linalg.eigvals(shifted).real <= 0):
             raise IRDivergenceError("IR divergence: lambda-regularization required")
@@ -321,6 +319,16 @@ def embed_doubled(model: MatrixBFModel, A=None, B=None) -> dict:
     return {"A": a_vec, "B": b_vec}
 
 
+def _loop_series(table: flat_zeta.AtomTable, lambda0: complex, K: int) -> HbarSeries:
+    """gamma_tr_orbits from an atom table: moments of its degree-signed flat-trace atoms."""
+    degree_signs = np.array([(-1) ** (k + 1) for k in range(2 * table.m + 1)])
+    signed = (table.flat_weights() * degree_signs).sum(axis=1) * np.exp(-lambda0 * table.t)
+    coeffs = [0j] * (K + 1)
+    for n in range(1, K):
+        coeffs[n + 1] = (-1) ** n / n * complex(np.sum(signed * table.t ** (n - 1))) / math.factorial(n - 1)
+    return HbarSeries(tuple(coeffs))
+
+
 def gamma_tr_orbits(orbits, m: int, lambda0: complex, L_max: float, K: int) -> HbarSeries:
     """Loop series with resolvent-power traces read off the orbit atoms.
 
@@ -329,18 +337,7 @@ def gamma_tr_orbits(orbits, m: int, lambda0: complex, L_max: float, K: int) -> H
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    distributions = [flat_zeta.flat_trace_evolution(orbits, k, L_max) for k in range(2 * m + 1)]
-    coeffs = [0j] * (K + 1)
-    for n in range(1, K):
-        signed = 0j
-        for k, dist in enumerate(distributions):
-            power_trace = sum(
-                (w * t ** (n - 1) * cmath.exp(-lambda0 * t) / math.factorial(n - 1) for t, w in dist.atoms),
-                start=0j,
-            )
-            signed += (-1) ** (k + 1) * power_trace
-        coeffs[n + 1] = (-1) ** n / n * signed
-    return HbarSeries(tuple(coeffs))
+    return _loop_series(flat_zeta.atom_table(orbits, m, L_max), lambda0, K)
 
 
 @dataclass(frozen=True)
@@ -369,12 +366,7 @@ class BridgeResult:
 
 
 def zeta_expectation_bridge(
-    orbits,
-    m: int,
-    hbar: complex,
-    L_max: float,
-    lambda0: complex = 3.0,
-    K: int = 8,
+    orbits, m: int, hbar: complex, L_max: float, lambda0: complex = 3.0, K: int = 8
 ) -> BridgeResult:
     """Ratio zeta(lambda0 + hbar) / zeta(lambda0) to the power (-1)**m.
 
@@ -382,37 +374,29 @@ def zeta_expectation_bridge(
     region of the truncated orbit sums; the identity being checked is
     unchanged. Convergence problems surface through the tail bounds.
     """
-    lam1 = complex(lambda0) + complex(hbar)
-    euler0 = flat_zeta.euler_product_log_zeta(orbits, lambda0, L_max)
-    euler1 = flat_zeta.euler_product_log_zeta(orbits, lam1, L_max)
-    euler_value = cmath.exp((-1) ** m * (euler1.value - euler0.value))
-    det_log = 0j
-    det_tail = 0.0
-    for k in range(2 * m + 1):
-        s0 = flat_zeta.log_zeta_k(orbits, k, lambda0, L_max)
-        s1 = flat_zeta.log_zeta_k(orbits, k, lam1, L_max)
-        det_log += (-1) ** k * (s1.value - s0.value)
-        det_tail += s0.tail_bound + s1.tail_bound
-    det_value = cmath.exp(det_log)
-    series = gamma_tr_orbits(orbits, m, lambda0, L_max, K + 1).shift_down()
-    series_value = cmath.exp(series.eval(hbar))
-    # outside the Taylor radius around lambda0 the term magnitudes stop
-    # decaying; report that rather than trusting the truncated sum
-    magnitudes = [
-        abs(series.coefficient(n) * hbar ** n) for n in range(1, series.order + 1)
-    ]
-    magnitudes = [v for v in magnitudes if v > 0]
-    diverges = len(magnitudes) >= 2 and magnitudes[-1] >= magnitudes[0]
-    return BridgeResult(
-        hbar=complex(hbar),
-        lambda0=complex(lambda0),
-        m=m,
-        L_max=float(L_max),
-        K=K,
-        euler_value=euler_value,
-        det_value=det_value,
-        series_value=series_value,
-        euler_tail=euler0.tail_bound + euler1.tail_bound,
-        det_tail=det_tail,
-        series_diverges=diverges,
-    )
+    return zeta_expectation_bridge_grid(orbits, m, [hbar], L_max, lambda0, K)[0]
+
+
+def zeta_expectation_bridge_grid(
+    orbits, m: int, hbars, L_max: float, lambda0: complex = 3.0, K: int = 8
+) -> list[BridgeResult]:
+    """zeta_expectation_bridge at every hbar of a grid, from one atom table; the
+    lambda0 sums and the loop series do not depend on hbar and are computed once."""
+    hbars, lambda0 = [complex(h) for h in hbars], complex(lambda0)
+    table = flat_zeta.atom_table(orbits, m, L_max)
+    values, tails = (a.tolist() for a in table.log_zeta([lambda0] + [lambda0 + h for h in hbars]))
+    series = _loop_series(table, lambda0, K + 1).shift_down()
+    euler, results = 2 * m + 1, []
+    for hbar, vals, tls in zip(hbars, values[1:], tails[1:]):
+        det_log = sum(((-1) ** k * (vals[k] - values[0][k]) for k in range(2 * m + 1)), 0j)
+        det_tail = sum((tails[0][k] + tls[k] for k in range(2 * m + 1)), 0.0)
+        # outside the Taylor radius around lambda0 the term magnitudes stop
+        # decaying; report that rather than trusting the truncated sum
+        magnitudes = [abs(series.coefficient(n) * hbar ** n) for n in range(1, series.order + 1)]
+        magnitudes = [v for v in magnitudes if v > 0]
+        results.append(BridgeResult(
+            hbar, lambda0, m, float(L_max), K, cmath.exp((-1) ** m * (vals[euler] - values[0][euler])),
+            cmath.exp(det_log), cmath.exp(series.eval(hbar)), tails[0][euler] + tls[euler], det_tail,
+            series_diverges=len(magnitudes) >= 2 and magnitudes[-1] >= magnitudes[0],
+        ))
+    return results

@@ -2,12 +2,12 @@
 
 One JSON config document drives every run; see README for the schema. All
 floating-point output is locale-independent scientific notation with 17
-significant digits, grid points are emitted in input order regardless of
-worker completion order, and identical configs produce byte-identical
-output files.
+significant digits, grid points are emitted in input order, and identical
+configs produce byte-identical output files. An orbit-model grid is
+evaluated in one pass over one atom table.
 
 Exit codes: 0 success, 1 config error, 2 model invalid, 3 numerical
-non-convergence.
+non-convergence; EXIT_CODES maps every library error to one of them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,10 +38,6 @@ class ConfigError(ValueError):
 
 class ModelError(ValueError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".16e")
 
 
 def _require(cond, path, message):
@@ -86,18 +81,29 @@ def _parse_truncation(cfg):
     return int(n_max), float(l_max), int(k_ord)
 
 
+def _parse_complex(entry, path) -> complex:
+    if isinstance(entry, (int, float)):
+        return complex(entry)
+    if isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, (int, float)) for x in entry):
+        return complex(entry[0], entry[1])
+    raise ConfigError(path, "must be a number or an [re, im] pair")
+
+
 def _parse_grid(cfg):
     grid = cfg.get("grid", [])
     _require(isinstance(grid, list), "grid", "must be a list")
-    out = []
-    for i, entry in enumerate(grid):
-        if isinstance(entry, (int, float)):
-            out.append(complex(entry))
-        elif isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, (int, float)) for x in entry):
-            out.append(complex(entry[0], entry[1]))
-        else:
-            raise ConfigError(f"grid[{i}]", "entries are numbers or [re, im] pairs")
-    return out
+    return [_parse_complex(entry, f"grid[{i}]") for i, entry in enumerate(grid)]
+
+
+def _parse_external(cfg, n):
+    """The diagrams command's external A and B vectors (default all ones)."""
+    ext = cfg.get("external", {})
+    _require(isinstance(ext, dict), "external", "must be an object")
+    vecs = {name: ext.get(name, [1.0] * n) for name in ("A", "B")}
+    for name, vec in vecs.items():
+        _require(isinstance(vec, list) and len(vec) == n, f"external.{name}", f"must be a list of {n} numbers")
+    return [np.array([_parse_complex(x, f"external.{name}[{i}]") for i, x in enumerate(vec)])
+            for name, vec in vecs.items()]
 
 
 def _parse_model(cfg, rep):
@@ -145,7 +151,9 @@ def _parse_model(cfg, rep):
                 _require(at == cx.n, "model.matrix.graded_split", "sizes must sum to the dimension")
                 split = tuple(blocks)
             bf = bf_engine.MatrixBFModel(cx, split)
-        except (ValueError, graded_core.SingularBlockError) as exc:
+        except ConfigError:
+            raise
+        except ValueError as exc:  # SingularBlockError included
             raise ModelError(str(exc))
         return "matrix", bf
     raise ConfigError("model", f"unknown model source {kind!r}")
@@ -167,9 +175,9 @@ def _orbit_data(kind, model, rep, n_max):
             orbs = orbits_mod.load_length_spectrum(model)
         except FileNotFoundError:
             raise ConfigError("model.spectrum_file", f"file not found: {model}")
-        except orbits_mod.SpectrumFormatError as exc:
-            raise ModelError(str(exc))
         m = orbs[0].m if orbs else 1
+        if any(o.m != m for o in orbs):
+            raise ModelError(f"spectrum {model} mixes return maps of different m")
         return orbs, m, f"spectrum:{model}"
     raise ConfigError("model", "this command needs an orbit model (catmap or spectrum_file)")
 
@@ -208,20 +216,11 @@ def _format_cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return _fmt(value)
+        return "inf" if math.isinf(value) else format(value, ".16e")
     return value
 
 
-def _map_grid(func, grid, threads):
-    if threads <= 1 or len(grid) <= 1:
-        return [func(z) for z in grid]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, grid))
-
-
-def cmd_orbits(cfg, fmt, out_path, threads):
+def cmd_orbits(cfg, fmt, out_path):
     rep = _parse_rep(cfg)
     n_max, _, _ = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
@@ -251,15 +250,14 @@ def cmd_orbits(cfg, fmt, out_path, threads):
     return EXIT_OK
 
 
-def cmd_zeta(cfg, fmt, out_path, threads):
+def cmd_zeta(cfg, fmt, out_path):
     rep = _parse_rep(cfg)
     n_max, l_max, _ = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
     orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
     grid = _parse_grid(cfg)
     _require(bool(grid), "grid", "a non-empty lambda grid is required")
-    chunks = _map_grid(lambda lam: flat_zeta.zeta_grid_rows(orbs, m, [lam], l_max), grid, threads)
-    rows = [row for chunk in chunks for row in chunk]
+    rows = flat_zeta.zeta_grid_rows(orbs, m, grid, l_max)
     if orbs and all(math.isinf(r["tail_bound"]) for r in rows if r["k"] == -1):
         sys.stderr.write("all grid points diverge (every tail bound is infinite)\n")
         return EXIT_NONCONVERGENT
@@ -268,43 +266,35 @@ def cmd_zeta(cfg, fmt, out_path, threads):
     return EXIT_OK
 
 
-def _bridge_rows_orbit(orbs, m, model_id, grid, l_max, lambda0, k_ord, threads):
-    def one(hbar):
-        res = bf_engine.zeta_expectation_bridge(orbs, m, hbar, l_max, lambda0, k_ord)
-        flag = "radius_violation" if res.series_diverges else ""
-        shared = {"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord, "flag": flag}
-        return [
-            dict(shared, route="det",
-                 series_value_re=res.series_value.real, series_value_im=res.series_value.imag,
-                 closed_form_re=res.det_value.real, closed_form_im=res.det_value.imag,
-                 defect=res.defect_series_det),
-            dict(shared, route="orbit",
-                 series_value_re=res.series_value.real, series_value_im=res.series_value.imag,
-                 closed_form_re=res.euler_value.real, closed_form_im=res.euler_value.imag,
-                 defect=abs(res.series_value - res.euler_value)),
-        ]
-    return _map_grid(one, grid, threads)
+def _bridge_rows_orbit(orbs, m, model_id, grid, l_max, lambda0, k_ord):
+    rows = []
+    for hbar, res in zip(grid, bf_engine.zeta_expectation_bridge_grid(orbs, m, grid, l_max, lambda0, k_ord)):
+        shared = {"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord,
+                  "flag": "radius_violation" if res.series_diverges else "",
+                  "series_value_re": res.series_value.real, "series_value_im": res.series_value.imag}
+        for route, closed in (("det", res.det_value), ("orbit", res.euler_value)):
+            rows.append(dict(shared, route=route, closed_form_re=closed.real, closed_form_im=closed.imag,
+                             defect=abs(res.series_value - closed)))
+    return rows
 
 
-def _bridge_rows_matrix(bf, model_id, grid, k_ord, threads):
-    def one(hbar):
-        shared = {"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord}
+def _bridge_rows_matrix(bf, model_id, grid, k_ord):
+    rows = []
+    for hbar in grid:
         closed = bf_engine.closed_form_expectation(bf, hbar)
+        row = {"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord, "route": "det",
+               "flag": "", "closed_form_re": closed.real, "closed_form_im": closed.imag}
         try:
             res = bf_engine.expectation_value(bf, hbar, k_ord)
-            return [dict(shared, route="det", flag="",
-                         series_value_re=res.series_value.real, series_value_im=res.series_value.imag,
-                         closed_form_re=closed.real, closed_form_im=closed.imag,
-                         defect=res.defect)]
+            row.update(series_value_re=res.series_value.real, series_value_im=res.series_value.imag,
+                       defect=res.defect)
         except bf_engine.ConvergenceRadiusError:
-            return [dict(shared, route="det", flag="radius_violation",
-                         series_value_re=None, series_value_im=None,
-                         closed_form_re=closed.real, closed_form_im=closed.imag,
-                         defect=None)]
-    return _map_grid(one, grid, threads)
+            row.update(flag="radius_violation", series_value_re=None, series_value_im=None, defect=None)
+        rows.append(row)
+    return rows
 
 
-def cmd_bridge(cfg, fmt, out_path, threads):
+def cmd_bridge(cfg, fmt, out_path):
     rep = _parse_rep(cfg)
     n_max, l_max, k_ord = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
@@ -313,18 +303,17 @@ def cmd_bridge(cfg, fmt, out_path, threads):
     lambda0 = cfg.get("lambda0", 3.0)
     _require(isinstance(lambda0, (int, float)), "lambda0", "must be a number")
     if kind == "matrix":
-        chunks = _bridge_rows_matrix(model, _matrix_model_id(model), grid, k_ord, threads)
+        rows = _bridge_rows_matrix(model, _matrix_model_id(model), grid, k_ord)
     else:
         orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
-        chunks = _bridge_rows_orbit(orbs, m, model_id, grid, l_max, float(lambda0), k_ord, threads)
-    rows = [row for chunk in chunks for row in chunk]
+        rows = _bridge_rows_orbit(orbs, m, model_id, grid, l_max, float(lambda0), k_ord)
     columns = ["model_id", "hbar_re", "hbar_im", "K", "route", "flag",
                "series_value_re", "series_value_im", "closed_form_re", "closed_form_im", "defect"]
     _emit(rows, columns, fmt, out_path)
     return EXIT_OK
 
 
-def cmd_partition(cfg, fmt, out_path, threads):
+def cmd_partition(cfg, fmt, out_path):
     rep = _parse_rep(cfg)
     kind, model = _parse_model(cfg, rep)
     _require(kind == "matrix", "model", "the partition command needs a matrix model")
@@ -332,35 +321,25 @@ def cmd_partition(cfg, fmt, out_path, threads):
     _require(bool(grid), "grid", "a non-empty hbar grid is required")
     cx = model.complex
     scale = max(1.0, float(np.max(np.abs(cx.L0)))) ** cx.n
-
-    def one(hbar):
+    rows = []
+    for hbar in grid:
         value = graded_core.toy_bf_partition(cx, hbar)
-        return {
-            "hbar_re": hbar.real,
-            "hbar_im": hbar.imag,
-            "partition": value,
-            "resonance_hit": bool(value < 1e-9 * scale),
-        }
-
-    rows = _map_grid(one, grid, threads)
+        rows.append({"hbar_re": hbar.real, "hbar_im": hbar.imag, "partition": value,
+                     "resonance_hit": bool(value < 1e-9 * scale)})
     _emit(rows, ["hbar_re", "hbar_im", "partition", "resonance_hit"], fmt, out_path,
           {"model_id": _matrix_model_id(model)})
     return EXIT_OK
 
 
-def cmd_diagrams(cfg, fmt, out_path, threads):
+def cmd_diagrams(cfg, fmt, out_path):
     rep = _parse_rep(cfg)
     _, _, k_ord = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
-    lambda0 = complex(cfg.get("lambda0", 0.0))
+    lambda0 = _parse_complex(cfg.get("lambda0", 0.0), "lambda0")
     gi = gt = None
     if kind == "matrix":
+        a_vec, b_vec = _parse_external(cfg, model.complex.n)
         prop = bf_engine.regularized_propagator(model, 0.0, math.inf, lambda0)
-        n = model.complex.n
-        ext = cfg.get("external", {})
-        a_vec = np.array(ext.get("A", [1.0] * n), dtype=complex)
-        b_vec = np.array(ext.get("B", [1.0] * n), dtype=complex)
-        _require(a_vec.shape == (n,) and b_vec.shape == (n,), "external", f"vectors must have length {n}")
         gi = bf_engine.gamma_int(model, prop, a_vec, b_vec, k_ord)
         gt = bf_engine.gamma_tr(model, lambda0, k_ord + 1)
     rows = []
@@ -409,24 +388,34 @@ def build_parser():
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", default="csv", choices=["csv", "json"])
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored: every grid is evaluated in one pass")
     return parser
+
+
+# error class -> (exit code, stderr prefix); the first match wins, so subclasses precede their
+# bases. ArithmeticError covers IRDivergenceError, feynman.ConvergenceError, toy_bf_partition.
+EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG, ""),
+    (ModelError, EXIT_MODEL, "model invalid: "),
+    (orbits_mod.SpectrumFormatError, EXIT_MODEL, "model invalid: "),
+    (flat_zeta.NonTransverseOrbitError, EXIT_MODEL, "model invalid: "),
+    (graded_core.SingularBlockError, EXIT_MODEL, "model invalid: "),
+    (flat_zeta.BranchCutError, EXIT_NONCONVERGENT, "non-convergent: "),
+    (ArithmeticError, EXIT_NONCONVERGENT, "non-convergent: "),
+)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return COMMANDS[args.command](cfg, args.format, args.out, max(1, args.threads))
-    except ConfigError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_CONFIG
-    except ModelError as exc:
-        sys.stderr.write(f"model invalid: {exc}\n")
-        return EXIT_MODEL
-    except (bf_engine.IRDivergenceError, feynman.ConvergenceError) as exc:
-        sys.stderr.write(f"non-convergent: {exc}\n")
-        return EXIT_NONCONVERGENT
+        return COMMANDS[args.command](cfg, args.format, args.out)
+    except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in EXIT_CODES if isinstance(exc, cls))
+        detail = exc if isinstance(exc, (ConfigError, ModelError)) else f"{type(exc).__name__}: {exc}"
+        sys.stderr.write(f"{prefix}{detail}\n")
+        return code
 
 
 if __name__ == "__main__":

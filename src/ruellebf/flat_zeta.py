@@ -2,9 +2,13 @@
 
 Evolution semigroups of the orbit models have flat traces supported on the
 closed-orbit lengths; truncating those atom sums gives the per-degree log
-zeta factors, the Euler product, and the alternating assembly. Summation
-order is fixed (ascending atom time, then input order) so results are
-bit-stable, and every truncated value carries a geometric tail estimate.
+zeta factors, the Euler product, and the alternating assembly. All of them
+reduce one AtomTable, built once per (orbits, m, L_max), with the
+transversality check run once per atom. A lambda grid is evaluated in one
+pass, summed in the fixed atom order (ascending time, then input order, then
+repetition), so values are bit-stable, the same for a lambda alone as inside
+any grid, and each carries a geometric tail estimate. Integer-valued return
+maps get exact traces and det(I - P^j) from the characteristic polynomial.
 
 Branch convention: principal logarithms everywhere, with log zeta built
 additively from per-orbit terms so no product-branch ambiguity arises.
@@ -22,6 +26,9 @@ from itertools import combinations
 import numpy as np
 
 NON_TRANSVERSE_RTOL = 1e-12
+# float64 holds every integer of smaller magnitude exactly
+EXACT_INT_LIMIT = 2.0 ** 53
+TAIL_WINDOW = 6
 
 
 class NonTransverseOrbitError(ArithmeticError):
@@ -32,43 +39,59 @@ class BranchCutError(ValueError):
     """An eigenvalue crossed the principal-branch cut of the logarithm."""
 
 
-def _det_recursive(m: np.ndarray):
-    """Cofactor-expansion determinant; exact on integer-valued inputs."""
-    n = m.shape[0]
-    if n == 0:
+def _det_recursive(m: list):
+    """Cofactor-expansion determinant along the first row of a list of rows."""
+    if not m:
         return 1.0
-    if n == 1:
-        return m[0, 0]
-    if n == 2:
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if n == 3:
-        return (
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
     total = 0.0
-    rest = np.arange(1, n)
-    for j in range(n):
-        cols = [c for c in range(n) if c != j]
-        minor = m[np.ix_(rest, cols)]
-        total += (-1) ** j * m[0, j] * _det_recursive(minor)
+    for j, x in enumerate(m[0]):
+        total += (-1) ** j * x * _det_recursive([row[:j] + row[j + 1:] for row in m[1:]])
     return total
 
 
+def _integer_entries(P: np.ndarray) -> list[list[int]] | None:
+    """P as rows of Python ints when every entry is an exact integer (floats
+    below EXACT_INT_LIMIT in magnitude, Python ints at any size), else None."""
+    rows = P.tolist()
+    exact = P.dtype.kind in "iufO" and all(
+        isinstance(x, int) or (isinstance(x, float) and x.is_integer() and abs(x) < EXACT_INT_LIMIT)
+        for row in rows for x in row
+    )
+    return [[int(x) for x in row] for row in rows] if exact else None
+
+
+def _char_poly(a: list[list[int]]) -> list[int]:
+    """[e_0, ..., e_d], e_k = tr(wedge^k A), by Faddeev-LeVerrier in exact integers:
+    M_1 = I, e_k = (-1)^(k+1) tr(A M_k) / k (an exact division for integer A),
+    M_{k+1} = A M_k + (-1)^k e_k I."""
+    d = len(a)
+    e = [1]
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        am = [[sum(a[i][l] * m[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
+        e.append((-1) ** (k + 1) * sum(am[i][i] for i in range(d)) // k)
+        shift = (-1) ** k * e[k]
+        m = [[am[i][j] + (shift if i == j else 0) for j in range(d)] for i in range(d)]
+    return e
+
+
 def exterior_power_trace(P: np.ndarray, k: int) -> complex:
-    """tr of the k-th exterior power: the sum of all k x k principal minors."""
+    """tr of the k-th exterior power: the sum of all k x k principal minors.
+
+    Exact (from the characteristic polynomial) when P is integer-valued.
+    """
     P = np.asarray(P)
     d = P.shape[0]
     if P.ndim != 2 or P.shape[1] != d:
         raise ValueError("P must be square")
     if not 0 <= k <= d:
         raise ValueError(f"k = {k} outside 0..{d}")
-    total = 0.0
-    for idx in combinations(range(d), k):
-        sel = np.ix_(idx, idx)
-        total = total + _det_recursive(P[sel])
-    return complex(total)
+    exact = _integer_entries(P)
+    if exact is not None:
+        return complex(_char_poly(exact)[k])
+    rows = P.tolist()
+    minors = ([[rows[i][j] for j in idx] for i in idx] for idx in combinations(range(d), k))
+    return complex(sum((_det_recursive(minor) for minor in minors), 0.0))
 
 
 @dataclass(frozen=True)
@@ -105,72 +128,136 @@ class ZetaSeries:
 
 
 def _transversality_denominator(p_power: np.ndarray) -> float:
+    """det(I - P^j), exact for integer-valued P^j; raises when it is below threshold."""
     d = p_power.shape[0]
     if d == 0:
         return 1.0
-    diff = np.eye(d) - p_power
-    det = float(np.real(_det_recursive(diff)))
-    scale = max(1.0, float(np.max(np.abs(diff)))) ** d
+    exact = _integer_entries(p_power)
+    rows = p_power.tolist() if exact is None else exact
+    diff = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    det = (_det_recursive(diff) if exact is None else _char_poly(diff)[d]).real
+    scale = max(1.0, max(abs(x) for row in diff for x in row)) ** d
     if abs(det) < NON_TRANSVERSE_RTOL * scale:
-        raise NonTransverseOrbitError(
-            f"non-transverse orbit: |det(I - P^j)| = {abs(det):.3e}"
-        )
-    return det
+        raise NonTransverseOrbitError(f"non-transverse orbit: |det(I - P^j)| = {abs(det):.3e}")
+    return float(det)
 
 
 def _orbit_power_terms(orbits, L_max: float):
-    """(t, orbit, j, P^j) for j * length <= L_max, ascending t then input order."""
+    """(t, orbit, j, P^j) for j * length <= L_max, ascending t then input order;
+    integer-valued return maps are raised to powers in Python ints."""
     items = []
     for pos, orbit in enumerate(orbits):
-        j = 1
-        p_power = orbit.poincare
+        exact = _integer_entries(orbit.poincare)
+        base = orbit.poincare if exact is None else np.array(exact, dtype=object).reshape(orbit.poincare.shape)
+        j, p_power = 1, base
         while j * orbit.length <= L_max * (1 + 1e-12):
             items.append((j * orbit.length, pos, j, p_power))
             j += 1
-            p_power = p_power @ orbit.poincare
+            p_power = p_power @ base
     items.sort(key=lambda item: (item[0], item[1], item[2]))
     return [(t, orbits[pos], j, p) for t, pos, j, p in items]
 
 
-def _tr_rho_power(orbit, j: int) -> complex:
-    return complex(np.trace(np.linalg.matrix_power(orbit.rho, j)))
+def _geometric_tails(times: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """Tail estimate per row of mags (rows x time groups) from its trailing groups.
 
-
-def _geometric_tail(grouped: list[tuple[float, float]]) -> float:
-    """Tail estimate from the decay of the trailing time-group magnitudes.
-
-    A log-linear fit over the trailing groups absorbs the lumpiness of
-    period-truncated orbit censuses; the fitted decay ratio is inflated by
-    10% because the ratio approaches its limit from below for the built-in
-    models (a 1/n prefactor). Non-decaying groups report an infinite tail.
+    A least-squares line through the logs of the last TAIL_WINDOW positive
+    groups absorbs the lumpiness of period-truncated orbit censuses; the
+    fitted decay ratio is inflated by 10% because the ratio approaches its
+    limit from below for the built-in models (a 1/n prefactor). A row with
+    under two positive groups or no decay gets inf; no groups at all give 0.
     """
-    points = [(t, g) for t, g in grouped if g > 0.0]
-    if not grouped:
-        return 0.0
-    if len(points) < 2:
-        return math.inf
-    window = points[-min(len(points), 6):]
-    ts = np.array([t for t, _ in window])
-    logs = np.log([g for _, g in window])
-    slope, intercept = np.polyfit(ts, logs, 1)
-    if slope >= 0.0:
-        return math.inf
-    mean_gap = (ts[-1] - ts[0]) / (len(ts) - 1)
-    ratio = math.exp(slope * mean_gap) * 1.1
-    if ratio >= 1.0:
-        return math.inf
-    amplitude = max(window[-1][1], math.exp(intercept + slope * ts[-1]))
-    return amplitude * ratio / (1.0 - ratio)
+    if times.size == 0:
+        return np.zeros(mags.shape[0])
+    positive = mags > 0.0
+    window = positive & (np.cumsum(positive[:, ::-1], axis=1)[:, ::-1] <= TAIL_WINDOW)
+    first = np.argmax(window, axis=1)
+    last = times.size - 1 - np.argmax(window[:, ::-1], axis=1)
+    n = window.sum(axis=1)
+    with np.errstate(all="ignore"):  # rows with under two points divide by zero here and are dropped
+        logs = np.log(np.where(window, mags, 1.0))
+        t_mean = (window * times).sum(axis=1) / n
+        log_mean = (window * logs).sum(axis=1) / n
+        dt = window * (times - t_mean[:, None])
+        slope = (dt * (logs - log_mean[:, None])).sum(axis=1) / (dt * dt).sum(axis=1)
+        ratio = np.exp(slope * (times[last] - times[first]) / (n - 1)) * 1.1
+        amplitude = np.maximum(mags[np.arange(n.size), last], np.exp(log_mean + slope * (times[last] - t_mean)))
+        tails = amplitude * ratio / (1.0 - ratio)
+    return np.where((n >= 2) & (slope < 0.0) & (ratio < 1.0), tails, math.inf)
 
 
-def _group_by_time(terms: list[tuple[float, complex]]) -> list[tuple[float, float]]:
-    groups: list[tuple[float, float]] = []
-    for t, val in terms:
-        if groups and groups[-1][0] == t:
-            groups[-1] = (t, groups[-1][1] + abs(val))
-        else:
-            groups.append((t, abs(val)))
-    return groups
+@dataclass(frozen=True)
+class AtomTable:
+    """Per-atom columns of an orbit set up to L_max, in the fixed summation order.
+
+    t: atom time j * length; euler: -mult tr(rho^j) / j; weights[:, k]:
+    tr(wedge^k P^j) / |det(I - P^j)|, k = 0..2m; sign: the assembly sign
+    (-1)^m sum_k (-1)^k weights[:, k]; group: index into group_times, the
+    distinct atom times. t_min is the shortest orbit length (inf for none).
+    """
+
+    m: int
+    t: np.ndarray
+    euler: np.ndarray
+    weights: np.ndarray
+    sign: np.ndarray
+    group: np.ndarray
+    group_times: np.ndarray
+    t_min: float
+
+    def flat_weights(self) -> np.ndarray:
+        """Atoms x degrees: mult * length * tr(rho^j) * weights."""
+        return (-self.t * self.euler)[:, None] * self.weights
+
+    def log_zeta(self, lambdas) -> tuple[np.ndarray, np.ndarray]:
+        """(values, tails), lambdas x (2m + 3): log zeta_k for k = 0..2m, the
+        Euler sum, the assembly. With orbits, the Euler tail is inf at Re lambda <= 0.
+        Terms are formed in real arithmetic and added atom by atom in table
+        order, so no lambda's result depends on the rest of the grid."""
+        lambdas = np.asarray(lambdas, dtype=complex).reshape(-1)
+        columns = np.column_stack([self.weights * self.euler[:, None], self.euler, self.sign * self.euler])
+        phase = np.exp(np.outer(-lambdas, self.t))
+        shape = (lambdas.size, columns.shape[1])
+        re, im = np.zeros(shape), np.zeros(shape)
+        mags = np.zeros(shape + (self.group_times.size,))
+        for a, g in enumerate(self.group):
+            x, y, c = phase[:, a, None].real, phase[:, a, None].imag, columns[a]
+            term_re, term_im = x * c.real - y * c.imag, x * c.imag + y * c.real
+            re += term_re
+            im += term_im
+            mags[:, :, g] += np.hypot(term_re, term_im)
+        values = re.astype(complex)
+        values.imag = im
+        tails = _geometric_tails(self.group_times, mags.reshape(shape[0] * shape[1], -1)).reshape(shape)
+        if math.isfinite(self.t_min):
+            tails[lambdas.real <= 0, 2 * self.m + 1] = math.inf
+        return values, tails
+
+
+def atom_table(orbits, m: int, L_max: float) -> AtomTable:
+    """The atom table of orbits up to L_max; every return map must be 2m x 2m."""
+    t, euler, weights, sign = [], [], [], []
+    for time, orbit, j, p_power in _orbit_power_terms(orbits, L_max):
+        if p_power.shape[0] != 2 * m:
+            d = p_power.shape[0]
+            raise ValueError(f"orbit carries a {d}x{d} return map, expected 2m = {2 * m}")
+        det = abs(_transversality_denominator(p_power))
+        traces = [exterior_power_trace(p_power, k) for k in range(2 * m + 1)]
+        t.append(time)
+        euler.append(-orbit.multiplicity * complex(np.trace(np.linalg.matrix_power(orbit.rho, j))) / j)
+        weights.append([tr / det for tr in traces])
+        sign.append((-1) ** m * (sum(((-1) ** k * tr.real for k, tr in enumerate(traces)), 0.0) / det))
+    group_times, group = np.unique(np.array(t, dtype=float), return_inverse=True)
+    return AtomTable(
+        m, np.array(t, dtype=float), np.array(euler, dtype=complex),
+        np.array(weights, dtype=complex).reshape(len(t), 2 * m + 1), np.array(sign, dtype=float),
+        group, group_times, min((o.length for o in orbits), default=math.inf),
+    )
+
+
+def _series(orbits, m: int, lam, L_max: float, column: int, k: int | None = None) -> ZetaSeries:
+    values, tails = atom_table(orbits, m, L_max).log_zeta([lam])
+    return ZetaSeries(lam, k, complex(values[0, column]), float(L_max), float(tails[0, column]))
 
 
 def flat_trace_evolution(orbits, k: int, t_max: float) -> AtomicDistribution:
@@ -181,25 +268,12 @@ def flat_trace_evolution(orbits, k: int, t_max: float) -> AtomicDistribution:
     """
     if not orbits:
         return AtomicDistribution.empty()
-    raw: list[tuple[float, complex]] = []
-    for t, orbit, j, p_power in _orbit_power_terms(orbits, t_max):
-        det = _transversality_denominator(p_power)
-        weight = (
-            orbit.multiplicity
-            * orbit.length
-            * _tr_rho_power(orbit, j)
-            * exterior_power_trace(p_power, k)
-            / abs(det)
-        )
-        raw.append((t, weight))
-    merged: list[tuple[float, complex]] = []
-    for t, w in raw:
-        if merged and merged[-1][0] == t:
-            merged[-1] = (t, merged[-1][1] + w)
-        else:
-            merged.append((t, w))
-    t_min = min(o.length for o in orbits)
-    return AtomicDistribution(tuple(merged), t_min)
+    if not 0 <= k <= 2 * orbits[0].m:
+        raise ValueError(f"k = {k} outside 0..{2 * orbits[0].m}")
+    table = atom_table(orbits, orbits[0].m, t_max)
+    merged = np.zeros(table.group_times.size, dtype=complex)
+    np.add.at(merged, table.group, table.flat_weights()[:, k])
+    return AtomicDistribution(tuple(zip(table.group_times.tolist(), merged.tolist())), table.t_min)
 
 
 def log_zeta_k(orbits, k: int, lam: complex, L_max: float) -> ZetaSeries:
@@ -208,25 +282,17 @@ def log_zeta_k(orbits, k: int, lam: complex, L_max: float) -> ZetaSeries:
     Each (orbit, j) term is -exp(-lam j l) / j * tr(rho^j) tr(wedge^k P^j)
     / |det(I - P^j)|; divergence is reported through tail_bound = inf.
     """
-    terms: list[tuple[float, complex]] = []
-    for t, orbit, j, p_power in _orbit_power_terms(orbits, L_max):
-        det = _transversality_denominator(p_power)
-        base = -orbit.multiplicity * _tr_rho_power(orbit, j) * cmath.exp(-lam * t) / j
-        terms.append((t, base * exterior_power_trace(p_power, k) / abs(det)))
-    value = sum((v for _, v in terms), start=0j)
-    return ZetaSeries(lam, k, value, float(L_max), _geometric_tail(_group_by_time(terms)))
+    if not orbits:
+        return ZetaSeries(lam, k, 0j, float(L_max), 0.0)
+    if not 0 <= k <= 2 * orbits[0].m:
+        raise ValueError(f"k = {k} outside 0..{2 * orbits[0].m}")
+    return _series(orbits, orbits[0].m, lam, L_max, k, k)
 
 
 def euler_product_log_zeta(orbits, lam: complex, L_max: float) -> ZetaSeries:
     """Truncated log of the Euler product via -sum_j tr(rho^j) e^{-lam j l} / j."""
-    terms: list[tuple[float, complex]] = []
-    for t, orbit, j, _ in _orbit_power_terms(orbits, L_max):
-        terms.append((t, -orbit.multiplicity * _tr_rho_power(orbit, j) * cmath.exp(-lam * t) / j))
-    value = sum((v for _, v in terms), start=0j)
-    tail = _geometric_tail(_group_by_time(terms))
-    if orbits and lam.real <= 0:
-        tail = math.inf
-    return ZetaSeries(lam, None, value, float(L_max), tail)
+    m = orbits[0].m if orbits else 0
+    return _series(orbits, m, lam, L_max, 2 * m + 1)
 
 
 def alternating_assembly(orbits, m: int, lam: complex, L_max: float) -> ZetaSeries:
@@ -238,21 +304,7 @@ def alternating_assembly(orbits, m: int, lam: complex, L_max: float) -> ZetaSeri
     the sign is an exact +-1.0 and shared-truncation agreement with the
     Euler expansion is exact, not merely close.
     """
-    terms: list[tuple[float, complex]] = []
-    for t, orbit, j, p_power in _orbit_power_terms(orbits, L_max):
-        if p_power.shape[0] != 2 * m:
-            raise ValueError(
-                f"orbit carries a {p_power.shape[0]}x{p_power.shape[0]} return map, expected 2m = {2 * m}"
-            )
-        det = _transversality_denominator(p_power)
-        alternating = 0.0
-        for k in range(2 * m + 1):
-            alternating = alternating + (-1) ** k * exterior_power_trace(p_power, k).real
-        sign = (-1) ** m * (alternating / abs(det))
-        base = -orbit.multiplicity * _tr_rho_power(orbit, j) * cmath.exp(-lam * t) / j
-        terms.append((t, sign * base))
-    value = sum((v for _, v in terms), start=0j)
-    return ZetaSeries(lam, None, value, float(L_max), _geometric_tail(_group_by_time(terms)))
+    return _series(orbits, m, lam, L_max, 2 * m + 2)
 
 
 def flat_determinant_orbit(orbits, k: int, lam: complex, L_max: float) -> complex:
@@ -270,9 +322,7 @@ def flat_det_via_F(generator: np.ndarray, lam: complex = 0.0) -> complex:
     """
     mu = np.linalg.eigvals(np.asarray(generator, dtype=complex)) + lam
     if np.any(mu.real <= 0):
-        raise BranchCutError(
-            "an eigenvalue of generator + lam has non-positive real part"
-        )
+        raise BranchCutError("an eigenvalue of generator + lam has non-positive real part")
     return cmath.exp(complex(np.sum(np.log(mu))))
 
 
@@ -286,41 +336,17 @@ def flat_trace_cyclicity_check(A: np.ndarray, B: np.ndarray, tol: float = 1e-10)
 
 
 def zeta_grid_rows(orbits, m: int, lambdas, L_max: float) -> list[dict]:
-    """Evaluation table rows for a lambda grid; the k = -1 row is the Euler sum.
-
-    The defect column repeats |assembly - euler| at shared truncation for
-    every row of the same lambda.
+    """Evaluation table rows for a lambda grid, from one atom table; the k = -1
+    row is the Euler sum. The defect column repeats |assembly - euler| at
+    shared truncation for every row of the same lambda.
     """
+    lams = [complex(lam) for lam in lambdas]
+    values, tails = atom_table(orbits, m, L_max).log_zeta(lams)
     rows = []
-    for lam in lambdas:
-        lam = complex(lam)
-        euler = euler_product_log_zeta(orbits, lam, L_max)
-        assembly = alternating_assembly(orbits, m, lam, L_max)
-        defect = abs(assembly.value - euler.value)
-        for k in range(2 * m + 1):
-            series = log_zeta_k(orbits, k, lam, L_max)
-            rows.append(
-                {
-                    "re_lambda": lam.real,
-                    "im_lambda": lam.imag,
-                    "k": k,
-                    "re_logzeta": series.value.real,
-                    "im_logzeta": series.value.imag,
-                    "tail_bound": series.tail_bound,
-                    "L_max": float(L_max),
-                    "defect": defect,
-                }
-            )
-        rows.append(
-            {
-                "re_lambda": lam.real,
-                "im_lambda": lam.imag,
-                "k": -1,
-                "re_logzeta": euler.value.real,
-                "im_logzeta": euler.value.imag,
-                "tail_bound": euler.tail_bound,
-                "L_max": float(L_max),
-                "defect": defect,
-            }
-        )
+    for lam, vals, tls in zip(lams, values.tolist(), tails.tolist()):
+        defect = abs(vals[-1] - vals[-2])
+        for col, k in enumerate([*range(2 * m + 1), -1]):
+            rows.append({"re_lambda": lam.real, "im_lambda": lam.imag, "k": k,
+                         "re_logzeta": vals[col].real, "im_logzeta": vals[col].imag,
+                         "tail_bound": tls[col], "L_max": float(L_max), "defect": defect})
     return rows

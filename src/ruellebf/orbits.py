@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -255,22 +255,23 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
             orbits.append(_parse_row(row, line_no))
     if header is None:
         raise SpectrumFormatError("missing header row")
+    # records merge when P and rho match exactly (-0.0 == 0.0) and lengths
+    # lie within 1e-12; a bucket per (P, rho) keeps the merge linear in rows
     merged: list[PrimeOrbit] = []
+    counts: list[int] = []
+    buckets: dict[tuple, list[int]] = {}
     for orbit in sorted(orbits, key=lambda o: o.length):
-        for i, seen in enumerate(merged):
-            if (
-                math.isclose(seen.length, orbit.length, rel_tol=0, abs_tol=1e-12)
-                and seen.poincare.shape == orbit.poincare.shape
-                and np.array_equal(seen.poincare, orbit.poincare)
-                and np.array_equal(seen.rho, orbit.rho)
-            ):
-                merged[i] = PrimeOrbit(
-                    length=seen.length,
-                    poincare=seen.poincare,
-                    rho=seen.rho,
-                    multiplicity=seen.multiplicity + orbit.multiplicity,
-                )
+        key = (orbit.poincare.shape, (orbit.poincare + 0.0).tobytes(), (orbit.rho + 0.0).tobytes())
+        bucket = buckets.setdefault(key, [])
+        for i in bucket:
+            if math.isclose(merged[i].length, orbit.length, rel_tol=0, abs_tol=1e-12):
+                counts[i] += orbit.multiplicity
                 break
         else:
+            bucket.append(len(merged))
             merged.append(orbit)
-    return merged
+            counts.append(orbit.multiplicity)
+    return [
+        orbit if count == orbit.multiplicity else replace(orbit, multiplicity=count)
+        for orbit, count in zip(merged, counts)
+    ]

@@ -35,9 +35,6 @@ class HbarSeries:
         order = min(self.order, other.order)
         return HbarSeries(tuple(self.coeffs[p] + other.coeffs[p] for p in range(order + 1)))
 
-    def scale(self, factor: complex) -> "HbarSeries":
-        return HbarSeries(tuple(factor * c for c in self.coeffs))
-
     def shift_down(self) -> "HbarSeries":
         """Divide by hbar; requires a vanishing constant term."""
         if abs(self.coeffs[0]) != 0.0:

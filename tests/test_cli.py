@@ -213,3 +213,180 @@ def test_malformed_spectrum_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, payload)
     assert main(["orbits", "--config", cfg]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+# ------------------------------------------------- one pass per orbit grid
+
+ORBIT_GRID = [[2.0 + 0.98 * i / 99, 0.1 * i] for i in range(100)]
+CHARACTER_CONFIG = dict(CAT_CONFIG, rep={"character": 0.7}, truncation={"n_max": 20, "L_max": 20.0, "K": 8})
+
+
+def _data_lines(path):
+    return [line for line in path.read_text().splitlines()[1:] if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("command, grid, rows_per_point", [
+    ("zeta", ORBIT_GRID, 4),
+    ("bridge", [[0.015 * (i + 1), 0.01 * i] for i in range(100)], 2),
+])
+def test_point_alone_matches_point_in_grid(tmp_path, command, grid, rows_per_point):
+    cfg = write_config(tmp_path, dict(CHARACTER_CONFIG, grid=grid), "grid.json")
+    out = tmp_path / "grid.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    lines = _data_lines(out)
+    assert len(lines) == rows_per_point * len(grid)
+    for i in (0, 41, 99):
+        one_cfg = write_config(tmp_path, dict(CHARACTER_CONFIG, grid=[grid[i]]), f"one{i}.json")
+        one = tmp_path / f"one{i}.csv"
+        assert main([command, "--config", one_cfg, "--out", str(one)]) == 0
+        assert _data_lines(one) == lines[rows_per_point * i:rows_per_point * (i + 1)]
+
+
+@pytest.mark.parametrize("command", ["zeta", "bridge"])
+def test_threads_option_is_accepted_and_changes_nothing(tmp_path, command):
+    cfg = write_config(tmp_path, dict(CHARACTER_CONFIG, grid=ORBIT_GRID[:20]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.csv"
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["zeta", "bridge"])
+def test_one_atom_table_per_orbit_invocation(tmp_path, monkeypatch, command):
+    from ruellebf import flat_zeta
+
+    built = []
+    original = flat_zeta.atom_table
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flat_zeta, "atom_table", counting)
+    cfg = write_config(tmp_path, dict(CHARACTER_CONFIG, grid=ORBIT_GRID[:30]))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(built) == 1
+
+
+# ----------------------------------------------------------- exit-code table
+
+def _assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_non_transverse_orbit_exits_2(tmp_path, capsys):
+    # the relative threshold 1e-12 * max|entry|^2 trips on the exact
+    # |det(I - A^30)| = 3.46e12 of the [2, 1, 1, 1] cat map
+    payload = dict(CHARACTER_CONFIG, truncation={"n_max": 30, "L_max": 30.0}, grid=[[3.0, 0.0]])
+    cfg = write_config(tmp_path, payload)
+    assert main(["zeta", "--config", cfg]) == 2
+    _assert_one_line_error(capsys, "model invalid", "NonTransverseOrbitError", "3.461e+12")
+
+
+def test_singular_block_exits_2(tmp_path, capsys):
+    payload = {"model": {"matrix": {"d": [[1.0, 2.0], [2.0, 4.0]]}}, "grid": [[0.5, 0.0]]}
+    cfg = write_config(tmp_path, payload)
+    assert main(["partition", "--config", cfg]) == 2
+    _assert_one_line_error(capsys, "model invalid", "resonance")
+
+
+def test_ir_divergence_exits_3(tmp_path, capsys):
+    payload = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 3}, "lambda0": -5.0}
+    cfg = write_config(tmp_path, payload)
+    assert main(["diagrams", "--config", cfg]) == 3
+    _assert_one_line_error(capsys, "non-convergent", "IRDivergenceError")
+
+
+@pytest.mark.parametrize("module, attr, error, code", [
+    ("flat_zeta", "zeta_grid_rows", "NonTransverseOrbitError", 2),
+    ("flat_zeta", "zeta_grid_rows", "BranchCutError", 3),
+    ("flat_zeta", "zeta_grid_rows", "SingularBlockError", 2),
+    ("flat_zeta", "zeta_grid_rows", "ConvergenceError", 3),
+    ("flat_zeta", "zeta_grid_rows", "IRDivergenceError", 3),
+    ("graded_core", "toy_bf_partition", "ArithmeticError", 3),
+])
+def test_every_library_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, module, attr, error, code):
+    import builtins
+
+    from ruellebf import bf_engine, feynman, flat_zeta, graded_core
+
+    modules = {"flat_zeta": flat_zeta, "graded_core": graded_core}
+    classes = {
+        "NonTransverseOrbitError": flat_zeta.NonTransverseOrbitError,
+        "BranchCutError": flat_zeta.BranchCutError,
+        "SingularBlockError": graded_core.SingularBlockError,
+        "ConvergenceError": feynman.ConvergenceError,
+        "IRDivergenceError": bf_engine.IRDivergenceError,
+        "ArithmeticError": builtins.ArithmeticError,
+    }
+
+    def raising(*args, **kwargs):
+        raise classes[error]("injected")
+
+    monkeypatch.setattr(modules[module], attr, raising)
+    if module == "graded_core":
+        payload, command = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "grid": [[0.5, 0.0]]}, "partition"
+    else:
+        payload, command = CAT_CONFIG, "zeta"
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg]) == code
+    _assert_one_line_error(capsys, error, "injected")
+
+
+@pytest.mark.parametrize("field, value, path", [
+    ("lambda0", "abc", "lambda0"),
+    ("lambda0", [1.0], "lambda0"),
+    ("external", "ones", "external"),
+    ("external", {"A": [1.0]}, "external.A"),
+    ("external", {"B": [1.0, "x"]}, "external.B[1]"),
+])
+def test_diagrams_validates_lambda0_and_external(tmp_path, capsys, field, value, path):
+    payload = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 2}, field: value}
+    cfg = write_config(tmp_path, payload)
+    assert main(["diagrams", "--config", cfg]) == 1
+    _assert_one_line_error(capsys, f"config error at {path}")
+
+
+def test_malformed_graded_split_is_a_config_error(tmp_path, capsys):
+    payload = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]], "graded_split": "x"}}, "grid": [[0.5, 0.0]]}
+    cfg = write_config(tmp_path, payload)
+    assert main(["partition", "--config", cfg]) == 1
+    _assert_one_line_error(capsys, "config error at model.matrix.graded_split")
+
+
+def test_diagrams_accepts_complex_lambda0_and_external(tmp_path):
+    payload = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 2},
+               "lambda0": [0.5, 0.1], "external": {"A": [1.0, [0.0, 1.0]], "B": [2.0, 1.0]}}
+    cfg = write_config(tmp_path, payload)
+    assert main(["diagrams", "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 0
+
+
+def test_mixed_m_spectrum_exits_2(tmp_path, capsys):
+    spectrum = tmp_path / "mixed.csv"
+    spectrum.write_text(
+        "length,multiplicity,m,P_entries,rho_re,rho_im\n"
+        "1.0,1,1,2;0;0;0.5,1,0\n"
+        "2.0,1,2,2;0;0;0;0;0.5;0;0;0;0;3;0;0;0;0;0.25,1,0\n"
+    )
+    cfg = write_config(tmp_path, dict(CAT_CONFIG, model={"spectrum_file": str(spectrum)}))
+    assert main(["zeta", "--config", cfg]) == 2
+    _assert_one_line_error(capsys, "model invalid", "mixes")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ruellebf
+
+    code = "import sys, ruellebf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {"PYTHONPATH": str(Path(ruellebf.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -345,3 +345,165 @@ def test_zeta_grid_rows_schema_and_defect():
             "tail_bound", "L_max", "defect",
         }
     assert all(row["defect"] == 0.0 for row in rows if row["re_lambda"] == 3.0)
+
+
+# ------------------------------------------------------- exact integer traces
+
+def cat_log_zeta(a, roof, theta, lam):
+    """Closed form log det(I - chi e^{-lam r} wedge^k A), k = 0, 1, 2, and the Euler sum (k = -1)."""
+    mu = np.linalg.eigvals(np.array(a, dtype=float).reshape(2, 2)).astype(complex)
+    det = a[0] * a[3] - a[1] * a[2]
+    z = cmath.exp(1j * theta - lam * roof)
+    out = {0: cmath.log(1 - z), 1: cmath.log(1 - z * mu[0]) + cmath.log(1 - z * mu[1]),
+           2: cmath.log(1 - z * det)}
+    out[-1] = -(out[0] - out[1] + out[2])
+    return out
+
+
+def test_char_poly_matches_eigenvalue_sums():
+    from ruellebf.flat_zeta import _char_poly
+
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        d = int(rng.integers(1, 6))
+        a = rng.integers(-4, 5, size=(d, d))
+        e = _char_poly(a.tolist())
+        assert all(type(x) is int for x in e)
+        for k in range(d + 1):
+            assert e[k] == pytest.approx(eig_symmetric_sum(a.astype(float), k).real, abs=1e-8)
+
+
+def test_exterior_trace_exact_on_large_integer_powers():
+    # tr(wedge^2 A^n) = det A^n = 1 and tr(wedge^1) = the Lucas number L_2n;
+    # float minors of these matrices cancel catastrophically
+    for n in (20, 30, 40):
+        exact = np.array(CAT.power(n), dtype=object)
+        assert exterior_power_trace(exact, 2) == 1
+        assert exterior_power_trace(exact, 1) == complex(exact[0, 0] + exact[1, 1])
+    as_float = np.array(CAT.power(30), dtype=float)
+    assert exterior_power_trace(as_float, 2) == 1.0
+
+
+def test_transversality_denominator_exact_for_integer_maps():
+    from ruellebf.flat_zeta import _transversality_denominator
+
+    for n in range(1, 30):
+        an = CAT.power(n)
+        assert _transversality_denominator(np.array(an, dtype=float)) == 2 - (an[0][0] + an[1][1])
+    # the relative threshold 1e-12 max|entry|^2 still applies to the exact value
+    with pytest.raises(NonTransverseOrbitError):
+        _transversality_denominator(np.array(CAT.power(30), dtype=float))
+
+
+def test_character_3121_degree_two_matches_closed_form():
+    from ruellebf.orbits import Representation
+
+    model = HyperbolicToralModel(((3, 1), (2, 1)), 0.7, Representation("character", 0.7))
+    orbits = enumerate_prime_orbits(model, 20)
+    lams = [2.0 + 1j * y for y in np.linspace(0.0, 9.9, 12)]
+    rows = zeta_grid_rows(orbits, 1, lams, 14.0)
+    for lam in lams:
+        (row,) = [r for r in rows if r["k"] == 2 and complex(r["re_lambda"], r["im_lambda"]) == lam]
+        ref = cat_log_zeta([3, 1, 2, 1], 0.7, 0.7, lam)[2]
+        assert abs(complex(row["re_logzeta"], row["im_logzeta"]) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("a, roof, l_max", [([2, 1, 1, 1], 1.0, 20.0), ([3, 1, 2, 1], 0.7, 14.0)])
+def test_cat_zeta_grid_rows_within_tail_of_closed_form(a, roof, l_max):
+    from ruellebf.orbits import Representation
+
+    model = HyperbolicToralModel(((a[0], a[1]), (a[2], a[3])), roof, Representation("character", 0.7))
+    orbits = enumerate_prime_orbits(model, 20)
+    i = np.arange(100)
+    lams = list((2.0 + 0.98 * i / 99) + 1j * (0.1 * i))
+    rows = zeta_grid_rows(orbits, 1, lams, l_max)
+    assert len(rows) == 4 * len(lams)
+    for row in rows:
+        ref = cat_log_zeta(a, roof, 0.7, complex(row["re_lambda"], row["im_lambda"]))[row["k"]]
+        err = abs(complex(row["re_logzeta"], row["im_logzeta"]) - ref)
+        assert err <= row["tail_bound"] + 1e-12 * (1 + abs(ref))
+        assert row["defect"] <= 1e-12 * (1 + abs(ref))
+
+
+# ------------------------------------------------------------- the atom table
+
+def test_atom_table_columns():
+    from ruellebf.flat_zeta import atom_table
+
+    table = atom_table(CAT_ORBITS, 1, 4.0)
+    assert table.t.tolist() == sorted(table.t.tolist())
+    assert table.group_times.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert table.group_times[table.group].tolist() == table.t.tolist()
+    assert table.weights.shape == (table.t.size, 3)
+    # (-1)^m sum_k (-1)^k tr(wedge^k P^j) / |det(I - P^j)| is exactly +1 for the cat map
+    assert table.sign.tolist() == [1.0] * table.t.size
+    alternating = table.weights[:, 0] - table.weights[:, 1] + table.weights[:, 2]
+    assert np.allclose(alternating, -1.0, rtol=0, atol=1e-15)
+
+
+def test_lambda_alone_equals_lambda_in_grid():
+    i = np.arange(100)
+    lams = list((2.0 + 0.98 * i / 99) + 1j * (0.1 * i))
+    grid = zeta_grid_rows(CAT_ORBITS, 1, lams, 12.0)
+    for idx in (0, 37, 99):
+        alone = zeta_grid_rows(CAT_ORBITS, 1, [lams[idx]], 12.0)
+        assert [repr(r) for r in alone] == [repr(r) for r in grid[4 * idx:4 * idx + 4]]
+
+
+def test_empty_orbits_give_zero_and_euler_tail_inf_off_region():
+    rows = zeta_grid_rows([], 1, [3.0, -1.0, 0.5j], 10.0)
+    assert all(r["re_logzeta"] == 0.0 and r["im_logzeta"] == 0.0 for r in rows)
+    assert all(r["tail_bound"] == 0.0 and r["defect"] == 0.0 for r in rows)
+    assert euler_product_log_zeta([], -1.0, 10.0).tail_bound == 0.0
+    rows = zeta_grid_rows(CAT_ORBITS, 1, [-0.5, 0.0, 0.5j, 3.0], 12.0)
+    euler_tails = [r["tail_bound"] for r in rows if r["k"] == -1]
+    assert [math.isinf(t) for t in euler_tails] == [True, True, True, False]
+
+
+def test_routes_agree_with_grid_rows():
+    lam = 3.0 + 0.5j
+    rows = zeta_grid_rows(CAT_ORBITS, 1, [lam], 12.0)
+    for k in range(3):
+        series = log_zeta_k(CAT_ORBITS, k, lam, 12.0)
+        assert (series.value.real, series.value.imag, series.tail_bound) == (
+            rows[k]["re_logzeta"], rows[k]["im_logzeta"], rows[k]["tail_bound"])
+    euler = euler_product_log_zeta(CAT_ORBITS, lam, 12.0)
+    assert (euler.value.real, euler.value.imag) == (rows[3]["re_logzeta"], rows[3]["im_logzeta"])
+
+
+def reference_geometric_tail(grouped):
+    """The per-row np.polyfit form of the tail estimate, kept as the reference."""
+    points = [(t, g) for t, g in grouped if g > 0.0]
+    if not grouped:
+        return 0.0
+    if len(points) < 2:
+        return math.inf
+    window = points[-min(len(points), 6):]
+    ts = np.array([t for t, _ in window])
+    logs = np.log([g for _, g in window])
+    slope, intercept = np.polyfit(ts, logs, 1)
+    if slope >= 0.0:
+        return math.inf
+    mean_gap = (ts[-1] - ts[0]) / (len(ts) - 1)
+    ratio = math.exp(slope * mean_gap) * 1.1
+    if ratio >= 1.0:
+        return math.inf
+    amplitude = max(window[-1][1], math.exp(intercept + slope * ts[-1]))
+    return amplitude * ratio / (1.0 - ratio)
+
+
+def test_geometric_tails_match_polyfit_reference():
+    from ruellebf.flat_zeta import _geometric_tails
+
+    rng = np.random.default_rng(12)
+    times = np.cumsum(rng.uniform(0.3, 1.0, size=14))
+    decay = np.exp(-rng.uniform(-0.2, 2.0, size=(200, 1)) * times) * rng.uniform(0.5, 2.0, size=(200, 14))
+    decay[rng.random(size=decay.shape) < 0.2] = 0.0
+    tails = _geometric_tails(times, decay)
+    for row, tail in zip(decay, tails):
+        want = reference_geometric_tail(list(zip(times.tolist(), row.tolist())))
+        if math.isinf(want):
+            assert math.isinf(tail)
+        else:
+            assert tail == pytest.approx(want, rel=1e-12)
+    assert _geometric_tails(np.array([]), np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]

@@ -212,3 +212,53 @@ def test_loader_bad_header(tmp_path):
     path.write_text("length,mult\n")
     with pytest.raises(SpectrumFormatError, match="header"):
         load_length_spectrum(path)
+
+
+def reference_merge(orbits):
+    """The quadratic merge the loader used before its (P, rho) buckets, kept as the reference."""
+    merged = []
+    for orbit in sorted(orbits, key=lambda o: o.length):
+        for i, seen in enumerate(merged):
+            if (
+                math.isclose(seen.length, orbit.length, rel_tol=0, abs_tol=1e-12)
+                and seen.poincare.shape == orbit.poincare.shape
+                and np.array_equal(seen.poincare, orbit.poincare)
+                and np.array_equal(seen.rho, orbit.rho)
+            ):
+                merged[i] = PrimeOrbit(
+                    length=seen.length, poincare=seen.poincare, rho=seen.rho,
+                    multiplicity=seen.multiplicity + orbit.multiplicity,
+                )
+                break
+        else:
+            merged.append(orbit)
+    return merged
+
+
+def _orbit_key(orbit):
+    return (orbit.length, orbit.multiplicity, orbit.poincare.shape, orbit.poincare.tobytes(),
+            orbit.rho.tobytes(), orbit.period)
+
+
+def test_loader_merge_matches_reference_on_shuffled_duplicates(tmp_path):
+    rng = np.random.default_rng(5)
+    maps = ["3.0;0.0;0.0;0.25", "3.0;-0.0;0.0;0.25", "3.0;0.1;0.0;0.25", "0.25;0.0;0.0;3.0",
+            "4.0;0.0;0.0;0.25;0.0;2.0;0.0;0.0;0.0;0.0;0.5;0.0;0.0;0.0;0.0;5.0"]
+    rows = []
+    for _ in range(300):
+        entries = maps[int(rng.integers(len(maps)))]
+        m = 2 if entries.count(";") == 15 else 1
+        length = [1.0, 1.0 + 5e-13, 1.0 + 1e-12, 1.0 - 5e-13, 2.0, 2.0 + 5e-13][int(rng.integers(6))]
+        rho = ["1.0,0.0", "1.0,-0.0", "-0.0,1.0", "0.0,1.0"][int(rng.integers(4))]
+        rows.append(f"{length!r},{int(rng.integers(1, 4))},{m},{entries},{rho}\n")
+    path = tmp_path / "shuffled.csv"
+    path.write_text(HEADER + "".join(rows))
+    raw = tmp_path / "raw.csv"
+    loaded_rows = []
+    for row in rows:  # each row alone, so nothing merges
+        raw.write_text(HEADER + row)
+        loaded_rows.extend(load_length_spectrum(raw))
+    got = load_length_spectrum(path)
+    want = reference_merge(loaded_rows)
+    assert len(got) < len(rows)
+    assert [_orbit_key(o) for o in got] == [_orbit_key(o) for o in want]
