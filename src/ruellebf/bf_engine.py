@@ -4,7 +4,10 @@ The quadratic perturbation attaches exactly two propagators to every
 vertex, so the connected diagrams are chains (carrying the external fields)
 and loops (carrying a graded trace). Both series resum in closed form, and
 the loop series exponentiates to the alternating determinant ratio that the
-orbit-side zeta machinery reproduces independently.
+orbit-side zeta machinery reproduces independently. Both matrix-side series
+read one kernel, the spectrum of each graded block, computed once per model:
+the resolvent-power traces are sums of (mu + lam)**(-N) and the determinant
+ratio is a product of 1 + hbar/mu.
 
 Sign table (single source of truth for the graded exponents):
   * a closed fermion-style loop in form degree k contributes (-1)**(k + 1),
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +46,14 @@ class MatrixBFModel:
 
     graded_split, when given, lists (form degree, block) pairs whose block
     diagonal is L restricted to the image of the contraction; the default is
-    a single degree-0 block.
+    a single degree-0 block. spectra holds the eigenvalues of each block, as
+    (form degree, eigenvalues) pairs in block order, computed once here.
     """
 
     complex: ToyBFComplex
     graded_split: tuple | None = None
     hbar_order: int = 8
+    spectra: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.graded_split is not None:
@@ -59,6 +64,7 @@ class MatrixBFModel:
             ):
                 raise ValueError("graded_split blocks must tile L restricted to im(iota)")
             object.__setattr__(self, "graded_split", blocks)
+        object.__setattr__(self, "spectra", tuple((k, np.linalg.eigvals(b)) for k, b in self.blocks()))
 
     def blocks(self) -> tuple:
         if self.graded_split is None:
@@ -69,9 +75,7 @@ class MatrixBFModel:
         return (-1) ** (degree + 1)
 
     def min_spectrum_abs(self) -> float:
-        return min(
-            float(np.min(np.abs(np.linalg.eigvals(b)))) for _, b in self.blocks()
-        )
+        return float(np.min(np.abs(np.concatenate([mu for _, mu in self.spectra]))))
 
 
 def _block_diag(blocks) -> np.ndarray:
@@ -114,7 +118,7 @@ def regularized_propagator(
         # only finite window edges need expm; importing it here keeps scipy out of the CLI
         from scipy.linalg import expm
     if math.isinf(L2):
-        if np.any(np.linalg.eigvals(shifted).real <= 0):
+        if any(np.any((mu + lam).real <= 0) for _, mu in model.spectra):
             raise IRDivergenceError("IR divergence: lambda-regularization required")
         upper = np.zeros((n, n), dtype=np.complex128)
     else:
@@ -163,34 +167,24 @@ def gamma_int(
     return HbarSeries(tuple(coeffs))
 
 
-def _resolvent_blocks(model: MatrixBFModel, lam: complex):
-    out = []
-    for degree, block in model.blocks():
-        shifted = block + lam * np.eye(block.shape[0])
-        if np.any(np.linalg.eigvals(shifted).real <= 0):
-            raise IRDivergenceError(
-                f"spectrum of degree-{degree} block + lambda not damped; regularize"
-            )
-        out.append((degree, np.linalg.inv(shifted)))
-    return out
-
-
 def gamma_tr(model: MatrixBFModel, lam: complex, K: int) -> HbarSeries:
     """Loop-diagram series starting at second order.
 
     Coefficient of order N + 1: (-1)**N / N times the degree-signed trace of
-    the N-th resolvent power on the image of the contraction.
+    the N-th resolvent power on the image of the contraction, which is
+    sum (mu + lam)**(-N) over the block spectra.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    resolvents = _resolvent_blocks(model, lam)
+    shifted = [(degree, mu + lam) for degree, mu in model.spectra]
+    for degree, s in shifted:
+        if np.any(s.real <= 0):
+            raise IRDivergenceError(
+                f"spectrum of degree-{degree} block + lambda not damped; regularize"
+            )
     coeffs = [0j] * (K + 1)
-    powers = {degree: np.eye(r.shape[0], dtype=np.complex128) for degree, r in resolvents}
     for n in range(1, K):
-        signed = 0j
-        for degree, resolvent in resolvents:
-            powers[degree] = powers[degree] @ resolvent
-            signed += model.loop_sign(degree) * complex(np.trace(powers[degree]))
+        signed = sum((model.loop_sign(degree) * complex(np.sum(s ** -n)) for degree, s in shifted), 0j)
         coeffs[n + 1] = (-1) ** n / n * signed
     return HbarSeries(tuple(coeffs))
 
@@ -255,14 +249,11 @@ class ExpectationResult:
 
 
 def closed_form_expectation(model: MatrixBFModel, hbar: complex) -> complex:
-    """Alternating determinant ratio prod_k det((L_k + hbar)/L_k)**((-1)**k)."""
-    if hbar == 0:
-        return 1.0 + 0j
+    """Alternating determinant ratio prod_k det((L_k + hbar)/L_k)**((-1)**k),
+    each ratio the product of 1 + hbar/mu over the block spectrum."""
     out = 1.0 + 0j
-    for degree, block in model.blocks():
-        ratio = complex(
-            np.linalg.det(block + hbar * np.eye(block.shape[0])) / np.linalg.det(block)
-        )
+    for degree, mu in model.spectra:
+        ratio = complex(np.prod(1 + hbar / mu))
         out = out * ratio if degree % 2 == 0 else out / ratio
     return out
 

@@ -45,6 +45,14 @@ def _require(cond, path, message):
         raise ConfigError(path, message)
 
 
+def _finite(value) -> bool:
+    """A JSON number that converts to a finite float (json.load accepts NaN and Infinity)."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -64,7 +72,7 @@ def _parse_rep(cfg) -> orbits_mod.Representation:
         return orbits_mod.Representation("trivial")
     if "character" in rep:
         theta = rep["character"]
-        _require(isinstance(theta, (int, float)), "rep.character", "angle must be a number")
+        _require(_finite(theta), "rep.character", "angle must be a finite number")
         return orbits_mod.Representation("character", float(theta))
     raise ConfigError("rep", f"unknown representation {list(rep)[0]!r}")
 
@@ -77,22 +85,30 @@ def _parse_truncation(cfg):
     k_ord = trunc.get("K", 8)
     for name, value in (("n_max", n_max), ("K", k_ord)):
         _require(isinstance(value, int) and value > 0, f"truncation.{name}", "must be a positive integer")
-    _require(isinstance(l_max, (int, float)) and l_max > 0, "truncation.L_max", "must be positive")
+    _require(_finite(l_max) and l_max > 0, "truncation.L_max", "must be positive and finite")
     return int(n_max), float(l_max), int(k_ord)
 
 
 def _parse_complex(entry, path) -> complex:
-    if isinstance(entry, (int, float)):
+    if _finite(entry):
         return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, (int, float)) for x in entry):
+    if isinstance(entry, list) and len(entry) == 2 and all(_finite(x) for x in entry):
         return complex(entry[0], entry[1])
-    raise ConfigError(path, "must be a number or an [re, im] pair")
+    raise ConfigError(path, "must be a finite number or an [re, im] pair of them")
 
 
 def _parse_grid(cfg):
     grid = cfg.get("grid", [])
     _require(isinstance(grid, list), "grid", "must be a list")
     return [_parse_complex(entry, f"grid[{i}]") for i, entry in enumerate(grid)]
+
+
+def _parse_matrix(value, path) -> np.ndarray:
+    """A non-empty square matrix (list of rows) of finite real numbers."""
+    _require(isinstance(value, list) and value and all(
+        isinstance(row, list) and len(row) == len(value) and all(_finite(x) for x in row) for row in value
+    ), path, "must be a square matrix (list of rows) of finite numbers")
+    return np.array(value, dtype=complex)
 
 
 def _parse_external(cfg, n):
@@ -118,7 +134,7 @@ def _parse_model(cfg, rep):
         _require(isinstance(a, list) and len(a) == 4 and all(isinstance(x, int) for x in a),
                  "model.catmap.A", "need 4 integers (row major)")
         roof = body.get("roof", 1.0)
-        _require(isinstance(roof, (int, float)) and roof > 0, "model.catmap.roof", "must be positive")
+        _require(_finite(roof) and roof > 0, "model.catmap.roof", "must be positive and finite")
         try:
             toral = orbits_mod.HyperbolicToralModel(((a[0], a[1]), (a[2], a[3])), float(roof), rep)
         except ValueError as exc:
@@ -129,23 +145,21 @@ def _parse_model(cfg, rep):
         return "spectrum", body
     if kind == "matrix":
         _require(isinstance(body, dict), "model.matrix", "must be an object")
-        d = body.get("d")
-        _require(isinstance(d, list) and d and all(isinstance(r, list) for r in d),
-                 "model.matrix.d", "must be a matrix (list of rows)")
+        d = _parse_matrix(body.get("d"), "model.matrix.d")
         iota = body.get("iota")
+        iota = None if iota is None else _parse_matrix(iota, "model.matrix.iota")
         split_cfg = body.get("graded_split")
         try:
-            cx = graded_core.ToyBFComplex(np.array(d, dtype=complex),
-                                          None if iota is None else np.array(iota, dtype=complex))
+            cx = graded_core.ToyBFComplex(d, iota)
             split = None
             if split_cfg is not None:
                 _require(isinstance(split_cfg, list), "model.matrix.graded_split",
                          "must be a list of [degree, size] pairs")
                 blocks, at = [], 0
                 for pair in split_cfg:
-                    _require(isinstance(pair, list) and len(pair) == 2, "model.matrix.graded_split",
-                             "entries are [degree, size]")
-                    deg, size = int(pair[0]), int(pair[1])
+                    _require(isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)
+                             and pair[1] >= 0, "model.matrix.graded_split", "entries are [degree, size >= 0] integers")
+                    deg, size = pair
                     blocks.append((deg, cx.L0[at:at + size, at:at + size]))
                     at += size
                 _require(at == cx.n, "model.matrix.graded_split", "sizes must sum to the dimension")
@@ -281,16 +295,16 @@ def _bridge_rows_orbit(orbs, m, model_id, grid, l_max, lambda0, k_ord):
 def _bridge_rows_matrix(bf, model_id, grid, k_ord):
     rows = []
     for hbar in grid:
-        closed = bf_engine.closed_form_expectation(bf, hbar)
-        row = {"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord, "route": "det",
-               "flag": "", "closed_form_re": closed.real, "closed_form_im": closed.imag}
+        row = {"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord, "route": "det"}
         try:
             res = bf_engine.expectation_value(bf, hbar, k_ord)
-            row.update(series_value_re=res.series_value.real, series_value_im=res.series_value.imag,
+            closed = res.closed_form
+            row.update(flag="", series_value_re=res.series_value.real, series_value_im=res.series_value.imag,
                        defect=res.defect)
         except bf_engine.ConvergenceRadiusError:
+            closed = bf_engine.closed_form_expectation(bf, hbar)
             row.update(flag="radius_violation", series_value_re=None, series_value_im=None, defect=None)
-        rows.append(row)
+        rows.append(dict(row, closed_form_re=closed.real, closed_form_im=closed.imag))
     return rows
 
 
@@ -301,7 +315,7 @@ def cmd_bridge(cfg, fmt, out_path):
     grid = _parse_grid(cfg)
     _require(bool(grid), "grid", "a non-empty hbar grid is required")
     lambda0 = cfg.get("lambda0", 3.0)
-    _require(isinstance(lambda0, (int, float)), "lambda0", "must be a number")
+    _require(_finite(lambda0), "lambda0", "must be a finite number")
     if kind == "matrix":
         rows = _bridge_rows_matrix(model, _matrix_model_id(model), grid, k_ord)
     else:
@@ -319,13 +333,14 @@ def cmd_partition(cfg, fmt, out_path):
     _require(kind == "matrix", "model", "the partition command needs a matrix model")
     grid = _parse_grid(cfg)
     _require(bool(grid), "grid", "a non-empty hbar grid is required")
-    cx = model.complex
-    scale = max(1.0, float(np.max(np.abs(cx.L0)))) ** cx.n
+    # a resonance is a zero of det(L + hbar): hbar within 1e-9 (relative) of some -mu
+    mu = np.concatenate([spectrum for _, spectrum in model.spectra])
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(mu))))
     rows = []
     for hbar in grid:
-        value = graded_core.toy_bf_partition(cx, hbar)
-        rows.append({"hbar_re": hbar.real, "hbar_im": hbar.imag, "partition": value,
-                     "resonance_hit": bool(value < 1e-9 * scale)})
+        rows.append({"hbar_re": hbar.real, "hbar_im": hbar.imag,
+                     "partition": graded_core.toy_bf_partition(model.complex, hbar),
+                     "resonance_hit": bool(np.min(np.abs(mu + hbar)) < tol)})
     _emit(rows, ["hbar_re", "hbar_im", "partition", "resonance_hit"], fmt, out_path,
           {"model_id": _matrix_model_id(model)})
     return EXIT_OK

@@ -7,8 +7,10 @@ reduce one AtomTable, built once per (orbits, m, L_max), with the
 transversality check run once per atom. A lambda grid is evaluated in one
 pass, summed in the fixed atom order (ascending time, then input order, then
 repetition), so values are bit-stable, the same for a lambda alone as inside
-any grid, and each carries a geometric tail estimate. Integer-valued return
-maps get exact traces and det(I - P^j) from the characteristic polynomial.
+any grid, and each carries a geometric tail estimate. An atom's exterior
+traces tr(wedge^k P^j) and det(I - P^j) come from one characteristic
+polynomial of P^j: in exact integers for integer-valued return maps, from
+the eigenvalues for float ones.
 
 Branch convention: principal logarithms everywhere, with log zeta built
 additively from per-orbit terms so no product-branch ambiguity arises.
@@ -21,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -39,16 +40,6 @@ class BranchCutError(ValueError):
     """An eigenvalue crossed the principal-branch cut of the logarithm."""
 
 
-def _det_recursive(m: list):
-    """Cofactor-expansion determinant along the first row of a list of rows."""
-    if not m:
-        return 1.0
-    total = 0.0
-    for j, x in enumerate(m[0]):
-        total += (-1) ** j * x * _det_recursive([row[:j] + row[j + 1:] for row in m[1:]])
-    return total
-
-
 def _integer_entries(P: np.ndarray) -> list[list[int]] | None:
     """P as rows of Python ints when every entry is an exact integer (floats
     below EXACT_INT_LIMIT in magnitude, Python ints at any size), else None."""
@@ -60,10 +51,20 @@ def _integer_entries(P: np.ndarray) -> list[list[int]] | None:
     return [[int(x) for x in row] for row in rows] if exact else None
 
 
-def _char_poly(a: list[list[int]]) -> list[int]:
-    """[e_0, ..., e_d], e_k = tr(wedge^k A), by Faddeev-LeVerrier in exact integers:
-    M_1 = I, e_k = (-1)^(k+1) tr(A M_k) / k (an exact division for integer A),
-    M_{k+1} = A M_k + (-1)^k e_k I."""
+def _char_poly(P) -> list:
+    """[e_0, ..., e_d], e_k = tr(wedge^k P), the sum of all k x k principal minors.
+
+    Integer-valued P: Faddeev-LeVerrier in exact integers, M_1 = I,
+    e_k = (-1)^(k+1) tr(A M_k) / k (an exact division), M_{k+1} = A M_k + (-1)^k e_k I.
+    Otherwise the elementary symmetric functions of the eigenvalues, read off
+    np.poly, whose coefficients are (-1)^k e_k.
+    """
+    P = np.asarray(P)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError("P must be square")
+    a = _integer_entries(P)
+    if a is None:
+        return [(-1) ** k * c for k, c in enumerate(np.poly(np.linalg.eigvals(P)).tolist())]
     d = len(a)
     e = [1]
     m = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -76,22 +77,12 @@ def _char_poly(a: list[list[int]]) -> list[int]:
 
 
 def exterior_power_trace(P: np.ndarray, k: int) -> complex:
-    """tr of the k-th exterior power: the sum of all k x k principal minors.
-
-    Exact (from the characteristic polynomial) when P is integer-valued.
-    """
-    P = np.asarray(P)
-    d = P.shape[0]
-    if P.ndim != 2 or P.shape[1] != d:
-        raise ValueError("P must be square")
-    if not 0 <= k <= d:
-        raise ValueError(f"k = {k} outside 0..{d}")
-    exact = _integer_entries(P)
-    if exact is not None:
-        return complex(_char_poly(exact)[k])
-    rows = P.tolist()
-    minors = ([[rows[i][j] for j in idx] for i in idx] for idx in combinations(range(d), k))
-    return complex(sum((_det_recursive(minor) for minor in minors), 0.0))
+    """tr of the k-th exterior power: e_k of the characteristic polynomial of P
+    (exact when P is integer-valued)."""
+    e = _char_poly(P)
+    if not 0 <= k < len(e):
+        raise ValueError(f"k = {k} outside 0..{len(e) - 1}")
+    return complex(e[k])
 
 
 @dataclass(frozen=True)
@@ -127,19 +118,15 @@ class ZetaSeries:
     tail_bound: float
 
 
-def _transversality_denominator(p_power: np.ndarray) -> float:
-    """det(I - P^j), exact for integer-valued P^j; raises when it is below threshold."""
-    d = p_power.shape[0]
-    if d == 0:
-        return 1.0
-    exact = _integer_entries(p_power)
-    rows = p_power.tolist() if exact is None else exact
-    diff = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    det = (_det_recursive(diff) if exact is None else _char_poly(diff)[d]).real
-    scale = max(1.0, max(abs(x) for row in diff for x in row)) ** d
+def _transversality_denominator(p_power: np.ndarray, e: list) -> float:
+    """det(I - P^j) = sum_k (-1)^k e_k from the traces e = _char_poly(P^j), exact
+    for integer-valued P^j; raises when it is below threshold."""
+    det = sum((-1) ** k * x for k, x in enumerate(e))
+    rows = p_power.tolist()
+    scale = max([1.0] + [abs((i == j) - x) for i, row in enumerate(rows) for j, x in enumerate(row)]) ** len(rows)
     if abs(det) < NON_TRANSVERSE_RTOL * scale:
         raise NonTransverseOrbitError(f"non-transverse orbit: |det(I - P^j)| = {abs(det):.3e}")
-    return float(det)
+    return float(det.real)
 
 
 def _orbit_power_terms(orbits, L_max: float):
@@ -241,12 +228,12 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
         if p_power.shape[0] != 2 * m:
             d = p_power.shape[0]
             raise ValueError(f"orbit carries a {d}x{d} return map, expected 2m = {2 * m}")
-        det = abs(_transversality_denominator(p_power))
-        traces = [exterior_power_trace(p_power, k) for k in range(2 * m + 1)]
+        e = _char_poly(p_power)
+        det = _transversality_denominator(p_power, e)
         t.append(time)
         euler.append(-orbit.multiplicity * complex(np.trace(np.linalg.matrix_power(orbit.rho, j))) / j)
-        weights.append([tr / det for tr in traces])
-        sign.append((-1) ** m * (sum(((-1) ** k * tr.real for k, tr in enumerate(traces)), 0.0) / det))
+        weights.append([complex(x) / abs(det) for x in e])
+        sign.append((-1) ** m * math.copysign(1.0, det))
     group_times, group = np.unique(np.array(t, dtype=float), return_inverse=True)
     return AtomTable(
         m, np.array(t, dtype=float), np.array(euler, dtype=complex),

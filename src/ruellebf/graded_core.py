@@ -6,8 +6,9 @@ desk-scale analogue of the gauge-fixed field theory.
 
 Scalars are complex throughout; absolute values are taken only where a
 partition value is formed. Determinants go through LU factorization with
-partial pivoting (LAPACK getrf), and a block is flagged singular when
-|det| < 1e-12 * max|entry|**n.
+partial pivoting (LAPACK getrf), and a block is flagged singular when its
+smallest singular value is at most 1e-12 times its largest, a test that
+does not depend on the scale or the dimension of the block.
 """
 
 from __future__ import annotations
@@ -103,14 +104,12 @@ class GradedOperator:
 
 
 def _checked_det(block: np.ndarray, degree) -> complex:
-    n = block.shape[0]
-    if n == 0:
+    if block.shape[0] == 0:
         return 1.0 + 0j
-    det = complex(np.linalg.det(block))
-    scale = float(np.max(np.abs(block))) if block.size else 0.0
-    if abs(det) < SINGULARITY_RTOL * max(scale, 1e-300) ** n:
+    sigma = np.linalg.svd(block, compute_uv=False)
+    if sigma[-1] <= SINGULARITY_RTOL * sigma[0]:
         raise SingularBlockError(f"singular block in degree {degree}", degree=degree)
-    return det
+    return complex(np.linalg.det(block))
 
 
 def supertrace(op: GradedOperator) -> complex:

@@ -65,8 +65,8 @@ class PrimeOrbit:
     period: int | None = None
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("orbit length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ValueError("orbit length must be positive and finite")
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be a positive integer")
         p = np.asarray(self.poincare, dtype=float)
@@ -78,6 +78,8 @@ class PrimeOrbit:
         r = np.asarray(self.rho, dtype=complex)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("representation value must be a square matrix")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("representation value must be finite")
         if abs(abs(np.linalg.det(r)) - 1.0) > 1e-8:
             raise ValueError("representation value must be unitary (|det| = 1)")
         object.__setattr__(self, "poincare", p)

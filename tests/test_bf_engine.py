@@ -420,3 +420,30 @@ def test_gamma_tr_orbits_first_coefficient_from_atoms():
         dist = flat_trace_evolution(CAT_ORBITS, k, 12.0)
         signed += (-1) ** (k + 1) * sum(w * cmath.exp(-3.0 * t) for t, w in dist.atoms)
     assert series.coefficient(2) == pytest.approx(-signed, rel=1e-12)
+
+
+def test_spectral_kernel_on_non_normal_blocks():
+    # blocks Q U diag(d) U^-1 Q^T whose eigenvector matrices have condition number 1e5
+    rng = np.random.default_rng(0)
+    spectra = [np.linspace(1.0, 2.0, 3), np.linspace(2.5, 4.0, 3)]
+    blocks = []
+    for d in spectra:
+        u = np.eye(3)
+        u[0, -1] = math.sqrt(1e5)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        assert np.linalg.cond(q @ u) == pytest.approx(1e5, rel=1e-3)
+        blocks.append(q @ u @ np.diag(d) @ np.linalg.inv(u) @ q.T)
+    full = np.zeros((6, 6))
+    full[:3, :3], full[3:, 3:] = blocks
+    model = MatrixBFModel(ToyBFComplex(full), ((0, blocks[0]), (1, blocks[1])))
+    eye = np.eye(3)
+    for hbar in (0.4 + 0.2j, -0.5j, 0.7):
+        ratios = [np.linalg.det(b + hbar * eye) / np.linalg.det(b) for b in blocks]
+        want = ratios[0] / ratios[1]
+        assert abs(closed_form_expectation(model, hbar) - want) <= 1e-8 * abs(want)
+    for lam in (0.0, 0.3 + 0.1j):
+        series = gamma_tr(model, lam, 8)
+        for n in range(1, 8):
+            traces = [np.trace(np.linalg.matrix_power(np.linalg.inv(b + lam * eye), n)) for b in blocks]
+            want = (-1) ** n / n * (traces[1] - traces[0])  # loop signs -1 (degree 0), +1 (degree 1)
+            assert abs(series.coefficient(n + 1) - want) <= 1e-8 * abs(want)

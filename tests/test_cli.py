@@ -1,6 +1,9 @@
 import csv
 import json
+import math
+import time
 
+import numpy as np
 import pytest
 
 from ruellebf.cli import main
@@ -142,6 +145,32 @@ def test_partition_command(tmp_path):
     assert values[1] == pytest.approx(12.0)
     assert values[2] == pytest.approx(0.0, abs=1e-9)
     assert [r["resonance_hit"] for r in rows] == ["false", "false", "true"]
+
+
+def wide_matrix_model(size=16, blocks=4):
+    """A 64-dim graded model: triangular blocks whose spectra spread over [1, 8]."""
+    rng = np.random.default_rng(7)
+    d = np.zeros((size * blocks,) * 2)
+    for k in range(blocks):
+        block = np.triu(rng.uniform(-0.3, 0.3, (size, size)), 1) + np.diag(rng.permutation(np.linspace(1.0, 8.0, size)))
+        d[k * size:(k + 1) * size, k * size:(k + 1) * size] = block
+    return {"matrix": {"d": d.tolist(), "graded_split": [[k, size] for k in range(blocks)]}}
+
+
+def test_partition_flags_no_resonance_far_from_the_spectrum(tmp_path):
+    # |det(L + hbar)| is far below 1e-9 * max|L|^64 here, yet no -hbar is near an eigenvalue
+    payload = {"model": wide_matrix_model(), "grid": [[0.5, 0.0], [0.0, 0.9], [-0.5, 0.0]]}
+    out = tmp_path / "partition.csv"
+    assert main(["partition", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    assert [r["resonance_hit"] for r in read_csv_rows(out)] == ["false", "false", "false"]
+
+
+def test_bridge_on_wide_matrix_model(tmp_path):
+    payload = {"model": wide_matrix_model(), "truncation": {"K": 8}, "grid": [[0.5, 0.0]]}
+    out = tmp_path / "bridge.csv"
+    assert main(["bridge", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    (row,) = read_csv_rows(out)
+    assert row["flag"] == "" and float(row["defect"]) < 1e-6
 
 
 def test_partition_requires_matrix_model(tmp_path, capsys):
@@ -345,6 +374,8 @@ def test_every_library_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch
     ("external", "ones", "external"),
     ("external", {"A": [1.0]}, "external.A"),
     ("external", {"B": [1.0, "x"]}, "external.B[1]"),
+    ("lambda0", [0.5, math.inf], "lambda0"),
+    ("external", {"A": [1.0, math.nan]}, "external.A[1]"),
 ])
 def test_diagrams_validates_lambda0_and_external(tmp_path, capsys, field, value, path):
     payload = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 2}, field: value}
@@ -390,3 +421,33 @@ def test_cli_import_leaves_scipy_unloaded():
     env = {"PYTHONPATH": str(Path(ruellebf.__file__).resolve().parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------- non-finite inputs
+
+@pytest.mark.parametrize("command, change, path", [
+    ("zeta", {"truncation": {"L_max": math.inf}}, "truncation.L_max"),
+    ("zeta", {"truncation": {"L_max": math.nan}}, "truncation.L_max"),
+    ("zeta", {"grid": [[3.0, math.nan]]}, "grid[0]"),
+    ("zeta", {"grid": [3.0, -math.inf]}, "grid[1]"),
+    ("zeta", {"model": {"catmap": {"A": [2, 1, 1, 1], "roof": math.inf}}}, "model.catmap.roof"),
+    ("zeta", {"rep": {"character": math.nan}}, "rep.character"),
+    ("bridge", {"lambda0": math.nan}, "lambda0"),
+    ("partition", {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, math.inf]]}}}, "model.matrix.d"),
+])
+def test_non_finite_config_values_exit_1(tmp_path, capsys, command, change, path):
+    # json.dumps writes NaN and Infinity, and json.load reads them back
+    cfg = write_config(tmp_path, dict(CAT_CONFIG, **change))
+    started = time.perf_counter()
+    assert main([command, "--config", cfg]) == 1
+    assert time.perf_counter() - started < 1.0
+    _assert_one_line_error(capsys, f"config error at {path}", "finite")
+
+
+@pytest.mark.parametrize("row", ["nan,1,1,2;0;0;0.5,1,0", "1.0,1,1,2;0;0;0.5,inf,0", "1.0,1,1,2;0;0;0.5,1,nan"])
+def test_non_finite_spectrum_row_exits_2_with_its_line(tmp_path, capsys, row):
+    spectrum = tmp_path / "nonfinite.csv"
+    spectrum.write_text("length,multiplicity,m,P_entries,rho_re,rho_im\n1.0,1,1,2;0;0;0.5,1,0\n" + row + "\n")
+    cfg = write_config(tmp_path, dict(CAT_CONFIG, model={"spectrum_file": str(spectrum)}))
+    assert main(["zeta", "--config", cfg]) == 2
+    _assert_one_line_error(capsys, "model invalid", "line 3", "finite")

@@ -111,11 +111,13 @@ def test_flat_trace_atoms_sorted_with_t_min():
 def test_non_transverse_guard():
     # orbit ingestion already rejects unit-circle eigenvalues, so the sum-level
     # threshold is defense in depth; exercise it on the guard directly
-    from ruellebf.flat_zeta import _transversality_denominator
+    from ruellebf.flat_zeta import _char_poly, _transversality_denominator
 
     with pytest.raises(NonTransverseOrbitError):
-        _transversality_denominator(np.diag([1.0 + 1e-14, 0.5]))
-    assert _transversality_denominator(np.diag([2.0, 0.5])) == pytest.approx(-0.5)
+        p = np.diag([1.0 + 1e-14, 0.5])
+        _transversality_denominator(p, _char_poly(p))
+    p = np.diag([2.0, 0.5])
+    assert _transversality_denominator(p, _char_poly(p)) == pytest.approx(-0.5)
 
 
 # ---------------------------------------------------------------- log zeta_k
@@ -385,14 +387,17 @@ def test_exterior_trace_exact_on_large_integer_powers():
 
 
 def test_transversality_denominator_exact_for_integer_maps():
-    from ruellebf.flat_zeta import _transversality_denominator
+    from ruellebf.flat_zeta import _char_poly, _transversality_denominator
+
+    def denominator(p):
+        return _transversality_denominator(p, _char_poly(p))
 
     for n in range(1, 30):
         an = CAT.power(n)
-        assert _transversality_denominator(np.array(an, dtype=float)) == 2 - (an[0][0] + an[1][1])
+        assert denominator(np.array(an, dtype=float)) == 2 - (an[0][0] + an[1][1])
     # the relative threshold 1e-12 max|entry|^2 still applies to the exact value
     with pytest.raises(NonTransverseOrbitError):
-        _transversality_denominator(np.array(CAT.power(30), dtype=float))
+        denominator(np.array(CAT.power(30), dtype=float))
 
 
 def test_character_3121_degree_two_matches_closed_form():
@@ -439,6 +444,31 @@ def test_atom_table_columns():
     assert table.sign.tolist() == [1.0] * table.t.size
     alternating = table.weights[:, 0] - table.weights[:, 1] + table.weights[:, 2]
     assert np.allclose(alternating, -1.0, rtol=0, atol=1e-15)
+
+
+def test_atom_table_float_map_from_eigenvalues(monkeypatch):
+    from ruellebf import flat_zeta
+
+    # triangular return maps: the eigenvalues are the diagonal, to the power j
+    diags = [np.array([2.5, 0.4, 1.7, 0.6]), np.array([3.1, 0.2, 1.3, 0.9])]
+    orbits = []
+    for length, diag in zip((1.3, 1.9), diags):
+        p = np.diag(diag)
+        p[np.triu_indices(4, 1)] = [0.03, -0.02, 0.05, 0.01, -0.04, 0.02]
+        orbits.append(PrimeOrbit(length=length, poincare=p, rho=np.array([[1.0]])))
+    calls = []
+    char_poly = flat_zeta._char_poly
+    monkeypatch.setattr(flat_zeta, "_char_poly", lambda p: calls.append(1) or char_poly(p))
+    table = flat_zeta.atom_table(orbits, 2, 9.0)
+    assert len(calls) == table.t.size == 6 + 4  # one characteristic polynomial per atom
+    atoms = sorted((j * o.length, pos, j) for pos, o in enumerate(orbits) for j in range(1, 7) if j * o.length <= 9.0)
+    assert table.t.tolist() == [t for t, _, _ in atoms]
+    for row, (_, pos, j) in enumerate(atoms):
+        mu = diags[pos] ** j
+        det = np.prod(1 - mu)
+        want = [eig_symmetric_sum(np.diag(mu), k) / abs(det) for k in range(5)]
+        assert np.allclose(table.weights[row], want, rtol=1e-12, atol=0)
+        assert table.sign[row] == np.sign(det)  # (-1)^m sgn det(I - P^j), m = 2
 
 
 def test_lambda_alone_equals_lambda_in_grid():

@@ -182,3 +182,26 @@ def test_toy_partition_identity_iota_route():
 def test_toy_complex_singular_generator():
     with pytest.raises(SingularBlockError, match="Pollicott-Ruelle resonance"):
         ToyBFComplex(np.diag([1.0, 0.0]))
+
+
+def non_normal_generator(rng, d, cond):
+    """Q U diag(d) U^-1 Q^T: eigenvector matrix Q U of condition number cond."""
+    n = len(d)
+    u = np.eye(n)
+    u[0, -1] = np.sqrt(cond)  # cond of a unit shear with corner a is ~ a**2
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return q @ u @ np.diag(d) @ np.linalg.inv(u) @ q.T
+
+
+def test_singularity_test_is_scale_free():
+    # |det| = 6 here is far below 1e-12 * max|entry|**6, the old threshold
+    d = [1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+    cx = ToyBFComplex(non_normal_generator(np.random.default_rng(4), d, 1e5))
+    sp = GradedVectorSpace({0: 6})
+    assert superdeterminant(GradedOperator(sp, {0: cx.L0})) == pytest.approx(np.prod(d), rel=1e-8)
+    # a 64-dim triangular generator with spectrum in [1, 8]
+    rng = np.random.default_rng(5)
+    big = np.triu(rng.uniform(-0.3, 0.3, (64, 64)), 1) + np.diag(np.linspace(1.0, 8.0, 64))
+    assert ToyBFComplex(big).n == 64
+    with pytest.raises(SingularBlockError):
+        ToyBFComplex(1e-3 * np.array([[1.0, 2.0], [2.0, 4.0]]))

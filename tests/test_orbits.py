@@ -140,6 +140,14 @@ def test_prime_orbit_rejects_nonunitary_rho():
         PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=np.array([[0.5]]))
 
 
+@pytest.mark.parametrize("length, rho", [
+    (math.nan, 1.0), (math.inf, 1.0), (1.0, complex(math.nan, 0.0)), (1.0, complex(0.0, math.inf)),
+])
+def test_prime_orbit_rejects_non_finite_length_and_rho(length, rho):
+    with pytest.raises(ValueError, match="finite"):
+        PrimeOrbit(length=length, poincare=np.diag([2.0, 0.5]), rho=np.array([[rho]]))
+
+
 # ----------------------------------------------------------------- CSV loader
 
 HEADER = "length,multiplicity,m,P_entries,rho_re,rho_im\n"
