@@ -5,7 +5,7 @@ from .bf_engine import (
     BridgeResult,
     ExpectationResult,
     MatrixBFModel,
-    RegularizedPropagator,
+    expectation_grid,
     expectation_value,
     gamma_int,
     gamma_tr,

@@ -4,14 +4,17 @@ The quadratic perturbation attaches exactly two propagators to every
 vertex, so the connected diagrams are chains (carrying the external fields)
 and loops (carrying a graded trace). Both series resum in closed form, and
 the loop series exponentiates to the alternating determinant ratio that the
-orbit-side zeta machinery reproduces independently. Both matrix-side series
-read one kernel, the spectrum of each graded block, computed once per model:
-the resolvent-power traces are sums of (mu + lam)**(-N) and the determinant
-ratio is a product of 1 + hbar/mu.
+orbit-side zeta machinery reproduces independently. The matrix side reads
+the spectrum of each graded block (once per model) and the gauge-fixed
+inverse L1^{-1} (once per complex): the resolvent-power traces are sums of
+(mu + lam)**(-N), the determinant ratio is a product of 1 + hbar/mu, and a
+grid builds its loop series once. Both loop series, from spectra and from
+orbit atoms, share one coefficient rule, _loop_coefficients.
 
 Sign table (single source of truth for the graded exponents):
-  * a closed fermion-style loop in form degree k contributes (-1)**(k + 1),
-    the field grading being shifted by one against the form degree;
+  * a closed fermion-style loop in form degree k contributes
+    loop_sign(k) = (-1)**(k + 1), the field grading being shifted by one
+    against the form degree;
   * determinant ratios assemble with exponents (-1)**k over form degrees;
   * the full zeta function carries the outer exponent (-1)**m.
 The doubled (A, B) field content is realized by handing the generic graph
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flat_zeta
+from .feynman import PropagatorKernel
 from .graded_core import ToyBFComplex
 from .series import HbarSeries
 
@@ -38,6 +42,11 @@ class IRDivergenceError(ArithmeticError):
 
 class ConvergenceRadiusError(ArithmeticError):
     """The Taylor radius |hbar| < min |spec L| was violated."""
+
+
+def loop_sign(degree: int) -> int:
+    """Sign of a closed loop in form degree k (see the sign table)."""
+    return (-1) ** (degree + 1)
 
 
 @dataclass(frozen=True)
@@ -52,10 +61,12 @@ class MatrixBFModel:
 
     complex: ToyBFComplex
     graded_split: tuple | None = None
-    hbar_order: int = 8
     spectra: tuple = field(init=False, repr=False, compare=False)
 
+    loop_sign = staticmethod(loop_sign)
+
     def __post_init__(self):
+        blocks = ((0, self.complex.L0),)
         if self.graded_split is not None:
             blocks = tuple((int(k), np.asarray(b, dtype=np.complex128)) for k, b in self.graded_split)
             stacked = _block_diag([b for _, b in blocks])
@@ -64,15 +75,7 @@ class MatrixBFModel:
             ):
                 raise ValueError("graded_split blocks must tile L restricted to im(iota)")
             object.__setattr__(self, "graded_split", blocks)
-        object.__setattr__(self, "spectra", tuple((k, np.linalg.eigvals(b)) for k, b in self.blocks()))
-
-    def blocks(self) -> tuple:
-        if self.graded_split is None:
-            return ((0, self.complex.L0),)
-        return self.graded_split
-
-    def loop_sign(self, degree: int) -> int:
-        return (-1) ** (degree + 1)
+        object.__setattr__(self, "spectra", tuple((k, np.linalg.eigvals(b)) for k, b in blocks))
 
     def min_spectrum_abs(self) -> float:
         return float(np.min(np.abs(np.concatenate([mu for _, mu in self.spectra]))))
@@ -89,19 +92,16 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RegularizedPropagator:
-    """Closed form of the scale-windowed, damped propagator."""
-
-    L1: float
-    L2: float
-    lam: complex
-    matrix: np.ndarray
+def _check_damped(model: MatrixBFModel, lam: complex) -> None:
+    """IR damping of every block: Re(mu + lam) > 0 over its spectrum."""
+    for degree, mu in model.spectra:
+        if np.any((mu + lam).real <= 0):
+            raise IRDivergenceError(f"IR divergence: degree-{degree} block + lambda not damped; regularize")
 
 
 def regularized_propagator(
     model: MatrixBFModel, L1: float, L2: float, lam: complex = 0.0
-) -> RegularizedPropagator:
+) -> PropagatorKernel:
     """Windowed propagator integral of the damped heat semigroup against iota.
 
     Equals (L + lam)^{-1} (e^{-L1 (L + lam)} - e^{-L2 (L + lam)}) iota; the
@@ -112,27 +112,27 @@ def regularized_propagator(
         raise ValueError("window must satisfy 0 <= L1 <= L2")
     n = cx.n
     if L1 == L2:
-        return RegularizedPropagator(L1, L2, lam, np.zeros((n, n), dtype=np.complex128))
+        return PropagatorKernel(np.zeros((n, n), dtype=np.complex128), (L1, L2), lam)
     shifted = cx.L0 + lam * np.eye(n)
     if L1 > 0 or not math.isinf(L2):
         # only finite window edges need expm; importing it here keeps scipy out of the CLI
         from scipy.linalg import expm
     if math.isinf(L2):
-        if any(np.any((mu + lam).real <= 0) for _, mu in model.spectra):
-            raise IRDivergenceError("IR divergence: lambda-regularization required")
+        _check_damped(model, lam)
         upper = np.zeros((n, n), dtype=np.complex128)
     else:
         upper = expm(-L2 * shifted)
     lower = np.eye(n, dtype=np.complex128) if L1 == 0 else expm(-L1 * shifted)
     matrix = np.linalg.solve(shifted, (lower - upper) @ cx.iota)
-    return RegularizedPropagator(float(L1), float(L2), lam, matrix)
+    if not np.all(np.isfinite(matrix)):
+        raise IRDivergenceError("IR divergence: the propagator overflows")
+    return PropagatorKernel(matrix, (L1, L2), lam)
 
 
-def chain_contraction_matrix(model: MatrixBFModel, propagator: RegularizedPropagator) -> np.ndarray:
+def chain_contraction_matrix(model: MatrixBFModel, propagator: PropagatorKernel) -> np.ndarray:
     """One chain link: the windowed heat integral times L^{-1} iota d on V0."""
     cx = model.complex
-    w = np.linalg.solve(cx.L1, cx.d)
-    return propagator.matrix @ w
+    return propagator.matrix @ (cx.L1_inv @ cx.d)
 
 
 def perturbing_functional(model: MatrixBFModel, A: np.ndarray, B: np.ndarray) -> complex:
@@ -140,12 +140,12 @@ def perturbing_functional(model: MatrixBFModel, A: np.ndarray, B: np.ndarray) ->
     cx = model.complex
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
-    return complex(B @ np.linalg.solve(cx.L1, cx.d @ A))
+    return complex(B @ (cx.L1_inv @ (cx.d @ A)))
 
 
 def gamma_int(
     model: MatrixBFModel,
-    propagator: RegularizedPropagator,
+    propagator: PropagatorKernel,
     A: np.ndarray,
     B: np.ndarray,
     K: int,
@@ -157,7 +157,7 @@ def gamma_int(
     cx = model.complex
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
-    w_adj_b = np.linalg.solve(cx.L1, cx.d).T @ B
+    w_adj_b = (cx.L1_inv @ cx.d).T @ B
     link = chain_contraction_matrix(model, propagator)
     coeffs = [0j] * (K + 1)
     vec = A
@@ -167,26 +167,27 @@ def gamma_int(
     return HbarSeries(tuple(coeffs))
 
 
+def _loop_coefficients(traces, K: int) -> HbarSeries:
+    """Loop series whose order-(N + 1) coefficient is (-1)**N / N * traces(N), N < K."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    coeffs = [0j] * (K + 1)
+    for n in range(1, K):
+        coeffs[n + 1] = (-1) ** n / n * traces(n)
+    return HbarSeries(tuple(coeffs))
+
+
 def gamma_tr(model: MatrixBFModel, lam: complex, K: int) -> HbarSeries:
     """Loop-diagram series starting at second order.
 
-    Coefficient of order N + 1: (-1)**N / N times the degree-signed trace of
-    the N-th resolvent power on the image of the contraction, which is
-    sum (mu + lam)**(-N) over the block spectra.
+    The degree-signed trace of the N-th resolvent power on the image of the
+    contraction is sum loop_sign(k) (mu + lam)**(-N) over the block spectra.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_damped(model, lam)
     shifted = [(degree, mu + lam) for degree, mu in model.spectra]
-    for degree, s in shifted:
-        if np.any(s.real <= 0):
-            raise IRDivergenceError(
-                f"spectrum of degree-{degree} block + lambda not damped; regularize"
-            )
-    coeffs = [0j] * (K + 1)
-    for n in range(1, K):
-        signed = sum((model.loop_sign(degree) * complex(np.sum(s ** -n)) for degree, s in shifted), 0j)
-        coeffs[n + 1] = (-1) ** n / n * signed
-    return HbarSeries(tuple(coeffs))
+    return _loop_coefficients(
+        lambda n: sum((loop_sign(degree) * complex(np.sum(s ** -n)) for degree, s in shifted), 0j), K
+    )
 
 
 def simplex_volume_check(N: int, t: float) -> float:
@@ -233,19 +234,16 @@ def projection_lemma_check(model: MatrixBFModel, B_op: np.ndarray, tol: float = 
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """Closed-form expectation value with the recorded series-route defect."""
+    """Closed-form expectation value with the recorded series-route defect;
+    series_value is None outside the Taylor radius, and so is the defect."""
 
     closed_form: complex
-    series_value: complex
+    series_value: complex | None
     K: int
 
     @property
-    def defect(self) -> float:
-        return abs(self.closed_form - self.series_value)
-
-    @property
-    def value(self) -> complex:
-        return self.closed_form
+    def defect(self) -> float | None:
+        return None if self.series_value is None else abs(self.closed_form - self.series_value)
 
 
 def closed_form_expectation(model: MatrixBFModel, hbar: complex) -> complex:
@@ -258,28 +256,34 @@ def closed_form_expectation(model: MatrixBFModel, hbar: complex) -> complex:
     return out
 
 
-def expectation_value(model: MatrixBFModel, hbar: complex, K: int | None = None) -> ExpectationResult:
-    """Expectation of the exponentiated perturbation in the gauge-fixed theory.
+def expectation_grid(model: MatrixBFModel, hbars, K: int) -> list[ExpectationResult]:
+    """Expectation of the exponentiated perturbation at every hbar of a grid.
 
-    Returns the closed-form determinant ratio, alongside the value of
-    exp(Gamma_tr / hbar) with loop orders 1..K resummed, so the series
-    defect is O(hbar**(K+1)). Requires |hbar| inside the Taylor radius
-    min |spec L|.
+    Each result holds the closed-form determinant ratio, alongside the value
+    of exp(Gamma_tr / hbar) with loop orders 1..K resummed, so the series
+    defect is O(hbar**(K+1)). The loop series does not depend on hbar and is
+    built once, and not at all for a grid wholly outside the Taylor radius
+    min |spec L|; outside it series_value is None.
     """
-    if K is None:
-        K = model.hbar_order
     radius = model.min_spectrum_abs()
-    if abs(hbar) >= radius:
-        raise ConvergenceRadiusError(
-            f"|hbar| = {abs(hbar):.6g} outside Taylor radius {radius:.6g}; "
-            "evaluate the determinant ratio directly"
-        )
-    series = gamma_tr(model, 0.0, K + 1).shift_down()
-    series_value = cmath.exp(series.eval(hbar))
-    return ExpectationResult(closed_form_expectation(model, hbar), series_value, K)
+    inside = [abs(hbar) < radius for hbar in hbars]
+    series = gamma_tr(model, 0.0, K + 1).shift_down() if any(inside) else None
+    return [
+        ExpectationResult(closed_form_expectation(model, hbar), cmath.exp(series.eval(hbar)) if ok else None, K)
+        for hbar, ok in zip(hbars, inside)
+    ]
 
 
-def doubled_field_tensors(model: MatrixBFModel, propagator: RegularizedPropagator):
+def expectation_value(model: MatrixBFModel, hbar: complex, K: int = 8) -> ExpectationResult:
+    """expectation_grid at one hbar, which must lie inside the Taylor radius."""
+    result = expectation_grid(model, [hbar], K)[0]
+    if result.series_value is None:
+        raise ConvergenceRadiusError(f"|hbar| = {abs(hbar):.6g} outside Taylor radius {model.min_spectrum_abs():.6g}; "
+                                     "evaluate the determinant ratio directly")
+    return result
+
+
+def doubled_field_tensors(model: MatrixBFModel, propagator: PropagatorKernel):
     """Vertex tensor and edge matrix on the doubled field space V0 (A) + V1 (B).
 
     Feeding these to the generic graph engine reproduces the chain and loop
@@ -288,7 +292,7 @@ def doubled_field_tensors(model: MatrixBFModel, propagator: RegularizedPropagato
     """
     cx = model.complex
     n = cx.n
-    w = np.linalg.solve(cx.L1, cx.d)
+    w = cx.L1_inv @ cx.d
     vertex = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     vertex[:n, n:] = w.T
     vertex[n:, :n] = w
@@ -312,12 +316,11 @@ def embed_doubled(model: MatrixBFModel, A=None, B=None) -> dict:
 
 def _loop_series(table: flat_zeta.AtomTable, lambda0: complex, K: int) -> HbarSeries:
     """gamma_tr_orbits from an atom table: moments of its degree-signed flat-trace atoms."""
-    degree_signs = np.array([(-1) ** (k + 1) for k in range(2 * table.m + 1)])
+    degree_signs = np.array([loop_sign(k) for k in range(2 * table.m + 1)])
     signed = (table.flat_weights() * degree_signs).sum(axis=1) * np.exp(-lambda0 * table.t)
-    coeffs = [0j] * (K + 1)
-    for n in range(1, K):
-        coeffs[n + 1] = (-1) ** n / n * complex(np.sum(signed * table.t ** (n - 1))) / math.factorial(n - 1)
-    return HbarSeries(tuple(coeffs))
+    return _loop_coefficients(
+        lambda n: complex(np.sum(signed * table.t ** (n - 1))) / math.factorial(n - 1), K
+    )
 
 
 def gamma_tr_orbits(orbits, m: int, lambda0: complex, L_max: float, K: int) -> HbarSeries:
@@ -326,8 +329,6 @@ def gamma_tr_orbits(orbits, m: int, lambda0: complex, L_max: float, K: int) -> H
     The degree-k flat trace of the N-th resolvent power at base point
     lambda0 is sum over atoms of w * t**(N-1) e^{-lambda0 t} / (N-1)!.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     return _loop_series(flat_zeta.atom_table(orbits, m, L_max), lambda0, K)
 
 

@@ -4,7 +4,8 @@ One JSON config document drives every run; see README for the schema. All
 floating-point output is locale-independent scientific notation with 17
 significant digits, grid points are emitted in input order, and identical
 configs produce byte-identical output files. An orbit-model grid is
-evaluated in one pass over one atom table.
+evaluated in one pass over one atom table, and a matrix-model grid reads one
+loop series.
 
 Exit codes: 0 success, 1 config error, 2 model invalid, 3 numerical
 non-convergence; EXIT_CODES maps every library error to one of them.
@@ -46,9 +47,12 @@ def _require(cond, path, message):
 
 
 def _finite(value) -> bool:
-    """A JSON number that converts to a finite float (json.load accepts NaN and Infinity)."""
+    """A JSON number that converts to a finite float (json.load accepts NaN and Infinity).
+
+    Type tests are exact, here and for integer fields: bool subclasses int, but true is not a number.
+    """
     try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
 
@@ -69,6 +73,7 @@ def _parse_rep(cfg) -> orbits_mod.Representation:
     rep = cfg.get("rep", {"trivial": True})
     _require(isinstance(rep, dict) and len(rep) == 1, "rep", "need {'trivial': true} or {'character': theta}")
     if "trivial" in rep:
+        _require(rep["trivial"] is True, "rep.trivial", "must be true")
         return orbits_mod.Representation("trivial")
     if "character" in rep:
         theta = rep["character"]
@@ -84,7 +89,7 @@ def _parse_truncation(cfg):
     l_max = trunc.get("L_max", 12.0)
     k_ord = trunc.get("K", 8)
     for name, value in (("n_max", n_max), ("K", k_ord)):
-        _require(isinstance(value, int) and value > 0, f"truncation.{name}", "must be a positive integer")
+        _require(type(value) is int and value > 0, f"truncation.{name}", "must be a positive integer")
     _require(_finite(l_max) and l_max > 0, "truncation.L_max", "must be positive and finite")
     return int(n_max), float(l_max), int(k_ord)
 
@@ -131,7 +136,7 @@ def _parse_model(cfg, rep):
     if kind == "catmap":
         _require(isinstance(body, dict), "model.catmap", "must be an object")
         a = body.get("A")
-        _require(isinstance(a, list) and len(a) == 4 and all(isinstance(x, int) for x in a),
+        _require(isinstance(a, list) and len(a) == 4 and all(type(x) is int for x in a),
                  "model.catmap.A", "need 4 integers (row major)")
         roof = body.get("roof", 1.0)
         _require(_finite(roof) and roof > 0, "model.catmap.roof", "must be positive and finite")
@@ -157,7 +162,7 @@ def _parse_model(cfg, rep):
                          "must be a list of [degree, size] pairs")
                 blocks, at = [], 0
                 for pair in split_cfg:
-                    _require(isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)
+                    _require(isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)
                              and pair[1] >= 0, "model.matrix.graded_split", "entries are [degree, size >= 0] integers")
                     deg, size = pair
                     blocks.append((deg, cx.L0[at:at + size, at:at + size]))
@@ -294,17 +299,14 @@ def _bridge_rows_orbit(orbs, m, model_id, grid, l_max, lambda0, k_ord):
 
 def _bridge_rows_matrix(bf, model_id, grid, k_ord):
     rows = []
-    for hbar in grid:
-        row = {"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord, "route": "det"}
-        try:
-            res = bf_engine.expectation_value(bf, hbar, k_ord)
-            closed = res.closed_form
-            row.update(flag="", series_value_re=res.series_value.real, series_value_im=res.series_value.imag,
-                       defect=res.defect)
-        except bf_engine.ConvergenceRadiusError:
-            closed = bf_engine.closed_form_expectation(bf, hbar)
-            row.update(flag="radius_violation", series_value_re=None, series_value_im=None, defect=None)
-        rows.append(dict(row, closed_form_re=closed.real, closed_form_im=closed.imag))
+    for hbar, res in zip(grid, bf_engine.expectation_grid(bf, grid, k_ord)):
+        series = res.series_value
+        rows.append({"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord, "route": "det",
+                     "flag": "radius_violation" if series is None else "",
+                     "series_value_re": None if series is None else series.real,
+                     "series_value_im": None if series is None else series.imag,
+                     "closed_form_re": res.closed_form.real, "closed_form_im": res.closed_form.imag,
+                     "defect": res.defect})
     return rows
 
 

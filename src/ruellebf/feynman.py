@@ -408,19 +408,19 @@ class GammaExpansion:
     terms: Mapping[tuple[int, int], complex]
     max_order: int
 
-    def hbar_series(self, per_vertex: int = 1, count_loops: bool = True) -> HbarSeries:
+    def hbar_series(self, count_loops: bool = True) -> HbarSeries:
         if self.terms:
-            top = max(n * per_vertex + (l if count_loops else 0) for n, l in self.terms)
+            top = max(n + (l if count_loops else 0) for n, l in self.terms)
         else:
             top = 0
-        coeffs = [0j] * (max(top, self.max_order * per_vertex) + 1)
+        coeffs = [0j] * (max(top, self.max_order) + 1)
         for (n, l), value in sorted(self.terms.items()):
-            coeffs[n * per_vertex + (l if count_loops else 0)] += value
+            coeffs[n + (l if count_loops else 0)] += value
         return HbarSeries(tuple(coeffs))
 
     def vertex_coefficients(self) -> HbarSeries:
         """Coefficients graded by vertex count alone (coupling-constant grading)."""
-        return self.hbar_series(per_vertex=1, count_loops=False)
+        return self.hbar_series(count_loops=False)
 
 
 def _expansion_factors(propagator, interaction, damped):
@@ -555,25 +555,22 @@ class EffectiveQuadraticInteraction:
 def rge_evolve(
     effective: EffectiveQuadraticInteraction,
     propagator: PropagatorKernel,
-    require_convergent: bool = True,
 ) -> EffectiveQuadraticInteraction:
     """Flow a quadratic effective form through a propagator window.
 
     The chain diagrams resum to the geometric update J -> J (1 + P J)^{-1},
-    carried out order by order on the kernel series. The formal update always
-    exists; `require_convergent` additionally demands spectral radius of
-    P J_1 below 1 so the resummed form converges.
+    carried out order by order on the kernel series. The update requires the
+    spectral radius of P J_1 below 1 so the resummed form converges.
     """
     p = np.asarray(propagator.matrix, dtype=complex)
     order = effective.order
     a = (None,) + effective.kernels  # 1-based
-    if require_convergent:
-        radius = float(np.max(np.abs(np.linalg.eigvals(p @ a[1])))) if a[1].size else 0.0
-        if radius >= 1.0:
-            raise ConvergenceError(
-                f"geometric kernel update diverges: spectral radius {radius:.6g} >= 1",
-                norm=radius,
-            )
+    radius = float(np.max(np.abs(np.linalg.eigvals(p @ a[1])))) if a[1].size else 0.0
+    if radius >= 1.0:
+        raise ConvergenceError(
+            f"geometric kernel update diverges: spectral radius {radius:.6g} >= 1",
+            norm=radius,
+        )
     # invert C = 1 + P A as a series, then multiply by A
     c = [None] + [p @ a[n] for n in range(1, order + 1)]
     b = [np.eye(p.shape[0], dtype=complex)]

@@ -2,7 +2,9 @@
 
 Graded operators with their supertraces and superdeterminants, Gaussian
 partition values, and the two-term matrix complex that serves as the
-desk-scale analogue of the gauge-fixed field theory.
+desk-scale analogue of the gauge-fixed field theory. The complex inverts
+its gauge-fixed generator L1 once, at construction; every gauge route reads
+that inverse.
 
 Scalars are complex throughout; absolute values are taken only where a
 partition value is formed. Determinants go through LU factorization with
@@ -49,10 +51,6 @@ class GradedVectorSpace:
 
     def dim(self, degree: int) -> int:
         return self.dims.get(degree, 0)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
 
 
 def _as_block(mat) -> np.ndarray:
@@ -148,12 +146,14 @@ class ToyBFComplex:
 
     The graded commutator acts as L0 = iota @ d on V0 and L1 = d @ iota on V1;
     both share the nonzero spectrum, and invertibility of one gives the other.
+    L1_inv is the gauge-fixed inverse, computed once after the singularity check.
     """
 
     d: np.ndarray
     iota: np.ndarray = None
     L0: np.ndarray = field(init=False, repr=False)
     L1: np.ndarray = field(init=False, repr=False)
+    L1_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=complex)
@@ -172,6 +172,7 @@ class ToyBFComplex:
             raise SingularBlockError(
                 "zero is a Pollicott-Ruelle resonance of the toy model", degree=0
             ) from None
+        object.__setattr__(self, "L1_inv", np.linalg.inv(self.L1))
 
     @property
     def n(self) -> int:
@@ -187,7 +188,7 @@ def toy_bf_partition(complex_: ToyBFComplex, hbar: complex) -> float:
     """
     n = complex_.n
     direct = abs(complex(np.linalg.det(complex_.L0 + hbar * np.eye(n))))
-    inner = np.eye(n, dtype=complex) + hbar * np.linalg.inv(complex_.L1)
+    inner = np.eye(n, dtype=complex) + hbar * complex_.L1_inv
     gauge = abs(complex(np.linalg.det(complex_.iota @ inner @ complex_.d)))
     scale = max(direct, gauge, float(np.max(np.abs(complex_.L0))) ** n)
     if abs(direct - gauge) > 1e-10 * max(scale, 1.0):

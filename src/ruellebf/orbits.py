@@ -44,10 +44,6 @@ class Representation:
         if self.kind not in ("trivial", "character"):
             raise ValueError(f"unknown representation kind {self.kind!r}")
 
-    @property
-    def dimension(self) -> int:
-        return 1
-
     def matrix(self, winding: int) -> np.ndarray:
         if self.kind == "trivial":
             return np.eye(1, dtype=complex)
@@ -127,10 +123,6 @@ class HyperbolicToralModel:
         det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
         if det not in (1, -1):
             raise ValueError(f"A must be unimodular, got det = {det}")
-
-    @property
-    def stable_rank(self) -> int:
-        return 1
 
     def matrix(self) -> np.ndarray:
         return np.array(self.A, dtype=float)

@@ -18,10 +18,6 @@ class HbarSeries:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
-    @classmethod
-    def zero(cls, order: int) -> "HbarSeries":
-        return cls((0j,) * (order + 1))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -30,10 +26,6 @@ class HbarSeries:
         if not 0 <= power <= self.order:
             raise IndexError(f"power {power} outside truncation order {self.order}")
         return self.coeffs[power]
-
-    def __add__(self, other: "HbarSeries") -> "HbarSeries":
-        order = min(self.order, other.order)
-        return HbarSeries(tuple(self.coeffs[p] + other.coeffs[p] for p in range(order + 1)))
 
     def shift_down(self) -> "HbarSeries":
         """Divide by hbar; requires a vanishing constant term."""

@@ -13,6 +13,7 @@ from ruellebf.bf_engine import (
     closed_form_expectation,
     doubled_field_tensors,
     embed_doubled,
+    expectation_grid,
     expectation_value,
     full_space_operators,
     gamma_int,
@@ -122,6 +123,21 @@ def test_propagator_ir_divergence():
     model = MatrixBFModel(ToyBFComplex(np.diag([2.0, 3.0])))
     with pytest.raises(IRDivergenceError):
         regularized_propagator(model, 0.0, math.inf, -5.0)
+
+
+def test_propagator_is_a_kernel_for_graph_weight():
+    rng = np.random.default_rng(22)
+    model = random_toy(rng)
+    prop = regularized_propagator(model, 0.2, 1.5, 0.1)
+    assert isinstance(prop, PropagatorKernel)
+    assert prop.scale_window == (0.2, 1.5) and prop.lambda_reg == 0.1
+    t = rng.normal(size=(3, 3))
+    interaction = Interaction({2: t + t.T})
+    ext = rng.normal(size=3)
+    # chain of two vertices: i T, i P, i T against the external vector at both tails
+    want = ext @ (1j * (t + t.T)) @ (1j * prop.matrix) @ (1j * (t + t.T)) @ ext
+    got = graph_weight(chain_graph(2, tail_labels=None), prop, interaction, ext)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ------------------------------------------------------------------- gamma_int
@@ -327,6 +343,60 @@ def test_resummation_defect_order():
     s12 = math.log2(defects[0] / defects[1])
     s23 = math.log2(defects[1] / defects[2])
     assert min(s12, s23) > 8.5
+
+
+def test_expectation_grid_matches_expectation_value_pointwise():
+    model = random_graded(np.random.default_rng(20), lo=1.0, hi=2.0)
+    radius = model.min_spectrum_abs()
+    hbars = [0.0, 0.3, -0.2 + 0.4j, 1.5 * radius, 0.5j, radius]
+    results = expectation_grid(model, hbars, 7)
+    assert len(results) == len(hbars)
+    for hbar, res in zip(hbars, results):
+        assert res.K == 7
+        assert res.closed_form == closed_form_expectation(model, hbar)
+        if abs(hbar) < radius:
+            single = expectation_value(model, hbar, 7)
+            assert (res.closed_form, res.series_value, res.defect) == (
+                single.closed_form, single.series_value, single.defect)
+        else:
+            assert res.series_value is None and res.defect is None
+            with pytest.raises(ConvergenceRadiusError):
+                expectation_value(model, hbar, 7)
+
+
+def test_expectation_grid_builds_one_loop_series(monkeypatch):
+    from ruellebf import bf_engine
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gamma_tr(*args)
+
+    monkeypatch.setattr(bf_engine, "gamma_tr", counting)
+    model = random_graded(np.random.default_rng(21), lo=1.0, hi=2.0)
+    expectation_grid(model, [0.1 * k for k in range(-5, 6)] + [5.0], 8)
+    assert [args[1:] for args in calls] == [(0.0, 9)]
+    calls.clear()
+    expectation_grid(model, [5.0, 6.0j], 8)  # every point outside the radius: no series needed
+    assert calls == []
+
+
+def test_partition_of_64_dim_model_is_the_direct_determinant():
+    rng = np.random.default_rng(7)
+    blocks = [np.triu(rng.uniform(-0.3, 0.3, (16, 16)), 1) + np.diag(rng.permutation(np.linspace(1.0, 8.0, 16)))
+              for _ in range(4)]
+    full = np.zeros((64, 64))
+    for k, b in enumerate(blocks):
+        full[16 * k:16 * (k + 1), 16 * k:16 * (k + 1)] = b
+    cx = ToyBFComplex(full)
+    assert np.array_equal(cx.L1_inv, np.linalg.inv(cx.L1))
+    eye = np.eye(64)
+    for hbar in (0.0, 0.5, -0.9, 0.3 + 0.6j):
+        direct = abs(complex(np.linalg.det(cx.L0 + hbar * eye)))
+        assert toy_bf_partition(cx, hbar) == direct
+        gauge = abs(complex(np.linalg.det(cx.iota @ (eye + hbar * np.linalg.inv(cx.L1)) @ cx.d)))
+        assert gauge == pytest.approx(direct, rel=1e-10)
 
 
 # -------------------------------------------- cross-module diagram consistency

@@ -451,3 +451,36 @@ def test_non_finite_spectrum_row_exits_2_with_its_line(tmp_path, capsys, row):
     cfg = write_config(tmp_path, dict(CAT_CONFIG, model={"spectrum_file": str(spectrum)}))
     assert main(["zeta", "--config", cfg]) == 2
     _assert_one_line_error(capsys, "model invalid", "line 3", "finite")
+
+
+# ------------------------------------------------------- boolean inputs
+
+MATRIX_CONFIG = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]], "graded_split": [[0, 1], [1, 1]]}},
+                 "truncation": {"K": 2}, "grid": [[0.5, 0.0]]}
+
+
+@pytest.mark.parametrize("command, base, change, path", [
+    ("orbits", CAT_CONFIG, {"model": {"catmap": {"A": [2, 1, 1, True]}}}, "model.catmap.A"),
+    ("orbits", CAT_CONFIG, {"model": {"catmap": {"A": [2, 1, 1, 1], "roof": True}}}, "model.catmap.roof"),
+    ("orbits", CAT_CONFIG, {"truncation": {"n_max": True}}, "truncation.n_max"),
+    ("bridge", CAT_CONFIG, {"truncation": {"K": True}}, "truncation.K"),
+    ("zeta", CAT_CONFIG, {"grid": [True]}, "grid[0]"),
+    ("zeta", CAT_CONFIG, {"grid": [[3.0, False]]}, "grid[0]"),
+    ("orbits", CAT_CONFIG, {"rep": {"trivial": False}}, "rep.trivial"),
+    ("partition", MATRIX_CONFIG, {"model": {"matrix": {"d": [[True, 0.0], [0.0, 3.0]]}}}, "model.matrix.d"),
+    ("partition", MATRIX_CONFIG, {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]],
+                                                       "graded_split": [[0, True], [1, 1]]}}},
+     "model.matrix.graded_split"),
+])
+def test_boolean_config_values_exit_1(tmp_path, capsys, command, base, change, path):
+    # bool subclasses int, so true and false must be rejected explicitly
+    cfg = write_config(tmp_path, dict(base, **change))
+    assert main([command, "--config", cfg]) == 1
+    _assert_one_line_error(capsys, f"config error at {path}")
+
+
+def test_overflowing_propagator_exits_3(tmp_path, capsys):
+    # 1 / 1e-310 overflows: the propagator integral of a subnormal generator is infinite
+    payload = {"model": {"matrix": {"d": [[1e-310]]}}, "truncation": {"K": 2}, "lambda0": 0.0}
+    assert main(["diagrams", "--config", write_config(tmp_path, payload)]) == 3
+    _assert_one_line_error(capsys, "non-convergent", "IRDivergenceError", "overflows")
