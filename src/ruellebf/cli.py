@@ -61,8 +61,10 @@ def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("<file>", f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError("<file>", f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("<file>", f"config file is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}")
     _require(isinstance(cfg, dict), "<root>", "config must be a JSON object")
@@ -192,8 +194,8 @@ def _orbit_data(kind, model, rep, n_max):
     if kind == "spectrum":
         try:
             orbs = orbits_mod.load_length_spectrum(model)
-        except FileNotFoundError:
-            raise ConfigError("model.spectrum_file", f"file not found: {model}")
+        except OSError as exc:
+            raise ConfigError("model.spectrum_file", f"cannot read {model}: {exc.strerror}")
         m = orbs[0].m if orbs else 1
         if any(o.m != m for o in orbs):
             raise ModelError(f"spectrum {model} mixes return maps of different m")
@@ -223,8 +225,11 @@ def _emit(rows, columns, fmt, out_path, meta=None):
             doc["meta"] = meta
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot write {out_path}: {exc.strerror}")
     else:
         sys.stdout.write(payload)
 

@@ -1,10 +1,12 @@
-"""Feynman graphs for quadratic-vertex theories over finite-dimensional spaces.
+"""Feynman graphs and connected-diagram sums over finite-dimensional spaces.
 
 A graph is the combinatorial quadruple (vertices, half-edges, incidence,
 involution); fixed points of the involution are tails, 2-orbits are edges.
 Weights are plain tensor contractions: tails take the external vector, edges
 take i times the propagator matrix, order-d vertices take i times the stored
-interaction tensor.
+interaction tensor. The connected-diagram sum builds no graph: chains and
+cycles in closed form for quadratic vertices, the linked-cluster theorem for
+any other degrees.
 
 Tensor normalization: the degree-d term stores the fully symmetric tensor
 T_d with I_d(x) = T_d(x,...,x)/d!, so T_d itself is the vertex factor and
@@ -293,17 +295,16 @@ class Interaction:
     terms: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        clean = {}
-        for d, tensor in self.terms.items():
-            d = int(d)
-            t = np.asarray(tensor, dtype=complex)
+        clean = {int(d): np.asarray(t, dtype=complex) for d, t in self.terms.items()}
+        if len({n for t in clean.values() for n in t.shape}) > 1:
+            raise ValueError("every axis of every term must have the same length")
+        for d, t in clean.items():
             if t.ndim != d:
                 raise ValueError(f"degree-{d} term must be a rank-{d} tensor")
             scale = float(np.max(np.abs(t))) if t.size else 0.0
             for perm in itertools.permutations(range(d)):
                 if np.max(np.abs(t - np.transpose(t, perm))) > 1e-12 * max(scale, 1.0):
                     raise ValueError(f"degree-{d} tensor is not symmetric")
-            clean[d] = t
         object.__setattr__(self, "terms", clean)
 
     def degrees(self) -> tuple[int, ...]:
@@ -423,79 +424,58 @@ class GammaExpansion:
         return self.hbar_series(count_loops=False)
 
 
-def _expansion_factors(propagator, interaction, damped):
-    if damped:
-        edge = np.asarray(propagator.matrix, dtype=complex)
-        verts = {d: -t for d, t in interaction.terms.items()}
-    else:
-        edge = 1j * np.asarray(propagator.matrix, dtype=complex)
-        verts = {d: 1j * t for d, t in interaction.terms.items()}
-    return edge, verts
+def _poly_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            k = tuple(i + j for i, j in zip(a, b))
+            out[k] = out.get(k, 0j) + x * y
+    return out
 
 
-def _quadratic_gamma_terms(edge, verts, external, max_order):
-    """Chains and cycles only; symmetry factors 2 and 2N (brute-checked in tests)."""
-    terms = {}
-    ext = None
-    if external is not None:
-        ext = np.asarray(external, dtype=complex)
-        if not np.any(ext):
-            ext = None
+def _wick_step(poly: dict, edge: np.ndarray) -> dict:
+    """One contraction (1/2) sum_ij E_ij d_i d_j of a polynomial, E symmetric."""
+    out = {}
+    for a, c in poly.items():
+        for i, j in itertools.combinations_with_replacement(range(len(a)), 2):
+            mult = a[i] * (a[i] - 1) // 2 if i == j else a[i] * a[j]
+            if mult:
+                k = tuple(x - (m == i) - (m == j) for m, x in enumerate(a))
+                out[k] = out.get(k, 0j) + mult * edge[i, j] * c
+    return out
+
+
+def _linked_cluster_terms(edge, verts, ext, max_order):
+    """Connected sums for any vertex degrees, by the linked-cluster theorem.
+
+    Polynomials are {exponent tuple: coefficient} dicts. With the vertex
+    polynomial I(x) = sum_d T_d(x,...,x)/d!, all graphs with n vertices and
+    e edges sum to Z_n[e] = (D^e/e! I^n/n!)(ext), D the Wick step; the
+    connected ones are the log of 1 + sum_n g^n Z_n in g, e kept as a grade.
+    """
+    point = ext.tolist()
+    vertex = {}
+    for d, t in verts.items():
+        for idx in itertools.combinations_with_replacement(range(len(point)), d):
+            alpha = tuple(idx.count(i) for i in range(len(point)))
+            vertex[alpha] = t[idx] / math.prod(map(math.factorial, alpha))
+    z, w, poly = [None], [None], {(0,) * len(point): 1.0}
     for n in range(1, max_order + 1):
-        if ext is not None:
-            chain = chain_graph(n, tail_labels=None)
-            w = contract_graph(chain, edge, verts, {h: ext for h in chain.tails})
-            terms[(n, 0)] = terms.get((n, 0), 0j) + w / 2.0
-        cyc = cycle_graph(n)
-        w = contract_graph(cyc, edge, verts, {})
-        terms[(n, 1)] = terms.get((n, 1), 0j) + w / (2.0 * n)
-    return terms
-
-
-def _involutions(elements: list[int]):
-    if not elements:
-        yield []
-        return
-    head, rest = elements[0], elements[1:]
-    for sub in _involutions(rest):
-        yield [(head, head)] + sub
-    for idx, partner in enumerate(rest):
-        remaining = rest[:idx] + rest[idx + 1 :]
-        for sub in _involutions(remaining):
-            yield [(head, partner)] + sub
-
-
-def _wick_gamma_terms(edge, verts, external, max_order, degrees):
-    terms = {}
-    ext = np.asarray(external, dtype=complex) if external is not None else None
-    if ext is not None and not np.any(ext):
-        ext = None
-    for n in range(1, max_order + 1):
-        for degs in itertools.combinations_with_replacement(degrees, n):
-            n_half = sum(degs)
-            if n_half > 14:
-                raise ValueError(
-                    "general-degree expansion is limited to 14 half-edges per graph class"
-                )
-            incidence = tuple(v for v, d in enumerate(degs) for _ in range(d))
-            norm = 1.0
-            for d in set(degs):
-                c = degs.count(d)
-                norm *= math.factorial(d) ** c * math.factorial(c)
-            for pairing in _involutions(list(range(n_half))):
-                fixed = [a for a, b in pairing if a == b]
-                if fixed and ext is None:
-                    continue
-                involution = list(range(n_half))
-                for a, b in pairing:
-                    involution[a], involution[b] = b, a
-                graph = FeynmanGraph(n, incidence, tuple(involution))
-                if not is_connected(graph):
-                    continue
-                w = contract_graph(graph, edge, verts, {h: ext for h in fixed})
-                key = (n, loop_count(graph))
-                terms[key] = terms.get(key, 0j) + w / norm
-    return terms
+        poly = {a: c / n for a, c in _poly_mul(poly, vertex).items()}
+        z_n, step = [], poly
+        while step:
+            z_n.append(sum(c * math.prod(x**k for x, k in zip(point, a)) for a, c in step.items()))
+            step = {a: c / len(z_n) for a, c in _wick_step(step, edge).items()}
+        # n W_n = n Z_n - sum_{0<k<n} k W_k Z_{n-k}, termwise in e
+        w_n = dict(enumerate(z_n))
+        for k in range(1, n):
+            for i, x in w[k].items():
+                for j, y in enumerate(z[n - k]):
+                    w_n[i + j] = w_n.get(i + j, 0j) - k * x * y / n
+        z.append(z_n)
+        w.append(w_n)
+    # e < n - 1 edges cannot connect n vertices; only rounding residue sits there
+    return {(n, e - n + 1): c for n in range(1, max_order + 1) for e, c in w[n].items() if e >= n - 1}
 
 
 def gamma_sum(
@@ -508,22 +488,32 @@ def gamma_sum(
     """Connected-diagram expansion sum_gamma weight(gamma)/|Aut(gamma)|.
 
     `damped` switches from the oscillatory factors (i P, i T_d) to the real
-    Gaussian convention (P, -T_d). Degrees other than 2 are supported only at
-    small order for cross-checks; the quadratic theory enumerates chains and
-    cycles in closed form.
+    Gaussian convention (P, -T_d). The propagator enters through its
+    symmetric part, the covariance of the Gaussian. A purely quadratic
+    interaction sums its chains and cycles in closed form, as matrix powers;
+    any other degree set goes through the linked-cluster theorem. Neither
+    builds a graph.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
+    dim = interaction.dim
+    ext = np.zeros(dim, dtype=complex) if external is None else np.asarray(external, dtype=complex)
+    if dim and (propagator.matrix.shape != (dim, dim) or ext.shape != (dim,)):
+        raise ValueError(f"propagator must be {dim} x {dim} and the external field of length {dim}")
     degrees = interaction.degrees()
-    if not degrees:
-        return GammaExpansion({}, max_order)
-    edge, verts = _expansion_factors(propagator, interaction, damped)
+    edge = (1.0 if damped else 1j) * (propagator.matrix + propagator.matrix.T) / 2
+    verts = {d: (-1.0 if damped else 1j) * interaction.terms[d] for d in degrees}
     if degrees == (2,):
-        terms = _quadratic_gamma_terms(edge, verts, external, max_order)
+        # chains ext.V(EV)^(n-1).ext / 2 and cycles tr (EV)^n / (2n)
+        terms, hop = {}, edge @ verts[2]
+        chain, cycle = verts[2], hop
+        for n in range(1, max_order + 1):
+            terms[(n, 0)] = ext @ chain @ ext / 2
+            terms[(n, 1)] = np.trace(cycle) / (2 * n)
+            chain, cycle = chain @ hop, cycle @ hop
     else:
-        terms = _wick_gamma_terms(edge, verts, external, max_order, degrees)
-    terms = {k: v for k, v in terms.items() if v != 0}
-    return GammaExpansion(terms, max_order)
+        terms = _linked_cluster_terms(edge, verts, ext, max_order)
+    return GammaExpansion({k: complex(v) for k, v in terms.items() if v != 0}, max_order)
 
 
 @dataclass(frozen=True)

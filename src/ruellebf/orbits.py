@@ -213,6 +213,8 @@ def _parse_row(row: list[str], line: int) -> PrimeOrbit:
         rho = complex(float(row[4]), float(row[5]))
     except ValueError as exc:
         raise SpectrumFormatError(str(exc), line) from None
+    if m < 1:
+        raise SpectrumFormatError(f"m must be a positive integer, found {m}", line)
     side = 2 * m
     if len(entries) != side * side:
         raise SpectrumFormatError(
@@ -233,20 +235,22 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     ascending length.
     """
     orbits: list[PrimeOrbit] = []
+    header = None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (row[0].startswith("#")):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                if header != SPECTRUM_HEADER:
-                    raise SpectrumFormatError(
-                        f"bad header {header}, expected {SPECTRUM_HEADER}", line_no
-                    )
-                continue
-            orbits.append(_parse_row(row, line_no))
+        try:
+            for line_no, row in enumerate(csv.reader(fh), start=1):
+                if not row or (row[0].startswith("#")):
+                    continue
+                if header is None:
+                    header = [c.strip() for c in row]
+                    if header != SPECTRUM_HEADER:
+                        raise SpectrumFormatError(
+                            f"bad header {header}, expected {SPECTRUM_HEADER}", line_no
+                        )
+                    continue
+                orbits.append(_parse_row(row, line_no))
+        except UnicodeDecodeError as exc:
+            raise SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}") from None
     if header is None:
         raise SpectrumFormatError("missing header row")
     # records merge when P and rho match exactly (-0.0 == 0.0) and lengths

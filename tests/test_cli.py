@@ -235,6 +235,39 @@ def test_missing_config_file(tmp_path, capsys):
     assert main(["orbits", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+def _unreadable_file_args(tmp_path, case):
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    latin1 = tmp_path / "latin1"
+    if case == "config is a directory":
+        return ["--config", str(a_dir)]
+    if case == "config not UTF-8":
+        latin1.write_bytes(json.dumps(CAT_CONFIG).encode("utf-16"))
+        return ["--config", str(latin1)]
+    if case == "spectrum is a directory":
+        return ["--config", write_config(tmp_path, dict(CAT_CONFIG, model={"spectrum_file": str(a_dir)}))]
+    if case == "spectrum not UTF-8":
+        latin1.write_bytes(b"length,multiplicity,m,P_entries,rho_re,rho_im\n1.0,1,1,2;0;0;0.5,1,0\n# caf\xe9\n")
+        return ["--config", write_config(tmp_path, dict(CAT_CONFIG, model={"spectrum_file": str(latin1)}))]
+    return ["--config", write_config(tmp_path, CAT_CONFIG), "--out", str(tmp_path / "no" / "dir" / "x.csv")]
+
+
+UNREADABLE_FILES = {  # case -> (exit code, stderr fragment)
+    "config is a directory": (1, "config error at <file>: cannot read config file"),
+    "config not UTF-8": (1, "config error at <file>: config file is not UTF-8"),
+    "spectrum is a directory": (1, "config error at model.spectrum_file: cannot read"),
+    "spectrum not UTF-8": (2, "model invalid: SpectrumFormatError: file is not UTF-8"),
+    "out in a missing directory": (1, "config error at --out: cannot write"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_FILES)
+def test_unreadable_files_exit_with_one_line(tmp_path, capsys, case):
+    code, fragment = UNREADABLE_FILES[case]
+    assert main(["zeta"] + _unreadable_file_args(tmp_path, case)) == code
+    _assert_one_line_error(capsys, fragment)
+
+
 def test_malformed_spectrum_exits_2(tmp_path, capsys):
     spectrum = tmp_path / "bad.csv"
     spectrum.write_text("length,multiplicity,m,P_entries,rho_re,rho_im\nx,1,1,1;0;0;1,1,0\n")

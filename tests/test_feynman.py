@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -150,6 +151,13 @@ def test_interaction_symmetry_enforced():
         Interaction({2: bad})
 
 
+def test_interaction_terms_must_share_one_dimension():
+    with pytest.raises(ValueError, match="same length"):
+        Interaction({2: np.eye(2), 3: np.ones((3, 3, 3))})
+    with pytest.raises(ValueError, match="same length"):
+        Interaction({2: np.ones((2, 3))})
+
+
 def test_labeled_tails_vector_slots():
     # chain(1) with slot-specific externals picks out the single pairing
     w = np.array([[2.0]])
@@ -244,6 +252,86 @@ def test_gamma_sum_cubic_vertex_two_dim_moment_oracle():
     oracle = _log_series(a, 4)
     for n in range(1, 5):
         assert got.coefficient(n) == pytest.approx(oracle[n], rel=1e-9, abs=1e-12)
+
+
+def test_gamma_sum_cubic_quartic_with_tails_shifted_moment_oracle():
+    """1-dim I = x^3/3! + x^4/4! at order 6 with a tail vector: 24 half-edges.
+
+    All graphs with n vertices sum to E[(-I(a + X))^n]/n! with X ~ N(0, 1/q),
+    so the connected ones are the log of that series; E[(a + X)^p] expands
+    binomially in the centred moments.
+    """
+    q, a, order = 1.4, 0.8, 6
+    pk = PropagatorKernel(np.array([[1.0 / q]]))
+    inter = Interaction({3: np.ones((1, 1, 1)), 4: np.ones((1, 1, 1, 1))})
+    got = gamma_sum(pk, inter, np.array([a]), order, damped=True).vertex_coefficients()
+
+    def shifted_moment(p):
+        return sum(math.comb(p, k) * a ** (p - k) * _gaussian_moment(k, q) for k in range(p + 1))
+
+    coeffs = [1.0]
+    for n in range(1, order + 1):
+        # (x^3/6 + x^4/24)^n expanded binomially
+        moment = sum(math.comb(n, j) * 6.0 ** -j * 24.0 ** (j - n) * shifted_moment(3 * j + 4 * (n - j))
+                     for j in range(n + 1))
+        coeffs.append((-1) ** n * moment / math.factorial(n))
+    oracle = _log_series(coeffs, order)
+    for n in range(1, order + 1):
+        assert got.coefficient(n) == pytest.approx(oracle[n], rel=1e-12)
+
+
+def _symmetric(rng, degree, dim):
+    t = rng.normal(size=(dim,) * degree)
+    perms = list(itertools.permutations(range(degree)))
+    return sum(np.transpose(t, p) for p in perms) / len(perms)
+
+
+def test_gamma_sum_terms_scale_with_their_edge_count():
+    """Each edge carries one propagator: P -> sP scales (V, L) by s^(V+L-1)."""
+    rng = np.random.default_rng(31)
+    p = _symmetric(rng, 2, 2) + 2 * np.eye(2)
+    inter = Interaction({1: _symmetric(rng, 1, 2), 3: _symmetric(rng, 3, 2)})
+    ext, s = rng.normal(size=2), 0.37
+    base = gamma_sum(PropagatorKernel(p), inter, ext, 4).terms
+    scaled = gamma_sum(PropagatorKernel(s * p), inter, ext, 4).terms
+    assert set(base) == set(scaled)
+    assert all(loops >= 0 for _, loops in base)
+    for (v, loops), value in base.items():
+        assert scaled[(v, loops)] == pytest.approx(s ** (v + loops - 1) * value, rel=1e-12)
+
+
+def test_gamma_sum_quadratic_terms_are_chain_and_cycle_weights():
+    rng = np.random.default_rng(32)
+    pk = PropagatorKernel(_symmetric(rng, 2, 3))
+    inter = Interaction({2: _symmetric(rng, 2, 3)})
+    ext = rng.normal(size=3)
+    terms = gamma_sum(pk, inter, ext, 5).terms
+    for n in range(1, 6):
+        chain = graph_weight(chain_graph(n, tail_labels=None), pk, inter, ext) / 2
+        cycle = graph_weight(cycle_graph(n), pk, inter, None) / (2 * n)
+        assert terms[(n, 0)] == pytest.approx(chain, rel=1e-12)
+        assert terms[(n, 1)] == pytest.approx(cycle, rel=1e-12)
+
+
+@pytest.mark.parametrize("degrees", [(2,), (1, 3)])
+def test_gamma_sum_reads_the_symmetric_part_of_the_propagator(degrees):
+    rng = np.random.default_rng(33)
+    p = rng.normal(size=(2, 2))
+    inter = Interaction({d: _symmetric(rng, d, 2) for d in degrees})
+    ext = rng.normal(size=2)
+    got = gamma_sum(PropagatorKernel(p), inter, ext, 3).terms
+    want = gamma_sum(PropagatorKernel((p + p.T) / 2), inter, ext, 3).terms
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-14)
+
+
+def test_gamma_sum_rejects_a_propagator_or_tail_of_another_dimension():
+    inter = Interaction({3: np.ones((2, 2, 2))})
+    with pytest.raises(ValueError, match="propagator must be 2 x 2"):
+        gamma_sum(PropagatorKernel(np.eye(3)), inter, None, 2)
+    with pytest.raises(ValueError, match="external field of length 2"):
+        gamma_sum(PropagatorKernel(np.eye(2)), inter, np.ones(3), 2)
 
 
 def _taylor_from_quadrature(log_ratio, radius, order, samples=32):

@@ -215,6 +215,14 @@ def test_loader_wrong_entry_count_reports_line(tmp_path):
         load_length_spectrum(path)
 
 
+def test_loader_rejects_m_below_one_with_line(tmp_path):
+    # four entries fit a "-2 x -2" map, so only the m check stops this row
+    path = tmp_path / "negative_m.csv"
+    path.write_text(HEADER + "1.0,1,-1,2;1;1;1,1.0,0.0\n")
+    with pytest.raises(SpectrumFormatError, match="line 2: m must be a positive integer"):
+        load_length_spectrum(path)
+
+
 def test_loader_bad_header(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("length,mult\n")
