@@ -24,7 +24,6 @@ from .feynman import (
     automorphism_order,
     chain_graph,
     cycle_graph,
-    enumerate_connected_quadratic,
     gamma_sum,
     graph_weight,
     rge_evolve,

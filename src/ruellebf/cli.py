@@ -5,7 +5,8 @@ floating-point output is locale-independent scientific notation with 17
 significant digits, grid points are emitted in input order, and identical
 configs produce byte-identical output files. An orbit-model grid is
 evaluated in one pass over one atom table, and a matrix-model grid reads one
-loop series.
+loop series. The diagrams table writes the chain and cycle of each order from
+their closed forms and builds no graph.
 
 Exit codes: 0 success, 1 config error, 2 model invalid, 3 numerical
 non-convergence; EXIT_CODES maps every library error to one of them.
@@ -23,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import bf_engine, feynman, flat_zeta, graded_core, orbits as orbits_mod
+from . import bf_engine, flat_zeta, graded_core, orbits as orbits_mod
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -204,8 +205,13 @@ def _orbit_data(kind, model, rep, n_max):
 
 
 def _matrix_model_id(bf) -> str:
-    digest = hashlib.sha256(np.ascontiguousarray(bf.complex.L0).tobytes()).hexdigest()
-    return f"matrix:{digest[:12]}"
+    """A hash of L0 and of the (degree, size) of each nonempty block; the unsplit default, one
+    degree-0 block, adds nothing to the hash, so unsplit models keep the id of an L0-only hash."""
+    digest = hashlib.sha256(np.ascontiguousarray(bf.complex.L0).tobytes())
+    blocks = [(degree, len(mu)) for degree, mu in bf.spectra if len(mu)]
+    if blocks != [(0, bf.complex.n)]:
+        digest.update(repr(blocks).encode())
+    return f"matrix:{digest.hexdigest()[:12]}"
 
 
 def _emit(rows, columns, fmt, out_path, meta=None):
@@ -251,13 +257,16 @@ def cmd_orbits(cfg, fmt, out_path):
     orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
     rows = []
     for orbit in orbs:
+        p = orbit.poincare
+        # an integer-valued P reads tr P = e_1 and det P = e_2m off its exact characteristic polynomial
+        e = None if flat_zeta._integer_entries(p) is None else flat_zeta._char_poly(p)
         rows.append({
             "period": orbit.period if orbit.period is not None else -1,
             "length": orbit.length,
             "multiplicity": orbit.multiplicity,
             "m": orbit.m,
-            "trace_P": float(np.trace(orbit.poincare)),
-            "det_P": float(np.linalg.det(orbit.poincare)),
+            "trace_P": float(np.trace(p) if e is None else e[1]),
+            "det_P": float(np.linalg.det(p) if e is None else e[-1]),
             "rho_re": float(orbit.rho[0, 0].real),
             "rho_im": float(orbit.rho[0, 0].imag),
         })
@@ -366,25 +375,15 @@ def cmd_diagrams(cfg, fmt, out_path):
         gt = bf_engine.gamma_tr(model, lambda0, k_ord + 1)
     rows = []
     for order in range(1, k_ord + 1):
-        for graph in feynman.enumerate_connected_quadratic(order):
-            is_chain = bool(graph.tails)
-            power = order if is_chain else order + 1
-            row = {
-                "order": order,
-                "kind": "chain" if is_chain else "cycle",
-                "n_vertices": graph.n_vertices,
-                "n_edges": len(graph.edges),
-                "n_tails": len(graph.tails),
-                "aut_order": feynman.automorphism_order(graph.without_tail_labels()),
-                "hbar_power": power,
-                "coeff_re": math.nan,
-                "coeff_im": math.nan,
-            }
-            if kind == "matrix":
-                series = gi if is_chain else gt
-                if power <= series.order:
-                    c = series.coefficient(power)
-                    row["coeff_re"], row["coeff_im"] = c.real, c.imag
+        # the connected graphs of bivalent vertices: the chain, whose unlabelled ends swap, and from
+        # order 2 the cycle, with its dihedral symmetry and one more hbar for its loop
+        shapes = (("chain", order - 1, 2, 2, order, gi), ("cycle", order, 0, 2 * order, order + 1, gt))
+        for shape, n_edges, n_tails, aut_order, power, series in shapes[:min(order, 2)]:
+            row = {"order": order, "kind": shape, "n_vertices": order, "n_edges": n_edges, "n_tails": n_tails,
+                   "aut_order": aut_order, "hbar_power": power, "coeff_re": math.nan, "coeff_im": math.nan}
+            if series is not None and power <= series.order:
+                c = series.coefficient(power)
+                row["coeff_re"], row["coeff_im"] = c.real, c.imag
             rows.append(row)
     columns = ["order", "kind", "n_vertices", "n_edges", "n_tails", "aut_order",
                "hbar_power", "coeff_re", "coeff_im"]
@@ -416,7 +415,8 @@ def build_parser():
 
 
 # error class -> (exit code, stderr prefix); the first match wins, so subclasses precede their
-# bases. ArithmeticError covers IRDivergenceError, feynman.ConvergenceError, toy_bf_partition.
+# bases. ArithmeticError covers IRDivergenceError, the toy_bf_partition cross-check and the
+# ConvergenceError of the RG resummation.
 EXIT_CODES = (
     (ConfigError, EXIT_CONFIG, ""),
     (ModelError, EXIT_MODEL, "model invalid: "),

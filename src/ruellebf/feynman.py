@@ -6,7 +6,9 @@ Weights are plain tensor contractions: tails take the external vector, edges
 take i times the propagator matrix, order-d vertices take i times the stored
 interaction tensor. The connected-diagram sum builds no graph: chains and
 cycles in closed form for quadratic vertices, the linked-cluster theorem for
-any other degrees.
+any other degrees. The graphs, their automorphism counts and their weights
+are the reference those closed forms are tested against; no command of the
+CLI builds a graph.
 
 Tensor normalization: the degree-d term stores the fully symmetric tensor
 T_d with I_d(x) = T_d(x,...,x)/d!, so T_d itself is the vertex factor and
@@ -151,20 +153,6 @@ def cycle_graph(order: int) -> FeynmanGraph:
         involution[a] = b
         involution[b] = a
     return FeynmanGraph(order, incidence, tuple(involution))
-
-
-def enumerate_connected_quadratic(order: int) -> list[FeynmanGraph]:
-    """Connected graphs with all vertices bivalent: a chain and a cycle.
-
-    Order 1 returns the bare two-tail vertex only; the one-vertex self-loop
-    first enters the diagram series at the next power of the loop-counting
-    parameter and is handled by gamma_sum directly.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order == 1:
-        return [chain_graph(1)]
-    return [chain_graph(order), cycle_graph(order)]
 
 
 def _half_edges_by_vertex(graph: FeynmanGraph) -> list[list[int]]:

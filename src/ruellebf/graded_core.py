@@ -190,7 +190,8 @@ def toy_bf_partition(complex_: ToyBFComplex, hbar: complex) -> float:
     direct = abs(complex(np.linalg.det(complex_.L0 + hbar * np.eye(n))))
     inner = np.eye(n, dtype=complex) + hbar * complex_.L1_inv
     gauge = abs(complex(np.linalg.det(complex_.iota @ inner @ complex_.d)))
-    scale = max(direct, gauge, float(np.max(np.abs(complex_.L0))) ** n)
+    with np.errstate(over="ignore"):  # max|L0|^n may exceed the float range: the scale is then inf
+        scale = max(direct, gauge, np.max(np.abs(complex_.L0)) ** n)
     if abs(direct - gauge) > 1e-10 * max(scale, 1.0):
         raise ArithmeticError(
             f"gauge-fixed and direct determinants disagree: {gauge!r} vs {direct!r}"

@@ -86,25 +86,6 @@ class PrimeOrbit:
         return self.poincare.shape[0] // 2
 
 
-def _mat_mul_2x2(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def _mat_pow_2x2(a, n):
-    """Exact integer power of a 2x2 matrix (Python big ints)."""
-    result = ((1, 0), (0, 1))
-    base = a
-    while n:
-        if n & 1:
-            result = _mat_mul_2x2(result, base)
-        base = _mat_mul_2x2(base, base)
-        n >>= 1
-    return result
-
-
 @dataclass(frozen=True)
 class HyperbolicToralModel:
     """Suspension of a hyperbolic toral automorphism with constant roof."""
@@ -131,7 +112,9 @@ class HyperbolicToralModel:
         return np.linalg.eigvals(self.matrix())
 
     def power(self, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        return _mat_pow_2x2(self.A, n)
+        """Exact integer power A^n (Python big ints)."""
+        an = np.linalg.matrix_power(np.array(self.A, dtype=object), n)
+        return tuple(tuple(int(x) for x in row) for row in an)
 
 
 def anosov_check(model: HyperbolicToralModel) -> tuple[bool, float]:

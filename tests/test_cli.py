@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ruellebf.cli import main
+from ruellebf.feynman import automorphism_order, chain_graph, cycle_graph
 
 CAT_CONFIG = {
     "model": {"catmap": {"A": [2, 1, 1, 1], "roof": 1.0}},
@@ -37,6 +38,21 @@ def test_orbits_command_catmap(tmp_path):
     assert [int(r["period"]) for r in rows] == [1, 2, 3]
     assert [int(r["multiplicity"]) for r in rows] == [1, 2, 5]
     assert "# sieve_consistent: true" in out.read_text()
+
+
+def test_orbits_command_exact_trace_and_det_of_integer_return_maps(tmp_path):
+    # P = A^n for A = [[2,1],[1,1]]: det P = 1 and tr P = L_2n, the Lucas number, at every period
+    payload = {"model": {"catmap": {"A": [2, 1, 1, 1]}}, "truncation": {"n_max": 30}}
+    out = tmp_path / "orbits.csv"
+    assert main(["orbits", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    rows = read_csv_rows(out)
+    assert [int(r["period"]) for r in rows] == list(range(1, 31))
+    lucas = [2, 1]
+    while len(lucas) <= 60:
+        lucas.append(lucas[-1] + lucas[-2])
+    for r in rows:
+        assert float(r["det_P"]) == 1.0
+        assert float(r["trace_P"]) == lucas[2 * int(r["period"])]
 
 
 def test_orbits_command_rotation_exits_2(tmp_path, capsys):
@@ -173,32 +189,63 @@ def test_bridge_on_wide_matrix_model(tmp_path):
     assert row["flag"] == "" and float(row["defect"]) < 1e-6
 
 
+def test_partition_of_a_well_conditioned_model_with_a_large_entry(tmp_path, capsys):
+    # max|L0|^64 = 1e384 is beyond the float range; det(L + hbar) ~ 1.2e17 is not
+    mu = np.ones(64)
+    mu[0] = 1e6
+    payload = {"model": {"matrix": {"d": np.diag(mu).tolist()}}, "grid": [[0.5, 0.0]]}
+    assert main(["partition", "--config", write_config(tmp_path, payload)]) == 0
+    out, err = capsys.readouterr()
+    (row,) = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+    assert float(row["partition"]) == pytest.approx(np.prod(np.abs(mu + 0.5)), rel=1e-10)
+    assert err == ""
+
+
+@pytest.mark.parametrize("split, same_id", [(None, True), ([[0, 0], [0, 2]], True), ([[1, 2]], False)])
+def test_matrix_model_id_hashes_the_graded_split(tmp_path, capsys, split, same_id):
+    # L0 = diag(2, 3) in one degree-0 block keeps its id; in degree 1 it is another model
+    body = {"d": [[2.0, 0.0], [0.0, 3.0]]}
+    if split is not None:
+        body["graded_split"] = split
+    payload = {"model": {"matrix": body}, "grid": [[1.0, 0.0]]}
+    assert main(["partition", "--config", write_config(tmp_path, payload)]) == 0
+    assert ("# model_id: matrix:30e2eb796b72\n" in capsys.readouterr().out) == same_id
+
+
 def test_partition_requires_matrix_model(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(CAT_CONFIG, grid=[[0.0, 0.0]]))
     assert main(["partition", "--config", cfg]) == 1
 
 
 def test_diagrams_command_enumeration(tmp_path):
-    payload = {
-        "model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}},
-        "truncation": {"K": 4},
-        "lambda0": 0.0,
-    }
-    cfg = write_config(tmp_path, payload)
-    out = tmp_path / "diagrams.csv"
-    assert main(["diagrams", "--config", cfg, "--out", str(out)]) == 0
-    rows = read_csv_rows(out)
-    chains = [r for r in rows if r["kind"] == "chain"]
-    cycles = [r for r in rows if r["kind"] == "cycle"]
-    assert len(chains) == 4 and len(cycles) == 3  # no cycle listed at order 1
-    for r in chains:
-        assert int(r["aut_order"]) == 2
-        assert int(r["hbar_power"]) == int(r["order"])
-    for r in cycles:
-        assert int(r["aut_order"]) == 2 * int(r["order"])
-        assert int(r["hbar_power"]) == int(r["order"]) + 1
+    """Every row's closed-form graph data matches the reference graph toolkit."""
+    matrix = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 16}, "lambda0": 0.0}
+    catmap = dict(CAT_CONFIG, truncation={"K": 16})
+    for name, payload in (("matrix", matrix), ("catmap", catmap)):
+        out = tmp_path / f"{name}.csv"
+        assert main(["diagrams", "--config", write_config(tmp_path, payload, f"{name}.json"), "--out", str(out)]) == 0
+        rows = read_csv_rows(out)
+        chains = [r for r in rows if r["kind"] == "chain"]
+        cycles = [r for r in rows if r["kind"] == "cycle"]
+        assert len(chains) == 16 and len(cycles) == 15  # no cycle listed at order 1
+        for r in rows:
+            order = int(r["order"])
+            graph = chain_graph(order, tail_labels=None) if r["kind"] == "chain" else cycle_graph(order)
+            assert int(r["n_vertices"]) == graph.n_vertices
+            assert int(r["n_edges"]) == len(graph.edges)
+            assert int(r["n_tails"]) == len(graph.tails)
+            assert int(r["aut_order"]) == automorphism_order(graph)
+        for r in chains:
+            assert int(r["aut_order"]) == 2
+            assert int(r["hbar_power"]) == int(r["order"])
+        for r in cycles:
+            assert int(r["aut_order"]) == 2 * int(r["order"])
+            assert int(r["hbar_power"]) == int(r["order"]) + 1
+        if name == "catmap":  # an orbit model has no matrix series to read coefficients from
+            assert {(r["coeff_re"], r["coeff_im"]) for r in rows} == {("nan", "nan")}
     # order-1 chain coefficient is i F(ones, ones) = i * sum of (L^{-1} d)
-    first = [r for r in chains if int(r["order"]) == 1][0]
+    first = read_csv_rows(tmp_path / "matrix.csv")[0]
+    assert (first["kind"], first["order"]) == ("chain", "1")
     assert float(first["coeff_im"]) == pytest.approx(2.0, rel=1e-12)
 
 

@@ -15,7 +15,6 @@ from ruellebf.feynman import (
     chain_graph,
     contract_graph,
     cycle_graph,
-    enumerate_connected_quadratic,
     gamma_sum,
     graph_weight,
     is_connected,
@@ -26,26 +25,6 @@ from ruellebf.feynman import (
 
 
 # ---------------------------------------------------------------- enumeration
-
-def test_enumerate_order_one_is_bare_vertex():
-    graphs = enumerate_connected_quadratic(1)
-    assert len(graphs) == 1
-    assert graphs[0].n_vertices == 1 and len(graphs[0].tails) == 2
-
-
-@pytest.mark.parametrize("order", [2, 3])
-def test_enumerate_returns_chain_and_cycle(order):
-    graphs = enumerate_connected_quadratic(order)
-    assert len(graphs) == 2
-    chain, cycle = graphs
-    assert len(chain.tails) == 2 and len(cycle.tails) == 0
-    assert chain.n_vertices == cycle.n_vertices == order
-
-
-def test_enumerate_rejects_order_zero():
-    with pytest.raises(ValueError):
-        enumerate_connected_quadratic(0)
-
 
 def _involutions(elements):
     if not elements:
@@ -102,13 +81,21 @@ def test_cycle_automorphisms_dihedral(order):
 
 
 def test_single_vertex_two_tails():
-    assert automorphism_order(chain_graph(1, tail_labels=None)) == 2
+    graph = chain_graph(1, tail_labels=None)
+    assert graph.n_vertices == 1 and len(graph.tails) == 2
+    assert automorphism_order(graph) == 2
+    for build in (chain_graph, cycle_graph):
+        with pytest.raises(ValueError):
+            build(0)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
 def test_hbar_grading_chain_and_cycle(order):
-    assert loop_count(chain_graph(order)) == 0
-    assert loop_count(cycle_graph(order)) == 1
+    chain, cycle = chain_graph(order), cycle_graph(order)
+    assert len(chain.tails) == 2 and len(cycle.tails) == 0
+    assert chain.n_vertices == cycle.n_vertices == order
+    assert loop_count(chain) == 0
+    assert loop_count(cycle) == 1
     pk = PropagatorKernel(np.array([[0.5]]))
     inter = Interaction({2: np.array([[1.0]])})
     expansion = gamma_sum(pk, inter, np.array([1.0]), order)
