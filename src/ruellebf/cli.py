@@ -255,18 +255,22 @@ def cmd_orbits(cfg, fmt, out_path):
     n_max, _, _ = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
     orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
+    # an integer-valued P reads tr P = e_1 and det P = e_2m off its exact characteristic polynomial;
+    # the float maps share one stacked determinant
+    exact = [flat_zeta._integer_entries(orbit.poincare) is not None for orbit in orbs]
+    floats = [orbit.poincare for orbit, ex in zip(orbs, exact) if not ex]
+    float_dets = iter(np.linalg.det(np.array(floats)).tolist() if floats else [])
     rows = []
-    for orbit in orbs:
+    for orbit, ex in zip(orbs, exact):
         p = orbit.poincare
-        # an integer-valued P reads tr P = e_1 and det P = e_2m off its exact characteristic polynomial
-        e = None if flat_zeta._integer_entries(p) is None else flat_zeta._char_poly(p)
+        e = flat_zeta._char_poly(p) if ex else None
         rows.append({
             "period": orbit.period if orbit.period is not None else -1,
             "length": orbit.length,
             "multiplicity": orbit.multiplicity,
             "m": orbit.m,
             "trace_P": float(np.trace(p) if e is None else e[1]),
-            "det_P": float(np.linalg.det(p) if e is None else e[-1]),
+            "det_P": float(next(float_dets) if e is None else e[-1]),
             "rho_re": float(orbit.rho[0, 0].real),
             "rho_im": float(orbit.rho[0, 0].imag),
         })

@@ -10,7 +10,9 @@ repetition), so values are bit-stable, the same for a lambda alone as inside
 any grid, and each carries a geometric tail estimate. An atom's exterior
 traces tr(wedge^k P^j) and det(I - P^j) come from one characteristic
 polynomial of P^j: in exact integers for integer-valued return maps, from
-the eigenvalues for float ones.
+the eigenvalues for float ones. The float P^j of a whole table share one
+stacked eigvals call, and their coefficients follow np.poly's recurrence
+vectorized over the stack, bit for bit equal to np.poly map by map.
 
 Branch convention: principal logarithms everywhere, with log zeta built
 additively from per-orbit terms so no product-branch ambiguity arises.
@@ -51,20 +53,43 @@ def _integer_entries(P: np.ndarray) -> list[list[int]] | None:
     return [[int(x) for x in row] for row in rows] if exact else None
 
 
+def _float_char_polys(maps: np.ndarray) -> np.ndarray:
+    """[e_0, ..., e_d] for each map of an (n, d, d) stack of float maps, from one stacked eigvals call.
+
+    Row for row these are the signed coefficients of np.poly(eigvals(P)), bit for bit. A real
+    spectrum runs np.poly's recurrence c[1:] -= r * c[:-1], root by root in LAPACK order,
+    vectorized over the stack; a spectrum with complex roots goes through np.poly itself, whose
+    complex convolution rounds as the BLAS complex dot product does.
+    """
+    eigenvalues = np.linalg.eigvals(maps)
+    n, d = eigenvalues.shape
+    real = np.all(eigenvalues.imag == 0, axis=1) & (not np.iscomplexobj(maps))
+    coeffs = np.zeros((n, d + 1), dtype=complex if np.iscomplexobj(maps) else float)
+    roots = eigenvalues[real].real
+    c = np.zeros((len(roots), d + 1))
+    c[:, 0] = 1.0
+    for k in range(d):
+        c[:, 1:k + 2] -= roots[:, k, None] * c[:, :k + 1]
+    coeffs[real] = c
+    for i in np.flatnonzero(~real):
+        coeffs[i] = np.poly(eigenvalues[i])
+    return coeffs * (-1.0) ** np.arange(d + 1)
+
+
 def _char_poly(P) -> list:
     """[e_0, ..., e_d], e_k = tr(wedge^k P), the sum of all k x k principal minors.
 
     Integer-valued P: Faddeev-LeVerrier in exact integers, M_1 = I,
     e_k = (-1)^(k+1) tr(A M_k) / k (an exact division), M_{k+1} = A M_k + (-1)^k e_k I.
-    Otherwise the elementary symmetric functions of the eigenvalues, read off
-    np.poly, whose coefficients are (-1)^k e_k.
+    Otherwise the elementary symmetric functions of the eigenvalues, as
+    _float_char_polys computes them for a stack.
     """
     P = np.asarray(P)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("P must be square")
     a = _integer_entries(P)
     if a is None:
-        return [(-1) ** k * c for k, c in enumerate(np.poly(np.linalg.eigvals(P)).tolist())]
+        return _float_char_polys(P[None])[0].tolist()
     d = len(a)
     e = [1]
     m = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -222,13 +247,26 @@ class AtomTable:
 
 
 def atom_table(orbits, m: int, L_max: float) -> AtomTable:
-    """The atom table of orbits up to L_max; every return map must be 2m x 2m."""
+    """The atom table of orbits up to L_max; every return map must be 2m x 2m.
+
+    The characteristic polynomials of all float P^j come from one stacked
+    eigendecomposition; integer-valued P^j keep the exact route of _char_poly.
+    """
+    terms = _orbit_power_terms(orbits, L_max)
+    # object arrays hold the Python-int powers of integer maps; a float P^j may still be integer-valued
+    floating = [a for a, (*_, p) in enumerate(terms)
+                if p.dtype != object and p.shape[0] == 2 * m and _integer_entries(p) is None]
+    try:
+        stacked = _float_char_polys(np.array([terms[a][3] for a in floating])).tolist() if floating else []
+    except np.linalg.LinAlgError:  # a non-finite or non-converging P^j: the per-atom route raises at it, in atom order
+        floating, stacked = [], []
+    polys = dict(zip(floating, stacked))
     t, euler, weights, sign = [], [], [], []
-    for time, orbit, j, p_power in _orbit_power_terms(orbits, L_max):
+    for a, (time, orbit, j, p_power) in enumerate(terms):
         if p_power.shape[0] != 2 * m:
             d = p_power.shape[0]
             raise ValueError(f"orbit carries a {d}x{d} return map, expected 2m = {2 * m}")
-        e = _char_poly(p_power)
+        e = polys[a] if a in polys else _char_poly(p_power)
         det = _transversality_denominator(p_power, e)
         t.append(time)
         euler.append(-orbit.multiplicity * complex(np.trace(np.linalg.matrix_power(orbit.rho, j))) / j)

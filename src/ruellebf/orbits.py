@@ -6,11 +6,17 @@ period-n census is the exact integer |det(A^n - I)|. Externally computed
 length spectra are ingested from CSV.
 
 Conventions: the rank of the stable bundle is m = 1 for every built-in
-model, the stored return map is P = A^n (the forward section map), and the
-winding class of a period-n orbit in the suspension circle is n, which is
-what a character representation is evaluated on. Contact-ness of the
-suspension is not certified; every downstream formula consumes only
-(length, P, rho, m).
+model, the stored return map is P = A^n (the forward section map), kept as
+exact integers, and the winding class of a period-n orbit in the suspension
+circle is n, which is what a character representation is evaluated on.
+Contact-ness of the suspension is not certified; every downstream formula
+consumes only (length, P, rho, m).
+
+The loader parses every row first, validates each distinct (P, rho) record
+once (one stacked eigvals call per map size for the unit-circle check, one
+stacked det for the representation values), then merges the rows into
+classes and builds each class's PrimeOrbit once. Errors are those of
+row-by-row validation: the first bad line in file order wins.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,9 +56,48 @@ class Representation:
         return np.array([[cmath.exp(1j * self.character_angle * winding)]])
 
 
+def _scalar_error(length: float, multiplicity: int) -> str | None:
+    """Why PrimeOrbit rejects this length or multiplicity, None if it does not."""
+    if not (math.isfinite(length) and length > 0):
+        return "orbit length must be positive and finite"
+    if multiplicity < 1:
+        return "multiplicity must be a positive integer"
+    return None
+
+
+def _map_errors(maps: np.ndarray) -> list[str | None]:
+    """Why PrimeOrbit rejects each map of an (n, 2m, 2m) float stack, None where it passes.
+
+    One stacked eigvals call; only when it raises (a non-finite entry, or no
+    convergence) are the maps retried one by one to find which.
+    """
+    try:
+        eigenvalues = np.linalg.eigvals(maps)
+    except np.linalg.LinAlgError as exc:
+        if len(maps) == 1:
+            return [str(exc)]
+        return [error for p in maps for error in _map_errors(p[None])]
+    on_circle = np.any(np.abs(np.abs(eigenvalues) - 1.0) <= UNIT_CIRCLE_TOL, axis=-1)
+    return ["Poincare map has an eigenvalue on the unit circle" if hit else None for hit in on_circle.tolist()]
+
+
+def _rho_errors(rhos: np.ndarray) -> list[str | None]:
+    """Why PrimeOrbit rejects each matrix of an (n, r, r) complex stack, None where it passes."""
+    finite = np.all(np.isfinite(rhos), axis=(1, 2))
+    off_unit = np.zeros(len(rhos), dtype=bool)
+    off_unit[finite] = np.abs(np.abs(np.linalg.det(rhos[finite])) - 1.0) > 1e-8
+    return ["representation value must be finite" if not fin
+            else "representation value must be unitary (|det| = 1)" if off else None
+            for fin, off in zip(finite.tolist(), off_unit.tolist())]
+
+
 @dataclass(frozen=True)
 class PrimeOrbit:
-    """One aggregated class of prime closed orbits sharing (length, P, rho)."""
+    """One aggregated class of prime closed orbits sharing (length, P, rho).
+
+    An integer P (the built-in maps A^n) is kept exact, so that downstream
+    traces and determinants of it stay exact; any other P is stored as float.
+    """
 
     length: float
     poincare: np.ndarray
@@ -61,25 +106,35 @@ class PrimeOrbit:
     period: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise ValueError("orbit length must be positive and finite")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be a positive integer")
-        p = np.asarray(self.poincare, dtype=float)
+        error = _scalar_error(self.length, self.multiplicity)
+        if error:
+            raise ValueError(error)
+        p = np.asarray(self.poincare)
+        # an integer map stays exact: int64, or Python ints where int64 would overflow
+        if not (p.dtype.kind in "iu" or (p.dtype.kind == "O" and all(type(x) is int for x in p.flat))):
+            p = np.asarray(p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] % 2:
             raise ValueError("Poincare matrix must be square of even dimension 2m")
-        moduli = np.abs(np.linalg.eigvals(p))
-        if np.any(np.abs(moduli - 1.0) <= UNIT_CIRCLE_TOL):
-            raise ValueError("Poincare map has an eigenvalue on the unit circle")
+        error = _map_errors(np.asarray(p, dtype=float)[None])[0]
+        if error:
+            raise ValueError(error)
         r = np.asarray(self.rho, dtype=complex)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("representation value must be a square matrix")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("representation value must be finite")
-        if abs(abs(np.linalg.det(r)) - 1.0) > 1e-8:
-            raise ValueError("representation value must be unitary (|det| = 1)")
+        error = _rho_errors(r[None])[0]
+        if error:
+            raise ValueError(error)
         object.__setattr__(self, "poincare", p)
         object.__setattr__(self, "rho", r)
+
+    @classmethod
+    def _from_checked(cls, length: float, poincare: np.ndarray, rho: np.ndarray, multiplicity: int) -> "PrimeOrbit":
+        """A PrimeOrbit of fields that already passed its checks (the loader checks its records in bulk)."""
+        orbit = object.__new__(cls)
+        for name, value in (("length", length), ("poincare", poincare), ("rho", rho),
+                            ("multiplicity", multiplicity), ("period", None)):
+            object.__setattr__(orbit, name, value)
+        return orbit
 
     @property
     def m(self) -> int:
@@ -167,11 +222,10 @@ def enumerate_prime_orbits(model: HyperbolicToralModel, n_max: int) -> list[Prim
     for n in range(1, n_max + 1):
         if counts[n] == 0:
             continue
-        an = np.array(model.power(n), dtype=float)
         orbits.append(
             PrimeOrbit(
                 length=n * model.roof,
-                poincare=an,
+                poincare=model.power(n),
                 rho=model.rep.matrix(n),
                 multiplicity=counts[n],
                 period=n,
@@ -183,7 +237,12 @@ def enumerate_prime_orbits(model: HyperbolicToralModel, n_max: int) -> list[Prim
 SPECTRUM_HEADER = ["length", "multiplicity", "m", "P_entries", "rho_re", "rho_im"]
 
 
-def _parse_row(row: list[str], line: int) -> PrimeOrbit:
+def _parse_row(row: list[str], line: int, parsed: dict[str, tuple]) -> tuple:
+    """(line, length, multiplicity, P entries, rho) of one data row; raises on a format error.
+
+    parsed maps P_entries texts already read to their floats: rows repeating a text share one
+    tuple, which keeps a file of duplicated records small in memory.
+    """
     if len(row) != len(SPECTRUM_HEADER):
         raise SpectrumFormatError(
             f"expected {len(SPECTRUM_HEADER)} fields, found {len(row)}", line
@@ -192,7 +251,7 @@ def _parse_row(row: list[str], line: int) -> PrimeOrbit:
         length = float(row[0])
         multiplicity = int(row[1])
         m = int(row[2])
-        entries = [float(x) for x in row[3].split(";")]
+        entries = parsed.get(row[3]) or parsed.setdefault(row[3], tuple(map(float, row[3].split(";"))))
         rho = complex(float(row[4]), float(row[5]))
     except ValueError as exc:
         raise SpectrumFormatError(str(exc), line) from None
@@ -203,21 +262,37 @@ def _parse_row(row: list[str], line: int) -> PrimeOrbit:
         raise SpectrumFormatError(
             f"P_entries has {len(entries)} values, expected {side * side}", line
         )
-    p = np.array(entries, dtype=float).reshape(side, side)
-    try:
-        return PrimeOrbit(length=length, poincare=p, rho=np.array([[rho]]), multiplicity=multiplicity)
-    except ValueError as exc:
-        raise SpectrumFormatError(str(exc), line) from None
+    return line, length, multiplicity, entries, rho
+
+
+def _record_errors(records: list[tuple]) -> list[str | None]:
+    """PrimeOrbit's map and rho checks of each distinct (P entries, rho) record, stacked:
+    one eigvals call per map size and one det call."""
+    map_errors = [None] * len(records)
+    by_size: dict[int, list[int]] = {}
+    for i, (entries, _) in enumerate(records):
+        by_size.setdefault(len(entries), []).append(i)
+    for size, idx in by_size.items():
+        side = math.isqrt(size)
+        maps = np.array([records[i][0] for i in idx], dtype=float).reshape(-1, side, side)
+        for i, error in zip(idx, _map_errors(maps)):
+            map_errors[i] = error
+    rho_errors = _rho_errors(np.array([rho for _, rho in records], dtype=complex).reshape(-1, 1, 1))
+    return [a or b for a, b in zip(map_errors, rho_errors)]
 
 
 def load_length_spectrum(path) -> list[PrimeOrbit]:
     """Read a length-spectrum CSV; see SPECTRUM_HEADER for the column contract.
 
-    Lines starting with '#' are skipped. Identical records (same length, P,
-    rho) are aggregated by summing multiplicities; output is sorted by
-    ascending length.
+    Lines starting with '#' are skipped. Identical records (same P and rho,
+    -0.0 == 0.0, lengths within 1e-12) are aggregated by summing
+    multiplicities; output is sorted by ascending length. Reading stops at
+    the first format error, which is raised unless an earlier row fails
+    validation.
     """
-    orbits: list[PrimeOrbit] = []
+    rows = []
+    parsed: dict[str, tuple] = {}
+    stop = None
     header = None
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -231,28 +306,39 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
                             f"bad header {header}, expected {SPECTRUM_HEADER}", line_no
                         )
                     continue
-                orbits.append(_parse_row(row, line_no))
+                rows.append(_parse_row(row, line_no, parsed))
+        except SpectrumFormatError as exc:
+            stop = exc
         except UnicodeDecodeError as exc:
-            raise SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}") from None
+            stop = SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}")
+    # tuples of floats compare -0.0 == 0.0, as the merge requires
+    records: dict[tuple, int] = {}
+    record_of = [records.setdefault((entries, rho), len(records)) for _, _, _, entries, rho in rows]
+    record_errors = _record_errors(list(records))
+    for (line, length, multiplicity, _, _), record in zip(rows, record_of):
+        error = _scalar_error(length, multiplicity) or record_errors[record]
+        if error:
+            raise SpectrumFormatError(error, line)
+    if stop is not None:
+        raise stop
     if header is None:
         raise SpectrumFormatError("missing header row")
-    # records merge when P and rho match exactly (-0.0 == 0.0) and lengths
-    # lie within 1e-12; a bucket per (P, rho) keeps the merge linear in rows
-    merged: list[PrimeOrbit] = []
-    counts: list[int] = []
-    buckets: dict[tuple, list[int]] = {}
-    for orbit in sorted(orbits, key=lambda o: o.length):
-        key = (orbit.poincare.shape, (orbit.poincare + 0.0).tobytes(), (orbit.rho + 0.0).tobytes())
-        bucket = buckets.setdefault(key, [])
-        for i in bucket:
-            if math.isclose(merged[i].length, orbit.length, rel_tol=0, abs_tol=1e-12):
-                counts[i] += orbit.multiplicity
+    # rows of one record merge when their lengths lie within 1e-12 of the class's first length
+    classes: list[list[int]] = []  # [representative row, multiplicity]
+    buckets: dict[int, list[int]] = {}
+    for i in sorted(range(len(rows)), key=lambda i: rows[i][1]):
+        bucket = buckets.setdefault(record_of[i], [])
+        for c in bucket:
+            if math.isclose(rows[classes[c][0]][1], rows[i][1], rel_tol=0, abs_tol=1e-12):
+                classes[c][1] += rows[i][2]
                 break
         else:
-            bucket.append(len(merged))
-            merged.append(orbit)
-            counts.append(orbit.multiplicity)
-    return [
-        orbit if count == orbit.multiplicity else replace(orbit, multiplicity=count)
-        for orbit, count in zip(merged, counts)
-    ]
+            bucket.append(len(classes))
+            classes.append([i, rows[i][2]])
+    orbits = []
+    for i, multiplicity in classes:
+        _, length, _, entries, rho = rows[i]
+        side = math.isqrt(len(entries))
+        p = np.array(entries, dtype=float).reshape(side, side)
+        orbits.append(PrimeOrbit._from_checked(length, p, np.array([[rho]], dtype=complex), multiplicity))
+    return orbits

@@ -55,6 +55,22 @@ def test_orbits_command_exact_trace_and_det_of_integer_return_maps(tmp_path):
         assert float(r["trace_P"]) == lucas[2 * int(r["period"])]
 
 
+def test_orbits_command_stays_exact_past_float_range(tmp_path):
+    # at periods 39-41 the entries of A^n exceed 2^53: det P is still exactly 1, and tr P is the
+    # Lucas number L_2n rounded once, to the nearest float
+    payload = {"model": {"catmap": {"A": [2, 1, 1, 1]}}, "truncation": {"n_max": 41}}
+    out = tmp_path / "orbits.csv"
+    assert main(["orbits", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    rows = read_csv_rows(out)
+    assert [int(r["period"]) for r in rows] == list(range(1, 42))
+    lucas = [2, 1]
+    while len(lucas) <= 82:
+        lucas.append(lucas[-1] + lucas[-2])
+    for r in rows:
+        assert float(r["det_P"]) == 1.0
+        assert float(r["trace_P"]) == float(lucas[2 * int(r["period"])])
+
+
 def test_orbits_command_rotation_exits_2(tmp_path, capsys):
     payload = dict(CAT_CONFIG, model={"catmap": {"A": [0, -1, 1, 0]}})
     cfg = write_config(tmp_path, payload)

@@ -78,6 +78,14 @@ def test_enumerate_single_period():
     assert orbit.multiplicity == 1
 
 
+def test_enumerate_keeps_return_maps_exact_past_float_range():
+    # from period 39 the entries of A^n exceed 2^53, where a float map would round them
+    from ruellebf.flat_zeta import _integer_entries
+
+    for orbit in enumerate_prime_orbits(CAT, 41):
+        assert _integer_entries(orbit.poincare) == [list(row) for row in CAT.power(orbit.period)]
+
+
 def test_enumerate_trivial_rep_all_ones():
     for orbit in enumerate_prime_orbits(CAT, 4):
         assert orbit.rho[0, 0] == 1.0
@@ -220,6 +228,40 @@ def test_loader_rejects_m_below_one_with_line(tmp_path):
     path = tmp_path / "negative_m.csv"
     path.write_text(HEADER + "1.0,1,-1,2;1;1;1,1.0,0.0\n")
     with pytest.raises(SpectrumFormatError, match="line 2: m must be a positive integer"):
+        load_length_spectrum(path)
+
+
+GOOD_ROW = "1.0,1,1,3.0;0.0;0.0;0.25,1.0,0.0\n"
+CIRCLE_ROW = "2.0,1,1,1.0;0.0;0.0;1.0,1.0,0.0\n"
+MALFORMED_ROW = "not-a-number,1,1,3.0;0.0;0.0;0.25,1.0,0.0\n"
+
+
+@pytest.mark.parametrize("line3, line5, message", [
+    (CIRCLE_ROW, MALFORMED_ROW, "unit circle"),
+    (MALFORMED_ROW, CIRCLE_ROW, "could not convert"),
+])
+def test_loader_first_bad_line_wins_over_error_kind(tmp_path, line3, line5, message):
+    # validation and format errors interleave as if each row were checked as it is read
+    path = tmp_path / "two-errors.csv"
+    path.write_text(HEADER + GOOD_ROW + line3 + GOOD_ROW + line5)
+    with pytest.raises(SpectrumFormatError, match=rf"^line 3: .*{message}"):
+        load_length_spectrum(path)
+
+
+def test_loader_duplicate_of_invalid_record_reports_earliest_line(tmp_path):
+    # lines 3 and 5 hold one record; line 5 sorts first by length, line 3 comes first in the file
+    shorter = CIRCLE_ROW.replace("2.0,", "0.5,", 1)
+    path = tmp_path / "dup-invalid.csv"
+    path.write_text(HEADER + GOOD_ROW + CIRCLE_ROW + GOOD_ROW + shorter)
+    with pytest.raises(SpectrumFormatError, match="^line 3: Poincare map has an eigenvalue on the unit circle$"):
+        load_length_spectrum(path)
+
+
+def test_loader_reports_the_first_failed_check_of_a_row(tmp_path):
+    # a non-positive length is checked before the map, as in PrimeOrbit
+    path = tmp_path / "two-checks.csv"
+    path.write_text(HEADER + GOOD_ROW + CIRCLE_ROW.replace("2.0,", "-1.0,", 1))
+    with pytest.raises(SpectrumFormatError, match="^line 3: orbit length must be positive and finite$"):
         load_length_spectrum(path)
 
 
