@@ -74,9 +74,10 @@ PIN_CONFIGS = {
              "truncation": {"L_max": 4.0}, "grid": [[3.0, 0.0], [4.5, 1.0], [6.0, -2.0]]},
 }
 
-# SHA-256 of the CSV output on x86-64 with numpy's bundled OpenBLAS, recorded before the
-# loader and the atom table were stacked; the zeta digest depends on the platform's exp and
-# log to the last bit
+# SHA-256 of the CSV output, recorded with the per-row loader and the per-atom characteristic
+# polynomials that the stacked kernels replaced (numpy 2.4 with its bundled OpenBLAS, x86-64
+# with AVX-512, glibc 2.36); the zeta digest depends on the platform's exp, log and BLAS to
+# the last bit
 PIN_DIGESTS = {
     "orbits": "ca8590806006acbfd5ef15fa0563eeac075a77983054d5b452caff925ccc3029",
     "zeta": "48b0555108cf0f005c330fb19ae868cb05faeb5567c8d1883310a8ccf9c9a377",
