@@ -53,43 +53,35 @@ def loop_sign(degree: int) -> int:
 class MatrixBFModel:
     """Toy complex plus the degree bookkeeping of its gauge-fixed generator.
 
-    graded_split, when given, lists (form degree, block) pairs whose block
-    diagonal is L restricted to the image of the contraction; the default is
-    a single degree-0 block. spectra holds the eigenvalues of each block, as
-    (form degree, eigenvalues) pairs in block order, computed once here.
+    graded_split lists (form degree, size) pairs whose blocks tile L,
+    restricted to the image of the contraction, along its diagonal; L must
+    vanish off those blocks. None, the default, is stored as one degree-0
+    block ((0, n),). spectra holds the eigenvalues of each block, as (form
+    degree, eigenvalues) pairs in block order, computed once here.
     """
 
     complex: ToyBFComplex
     graded_split: tuple | None = None
     spectra: tuple = field(init=False, repr=False, compare=False)
 
-    loop_sign = staticmethod(loop_sign)
-
     def __post_init__(self):
-        blocks = ((0, self.complex.L0),)
-        if self.graded_split is not None:
-            blocks = tuple((int(k), np.asarray(b, dtype=np.complex128)) for k, b in self.graded_split)
-            stacked = _block_diag([b for _, b in blocks])
-            if stacked.shape != self.complex.L0.shape or not np.allclose(
-                stacked, self.complex.L0, atol=1e-10 * max(1.0, float(np.max(np.abs(stacked))))
-            ):
-                raise ValueError("graded_split blocks must tile L restricted to im(iota)")
-            object.__setattr__(self, "graded_split", blocks)
-        object.__setattr__(self, "spectra", tuple((k, np.linalg.eigvals(b)) for k, b in blocks))
+        l0, n = self.complex.L0, self.complex.n
+        split = ((0, n),) if self.graded_split is None else tuple((int(k), int(s)) for k, s in self.graded_split)
+        sizes = [s for _, s in split]
+        if min(sizes, default=0) < 0 or sum(sizes) != n:
+            raise ValueError(f"graded_split sizes must be >= 0 and sum to the dimension {n}")
+        owner = np.repeat(np.arange(len(sizes)), sizes)  # the block of each row and column
+        on_blocks = owner[:, None] == owner
+        scale = max(1.0, float(np.max(np.abs(l0[on_blocks]), initial=0.0)))
+        if np.any(np.abs(l0[~on_blocks]) > 1e-10 * scale):
+            raise ValueError("L restricted to im(iota) couples two graded_split blocks")
+        edges = np.cumsum([0] + sizes).tolist()
+        object.__setattr__(self, "graded_split", split)
+        object.__setattr__(self, "spectra", tuple(
+            (k, np.linalg.eigvals(l0[at:end, at:end])) for (k, _), at, end in zip(split, edges, edges[1:])))
 
     def min_spectrum_abs(self) -> float:
         return float(np.min(np.abs(np.concatenate([mu for _, mu in self.spectra]))))
-
-
-def _block_diag(blocks) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=np.complex128)
-    at = 0
-    for b in blocks:
-        w = b.shape[0]
-        out[at : at + w, at : at + w] = b
-        at += w
-    return out
 
 
 def _check_damped(model: MatrixBFModel, lam: complex) -> None:
@@ -161,9 +153,11 @@ def gamma_int(
     link = chain_contraction_matrix(model, propagator)
     coeffs = [0j] * (K + 1)
     vec = A
-    for n in range(1, K + 1):
-        coeffs[n] = (-1) ** (n - 1) * 1j * complex(w_adj_b @ vec)
-        vec = link @ vec
+    # high powers of a link of norm above 1 overflow: those coefficients read inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, K + 1):
+            coeffs[n] = (-1) ** (n - 1) * 1j * complex(w_adj_b @ vec)
+            vec = link @ vec
     return HbarSeries(tuple(coeffs))
 
 
@@ -172,8 +166,10 @@ def _loop_coefficients(traces, K: int) -> HbarSeries:
     if K < 1:
         raise ValueError("K must be >= 1")
     coeffs = [0j] * (K + 1)
-    for n in range(1, K):
-        coeffs[n + 1] = (-1) ** n / n * traces(n)
+    # a trace past the float range at high order leaves an inf or nan coefficient
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, K):
+            coeffs[n + 1] = (-1) ** n / n * traces(n)
     return HbarSeries(tuple(coeffs))
 
 

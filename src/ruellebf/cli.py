@@ -1,12 +1,13 @@
 """Command-line front end.
 
-One JSON config document drives every run; see README for the schema. All
-floating-point output is locale-independent scientific notation with 17
-significant digits, grid points are emitted in input order, and identical
-configs produce byte-identical output files. An orbit-model grid is
-evaluated in one pass over one atom table, and a matrix-model grid reads one
-loop series. The diagrams table writes the chain and cycle of each order from
-their closed forms and builds no graph.
+One JSON config document drives every run; see README for the schema. CSV
+floats are locale-independent scientific notation with 17 significant digits,
+JSON floats Python's shortest repr; both spell non-finite values inf, -inf and
+nan (strings in JSON). Grid points are emitted in input order, and identical
+configs produce byte-identical output files. An orbit-model grid is evaluated
+in one pass over one atom table, and a matrix-model grid reads one loop
+series. The diagrams table writes the chain and cycle of each order from their
+closed forms and builds no graph.
 
 Exit codes: 0 success, 1 config error, 2 model invalid, 3 numerical
 non-convergence; EXIT_CODES maps every library error to one of them.
@@ -156,22 +157,17 @@ def _parse_model(cfg, rep):
         d = _parse_matrix(body.get("d"), "model.matrix.d")
         iota = body.get("iota")
         iota = None if iota is None else _parse_matrix(iota, "model.matrix.iota")
-        split_cfg = body.get("graded_split")
+        split = body.get("graded_split")
         try:
             cx = graded_core.ToyBFComplex(d, iota)
-            split = None
-            if split_cfg is not None:
-                _require(isinstance(split_cfg, list), "model.matrix.graded_split",
+            if split is not None:
+                _require(isinstance(split, list), "model.matrix.graded_split",
                          "must be a list of [degree, size] pairs")
-                blocks, at = [], 0
-                for pair in split_cfg:
+                for pair in split:
                     _require(isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)
                              and pair[1] >= 0, "model.matrix.graded_split", "entries are [degree, size >= 0] integers")
-                    deg, size = pair
-                    blocks.append((deg, cx.L0[at:at + size, at:at + size]))
-                    at += size
-                _require(at == cx.n, "model.matrix.graded_split", "sizes must sum to the dimension")
-                split = tuple(blocks)
+                _require(sum(size for _, size in split) == cx.n, "model.matrix.graded_split",
+                         "sizes must sum to the dimension")
             bf = bf_engine.MatrixBFModel(cx, split)
         except ConfigError:
             raise
@@ -208,7 +204,7 @@ def _matrix_model_id(bf) -> str:
     """A hash of L0 and of the (degree, size) of each nonempty block; the unsplit default, one
     degree-0 block, adds nothing to the hash, so unsplit models keep the id of an L0-only hash."""
     digest = hashlib.sha256(np.ascontiguousarray(bf.complex.L0).tobytes())
-    blocks = [(degree, len(mu)) for degree, mu in bf.spectra if len(mu)]
+    blocks = [(degree, size) for degree, size in bf.graded_split if size]
     if blocks != [(0, bf.complex.n)]:
         digest.update(repr(blocks).encode())
     return f"matrix:{digest.hexdigest()[:12]}"
@@ -226,10 +222,12 @@ def _emit(rows, columns, fmt, out_path, meta=None):
             buf.write(f"# {key}: {_format_cell(value)}\n")
         payload = buf.getvalue()
     else:
-        doc = {"rows": rows}
+        def cell(value):  # JSON has no non-finite numbers: those cells carry the CSV spelling
+            return _format_cell(value) if isinstance(value, float) and not math.isfinite(value) else value
+        doc = {"rows": [{c: cell(v) for c, v in row.items()} for row in rows]}
         if meta:
-            doc["meta"] = meta
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            doc["meta"] = {key: cell(value) for key, value in meta.items()}
+        payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -246,7 +244,7 @@ def _format_cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return "inf" if math.isinf(value) else format(value, ".16e")
+        return format(value, ".16e")  # non-finite values read inf, -inf and nan
     return value
 
 

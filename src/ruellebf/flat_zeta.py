@@ -165,7 +165,9 @@ def _orbit_power_terms(orbits, L_max: float):
         while j * orbit.length <= L_max * (1 + 1e-12):
             items.append((j * orbit.length, pos, j, p_power))
             j += 1
-            p_power = p_power @ base
+            # a P^j past the float range is reported at its atom, or an earlier one, by atom_table
+            with np.errstate(over="ignore", invalid="ignore"):
+                p_power = p_power @ base
     items.sort(key=lambda item: (item[0], item[1], item[2]))
     return [(t, orbits[pos], j, p) for t, pos, j, p in items]
 
@@ -228,16 +230,18 @@ class AtomTable:
         order, so no lambda's result depends on the rest of the grid."""
         lambdas = np.asarray(lambdas, dtype=complex).reshape(-1)
         columns = np.column_stack([self.weights * self.euler[:, None], self.euler, self.sign * self.euler])
-        phase = np.exp(np.outer(-lambdas, self.t))
         shape = (lambdas.size, columns.shape[1])
         re, im = np.zeros(shape), np.zeros(shape)
         mags = np.zeros(shape + (self.group_times.size,))
-        for a, g in enumerate(self.group):
-            x, y, c = phase[:, a, None].real, phase[:, a, None].imag, columns[a]
-            term_re, term_im = x * c.real - y * c.imag, x * c.imag + y * c.real
-            re += term_re
-            im += term_im
-            mags[:, :, g] += np.hypot(term_re, term_im)
+        # far left of the axis e^{-lambda t} overflows: inf or nan values with inf tail bounds
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.exp(np.outer(-lambdas, self.t))
+            for a, g in enumerate(self.group):
+                x, y, c = phase[:, a, None].real, phase[:, a, None].imag, columns[a]
+                term_re, term_im = x * c.real - y * c.imag, x * c.imag + y * c.real
+                re += term_re
+                im += term_im
+                mags[:, :, g] += np.hypot(term_re, term_im)
         values = re.astype(complex)
         values.imag = im
         tails = _geometric_tails(self.group_times, mags.reshape(shape[0] * shape[1], -1)).reshape(shape)

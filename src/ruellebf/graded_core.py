@@ -183,8 +183,9 @@ def toy_bf_partition(complex_: ToyBFComplex, hbar: complex) -> float:
     """Gauge-fixed partition value |det(L + hbar)| of the perturbed toy complex.
 
     Evaluated through the gauge-fixed operator iota (1 + hbar L1^{-1}) d on V0
-    and cross-checked against the direct determinant; the two routes must
-    agree to 1e-10 relative.
+    and cross-checked against the direct determinant: the two may differ by
+    1e-10 * max(1, either value, max|L0|**n), far looser than relative once
+    n exceeds a few.
     """
     n = complex_.n
     direct = abs(complex(np.linalg.det(complex_.L0 + hbar * np.eye(n))))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from ruellebf.bf_engine import (
     ConvergenceRadiusError,
@@ -19,6 +19,7 @@ from ruellebf.bf_engine import (
     gamma_int,
     gamma_tr,
     gamma_tr_orbits,
+    loop_sign,
     perturbing_functional,
     projection_lemma_check,
     regularized_propagator,
@@ -47,19 +48,46 @@ def random_toy(rng, n=3, shift=4.0):
 
 def random_graded(rng, degrees=(0, 1), lo=0.4, hi=0.9, max_block=3):
     """Graded model with real positive spectrum in [lo, hi] per block."""
-    split = []
+    split, blocks = [], []
     for k in degrees:
         n = int(rng.integers(2, max_block + 1))
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        split.append((k, q @ np.diag(rng.uniform(lo, hi, size=n)) @ q.T))
-    total = sum(b.shape[0] for _, b in split)
-    l0 = np.zeros((total, total), dtype=complex)
-    at = 0
-    for _, b in split:
-        w = b.shape[0]
-        l0[at:at + w, at:at + w] = b
-        at += w
-    return MatrixBFModel(ToyBFComplex(l0), tuple(split))
+        split.append((k, n))
+        blocks.append(q @ np.diag(rng.uniform(lo, hi, size=n)) @ q.T)
+    return MatrixBFModel(ToyBFComplex(block_diag(*blocks)), tuple(split))
+
+
+# ---------------------------------------------------------------- graded split
+
+def test_graded_split_reads_its_blocks_off_l0():
+    l0 = np.diag([2.0, 3.0, 5.0])
+    l0[1, 2] = 0.5  # inside the degree-1 block
+    model = MatrixBFModel(ToyBFComplex(l0), [(0, 1), (1, 2)])
+    assert model.graded_split == ((0, 1), (1, 2))
+    assert [(k, sorted(mu.real)) for k, mu in model.spectra] == [(0, [2.0]), (1, [3.0, 5.0])]
+
+
+def test_unsplit_model_is_one_degree_zero_block():
+    model = MatrixBFModel(ToyBFComplex(np.diag([2.0, 3.0])))
+    assert model.graded_split == ((0, 2),)
+
+
+@pytest.mark.parametrize("entry, ok", [(0.5, False), (1e-9, False), (1e-11, True)])
+def test_graded_split_rejects_l0_coupling_two_blocks(entry, ok):
+    # the tolerance is 1e-10 * max(1, max|block entry|) = 3e-10 here
+    l0 = np.diag([2.0, 3.0])
+    l0[0, 1] = entry
+    if ok:
+        MatrixBFModel(ToyBFComplex(l0), ((0, 1), (1, 1)))
+    else:
+        with pytest.raises(ValueError, match="couples two graded_split blocks"):
+            MatrixBFModel(ToyBFComplex(l0), ((0, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("split", [((0, 1),), ((0, 1), (1, 2)), ((0, 3), (1, -1))])
+def test_graded_split_sizes_must_tile_the_dimension(split):
+    with pytest.raises(ValueError, match="sum to the dimension"):
+        MatrixBFModel(ToyBFComplex(np.diag([2.0, 3.0])), split)
 
 
 # -------------------------------------------------------- perturbing functional
@@ -310,8 +338,10 @@ def test_expectation_two_block_graded_vs_superdeterminant():
     model = random_graded(rng, degrees=(0, 1), lo=1.0, hi=2.0)
     hbar = 0.2
     res = expectation_value(model, hbar, 10)
-    blocks = dict(model.graded_split)
-    space = GradedVectorSpace({k: b.shape[0] for k, b in blocks.items()})
+    (_, n0), _ = model.graded_split
+    l0 = model.complex.L0
+    blocks = {0: l0[:n0, :n0], 1: l0[n0:, n0:]}
+    space = GradedVectorSpace(dict(model.graded_split))
     num = GradedOperator(space, {k: b + hbar * np.eye(b.shape[0]) for k, b in blocks.items()})
     den = GradedOperator(space, blocks)
     oracle = superdeterminant(num) / superdeterminant(den)
@@ -430,7 +460,7 @@ def test_cycle_weights_match_closed_form():
         graph = cycle_graph(n)
         assert automorphism_order(graph) == 2 * n
         engine = graph_weight(graph, kernel, interaction, {}) / automorphism_order(graph)
-        signed = model.loop_sign(0) * engine
+        signed = loop_sign(0) * engine
         assert abs(signed - closed.coefficient(n + 1)) < 1e-10 * max(1.0, abs(engine))
 
 
@@ -444,7 +474,7 @@ def test_gamma_sum_matches_gamma_tr_order_two():
     series = expansion.hbar_series()
     closed = gamma_tr(model, lam, 4)
     for power in (2, 3, 4):
-        assert model.loop_sign(0) * series.coefficient(power) == pytest.approx(
+        assert loop_sign(0) * series.coefficient(power) == pytest.approx(
             closed.coefficient(power), rel=1e-10
         )
 
@@ -503,9 +533,7 @@ def test_spectral_kernel_on_non_normal_blocks():
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         assert np.linalg.cond(q @ u) == pytest.approx(1e5, rel=1e-3)
         blocks.append(q @ u @ np.diag(d) @ np.linalg.inv(u) @ q.T)
-    full = np.zeros((6, 6))
-    full[:3, :3], full[3:, 3:] = blocks
-    model = MatrixBFModel(ToyBFComplex(full), ((0, blocks[0]), (1, blocks[1])))
+    model = MatrixBFModel(ToyBFComplex(block_diag(*blocks)), ((0, 3), (1, 3)))
     eye = np.eye(3)
     for hbar in (0.4 + 0.2j, -0.5j, 0.7):
         ratios = [np.linalg.det(b + hbar * eye) / np.linalg.det(b) for b in blocks]

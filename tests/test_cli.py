@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -580,3 +581,102 @@ def test_overflowing_propagator_exits_3(tmp_path, capsys):
     payload = {"model": {"matrix": {"d": [[1e-310]]}}, "truncation": {"K": 2}, "lambda0": 0.0}
     assert main(["diagrams", "--config", write_config(tmp_path, payload)]) == 3
     _assert_one_line_error(capsys, "non-convergent", "IRDivergenceError", "overflows")
+
+
+# ------------------------------------------------ graded split as a layout
+
+@pytest.mark.parametrize("split, code, fragment", [
+    ([[0, 1], [1, 1]], 2, "model invalid: L restricted to im(iota) couples two graded_split blocks"),
+    ([[0, 1], [1, 2]], 1, "config error at model.matrix.graded_split: sizes must sum to the dimension"),
+], ids=["coupled-blocks", "sizes-overrun"])
+def test_graded_split_must_tile_l0(tmp_path, capsys, split, code, fragment):
+    payload = {"model": {"matrix": {"d": [[2.0, 0.5], [0.0, 3.0]], "graded_split": split}}, "grid": [[0.5, 0.0]]}
+    assert main(["partition", "--config", write_config(tmp_path, payload)]) == code
+    _assert_one_line_error(capsys, fragment)
+
+
+# ------------------------------------------------------ non-finite cells
+
+LEFT_OF_AXIS_CONFIG = {"model": {"catmap": {"A": [2, 1, 1, 1]}}, "truncation": {"n_max": 20, "L_max": 20.0},
+                       "grid": [[3.0, 0.0], [-60.0, 0.0]]}
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_writes_non_finite_cells_as_strings(tmp_path):
+    cfg = write_config(tmp_path, LEFT_OF_AXIS_CONFIG)
+    csv_out, json_out = tmp_path / "zeta.csv", tmp_path / "zeta.json"
+    assert main(["zeta", "--config", cfg, "--out", str(csv_out)]) == 0
+    assert main(["zeta", "--config", cfg, "--out", str(json_out), "--format", "json"]) == 0
+    doc = _strict_json(json_out.read_text())
+    assert len(doc["rows"]) == 8
+    for csv_row, json_row in zip(read_csv_rows(csv_out), doc["rows"]):
+        for column in ("re_logzeta", "im_logzeta", "tail_bound", "defect"):
+            cell = json_row[column]
+            if isinstance(cell, str):
+                assert cell in ("inf", "-inf", "nan") and cell == csv_row[column]
+            else:  # finite cells stay JSON numbers, equal to the CSV value
+                assert math.isfinite(cell) and cell == float(csv_row[column])
+    assert doc["rows"][4]["re_logzeta"] == "-inf"
+
+
+def test_json_diagrams_of_an_orbit_model_are_strict_json(tmp_path):
+    out = tmp_path / "diagrams.json"
+    cfg = write_config(tmp_path, CAT_CONFIG)
+    assert main(["diagrams", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    rows = _strict_json(out.read_text())["rows"]
+    assert rows and all(r["coeff_re"] == r["coeff_im"] == "nan" for r in rows)
+
+
+# ------------------------------------------- no numpy warnings on stderr
+
+def _run_quietly(capsys, argv):
+    """main(argv) with every RuntimeWarning raised as an error; returns (exit code, stdout, stderr)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_overflowing_return_map_power_exits_2_with_one_line(tmp_path, capsys):
+    # P^j = diag(10**(10 j), 10**(-10 j)) overflows from j = 31 (L_max / length = 40); P^2 is already non-transverse
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("length,multiplicity,m,P_entries,rho_re,rho_im\n0.1,1,1,1e10;0;0;1e-10,1.0,0.0\n")
+    payload = {"model": {"spectrum_file": str(spectrum)}, "truncation": {"L_max": 4.0}, "grid": [[3.0, 0.0]]}
+    code, _, err = _run_quietly(capsys, ["zeta", "--config", write_config(tmp_path, payload)])
+    assert code == 2
+    assert err == "model invalid: NonTransverseOrbitError: non-transverse orbit: |det(I - P^j)| = 1.000e+20\n"
+
+
+def test_zeta_far_left_of_the_axis_is_quiet_and_prints_minus_inf(tmp_path, capsys):
+    code, out, err = _run_quietly(capsys, ["zeta", "--config", write_config(tmp_path, LEFT_OF_AXIS_CONFIG)])
+    assert (code, err) == (0, "")
+    rows = csv.DictReader(line for line in out.splitlines() if not line.startswith("#"))
+    left = [r for r in rows if float(r["re_lambda"]) == -60.0]
+    assert [(r["re_logzeta"], r["im_logzeta"], r["tail_bound"]) for r in left] == [("-inf", "nan", "inf")] * 4
+
+
+@pytest.mark.parametrize("command", ["bridge", "diagrams"])
+def test_overflowing_matrix_series_is_quiet(tmp_path, capsys, command):
+    # (0.01)**(-N) and the chain link powers overflow long before order K = 400: those cells read nan
+    payload = {"model": {"matrix": {"d": [[0.01, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 400},
+               "grid": [[0.005, 0.0], [0.5, 0.0]]}
+    code, out, err = _run_quietly(capsys, [command, "--config", write_config(tmp_path, payload)])
+    assert (code, err) == (0, "")
+    assert ",nan,nan" in out
+
+
+def test_overflowing_orbit_loop_series_is_quiet(tmp_path, capsys):
+    # t**(N-1) = 600**119 passes the float range: the series cells read nan, flagged radius_violation
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("length,multiplicity,m,P_entries,rho_re,rho_im\n600,1,1,2;0;0;0.5,1.0,0.0\n")
+    payload = {"model": {"spectrum_file": str(spectrum)}, "truncation": {"L_max": 700.0, "K": 120},
+               "grid": [[0.1, 0.0]], "lambda0": 0.0}
+    code, out, err = _run_quietly(capsys, ["bridge", "--config", write_config(tmp_path, payload)])
+    assert (code, err) == (0, "")
+    assert out.count(",radius_violation,nan,nan,") == 2
