@@ -314,8 +314,10 @@ def _loop_series(table: flat_zeta.AtomTable, lambda0: complex, K: int) -> HbarSe
     """gamma_tr_orbits from an atom table: moments of its degree-signed flat-trace atoms."""
     degree_signs = np.array([loop_sign(k) for k in range(2 * table.m + 1)])
     signed = (table.flat_weights() * degree_signs).sum(axis=1) * np.exp(-lambda0 * table.t)
+    # from n = 172 on, (n - 1)! is past the float range and t**(n - 1) / (n - 1)! goes through logarithms
     return _loop_coefficients(
-        lambda n: complex(np.sum(signed * table.t ** (n - 1))) / math.factorial(n - 1), K
+        lambda n: complex(np.sum(signed * table.t ** (n - 1))) / math.factorial(n - 1) if n <= 171
+        else complex(np.sum(signed * np.exp((n - 1) * np.log(table.t) - math.lgamma(n)))), K
     )
 
 

@@ -418,7 +418,7 @@ def build_parser():
 
 # error class -> (exit code, stderr prefix); the first match wins, so subclasses precede their
 # bases. ArithmeticError covers IRDivergenceError, the toy_bf_partition cross-check and the
-# ConvergenceError of the RG resummation.
+# ConvergenceError of the RG resummation; LinAlgError is a LAPACK routine that did not converge.
 EXIT_CODES = (
     (ConfigError, EXIT_CONFIG, ""),
     (ModelError, EXIT_MODEL, "model invalid: "),
@@ -427,6 +427,7 @@ EXIT_CODES = (
     (graded_core.SingularBlockError, EXIT_MODEL, "model invalid: "),
     (flat_zeta.BranchCutError, EXIT_NONCONVERGENT, "non-convergent: "),
     (ArithmeticError, EXIT_NONCONVERGENT, "non-convergent: "),
+    (np.linalg.LinAlgError, EXIT_NONCONVERGENT, "non-convergent: "),
 )
 
 

@@ -10,9 +10,9 @@ repetition), so values are bit-stable, the same for a lambda alone as inside
 any grid, and each carries a geometric tail estimate. An atom's exterior
 traces tr(wedge^k P^j) and det(I - P^j) come from one characteristic
 polynomial of P^j: in exact integers for integer-valued return maps, from
-the eigenvalues for float ones. The float P^j of a whole table share one
-stacked eigvals call, and their coefficients follow np.poly's recurrence
-vectorized over the stack, bit for bit equal to np.poly map by map.
+the eigenvalues for float ones. The finite float P^j of a whole table share
+one stacked eigvals call and one recurrence for their coefficients, run in
+real arithmetic over the stack and so independent of the BLAS build.
 
 Branch convention: principal logarithms everywhere, with log zeta built
 additively from per-orbit terms so no product-branch ambiguity arises.
@@ -54,26 +54,23 @@ def _integer_entries(P: np.ndarray) -> list[list[int]] | None:
 
 
 def _float_char_polys(maps: np.ndarray) -> np.ndarray:
-    """[e_0, ..., e_d] for each map of an (n, d, d) stack of float maps, from one stacked eigvals call.
+    """[e_0, ..., e_d] for each map of an (n, d, d) stack of finite float maps, from one stacked eigvals call.
 
-    Row for row these are the signed coefficients of np.poly(eigvals(P)), bit for bit. A real
-    spectrum runs np.poly's recurrence c[1:] -= r * c[:-1], root by root in LAPACK order,
-    vectorized over the stack; a spectrum with complex roots goes through np.poly itself, whose
-    complex convolution rounds as the BLAS complex dot product does.
+    The recurrence c[1:] -= r * c[:-1] runs root by root in LAPACK order over the whole stack, the
+    complex product spelled out in real arithmetic: each row is bit for bit a plain complex
+    recurrence over its map's eigenvalues, whatever the BLAS build. A real map gets the real part.
     """
-    eigenvalues = np.linalg.eigvals(maps)
-    n, d = eigenvalues.shape
-    real = np.all(eigenvalues.imag == 0, axis=1) & (not np.iscomplexobj(maps))
-    coeffs = np.zeros((n, d + 1), dtype=complex if np.iscomplexobj(maps) else float)
-    roots = eigenvalues[real].real
-    c = np.zeros((len(roots), d + 1))
-    c[:, 0] = 1.0
-    for k in range(d):
-        c[:, 1:k + 2] -= roots[:, k, None] * c[:, :k + 1]
-    coeffs[real] = c
-    for i in np.flatnonzero(~real):
-        coeffs[i] = np.poly(eigenvalues[i])
-    return coeffs * (-1.0) ** np.arange(d + 1)
+    roots = np.linalg.eigvals(maps)
+    n, d = roots.shape
+    re, im = np.zeros((n, d + 1)), np.zeros((n, d + 1))
+    re[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan coefficients
+        for k in range(d):
+            a, b, x, y = roots.real[:, k, None], roots.imag[:, k, None], re[:, :k + 1], im[:, :k + 1]
+            product_re, product_im = a * x - b * y, a * y + b * x
+            re[:, 1:k + 2] -= product_re
+            im[:, 1:k + 2] -= product_im
+    return (re + 1j * im if np.iscomplexobj(maps) else re) * (-1.0) ** np.arange(d + 1)
 
 
 def _char_poly(P) -> list:
@@ -145,11 +142,14 @@ class ZetaSeries:
 
 def _transversality_denominator(p_power: np.ndarray, e: list) -> float:
     """det(I - P^j) = sum_k (-1)^k e_k from the traces e = _char_poly(P^j), exact
-    for integer-valued P^j; raises when it is below threshold."""
+    for integer-valued P^j; raises when it is not finite or is below threshold, which
+    is inf when the scale of P^j is past the float range."""
     det = sum((-1) ** k * x for k, x in enumerate(e))
     rows = p_power.tolist()
-    scale = max([1.0] + [abs((i == j) - x) for i, row in enumerate(rows) for j, x in enumerate(row)]) ** len(rows)
-    if abs(det) < NON_TRANSVERSE_RTOL * scale:
+    base = max([1.0] + [abs((i == j) - x) for i, row in enumerate(rows) for j, x in enumerate(row)])
+    with np.errstate(over="ignore"):  # an integer base keeps its exact power
+        scale = base ** len(rows) if isinstance(base, int) else np.float64(base) ** len(rows)
+    if not NON_TRANSVERSE_RTOL * scale <= abs(det) < math.inf:
         raise NonTransverseOrbitError(f"non-transverse orbit: |det(I - P^j)| = {abs(det):.3e}")
     return float(det.real)
 
@@ -253,18 +253,17 @@ class AtomTable:
 def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     """The atom table of orbits up to L_max; every return map must be 2m x 2m.
 
-    The characteristic polynomials of all float P^j come from one stacked
-    eigendecomposition; integer-valued P^j keep the exact route of _char_poly.
+    The characteristic polynomials of all finite float P^j come from one stacked eigendecomposition;
+    integer-valued P^j keep the exact route of _char_poly; a non-finite P^j fails its transversality check.
     """
     terms = _orbit_power_terms(orbits, L_max)
     # object arrays hold the Python-int powers of integer maps; a float P^j may still be integer-valued
     floating = [a for a, (*_, p) in enumerate(terms)
                 if p.dtype != object and p.shape[0] == 2 * m and _integer_entries(p) is None]
-    try:
-        stacked = _float_char_polys(np.array([terms[a][3] for a in floating])).tolist() if floating else []
-    except np.linalg.LinAlgError:  # a non-finite or non-converging P^j: the per-atom route raises at it, in atom order
-        floating, stacked = [], []
-    polys = dict(zip(floating, stacked))
+    maps = np.array([terms[a][3] for a in floating], dtype=float).reshape(len(floating), 2 * m, 2 * m)
+    finite = np.isfinite(maps).all(axis=(1, 2))
+    polys = dict.fromkeys(floating, [math.nan] * (2 * m + 1))
+    polys.update(zip(np.compress(finite, floating).tolist(), _float_char_polys(maps[finite]).tolist()))
     t, euler, weights, sign = [], [], [], []
     for a, (time, orbit, j, p_power) in enumerate(terms):
         if p_power.shape[0] != 2 * m:

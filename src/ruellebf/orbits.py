@@ -66,19 +66,14 @@ def _scalar_error(length: float, multiplicity: int) -> str | None:
 
 
 def _map_errors(maps: np.ndarray) -> list[str | None]:
-    """Why PrimeOrbit rejects each map of an (n, 2m, 2m) float stack, None where it passes.
-
-    One stacked eigvals call; only when it raises (a non-finite entry, or no
-    convergence) are the maps retried one by one to find which.
-    """
-    try:
-        eigenvalues = np.linalg.eigvals(maps)
-    except np.linalg.LinAlgError as exc:
-        if len(maps) == 1:
-            return [str(exc)]
-        return [error for p in maps for error in _map_errors(p[None])]
-    on_circle = np.any(np.abs(np.abs(eigenvalues) - 1.0) <= UNIT_CIRCLE_TOL, axis=-1)
-    return ["Poincare map has an eigenvalue on the unit circle" if hit else None for hit in on_circle.tolist()]
+    """Why PrimeOrbit rejects each map of an (n, 2m, 2m) float stack, None where it passes;
+    the finite maps share one stacked eigvals call."""
+    finite = np.all(np.isfinite(maps), axis=(1, 2))
+    on_circle = np.zeros(len(maps), dtype=bool)
+    on_circle[finite] = np.any(np.abs(np.abs(np.linalg.eigvals(maps[finite])) - 1.0) <= UNIT_CIRCLE_TOL, axis=-1)
+    return ["Poincare map entries must be finite" if not fin
+            else "Poincare map has an eigenvalue on the unit circle" if hit else None
+            for fin, hit in zip(finite.tolist(), on_circle.tolist())]
 
 
 def _rho_errors(rhos: np.ndarray) -> list[str | None]:

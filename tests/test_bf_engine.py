@@ -522,6 +522,21 @@ def test_gamma_tr_orbits_first_coefficient_from_atoms():
     assert series.coefficient(2) == pytest.approx(-signed, rel=1e-12)
 
 
+def test_gamma_tr_orbits_past_the_float_factorial_keeps_the_moment_formula():
+    from fractions import Fraction
+
+    from ruellebf.flat_zeta import atom_table
+
+    # order N + 1 divides the N-th moment by (N - 1)!, which passes the float range from N = 172
+    orbits = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1))), 20)
+    table = atom_table(orbits, 1, 20.0)
+    signed = (table.flat_weights() * [loop_sign(k) for k in range(3)]).sum(axis=1) * np.exp(-3.0 * table.t)
+    series = gamma_tr_orbits(orbits, 1, 3.0, 20.0, 180)
+    for n in (171, 172, 179):
+        moment = sum(w * float(Fraction(t) ** (n - 1) / math.factorial(n - 1)) for w, t in zip(signed, table.t))
+        assert series.coefficient(n + 1) == pytest.approx((-1) ** n / n * moment, rel=1e-12, abs=0.0)
+
+
 def test_spectral_kernel_on_non_normal_blocks():
     # blocks Q U diag(d) U^-1 Q^T whose eigenvector matrices have condition number 1e5
     rng = np.random.default_rng(0)

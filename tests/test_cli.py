@@ -436,6 +436,7 @@ def test_ir_divergence_exits_3(tmp_path, capsys):
     ("flat_zeta", "zeta_grid_rows", "ConvergenceError", 3),
     ("flat_zeta", "zeta_grid_rows", "IRDivergenceError", 3),
     ("graded_core", "toy_bf_partition", "ArithmeticError", 3),
+    ("flat_zeta", "zeta_grid_rows", "LinAlgError", 3),
 ])
 def test_every_library_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, module, attr, error, code):
     import builtins
@@ -450,6 +451,7 @@ def test_every_library_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch
         "ConvergenceError": feynman.ConvergenceError,
         "IRDivergenceError": bf_engine.IRDivergenceError,
         "ArithmeticError": builtins.ArithmeticError,
+        "LinAlgError": np.linalg.LinAlgError,
     }
 
     def raising(*args, **kwargs):
@@ -541,7 +543,8 @@ def test_non_finite_config_values_exit_1(tmp_path, capsys, command, change, path
     _assert_one_line_error(capsys, f"config error at {path}", "finite")
 
 
-@pytest.mark.parametrize("row", ["nan,1,1,2;0;0;0.5,1,0", "1.0,1,1,2;0;0;0.5,inf,0", "1.0,1,1,2;0;0;0.5,1,nan"])
+@pytest.mark.parametrize("row", ["nan,1,1,2;0;0;0.5,1,0", "1.0,1,1,2;0;0;0.5,inf,0", "1.0,1,1,2;0;0;0.5,1,nan",
+                                 "1.0,1,1,2;0;0;inf,1,0"])
 def test_non_finite_spectrum_row_exits_2_with_its_line(tmp_path, capsys, row):
     spectrum = tmp_path / "nonfinite.csv"
     spectrum.write_text("length,multiplicity,m,P_entries,rho_re,rho_im\n1.0,1,1,2;0;0;0.5,1,0\n" + row + "\n")
@@ -643,14 +646,21 @@ def _run_quietly(capsys, argv):
     return code, out, err
 
 
-def test_overflowing_return_map_power_exits_2_with_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("row, det", [
     # P^j = diag(10**(10 j), 10**(-10 j)) overflows from j = 31 (L_max / length = 40); P^2 is already non-transverse
+    ("0.1,1,1,1e10;0;0;1e-10,1.0,0.0", "1.000e+20"),
+    # tr wedge^2 P = 1e400 overflows: det(I - P) is inf
+    ("1,1,1,1e200;0;0;1e200,1.0,0.0", "inf"),
+    # det(I - P) = -1e200 is finite, its threshold scale (1e200)**2 is not
+    ("1,1,1,1e200;0;0;1e-200,1.0,0.0", "1.000e+200"),
+], ids=["power", "det", "scale"])
+def test_overflowing_return_map_power_exits_2_with_one_line(tmp_path, capsys, row, det):
     spectrum = tmp_path / "spectrum.csv"
-    spectrum.write_text("length,multiplicity,m,P_entries,rho_re,rho_im\n0.1,1,1,1e10;0;0;1e-10,1.0,0.0\n")
+    spectrum.write_text(f"length,multiplicity,m,P_entries,rho_re,rho_im\n{row}\n")
     payload = {"model": {"spectrum_file": str(spectrum)}, "truncation": {"L_max": 4.0}, "grid": [[3.0, 0.0]]}
     code, _, err = _run_quietly(capsys, ["zeta", "--config", write_config(tmp_path, payload)])
     assert code == 2
-    assert err == "model invalid: NonTransverseOrbitError: non-transverse orbit: |det(I - P^j)| = 1.000e+20\n"
+    assert err == f"model invalid: NonTransverseOrbitError: non-transverse orbit: |det(I - P^j)| = {det}\n"
 
 
 def test_zeta_far_left_of_the_axis_is_quiet_and_prints_minus_inf(tmp_path, capsys):
@@ -680,3 +690,14 @@ def test_overflowing_orbit_loop_series_is_quiet(tmp_path, capsys):
     code, out, err = _run_quietly(capsys, ["bridge", "--config", write_config(tmp_path, payload)])
     assert (code, err) == (0, "")
     assert out.count(",radius_violation,nan,nan,") == 2
+
+
+def test_orbit_bridge_past_the_float_factorial_is_finite(tmp_path, capsys):
+    # the loop coefficient of order N + 1 divides by (N - 1)!, past the float range from N = 172
+    payload = dict(CAT_CONFIG, truncation={"n_max": 20, "L_max": 20.0, "K": 180},
+                   grid=[[0.1, 0.0], [0.5, 0.0]], lambda0=3.0)
+    code, out, err = _run_quietly(capsys, ["bridge", "--config", write_config(tmp_path, payload)])
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+    assert len(rows) == 4 and all(r["K"] == "180" and r["flag"] == "" for r in rows)
+    assert all(math.isfinite(float(r["series_value_re"])) and float(r["defect"]) < 1e-12 for r in rows)

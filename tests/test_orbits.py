@@ -148,12 +148,13 @@ def test_prime_orbit_rejects_nonunitary_rho():
         PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=np.array([[0.5]]))
 
 
-@pytest.mark.parametrize("length, rho", [
-    (math.nan, 1.0), (math.inf, 1.0), (1.0, complex(math.nan, 0.0)), (1.0, complex(0.0, math.inf)),
-])
-def test_prime_orbit_rejects_non_finite_length_and_rho(length, rho):
+@pytest.mark.parametrize("length, corner, rho", [
+    (math.nan, 0.5, 1.0), (math.inf, 0.5, 1.0), (1.0, 0.5, complex(math.nan, 0.0)), (1.0, 0.5, complex(0.0, math.inf)),
+    (1.0, math.inf, 1.0),
+], ids=["nan-1.0", "inf-1.0", "1.0-(nan+0j)", "1.0-infj", "poincare-inf"])
+def test_prime_orbit_rejects_non_finite_length_and_rho(length, corner, rho):
     with pytest.raises(ValueError, match="finite"):
-        PrimeOrbit(length=length, poincare=np.diag([2.0, 0.5]), rho=np.array([[rho]]))
+        PrimeOrbit(length=length, poincare=np.diag([2.0, corner]), rho=np.array([[rho]]))
 
 
 # ----------------------------------------------------------------- CSV loader
