@@ -9,6 +9,7 @@ from .bf_engine import (
     expectation_value,
     gamma_int,
     gamma_tr,
+    partition_grid,
     perturbing_functional,
     projection_lemma_check,
     regularized_propagator,

@@ -7,8 +7,9 @@ the loop series exponentiates to the alternating determinant ratio that the
 orbit-side zeta machinery reproduces independently. The matrix side reads
 the spectrum of each graded block (once per model) and the gauge-fixed
 inverse L1^{-1} (once per complex): the resolvent-power traces are sums of
-(mu + lam)**(-N), the determinant ratio is a product of 1 + hbar/mu, and a
-grid builds its loop series once. Both loop series, from spectra and from
+(mu + lam)**(-N), the determinant ratio is a product of 1 + hbar/mu, the
+partition value a product of |mu + hbar|, and a grid builds its loop series
+once. Both loop series, from spectra and from
 orbit atoms, share one coefficient rule, _loop_coefficients.
 
 Sign table (single source of truth for the graded exponents):
@@ -25,6 +26,7 @@ doubles; no explicit factor of two appears anywhere in this module.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -242,14 +244,21 @@ class ExpectationResult:
         return None if self.series_value is None else abs(self.closed_form - self.series_value)
 
 
+def _closed_form_grid(model: MatrixBFModel, hbars) -> list[complex]:
+    """closed_form_expectation at every hbar of a grid: one np.prod over each block for the whole
+    grid, the blocks then combined point by point in Python complex arithmetic."""
+    hbars = np.asarray(hbars, dtype=complex)[:, None]
+    out = [1.0 + 0j] * len(hbars)
+    for degree, mu in model.spectra:
+        ratios = np.prod(1 + hbars / mu, axis=1).tolist()
+        out = [o * r if degree % 2 == 0 else o / r for o, r in zip(out, ratios)]
+    return out
+
+
 def closed_form_expectation(model: MatrixBFModel, hbar: complex) -> complex:
     """Alternating determinant ratio prod_k det((L_k + hbar)/L_k)**((-1)**k),
     each ratio the product of 1 + hbar/mu over the block spectrum."""
-    out = 1.0 + 0j
-    for degree, mu in model.spectra:
-        ratio = complex(np.prod(1 + hbar / mu))
-        out = out * ratio if degree % 2 == 0 else out / ratio
-    return out
+    return _closed_form_grid(model, [hbar])[0]
 
 
 def expectation_grid(model: MatrixBFModel, hbars, K: int) -> list[ExpectationResult]:
@@ -265,8 +274,8 @@ def expectation_grid(model: MatrixBFModel, hbars, K: int) -> list[ExpectationRes
     inside = [abs(hbar) < radius for hbar in hbars]
     series = gamma_tr(model, 0.0, K + 1).shift_down() if any(inside) else None
     return [
-        ExpectationResult(closed_form_expectation(model, hbar), cmath.exp(series.eval(hbar)) if ok else None, K)
-        for hbar, ok in zip(hbars, inside)
+        ExpectationResult(closed, cmath.exp(series.eval(hbar)) if ok else None, K)
+        for hbar, ok, closed in zip(hbars, inside, _closed_form_grid(model, hbars))
     ]
 
 
@@ -277,6 +286,47 @@ def expectation_value(model: MatrixBFModel, hbar: complex, K: int = 8) -> Expect
         raise ConvergenceRadiusError(f"|hbar| = {abs(hbar):.6g} outside Taylor radius {model.min_spectrum_abs():.6g}; "
                                      "evaluate the determinant ratio directly")
     return result
+
+
+def _abs_product(factors, size: int) -> np.ndarray:
+    """prod |f| over factors, each a scalar or an array of the given size, one factor at a time.
+
+    The binary exponent is carried apart from the mantissa, so only a product past the float
+    range reads inf, never a partial one; short of that the bits are those of a running product.
+    """
+    mantissa, exponent = np.ones(size), np.zeros(size, dtype=int)
+    for f in factors:
+        mantissa, e = np.frexp(mantissa * np.abs(f))
+        exponent += e
+    with np.errstate(over="ignore"):
+        return np.ldexp(mantissa, exponent)
+
+
+def partition_grid(model: MatrixBFModel, hbars) -> np.ndarray:
+    """Gauge-fixed partition value |det(L + hbar)| at every hbar of a grid, from the block spectra.
+
+    The value is the product of |mu + hbar| over the spectra. Each point is cross-checked
+    against the gauge-fixed operator iota (1 + hbar L1^{-1}) d = L0 (1 + hbar N), with
+    N = L0^{-1} iota L1^{-1} d: its determinant is |det L0| times the product of |1 + hbar nu|
+    over the eigenvalues nu of N, computed once per call. The bound is that of
+    graded_core.toy_bf_partition, the LU reference: a gap above
+    1e-10 * max(1, either value, max|L0|**n) raises ArithmeticError naming the first such hbar.
+    Every temporary has the size of the grid.
+    """
+    cx = model.complex
+    hbars = np.asarray(hbars, dtype=complex)
+    direct = _abs_product((mu + hbars for _, spectrum in model.spectra for mu in spectrum), hbars.size)
+    nu = np.linalg.eigvals(np.linalg.solve(cx.L0, cx.iota @ cx.L1_inv @ cx.d))
+    gauge = _abs_product(itertools.chain([np.linalg.det(cx.L0)], (1 + hbars * v for v in nu)), hbars.size)
+    # max|L0|^n may exceed the float range: the scale is then inf; two inf values differ by nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(np.maximum(direct, gauge), np.max(np.abs(cx.L0)) ** cx.n)
+        bad = np.flatnonzero(np.abs(direct - gauge) > 1e-10 * np.maximum(scale, 1.0))
+    if bad.size:
+        i = bad[0]
+        raise ArithmeticError(f"gauge-fixed and direct determinants disagree at hbar = {complex(hbars[i])!r}: "
+                              f"{gauge[i].item()!r} vs {direct[i].item()!r}")
+    return direct
 
 
 def doubled_field_tensors(model: MatrixBFModel, propagator: PropagatorKernel):

@@ -6,7 +6,9 @@ JSON floats Python's shortest repr; both spell non-finite values inf, -inf and
 nan (strings in JSON). Grid points are emitted in input order, and identical
 configs produce byte-identical output files. An orbit-model grid is evaluated
 in one pass over one atom table, and a matrix-model grid reads one loop
-series. The diagrams table writes the chain and cycle of each order from their
+series. The partition command reads the block spectra for the whole grid in
+one pass, its gauge cross-check from one operator spectrum per model. The
+diagrams table writes the chain and cycle of each order from their
 closed forms and builds no graph.
 
 Exit codes: 0 success, 1 config error, 2 model invalid, 3 numerical
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -351,14 +354,14 @@ def cmd_partition(cfg, fmt, out_path):
     _require(kind == "matrix", "model", "the partition command needs a matrix model")
     grid = _parse_grid(cfg)
     _require(bool(grid), "grid", "a non-empty hbar grid is required")
+    hbars = np.array(grid)
+    values = bf_engine.partition_grid(model, hbars).tolist()
     # a resonance is a zero of det(L + hbar): hbar within 1e-9 (relative) of some -mu
     mu = np.concatenate([spectrum for _, spectrum in model.spectra])
     tol = 1e-9 * max(1.0, float(np.max(np.abs(mu))))
-    rows = []
-    for hbar in grid:
-        rows.append({"hbar_re": hbar.real, "hbar_im": hbar.imag,
-                     "partition": graded_core.toy_bf_partition(model.complex, hbar),
-                     "resonance_hit": bool(np.min(np.abs(mu + hbar)) < tol)})
+    nearest = functools.reduce(np.minimum, (np.abs(m + hbars) for m in mu))
+    rows = [{"hbar_re": hbar.real, "hbar_im": hbar.imag, "partition": value, "resonance_hit": hit}
+            for hbar, value, hit in zip(grid, values, (nearest < tol).tolist())]
     _emit(rows, ["hbar_re", "hbar_im", "partition", "resonance_hit"], fmt, out_path,
           {"model_id": _matrix_model_id(model)})
     return EXIT_OK
@@ -417,7 +420,7 @@ def build_parser():
 
 
 # error class -> (exit code, stderr prefix); the first match wins, so subclasses precede their
-# bases. ArithmeticError covers IRDivergenceError, the toy_bf_partition cross-check and the
+# bases. ArithmeticError covers IRDivergenceError, the partition_grid cross-check and the
 # ConvergenceError of the RG resummation; LinAlgError is a LAPACK routine that did not converge.
 EXIT_CODES = (
     (ConfigError, EXIT_CONFIG, ""),

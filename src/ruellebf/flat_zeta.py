@@ -140,17 +140,27 @@ class ZetaSeries:
     tail_bound: float
 
 
+def _float_or_inf(x) -> float:
+    """float(x), or inf for an exact integer past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _transversality_denominator(p_power: np.ndarray, e: list) -> float:
     """det(I - P^j) = sum_k (-1)^k e_k from the traces e = _char_poly(P^j), exact
     for integer-valued P^j; raises when it is not finite or is below threshold, which
-    is inf when the scale of P^j is past the float range."""
+    is inf when the scale of P^j is past the float range. An exact det or scale past
+    the float range counts as inf, as a float one does."""
     det = sum((-1) ** k * x for k, x in enumerate(e))
     rows = p_power.tolist()
     base = max([1.0] + [abs((i == j) - x) for i, row in enumerate(rows) for j, x in enumerate(row)])
     with np.errstate(over="ignore"):  # an integer base keeps its exact power
         scale = base ** len(rows) if isinstance(base, int) else np.float64(base) ** len(rows)
-    if not NON_TRANSVERSE_RTOL * scale <= abs(det) < math.inf:
-        raise NonTransverseOrbitError(f"non-transverse orbit: |det(I - P^j)| = {abs(det):.3e}")
+    size = _float_or_inf(abs(det))
+    if not NON_TRANSVERSE_RTOL * _float_or_inf(scale) <= size < math.inf:
+        raise NonTransverseOrbitError(f"non-transverse orbit: |det(I - P^j)| = {size:.3e}")
     return float(det.real)
 
 

@@ -11,6 +11,10 @@ partition value is formed. Determinants go through LU factorization with
 partial pivoting (LAPACK getrf), and a block is flagged singular when its
 smallest singular value is at most 1e-12 times its largest, a test that
 does not depend on the scale or the dimension of the block.
+toy_bf_partition, two LUs per point, is the reference for the partition
+command: that reads bf_engine.partition_grid, the product of |mu + hbar|
+over the block spectra, with its gauge cross-check from one operator
+spectrum per model.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from ruellebf.bf_engine import (
     gamma_tr,
     gamma_tr_orbits,
     loop_sign,
+    partition_grid,
     perturbing_functional,
     projection_lemma_check,
     regularized_propagator,
@@ -427,6 +428,104 @@ def test_partition_of_64_dim_model_is_the_direct_determinant():
         assert toy_bf_partition(cx, hbar) == direct
         gauge = abs(complex(np.linalg.det(cx.iota @ (eye + hbar * np.linalg.inv(cx.L1)) @ cx.d)))
         assert gauge == pytest.approx(direct, rel=1e-10)
+
+
+def partition_model(rng, kind):
+    """A three-block graded model for the partition tests; kind names what it exercises."""
+    sizes = (2, 3, 4)
+    if kind == "complex":  # complex d and iota: complex spectra
+        ds, iotas = ([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3 * np.eye(n) for n in sizes]
+                     for _ in range(2))
+    elif kind == "non-normal":  # rotated triangular blocks with strong coupling above the diagonal
+        ds, iotas = [], [np.eye(n) for n in sizes]
+        for n in sizes:
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            ds.append(q @ (np.triu(rng.uniform(-2.0, 2.0, (n, n)), 1) + np.diag(rng.uniform(1.0, 4.0, n))) @ q.T)
+    else:
+        ds, iotas = ([rng.normal(size=(n, n)) + 3 * np.eye(n) for n in sizes] for _ in range(2))
+    d = block_diag(*ds)
+    if kind == "off-block":  # with iota = I, L0 = d: one entry coupling two blocks, just inside the tolerance
+        iotas = [np.eye(n) for n in sizes]
+        d[0, -1] = 1e-11 * np.max(np.abs(d))
+    return MatrixBFModel(ToyBFComplex(d, block_diag(*iotas)), tuple(zip((0, 1, 2), sizes)))
+
+
+PARTITION_KINDS = ("iota", "complex", "non-normal", "off-block", "resonance")
+
+
+@pytest.mark.parametrize("kind", PARTITION_KINDS)
+def test_partition_grid_matches_the_lu_reference(kind):
+    rng = np.random.default_rng(40 + PARTITION_KINDS.index(kind))
+    for _ in range(10):
+        model = partition_model(rng, kind)
+        hbars = rng.normal(size=12) + 1j * rng.normal(size=12)
+        if kind == "non-normal":
+            l0 = model.complex.L0
+            assert np.linalg.norm(l0 @ l0.conj().T - l0.conj().T @ l0) > 1.0  # about 1e-15 for a normal L0
+        if kind == "resonance":  # -hbar on the spectrum of each block: a zero of det(L + hbar)
+            hbars[:3] = [-mu[0] for _, mu in model.spectra]
+        values = partition_grid(model, hbars)
+        assert values.shape == hbars.shape
+        ref = [toy_bf_partition(model.complex, complex(h)) for h in hbars]
+        if kind == "resonance":
+            # near a simple zero, |det(L + hbar)| ~ |hbar + mu| times the product of the other factors
+            mus = np.concatenate([mu for _, mu in model.spectra])
+            for hbar, value, want in zip(hbars[:3], values[:3], ref[:3]):
+                slope = np.prod(np.sort(np.abs(mus + hbar))[1:])
+                assert value == pytest.approx(want, rel=0.0, abs=1e-12 * slope)
+            values, ref = values[3:], ref[3:]
+        assert values.tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_partition_grid_has_no_partial_overflow():
+    from fractions import Fraction
+
+    # the first 32 factors multiply to 1e320, past the float range; the full product 2.3e278 is not
+    model = MatrixBFModel(ToyBFComplex(np.diag([1e10] * 32 + [0.05] * 32)))
+    values = partition_grid(model, [0.0, 1e-3j])
+    assert values[0] == pytest.approx(float(Fraction(10 ** 288, 2 ** 32)), rel=1e-14)
+    # the LU reference exponentiates a log sum of 641 here, so it is good to about 1e-12 only
+    assert values[1] == pytest.approx(toy_bf_partition(model.complex, 1e-3j), rel=1e-11)
+
+
+def test_partition_grid_rejects_a_corrupted_gauge_inverse():
+    cx = ToyBFComplex(np.diag([2.0, 3.0]))
+    object.__setattr__(cx, "L1_inv", cx.L1_inv * (1 + 1e-6))
+    model = MatrixBFModel(cx)
+    # at hbar = 0 both routes read |det L0| and agree; from hbar = 0.5 on they do not
+    with pytest.raises(ArithmeticError, match=r"disagree at hbar = \(0\.5\+0j\)"):
+        partition_grid(model, [0.0, 0.5, 1.0])
+
+
+def test_partition_grid_temporaries_have_the_size_of_the_grid():
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    blocks = [np.triu(rng.uniform(-0.3, 0.3, (16, 16)), 1) + np.diag(rng.permutation(np.linspace(1.0, 8.0, 16)))
+              for _ in range(4)]
+    model = MatrixBFModel(ToyBFComplex(block_diag(*blocks)), tuple((k, 16) for k in range(4)))
+    hbars = np.exp(2j * np.pi * np.arange(1000) / 1000) * np.linspace(0.0, 0.9, 1000)
+    tracemalloc.start()
+    try:
+        partition_grid(model, hbars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one complex (grid x n) temporary alone would take 1000 * 64 * 16 bytes = 1 MB
+    assert peak < 512 * 1024
+
+
+def test_expectation_grid_closed_forms_are_the_per_point_products():
+    # the ratio of each block, per point, is np.prod(1 + hbar / mu) combined in Python complex arithmetic
+    model = partition_model(np.random.default_rng(30), "complex")
+    hbars = [0.0, 0.3, -0.2 + 0.4j, 1.7 - 0.9j, 5.0]
+    for hbar, res in zip(hbars, expectation_grid(model, hbars, 4)):
+        want = 1.0 + 0j
+        for degree, mu in model.spectra:
+            ratio = complex(np.prod(1 + hbar / mu))
+            want = want * ratio if degree % 2 == 0 else want / ratio
+        assert res.closed_form == want
+        assert closed_form_expectation(model, hbar) == want
 
 
 # -------------------------------------------- cross-module diagram consistency

@@ -422,6 +422,21 @@ def test_singular_block_exits_2(tmp_path, capsys):
     _assert_one_line_error(capsys, "model invalid", "resonance")
 
 
+def test_partition_cross_check_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from ruellebf import graded_core
+
+    build = graded_core.ToyBFComplex.__post_init__
+
+    def corrupting(self):  # a gauge-fixed inverse off by one part in a million
+        build(self)
+        object.__setattr__(self, "L1_inv", self.L1_inv * (1 + 1e-6))
+
+    monkeypatch.setattr(graded_core.ToyBFComplex, "__post_init__", corrupting)
+    payload = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "grid": [[0.0, 0.0], [0.5, 0.0]]}
+    assert main(["partition", "--config", write_config(tmp_path, payload)]) == 3
+    _assert_one_line_error(capsys, "non-convergent: ArithmeticError", "disagree at hbar = (0.5+0j)")
+
+
 def test_ir_divergence_exits_3(tmp_path, capsys):
     payload = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 3}, "lambda0": -5.0}
     cfg = write_config(tmp_path, payload)
@@ -435,7 +450,7 @@ def test_ir_divergence_exits_3(tmp_path, capsys):
     ("flat_zeta", "zeta_grid_rows", "SingularBlockError", 2),
     ("flat_zeta", "zeta_grid_rows", "ConvergenceError", 3),
     ("flat_zeta", "zeta_grid_rows", "IRDivergenceError", 3),
-    ("graded_core", "toy_bf_partition", "ArithmeticError", 3),
+    ("bf_engine", "partition_grid", "ArithmeticError", 3),
     ("flat_zeta", "zeta_grid_rows", "LinAlgError", 3),
 ])
 def test_every_library_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, module, attr, error, code):
@@ -443,7 +458,7 @@ def test_every_library_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch
 
     from ruellebf import bf_engine, feynman, flat_zeta, graded_core
 
-    modules = {"flat_zeta": flat_zeta, "graded_core": graded_core}
+    modules = {"flat_zeta": flat_zeta, "bf_engine": bf_engine}
     classes = {
         "NonTransverseOrbitError": flat_zeta.NonTransverseOrbitError,
         "BranchCutError": flat_zeta.BranchCutError,
@@ -458,7 +473,7 @@ def test_every_library_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch
         raise classes[error]("injected")
 
     monkeypatch.setattr(modules[module], attr, raising)
-    if module == "graded_core":
+    if module == "bf_engine":
         payload, command = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "grid": [[0.5, 0.0]]}, "partition"
     else:
         payload, command = CAT_CONFIG, "zeta"
@@ -646,18 +661,20 @@ def _run_quietly(capsys, argv):
     return code, out, err
 
 
-@pytest.mark.parametrize("row, det", [
+@pytest.mark.parametrize("row, l_max, det", [
     # P^j = diag(10**(10 j), 10**(-10 j)) overflows from j = 31 (L_max / length = 40); P^2 is already non-transverse
-    ("0.1,1,1,1e10;0;0;1e-10,1.0,0.0", "1.000e+20"),
+    ("0.1,1,1,1e10;0;0;1e-10,1.0,0.0", 4.0, "1.000e+20"),
     # tr wedge^2 P = 1e400 overflows: det(I - P) is inf
-    ("1,1,1,1e200;0;0;1e200,1.0,0.0", "inf"),
+    ("1,1,1,1e200;0;0;1e200,1.0,0.0", 4.0, "inf"),
     # det(I - P) = -1e200 is finite, its threshold scale (1e200)**2 is not
-    ("1,1,1,1e200;0;0;1e-200,1.0,0.0", "1.000e+200"),
-], ids=["power", "det", "scale"])
-def test_overflowing_return_map_power_exits_2_with_one_line(tmp_path, capsys, row, det):
+    ("1,1,1,1e200;0;0;1e-200,1.0,0.0", 4.0, "1.000e+200"),
+    # an exact integer map: P^11 = 10**165 I, so the exact det(I - P^11) and its scale are past the float range
+    ("1,1,1,1e15;0;0;1e15,1.0,0.0", 12.0, "inf"),
+], ids=["power", "det", "scale", "integer"])
+def test_overflowing_return_map_power_exits_2_with_one_line(tmp_path, capsys, row, l_max, det):
     spectrum = tmp_path / "spectrum.csv"
     spectrum.write_text(f"length,multiplicity,m,P_entries,rho_re,rho_im\n{row}\n")
-    payload = {"model": {"spectrum_file": str(spectrum)}, "truncation": {"L_max": 4.0}, "grid": [[3.0, 0.0]]}
+    payload = {"model": {"spectrum_file": str(spectrum)}, "truncation": {"L_max": l_max}, "grid": [[3.0, 0.0]]}
     code, _, err = _run_quietly(capsys, ["zeta", "--config", write_config(tmp_path, payload)])
     assert code == 2
     assert err == f"model invalid: NonTransverseOrbitError: non-transverse orbit: |det(I - P^j)| = {det}\n"
