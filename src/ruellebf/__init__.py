@@ -16,19 +16,6 @@ from .bf_engine import (
     simplex_volume_check,
     zeta_expectation_bridge,
 )
-from .feynman import (
-    EffectiveQuadraticInteraction,
-    FeynmanGraph,
-    GammaExpansion,
-    Interaction,
-    PropagatorKernel,
-    automorphism_order,
-    chain_graph,
-    cycle_graph,
-    gamma_sum,
-    graph_weight,
-    rge_evolve,
-)
 from .flat_zeta import (
     AtomicDistribution,
     ZetaSeries,
@@ -49,7 +36,6 @@ from .graded_core import (
     gaussian_partition,
     superdeterminant,
     supertrace,
-    toy_bf_partition,
 )
 from .orbits import (
     HyperbolicToralModel,

@@ -18,9 +18,10 @@ Sign table (single source of truth for the graded exponents):
     against the form degree;
   * determinant ratios assemble with exponents (-1)**k over form degrees;
   * the full zeta function carries the outer exponent (-1)**m.
-The doubled (A, B) field content is realized by handing the generic graph
-engine the doubled vertex tensor and propagator, whose loop contraction
-doubles; no explicit factor of two appears anywhere in this module.
+The doubled (A, B) field content is realized by the doubled vertex tensor
+and propagator of doubled_field_tensors, whose loop contraction doubles; no
+explicit factor of two appears anywhere in this module. A propagator is its
+complex matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flat_zeta
-from .feynman import PropagatorKernel
 from .graded_core import ToyBFComplex
 from .series import HbarSeries
 
@@ -95,7 +95,7 @@ def _check_damped(model: MatrixBFModel, lam: complex) -> None:
 
 def regularized_propagator(
     model: MatrixBFModel, L1: float, L2: float, lam: complex = 0.0
-) -> PropagatorKernel:
+) -> np.ndarray:
     """Windowed propagator integral of the damped heat semigroup against iota.
 
     Equals (L + lam)^{-1} (e^{-L1 (L + lam)} - e^{-L2 (L + lam)}) iota; the
@@ -106,7 +106,7 @@ def regularized_propagator(
         raise ValueError("window must satisfy 0 <= L1 <= L2")
     n = cx.n
     if L1 == L2:
-        return PropagatorKernel(np.zeros((n, n), dtype=np.complex128), (L1, L2), lam)
+        return np.zeros((n, n), dtype=np.complex128)
     shifted = cx.L0 + lam * np.eye(n)
     if L1 > 0 or not math.isinf(L2):
         # only finite window edges need expm; importing it here keeps scipy out of the CLI
@@ -120,13 +120,13 @@ def regularized_propagator(
     matrix = np.linalg.solve(shifted, (lower - upper) @ cx.iota)
     if not np.all(np.isfinite(matrix)):
         raise IRDivergenceError("IR divergence: the propagator overflows")
-    return PropagatorKernel(matrix, (L1, L2), lam)
+    return matrix
 
 
-def chain_contraction_matrix(model: MatrixBFModel, propagator: PropagatorKernel) -> np.ndarray:
+def chain_contraction_matrix(model: MatrixBFModel, propagator: np.ndarray) -> np.ndarray:
     """One chain link: the windowed heat integral times L^{-1} iota d on V0."""
     cx = model.complex
-    return propagator.matrix @ (cx.L1_inv @ cx.d)
+    return propagator @ (cx.L1_inv @ cx.d)
 
 
 def perturbing_functional(model: MatrixBFModel, A: np.ndarray, B: np.ndarray) -> complex:
@@ -139,7 +139,7 @@ def perturbing_functional(model: MatrixBFModel, A: np.ndarray, B: np.ndarray) ->
 
 def gamma_int(
     model: MatrixBFModel,
-    propagator: PropagatorKernel,
+    propagator: np.ndarray,
     A: np.ndarray,
     B: np.ndarray,
     K: int,
@@ -246,12 +246,14 @@ class ExpectationResult:
 
 def _closed_form_grid(model: MatrixBFModel, hbars) -> list[complex]:
     """closed_form_expectation at every hbar of a grid: one np.prod over each block for the whole
-    grid, the blocks then combined point by point in Python complex arithmetic."""
+    grid, the blocks then combined point by point in Python complex arithmetic. A product past
+    the float range reads inf or nan, and a pole, a zero ratio of an odd-degree block, inf + nan j."""
     hbars = np.asarray(hbars, dtype=complex)[:, None]
     out = [1.0 + 0j] * len(hbars)
     for degree, mu in model.spectra:
-        ratios = np.prod(1 + hbars / mu, axis=1).tolist()
-        out = [o * r if degree % 2 == 0 else o / r for o, r in zip(out, ratios)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = np.prod(1 + hbars / mu, axis=1).tolist()
+        out = [o * r if degree % 2 == 0 else o / r if r else complex(math.inf, math.nan) for o, r in zip(out, ratios)]
     return out
 
 
@@ -271,7 +273,7 @@ def expectation_grid(model: MatrixBFModel, hbars, K: int) -> list[ExpectationRes
     min |spec L|; outside it series_value is None.
     """
     radius = model.min_spectrum_abs()
-    inside = [abs(hbar) < radius for hbar in hbars]
+    inside = [math.hypot(hbar.real, hbar.imag) < radius for hbar in hbars]  # abs(hbar), inf past the float range
     series = gamma_tr(model, 0.0, K + 1).shift_down() if any(inside) else None
     return [
         ExpectationResult(closed, cmath.exp(series.eval(hbar)) if ok else None, K)
@@ -283,8 +285,8 @@ def expectation_value(model: MatrixBFModel, hbar: complex, K: int = 8) -> Expect
     """expectation_grid at one hbar, which must lie inside the Taylor radius."""
     result = expectation_grid(model, [hbar], K)[0]
     if result.series_value is None:
-        raise ConvergenceRadiusError(f"|hbar| = {abs(hbar):.6g} outside Taylor radius {model.min_spectrum_abs():.6g}; "
-                                     "evaluate the determinant ratio directly")
+        raise ConvergenceRadiusError(f"|hbar| = {math.hypot(hbar.real, hbar.imag):.6g} outside Taylor radius "
+                                     f"{model.min_spectrum_abs():.6g}; evaluate the determinant ratio directly")
     return result
 
 
@@ -308,8 +310,8 @@ def partition_grid(model: MatrixBFModel, hbars) -> np.ndarray:
     The value is the product of |mu + hbar| over the spectra. Each point is cross-checked
     against the gauge-fixed operator iota (1 + hbar L1^{-1}) d = L0 (1 + hbar N), with
     N = L0^{-1} iota L1^{-1} d: its determinant is |det L0| times the product of |1 + hbar nu|
-    over the eigenvalues nu of N, computed once per call. The bound is that of
-    graded_core.toy_bf_partition, the LU reference: a gap above
+    over the eigenvalues nu of N, computed once per call. The bound is that of the per-point
+    LU reference in the tests: a gap above
     1e-10 * max(1, either value, max|L0|**n) raises ArithmeticError naming the first such hbar.
     Every temporary has the size of the grid.
     """
@@ -329,12 +331,13 @@ def partition_grid(model: MatrixBFModel, hbars) -> np.ndarray:
     return direct
 
 
-def doubled_field_tensors(model: MatrixBFModel, propagator: PropagatorKernel):
+def doubled_field_tensors(model: MatrixBFModel, propagator: np.ndarray):
     """Vertex tensor and edge matrix on the doubled field space V0 (A) + V1 (B).
 
-    Feeding these to the generic graph engine reproduces the chain and loop
-    coefficients including the doubling that cancels the 1/2 of the loop
-    symmetry factor; tests pin this equivalence order by order.
+    Fed to feynman.gamma_sum, or to the graph weights of the tests, these
+    reproduce the chain and loop coefficients including the doubling that
+    cancels the 1/2 of the loop symmetry factor; tests pin this equivalence
+    order by order.
     """
     cx = model.complex
     n = cx.n
@@ -343,8 +346,8 @@ def doubled_field_tensors(model: MatrixBFModel, propagator: PropagatorKernel):
     vertex[:n, n:] = w.T
     vertex[n:, :n] = w
     edge = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    edge[:n, n:] = propagator.matrix
-    edge[n:, :n] = propagator.matrix.T
+    edge[:n, n:] = propagator
+    edge[n:, :n] = propagator.T
     return vertex, edge
 
 

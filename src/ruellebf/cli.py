@@ -420,8 +420,8 @@ def build_parser():
 
 
 # error class -> (exit code, stderr prefix); the first match wins, so subclasses precede their
-# bases. ArithmeticError covers IRDivergenceError, the partition_grid cross-check and the
-# ConvergenceError of the RG resummation; LinAlgError is a LAPACK routine that did not converge.
+# bases. ArithmeticError covers IRDivergenceError and the partition_grid cross-check; LinAlgError
+# is a LAPACK routine that did not converge.
 EXIT_CODES = (
     (ConfigError, EXIT_CONFIG, ""),
     (ModelError, EXIT_MODEL, "model invalid: "),

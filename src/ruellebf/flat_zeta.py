@@ -148,38 +148,45 @@ def _float_or_inf(x) -> float:
         return math.inf
 
 
-def _transversality_denominator(p_power: np.ndarray, e: list) -> float:
-    """det(I - P^j) = sum_k (-1)^k e_k from the traces e = _char_poly(P^j), exact
-    for integer-valued P^j; raises when it is not finite or is below threshold, which
-    is inf when the scale of P^j is past the float range. An exact det or scale past
-    the float range counts as inf, as a float one does."""
-    det = sum((-1) ** k * x for k, x in enumerate(e))
+def _transversality_scale(p_power: np.ndarray) -> float:
+    """max(1, max|I - P^j|)^d, the scale of the transversality threshold; inf past the float range."""
     rows = p_power.tolist()
     base = max([1.0] + [abs((i == j) - x) for i, row in enumerate(rows) for j, x in enumerate(row)])
     with np.errstate(over="ignore"):  # an integer base keeps its exact power
-        scale = base ** len(rows) if isinstance(base, int) else np.float64(base) ** len(rows)
+        return _float_or_inf(base ** len(rows) if isinstance(base, int) else np.float64(base) ** len(rows))
+
+
+def _transversality_denominator(e: list, scale: float) -> float:
+    """det(I - P^j) = sum_k (-1)^k e_k from the traces e = _char_poly(P^j), exact
+    for integer-valued P^j; raises when it is not finite or is below 1e-12 times the
+    _transversality_scale of P^j, so always when that scale is inf. An exact det past
+    the float range counts as inf, as a float one does."""
+    det = sum((-1) ** k * x for k, x in enumerate(e))
     size = _float_or_inf(abs(det))
-    if not NON_TRANSVERSE_RTOL * _float_or_inf(scale) <= size < math.inf:
+    if not NON_TRANSVERSE_RTOL * scale <= size < math.inf:
         raise NonTransverseOrbitError(f"non-transverse orbit: |det(I - P^j)| = {size:.3e}")
     return float(det.real)
 
 
 def _orbit_power_terms(orbits, L_max: float):
-    """(t, orbit, j, P^j) for j * length <= L_max, ascending t then input order;
-    integer-valued return maps are raised to powers in Python ints."""
+    """(t, orbit, j, P^j, scale) for j * length <= L_max, ascending t then input order;
+    integer-valued return maps are raised to powers in Python ints. An orbit's powers stop
+    at the first P^j whose _transversality_scale is inf: that atom fails its check, and
+    the powers past it, which grow without bound, are never built."""
     items = []
     for pos, orbit in enumerate(orbits):
         exact = _integer_entries(orbit.poincare)
         base = orbit.poincare if exact is None else np.array(exact, dtype=object).reshape(orbit.poincare.shape)
-        j, p_power = 1, base
-        while j * orbit.length <= L_max * (1 + 1e-12):
-            items.append((j * orbit.length, pos, j, p_power))
+        j, p_power, scale = 1, base, 0.0
+        while j * orbit.length <= L_max * (1 + 1e-12) and scale < math.inf:
+            scale = _transversality_scale(p_power)
+            items.append((j * orbit.length, pos, j, p_power, scale))
             j += 1
             # a P^j past the float range is reported at its atom, or an earlier one, by atom_table
             with np.errstate(over="ignore", invalid="ignore"):
                 p_power = p_power @ base
-    items.sort(key=lambda item: (item[0], item[1], item[2]))
-    return [(t, orbits[pos], j, p) for t, pos, j, p in items]
+    items.sort(key=lambda item: item[:3])
+    return [(t, orbits[pos], j, p, scale) for t, pos, j, p, scale in items]
 
 
 def _geometric_tails(times: np.ndarray, mags: np.ndarray) -> np.ndarray:
@@ -268,19 +275,19 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     """
     terms = _orbit_power_terms(orbits, L_max)
     # object arrays hold the Python-int powers of integer maps; a float P^j may still be integer-valued
-    floating = [a for a, (*_, p) in enumerate(terms)
+    floating = [a for a, (*_, p, _) in enumerate(terms)
                 if p.dtype != object and p.shape[0] == 2 * m and _integer_entries(p) is None]
     maps = np.array([terms[a][3] for a in floating], dtype=float).reshape(len(floating), 2 * m, 2 * m)
     finite = np.isfinite(maps).all(axis=(1, 2))
     polys = dict.fromkeys(floating, [math.nan] * (2 * m + 1))
     polys.update(zip(np.compress(finite, floating).tolist(), _float_char_polys(maps[finite]).tolist()))
     t, euler, weights, sign = [], [], [], []
-    for a, (time, orbit, j, p_power) in enumerate(terms):
+    for a, (time, orbit, j, p_power, scale) in enumerate(terms):
         if p_power.shape[0] != 2 * m:
             d = p_power.shape[0]
             raise ValueError(f"orbit carries a {d}x{d} return map, expected 2m = {2 * m}")
         e = polys[a] if a in polys else _char_poly(p_power)
-        det = _transversality_denominator(p_power, e)
+        det = _transversality_denominator(e, scale)
         t.append(time)
         euler.append(-orbit.multiplicity * complex(np.trace(np.linalg.matrix_power(orbit.rho, j))) / j)
         weights.append([complex(x) / abs(det) for x in e])

@@ -10,11 +10,9 @@ Scalars are complex throughout; absolute values are taken only where a
 partition value is formed. Determinants go through LU factorization with
 partial pivoting (LAPACK getrf), and a block is flagged singular when its
 smallest singular value is at most 1e-12 times its largest, a test that
-does not depend on the scale or the dimension of the block.
-toy_bf_partition, two LUs per point, is the reference for the partition
-command: that reads bf_engine.partition_grid, the product of |mu + hbar|
-over the block spectra, with its gauge cross-check from one operator
-spectrum per model.
+does not depend on the scale or the dimension of the block. The partition
+value |det(L + hbar)| of the complex is bf_engine.partition_grid, read off
+the block spectra; its per-point LU reference lives with the tests.
 """
 
 from __future__ import annotations
@@ -181,24 +179,3 @@ class ToyBFComplex:
     @property
     def n(self) -> int:
         return self.d.shape[0]
-
-
-def toy_bf_partition(complex_: ToyBFComplex, hbar: complex) -> float:
-    """Gauge-fixed partition value |det(L + hbar)| of the perturbed toy complex.
-
-    Evaluated through the gauge-fixed operator iota (1 + hbar L1^{-1}) d on V0
-    and cross-checked against the direct determinant: the two may differ by
-    1e-10 * max(1, either value, max|L0|**n), far looser than relative once
-    n exceeds a few.
-    """
-    n = complex_.n
-    direct = abs(complex(np.linalg.det(complex_.L0 + hbar * np.eye(n))))
-    inner = np.eye(n, dtype=complex) + hbar * complex_.L1_inv
-    gauge = abs(complex(np.linalg.det(complex_.iota @ inner @ complex_.d)))
-    with np.errstate(over="ignore"):  # max|L0|^n may exceed the float range: the scale is then inf
-        scale = max(direct, gauge, np.max(np.abs(complex_.L0)) ** n)
-    if abs(direct - gauge) > 1e-10 * max(scale, 1.0):
-        raise ArithmeticError(
-            f"gauge-fixed and direct determinants disagree: {gauge!r} vs {direct!r}"
-        )
-    return direct

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ruellebf.cli import main
-from ruellebf.feynman import automorphism_order, chain_graph, cycle_graph
+
+from graph_reference import automorphism_order, chain_graph, cycle_graph
 
 CAT_CONFIG = {
     "model": {"catmap": {"A": [2, 1, 1, 1], "roof": 1.0}},
@@ -524,14 +525,15 @@ def test_mixed_m_spectrum_exits_2(tmp_path, capsys):
     _assert_one_line_error(capsys, "model invalid", "mixes")
 
 
-def test_cli_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize("prefix", ["scipy", "ruellebf.feynman"])
+def test_cli_import_leaves_scipy_unloaded(prefix):
     import subprocess
     import sys
     from pathlib import Path
 
     import ruellebf
 
-    code = "import sys, ruellebf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, ruellebf.cli; print(sorted(m for m in sys.modules if (m + '.').startswith('{prefix}.')))"
     env = {"PYTHONPATH": str(Path(ruellebf.__file__).resolve().parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
@@ -680,6 +682,17 @@ def test_overflowing_return_map_power_exits_2_with_one_line(tmp_path, capsys, ro
     assert err == f"model invalid: NonTransverseOrbitError: non-transverse orbit: |det(I - P^j)| = {det}\n"
 
 
+def test_short_roof_stops_raising_powers_at_the_first_scale_past_the_float_range(tmp_path, capsys):
+    # L_max / roof = 120000 powers per orbit; the exact A^j pass the float range near j = 370
+    payload = {"model": {"catmap": {"A": [2, 1, 1, 1], "roof": 1e-4}}, "truncation": {"n_max": 5, "L_max": 12.0},
+               "grid": [[3.0, 0.0]]}
+    started = time.perf_counter()
+    code, _, err = _run_quietly(capsys, ["zeta", "--config", write_config(tmp_path, payload)])
+    assert time.perf_counter() - started < 5.0
+    assert code == 2
+    assert err == "model invalid: NonTransverseOrbitError: non-transverse orbit: |det(I - P^j)| = 3.461e+12\n"
+
+
 def test_zeta_far_left_of_the_axis_is_quiet_and_prints_minus_inf(tmp_path, capsys):
     code, out, err = _run_quietly(capsys, ["zeta", "--config", write_config(tmp_path, LEFT_OF_AXIS_CONFIG)])
     assert (code, err) == (0, "")
@@ -696,6 +709,20 @@ def test_overflowing_matrix_series_is_quiet(tmp_path, capsys, command):
     code, out, err = _run_quietly(capsys, [command, "--config", write_config(tmp_path, payload)])
     assert (code, err) == (0, "")
     assert ",nan,nan" in out
+
+
+def test_matrix_bridge_overflow_and_poles_are_quiet_non_finite_cells(tmp_path, capsys):
+    # the degree-0 product (1 + hbar/2)(1 + hbar/3) overflows at hbar = 1e200(1 + i); hbar = -5 is a pole
+    model = {"matrix": {"d": [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 5.0]], "graded_split": [[0, 2], [1, 1]]}}
+    grid = [[1e200, 1e200], [-5.0, 0.0], [0.5, 0.1], [1.5e308, -1.5e308]]
+    code, out, err = _run_quietly(capsys, ["bridge", "--config", write_config(tmp_path, {"model": model, "grid": grid})])
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(r["closed_form_re"], r["closed_form_im"]) for r in rows[:2]] == [("nan", "nan"), ("inf", "nan")]
+    assert not math.isfinite(float(rows[3]["closed_form_re"]))  # |hbar| itself is past the float range
+    # the finite point reads the bytes it has in a grid of its own
+    _, alone, _ = _run_quietly(capsys, ["bridge", "--config", write_config(tmp_path, {"model": model, "grid": grid[2:3]})])
+    assert alone.splitlines() == [out.splitlines()[0], out.splitlines()[3]]
 
 
 def test_overflowing_orbit_loop_series_is_quiet(tmp_path, capsys):

@@ -111,13 +111,13 @@ def test_flat_trace_atoms_sorted_with_t_min():
 def test_non_transverse_guard():
     # orbit ingestion already rejects unit-circle eigenvalues, so the sum-level
     # threshold is defense in depth; exercise it on the guard directly
-    from ruellebf.flat_zeta import _char_poly, _transversality_denominator
+    from ruellebf.flat_zeta import _char_poly, _transversality_denominator, _transversality_scale
 
     with pytest.raises(NonTransverseOrbitError):
         p = np.diag([1.0 + 1e-14, 0.5])
-        _transversality_denominator(p, _char_poly(p))
+        _transversality_denominator(_char_poly(p), _transversality_scale(p))
     p = np.diag([2.0, 0.5])
-    assert _transversality_denominator(p, _char_poly(p)) == pytest.approx(-0.5)
+    assert _transversality_denominator(_char_poly(p), _transversality_scale(p)) == pytest.approx(-0.5)
 
 
 # ---------------------------------------------------------------- log zeta_k
@@ -387,10 +387,10 @@ def test_exterior_trace_exact_on_large_integer_powers():
 
 
 def test_transversality_denominator_exact_for_integer_maps():
-    from ruellebf.flat_zeta import _char_poly, _transversality_denominator
+    from ruellebf.flat_zeta import _char_poly, _transversality_denominator, _transversality_scale
 
     def denominator(p):
-        return _transversality_denominator(p, _char_poly(p))
+        return _transversality_denominator(_char_poly(p), _transversality_scale(p))
 
     for n in range(1, 30):
         an = CAT.power(n)
