@@ -715,13 +715,15 @@ def test_matrix_bridge_overflow_and_poles_are_quiet_non_finite_cells(tmp_path, c
     # the degree-0 product (1 + hbar/2)(1 + hbar/3) overflows at hbar = 1e200(1 + i); hbar = -5 is a pole
     model = {"matrix": {"d": [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 5.0]], "graded_split": [[0, 2], [1, 1]]}}
     grid = [[1e200, 1e200], [-5.0, 0.0], [0.5, 0.1], [1.5e308, -1.5e308]]
-    code, out, err = _run_quietly(capsys, ["bridge", "--config", write_config(tmp_path, {"model": model, "grid": grid})])
+    cfg = write_config(tmp_path, {"model": model, "grid": grid})
+    code, out, err = _run_quietly(capsys, ["bridge", "--config", cfg])
     assert (code, err) == (0, "")
     rows = list(csv.DictReader(out.splitlines()))
     assert [(r["closed_form_re"], r["closed_form_im"]) for r in rows[:2]] == [("nan", "nan"), ("inf", "nan")]
     assert not math.isfinite(float(rows[3]["closed_form_re"]))  # |hbar| itself is past the float range
     # the finite point reads the bytes it has in a grid of its own
-    _, alone, _ = _run_quietly(capsys, ["bridge", "--config", write_config(tmp_path, {"model": model, "grid": grid[2:3]})])
+    cfg = write_config(tmp_path, {"model": model, "grid": grid[2:3]}, "alone.json")
+    _, alone, _ = _run_quietly(capsys, ["bridge", "--config", cfg])
     assert alone.splitlines() == [out.splitlines()[0], out.splitlines()[3]]
 
 
