@@ -9,8 +9,9 @@ the spectrum of each graded block (once per model) and the gauge-fixed
 inverse L1^{-1} (once per complex): the resolvent-power traces are sums of
 (mu + lam)**(-N), the determinant ratio is a product of 1 + hbar/mu, the
 partition value a product of |mu + hbar|, and a grid builds its loop series
-once. Both loop series, from spectra and from
-orbit atoms, share one coefficient rule, _loop_coefficients.
+once. The traces need only mu + lam != 0; only the propagator checks damping.
+Both loop series, from spectra and from orbit atoms, share one coefficient
+rule, _loop_coefficients.
 
 Sign table (single source of truth for the graded exponents):
   * a closed fermion-style loop in form degree k contributes
@@ -39,7 +40,7 @@ from .series import HbarSeries
 
 
 class IRDivergenceError(ArithmeticError):
-    """Scale-infinity propagator requested outside the damped spectral region."""
+    """Scale-infinity propagator outside the damped spectral region, or a trace at mu + lambda = 0."""
 
 
 class ConvergenceRadiusError(ArithmeticError):
@@ -86,13 +87,6 @@ class MatrixBFModel:
         return float(np.min(np.abs(np.concatenate([mu for _, mu in self.spectra]))))
 
 
-def _check_damped(model: MatrixBFModel, lam: complex) -> None:
-    """IR damping of every block: Re(mu + lam) > 0 over its spectrum."""
-    for degree, mu in model.spectra:
-        if np.any((mu + lam).real <= 0):
-            raise IRDivergenceError(f"IR divergence: degree-{degree} block + lambda not damped; regularize")
-
-
 def regularized_propagator(
     model: MatrixBFModel, L1: float, L2: float, lam: complex = 0.0
 ) -> np.ndarray:
@@ -112,7 +106,9 @@ def regularized_propagator(
         # only finite window edges need expm; importing it here keeps scipy out of the CLI
         from scipy.linalg import expm
     if math.isinf(L2):
-        _check_damped(model, lam)
+        for degree, mu in model.spectra:
+            if np.any((mu + lam).real <= 0):
+                raise IRDivergenceError(f"IR divergence: degree-{degree} block + lambda not damped; regularize")
         upper = np.zeros((n, n), dtype=np.complex128)
     else:
         upper = expm(-L2 * shifted)
@@ -179,10 +175,13 @@ def gamma_tr(model: MatrixBFModel, lam: complex, K: int) -> HbarSeries:
     """Loop-diagram series starting at second order.
 
     The degree-signed trace of the N-th resolvent power on the image of the
-    contraction is sum loop_sign(k) (mu + lam)**(-N) over the block spectra.
+    contraction is sum loop_sign(k) (mu + lam)**(-N) over the block spectra; it
+    needs mu + lam != 0, not damping (an acyclic spectrum such as +-0.7i is fine).
     """
-    _check_damped(model, lam)
     shifted = [(degree, mu + lam) for degree, mu in model.spectra]
+    for degree, s in shifted:
+        if np.any(s == 0):
+            raise IRDivergenceError(f"IR divergence: degree-{degree} block + lambda has a zero eigenvalue")
     return _loop_coefficients(
         lambda n: sum((loop_sign(degree) * complex(np.sum(s ** -n)) for degree, s in shifted), 0j), K
     )

@@ -183,10 +183,10 @@ def _parse_model(cfg, rep):
 def _orbit_data(kind, model, rep, n_max):
     """(orbits, m, model_id); raises ModelError for invalid dynamics."""
     if kind == "catmap":
-        ok, _ = orbits_mod.anosov_check(model)
-        if not ok:
-            raise ModelError("not Anosov: an eigenvalue lies on the unit circle")
-        orbs = orbits_mod.enumerate_prime_orbits(model, n_max)
+        try:
+            orbs = orbits_mod.enumerate_prime_orbits(model, n_max)
+        except ValueError as exc:  # not Anosov, or an orbit length past the float range
+            raise ModelError(str(exc))
         a = model.A
         rep_tag = "trivial" if rep.kind == "trivial" else f"character{rep.character_angle!r}"
         model_id = f"catmap[{a[0][0]},{a[0][1]},{a[1][0]},{a[1][1]}]|roof={model.roof!r}|{rep_tag}"
@@ -277,12 +277,9 @@ def cmd_orbits(cfg, fmt, out_path):
         })
     meta = {"model_id": model_id}
     if kind == "catmap":
-        counts = orbits_mod.prime_orbit_counts(model, n_max)
-        consistent = True
-        for n in range(1, n_max + 1):
-            total = sum(d * counts[d] for d in range(1, n + 1) if n % d == 0)
-            consistent = consistent and total == orbits_mod.fixed_point_count(model, n)
-        meta["sieve_consistent"] = consistent
+        counts = {orbit.period: orbit.multiplicity for orbit in orbs}
+        meta["sieve_consistent"] = all(sum(d * counts.get(d, 0) for d in range(1, n + 1) if n % d == 0)
+                                       == orbits_mod.fixed_point_count(model, n) for n in range(1, n_max + 1))
     columns = ["period", "length", "multiplicity", "m", "trace_P", "det_P", "rho_re", "rho_im"]
     _emit(rows, columns, fmt, out_path, meta)
     return EXIT_OK
@@ -335,13 +332,12 @@ def cmd_bridge(cfg, fmt, out_path):
     kind, model = _parse_model(cfg, rep)
     grid = _parse_grid(cfg)
     _require(bool(grid), "grid", "a non-empty hbar grid is required")
-    lambda0 = cfg.get("lambda0", 3.0)
-    _require(_finite(lambda0), "lambda0", "must be a finite number")
+    lambda0 = _parse_complex(cfg.get("lambda0", 3.0), "lambda0")
     if kind == "matrix":
         rows = _bridge_rows_matrix(model, _matrix_model_id(model), grid, k_ord)
     else:
         orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
-        rows = _bridge_rows_orbit(orbs, m, model_id, grid, l_max, float(lambda0), k_ord)
+        rows = _bridge_rows_orbit(orbs, m, model_id, grid, l_max, lambda0, k_ord)
     columns = ["model_id", "hbar_re", "hbar_im", "K", "route", "flag",
                "series_value_re", "series_value_im", "closed_form_re", "closed_form_im", "defect"]
     _emit(rows, columns, fmt, out_path)

@@ -2,7 +2,8 @@
 
 Built-in models are suspensions of hyperbolic toral automorphisms with a
 constant roof, so orbit lengths are exact multiples of the roof and the
-period-n census is the exact integer |det(A^n - I)|. Externally computed
+period-n census is the exact integer |det(A^n - I)|, read off one running
+exact product A^n after one Anosov check per model. Externally computed
 length spectra are ingested from CSV.
 
 Conventions: the rank of the stable bundle is m = 1 for every built-in
@@ -123,11 +124,12 @@ class PrimeOrbit:
         object.__setattr__(self, "rho", r)
 
     @classmethod
-    def _from_checked(cls, length: float, poincare: np.ndarray, rho: np.ndarray, multiplicity: int) -> "PrimeOrbit":
+    def _from_checked(cls, length: float, poincare: np.ndarray, rho: np.ndarray, multiplicity: int,
+                      period: int | None = None) -> "PrimeOrbit":
         """A PrimeOrbit of fields that already passed its checks (the loader checks its records in bulk)."""
         orbit = object.__new__(cls)
         for name, value in (("length", length), ("poincare", poincare), ("rho", rho),
-                            ("multiplicity", multiplicity), ("period", None)):
+                            ("multiplicity", multiplicity), ("period", period)):
             object.__setattr__(orbit, name, value)
         return orbit
 
@@ -158,9 +160,6 @@ class HyperbolicToralModel:
     def matrix(self) -> np.ndarray:
         return np.array(self.A, dtype=float)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix())
-
     def power(self, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """Exact integer power A^n (Python big ints)."""
         an = np.linalg.matrix_power(np.array(self.A, dtype=object), n)
@@ -173,7 +172,7 @@ def anosov_check(model: HyperbolicToralModel) -> tuple[bool, float]:
     theta is log of the smallest eigenvalue modulus above 1, divided by the
     roof; it is 0.0 when the model fails the check.
     """
-    moduli = np.abs(model.eigenvalues())
+    moduli = np.abs(np.linalg.eigvals(model.matrix()))
     if np.any(np.abs(moduli - 1.0) <= UNIT_CIRCLE_TOL):
         return False, 0.0
     expanding = moduli[moduli > 1.0]
@@ -186,46 +185,51 @@ def fixed_point_count(model: HyperbolicToralModel, n: int) -> int:
     """Number of fixed points of the n-th iterate on the torus: |det(A^n - I)|."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ok, _ = anosov_check(model)
-    if not ok:
+    if not anosov_check(model)[0]:
         raise ValueError("not Anosov: an eigenvalue lies on the unit circle")
     an = model.power(n)
     det = (an[0][0] - 1) * (an[1][1] - 1) - an[0][1] * an[1][0]
     return abs(det)
 
 
-def prime_orbit_counts(model: HyperbolicToralModel, n_max: int) -> dict[int, int]:
-    """Prime-orbit census per period via the divisor sieve on fixed-point counts."""
-    counts = {}
+def _census(model: HyperbolicToralModel, n_max: int) -> list[tuple[int, tuple, int]]:
+    """(n, A^n, prime-orbit count) for n = 1..n_max: one Anosov check, then A^n by a running exact
+    product, its |det(A^n - I)| fixed points sieved over the divisors of n."""
+    if not anosov_check(model)[0]:
+        raise ValueError("not Anosov: an eigenvalue lies on the unit circle")
+    (a, b), (c, d) = model.A
+    census, power = [], ((1, 0), (0, 1))
     for n in range(1, n_max + 1):
-        total = fixed_point_count(model, n)
-        for d in range(1, n):
-            if n % d == 0:
-                total -= d * counts[d]
+        (p, q), (r, s) = power
+        power = ((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
+        total = abs((power[0][0] - 1) * (power[1][1] - 1) - power[0][1] * power[1][0])
+        total -= sum(k * census[k - 1][2] for k in range(1, n) if n % k == 0)
         if total % n:
             raise ArithmeticError(f"sieve produced a non-integer count at period {n}")
-        counts[n] = total // n
-    return counts
+        census.append((n, power, total // n))
+    return census
+
+
+def prime_orbit_counts(model: HyperbolicToralModel, n_max: int) -> dict[int, int]:
+    """Prime-orbit census per period via the divisor sieve on fixed-point counts."""
+    return {n: count for n, _, count in _census(model, n_max)}
 
 
 def enumerate_prime_orbits(model: HyperbolicToralModel, n_max: int) -> list[PrimeOrbit]:
-    """Aggregated prime orbits with period <= n_max for the suspension flow."""
+    """Aggregated prime orbits with period <= n_max for the suspension flow. Each A^n of an Anosov A
+    is off the unit circle and each character unitary, so only lengths are checked; past int64 A^n
+    keeps its Python ints."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    counts = prime_orbit_counts(model, n_max)
     orbits = []
-    for n in range(1, n_max + 1):
-        if counts[n] == 0:
+    for n, power, count in _census(model, n_max):
+        if count == 0:
             continue
-        orbits.append(
-            PrimeOrbit(
-                length=n * model.roof,
-                poincare=model.power(n),
-                rho=model.rep.matrix(n),
-                multiplicity=counts[n],
-                period=n,
-            )
-        )
+        error = _scalar_error(n * model.roof, count)
+        if error:
+            raise ValueError(error)
+        poincare = np.array(power, dtype=object if max(abs(x) for row in power for x in row) >= 2**63 else None)
+        orbits.append(PrimeOrbit._from_checked(n * model.roof, poincare, model.rep.matrix(n), count, n))
     return orbits
 
 

@@ -253,9 +253,15 @@ def test_gamma_tr_lambda_to_zero_extrapolation():
 
 
 def test_gamma_tr_spectrum_violation():
+    # the resolvent traces need only mu + lam != 0: lam = -2 hits mu = 2, while the undamped
+    # lam = -4 shifts the spectrum to {-2, -1} and sums it explicitly
     model = MatrixBFModel(ToyBFComplex(np.diag([2.0, 3.0])))
     with pytest.raises(IRDivergenceError):
-        gamma_tr(model, -4.0, 4)
+        gamma_tr(model, -2.0, 4)
+    series = gamma_tr(model, -4.0, 4)
+    for n in range(1, 4):  # degree 0 carries loop_sign(0) = -1
+        trace = -((-2.0) ** -n + (-1.0) ** -n)
+        assert series.coefficient(n + 1) == pytest.approx((-1) ** n / n * trace, rel=1e-15)
 
 
 # --------------------------------------------------------------------- simplex

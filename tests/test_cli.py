@@ -397,6 +397,29 @@ def test_one_atom_table_per_orbit_invocation(tmp_path, monkeypatch, command):
     assert len(built) == 1
 
 
+def test_one_anosov_check_and_no_power_or_det_per_period_in_orbits(tmp_path, monkeypatch):
+    # the census checks A once and forms each A^n by one product; per period, the parent code ran an
+    # Anosov check (eigvals), a binary power twice (matrix_power) and the orbit's own checks (eigvals, det)
+    import sys
+
+    calls = {"eigvals": 0, "det": 0, "matrix_power": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == "ruellebf.orbits":
+                calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    payload = dict(CAT_CONFIG, truncation={"n_max": 20, "L_max": 20.0})
+    assert main(["zeta", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == {"eigvals": 1, "det": 0, "matrix_power": 0}
+
+
 # ----------------------------------------------------------- exit-code table
 
 def _assert_one_line_error(capsys, *fragments):
@@ -443,6 +466,42 @@ def test_ir_divergence_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, payload)
     assert main(["diagrams", "--config", cfg]) == 3
     _assert_one_line_error(capsys, "non-convergent", "IRDivergenceError")
+
+
+@pytest.mark.parametrize("catmap, message", [
+    ({"A": [0, -1, 1, 0]}, "not Anosov: an eigenvalue lies on the unit circle"),
+    ({"A": [2, 1, 1, 1], "roof": 1e308}, "orbit length must be positive and finite"),  # 2 * roof is inf
+], ids=["rotation", "huge-roof"])
+@pytest.mark.parametrize("command", ["orbits", "zeta", "bridge"])
+def test_invalid_catmap_exits_2_with_one_line(tmp_path, capsys, command, catmap, message):
+    cfg = write_config(tmp_path, dict(CAT_CONFIG, model={"catmap": catmap}))
+    code, out, err = _run_quietly(capsys, [command, "--config", cfg])
+    assert (code, out, err) == (2, "", f"model invalid: {message}\n")
+
+
+def test_acyclic_matrix_bridge_needs_no_damping(tmp_path):
+    # spectrum +-0.7i: not damped, but mu != 0, so the loop series exists with Taylor radius 0.7
+    payload = {"model": {"matrix": {"d": [[0.0, -0.7], [0.7, 0.0]]}}, "truncation": {"K": 8},
+               "grid": [[0.1, 0.0], [0.2, 0.1], [0.0, 0.3]]}
+    out = tmp_path / "bridge.json"
+    assert main(["bridge", "--config", write_config(tmp_path, payload), "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 3
+    for row in rows:
+        hbar = complex(row["hbar_re"], row["hbar_im"])
+        assert row["flag"] == ""
+        assert complex(row["closed_form_re"], row["closed_form_im"]) == pytest.approx(1 + hbar ** 2 / 0.49, rel=1e-12)
+        assert row["defect"] <= (abs(hbar) / 0.7) ** 9
+
+
+def test_bridge_reads_a_real_lambda0_and_its_pair_alike(tmp_path, capsys):
+    outs = []
+    for lambda0 in (3.0, [3.0, 0.0]):
+        payload = dict(CHARACTER_CONFIG, grid=[[0.1, 0.0], [0.5, 0.2]], lambda0=lambda0)
+        code, out, err = _run_quietly(capsys, ["bridge", "--config", write_config(tmp_path, payload)])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("module, attr, error, code", [

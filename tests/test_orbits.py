@@ -69,6 +69,41 @@ def test_sieve_consistency_exact():
         assert total == fixed_point_count(CAT, n)
 
 
+@pytest.mark.parametrize("a", [((2, 1), (1, 1)), ((3, 1), (2, 1))])
+def test_census_matches_binary_powers_and_fixed_point_counts(a):
+    # the running product of the census against the binary powers of power and fixed_point_count
+    from ruellebf.flat_zeta import _integer_entries
+    from ruellebf.orbits import _census
+
+    model = HyperbolicToralModel(a)
+    census = _census(model, 41)
+    assert [n for n, _, _ in census] == list(range(1, 42))
+    for n, power, _ in census:
+        assert power == model.power(n)
+        fixed = sum(d * census[d - 1][2] for d in range(1, n + 1) if n % d == 0)
+        assert fixed == fixed_point_count(model, n)
+    assert prime_orbit_counts(model, 41) == {n: count for n, _, count in census}
+    orbits = enumerate_prime_orbits(model, 41)
+    assert [(o.period, o.multiplicity) for o in orbits] == [(n, count) for n, _, count in census if count]
+    for orbit in orbits:
+        assert _integer_entries(orbit.poincare) == [list(row) for row in model.power(orbit.period)]
+
+
+def test_enumerate_keeps_the_period_of_every_orbit():
+    # the Fibonacci map [[1, 1], [1, 0]] has no prime orbit of period 2
+    model = HyperbolicToralModel(((1, 1), (1, 0)), roof=0.5)
+    orbits = enumerate_prime_orbits(model, 12)
+    assert [o.period for o in orbits] == [n for n in range(1, 13) if n != 2]
+    for orbit in orbits:
+        assert orbit.length == orbit.period * 0.5
+        assert np.array_equal(orbit.poincare, np.array(model.power(orbit.period)))
+
+
+def test_enumerate_rejects_an_orbit_length_past_the_float_range():
+    with pytest.raises(ValueError, match="orbit length must be positive and finite"):
+        enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1)), roof=1e308), 3)
+
+
 def test_enumerate_single_period():
     orbits = enumerate_prime_orbits(CAT, 1)
     assert len(orbits) == 1
@@ -84,6 +119,15 @@ def test_enumerate_keeps_return_maps_exact_past_float_range():
 
     for orbit in enumerate_prime_orbits(CAT, 41):
         assert _integer_entries(orbit.poincare) == [list(row) for row in CAT.power(orbit.period)]
+
+
+def test_enumerate_keeps_return_maps_exact_past_int64():
+    # from period 46 the entries of A^n pass 2^63, where numpy would store them as rounded floats
+    from ruellebf.flat_zeta import _char_poly
+
+    for orbit in enumerate_prime_orbits(CAT, 48)[44:]:
+        assert orbit.poincare.tolist() == [list(row) for row in CAT.power(orbit.period)]
+        assert _char_poly(orbit.poincare)[-1] == 1
 
 
 def test_enumerate_trivial_rep_all_ones():
