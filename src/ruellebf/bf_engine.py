@@ -40,7 +40,7 @@ from .series import HbarSeries
 
 
 class IRDivergenceError(ArithmeticError):
-    """Scale-infinity propagator outside the damped spectral region, or a trace at mu + lambda = 0."""
+    """Scale-infinity propagator with Re(mu + lambda) <= 0 on some mode, or a trace at mu + lambda = 0."""
 
 
 class ConvergenceRadiusError(ArithmeticError):
@@ -90,7 +90,7 @@ class MatrixBFModel:
 def regularized_propagator(
     model: MatrixBFModel, L1: float, L2: float, lam: complex = 0.0
 ) -> np.ndarray:
-    """Windowed propagator integral of the damped heat semigroup against iota.
+    """Windowed propagator integral of the heat semigroup e^{-t (L + lam)} against iota.
 
     Equals (L + lam)^{-1} (e^{-L1 (L + lam)} - e^{-L2 (L + lam)}) iota; the
     infinite window needs Re(spec L + lam) > 0.
@@ -108,7 +108,7 @@ def regularized_propagator(
     if math.isinf(L2):
         for degree, mu in model.spectra:
             if np.any((mu + lam).real <= 0):
-                raise IRDivergenceError(f"IR divergence: degree-{degree} block + lambda not damped; regularize")
+                raise IRDivergenceError(f"IR divergence: degree-{degree} block + lambda has Re <= 0; regularize")
         upper = np.zeros((n, n), dtype=np.complex128)
     else:
         upper = expm(-L2 * shifted)

@@ -203,6 +203,11 @@ def _orbit_data(kind, model, rep, n_max):
     raise ConfigError("model", "this command needs an orbit model (catmap or spectrum_file)")
 
 
+def _atom_reach(kind, model, n_max, l_max):
+    """The L_max an orbit sum reads: a cat map's census ends at period n_max, so its atoms stop at n_max * roof."""
+    return min(l_max, n_max * model.roof) if kind == "catmap" else l_max
+
+
 def _matrix_model_id(bf) -> str:
     """A hash of L0 and of the (degree, size) of each nonempty block; the unsplit default, one
     degree-0 block, adds nothing to the hash, so unsplit models keep the id of an L0-only hash."""
@@ -270,8 +275,8 @@ def cmd_orbits(cfg, fmt, out_path):
             "length": orbit.length,
             "multiplicity": orbit.multiplicity,
             "m": orbit.m,
-            "trace_P": float(np.trace(p) if e is None else e[1]),
-            "det_P": float(next(float_dets) if e is None else e[-1]),
+            "trace_P": flat_zeta._float_or_inf(np.trace(p) if e is None else e[1]),
+            "det_P": flat_zeta._float_or_inf(next(float_dets) if e is None else e[-1]),
             "rho_re": float(orbit.rho[0, 0].real),
             "rho_im": float(orbit.rho[0, 0].imag),
         })
@@ -292,7 +297,7 @@ def cmd_zeta(cfg, fmt, out_path):
     orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
     grid = _parse_grid(cfg)
     _require(bool(grid), "grid", "a non-empty lambda grid is required")
-    rows = flat_zeta.zeta_grid_rows(orbs, m, grid, l_max)
+    rows = flat_zeta.zeta_grid_rows(orbs, m, grid, _atom_reach(kind, model, n_max, l_max))
     if orbs and all(math.isinf(r["tail_bound"]) for r in rows if r["k"] == -1):
         sys.stderr.write("all grid points diverge (every tail bound is infinite)\n")
         return EXIT_NONCONVERGENT
@@ -337,7 +342,7 @@ def cmd_bridge(cfg, fmt, out_path):
         rows = _bridge_rows_matrix(model, _matrix_model_id(model), grid, k_ord)
     else:
         orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
-        rows = _bridge_rows_orbit(orbs, m, model_id, grid, l_max, lambda0, k_ord)
+        rows = _bridge_rows_orbit(orbs, m, model_id, grid, _atom_reach(kind, model, n_max, l_max), lambda0, k_ord)
     columns = ["model_id", "hbar_re", "hbar_im", "K", "route", "flag",
                "series_value_re", "series_value_im", "closed_form_re", "closed_form_im", "defect"]
     _emit(rows, columns, fmt, out_path)

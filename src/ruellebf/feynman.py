@@ -2,11 +2,11 @@
 
 The perturbative quantisation scheme over a finite-dimensional space: a
 propagator is its complex matrix, and gamma_sum sums the connected diagrams
-of an interaction without building a graph, chains and cycles in closed
-form for quadratic vertices, the linked-cluster theorem for any other
-degrees. rge_evolve flows a quadratic effective form through a propagator
-window. The Feynman graphs, automorphism counts and tensor-contraction
-weights these closed forms are checked against live with the tests.
+of an interaction of any vertex degrees by the linked-cluster theorem,
+without building a graph. rge_evolve flows a quadratic effective form
+through a propagator window. The tests check gamma_sum against Feynman
+graphs, automorphism counts and tensor-contraction weights, and against the
+chain and cycle closed forms of bf_engine.
 
 Tensor normalization: the degree-d term stores the fully symmetric tensor
 T_d with I_d(x) = T_d(x,...,x)/d!, so T_d itself is the vertex factor and
@@ -68,27 +68,18 @@ class Interaction:
 class GammaExpansion:
     """Connected-diagram sum bucketed by (vertex count, loop count).
 
-    The two gradings in play collapse differently: a coupling constant on the
-    interaction counts vertices, while the semiclassical parameter counts
-    loops plus one per vertex when the vertex itself is first order in it.
+    The vertices are first order in hbar, so a term counts one hbar per vertex
+    and one per loop; hbar_series collects the terms by that power.
     """
 
     terms: Mapping[tuple[int, int], complex]
     max_order: int
 
-    def hbar_series(self, count_loops: bool = True) -> HbarSeries:
-        if self.terms:
-            top = max(n + (l if count_loops else 0) for n, l in self.terms)
-        else:
-            top = 0
-        coeffs = [0j] * (max(top, self.max_order) + 1)
+    def hbar_series(self) -> HbarSeries:
+        coeffs = [0j] * (max([self.max_order] + [n + l for n, l in self.terms]) + 1)
         for (n, l), value in sorted(self.terms.items()):
-            coeffs[n + (l if count_loops else 0)] += value
+            coeffs[n + l] += value
         return HbarSeries(tuple(coeffs))
-
-    def vertex_coefficients(self) -> HbarSeries:
-        """Coefficients graded by vertex count alone (coupling-constant grading)."""
-        return self.hbar_series(count_loops=False)
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -145,21 +136,13 @@ def _linked_cluster_terms(edge, verts, ext, max_order):
     return {(n, e - n + 1): c for n in range(1, max_order + 1) for e, c in w[n].items() if e >= n - 1}
 
 
-def gamma_sum(
-    propagator: np.ndarray,
-    interaction: Interaction,
-    external,
-    max_order: int,
-    damped: bool = False,
-) -> GammaExpansion:
+def gamma_sum(propagator: np.ndarray, interaction: Interaction, external, max_order: int) -> GammaExpansion:
     """Connected-diagram expansion sum_gamma weight(gamma)/|Aut(gamma)|.
 
-    `damped` switches from the oscillatory factors (i P, i T_d) to the real
-    Gaussian convention (P, -T_d). The propagator enters through its
-    symmetric part, the covariance of the Gaussian. A purely quadratic
-    interaction sums its chains and cycles in closed form, as matrix powers;
-    any other degree set goes through the linked-cluster theorem. Neither
-    builds a graph.
+    Edges carry i P and degree-d vertices i T_d; the propagator enters through
+    its symmetric part, the covariance of the Gaussian. Every degree set,
+    quadratic included, goes through the linked-cluster theorem, which builds
+    no graph.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -168,19 +151,9 @@ def gamma_sum(
     ext = np.zeros(dim, dtype=complex) if external is None else np.asarray(external, dtype=complex)
     if dim and (propagator.shape != (dim, dim) or ext.shape != (dim,)):
         raise ValueError(f"propagator must be {dim} x {dim} and the external field of length {dim}")
-    degrees = interaction.degrees()
-    edge = (1.0 if damped else 1j) * (propagator + propagator.T) / 2
-    verts = {d: (-1.0 if damped else 1j) * interaction.terms[d] for d in degrees}
-    if degrees == (2,):
-        # chains ext.V(EV)^(n-1).ext / 2 and cycles tr (EV)^n / (2n)
-        terms, hop = {}, edge @ verts[2]
-        chain, cycle = verts[2], hop
-        for n in range(1, max_order + 1):
-            terms[(n, 0)] = ext @ chain @ ext / 2
-            terms[(n, 1)] = np.trace(cycle) / (2 * n)
-            chain, cycle = chain @ hop, cycle @ hop
-    else:
-        terms = _linked_cluster_terms(edge, verts, ext, max_order)
+    edge = 1j * (propagator + propagator.T) / 2
+    verts = {d: 1j * interaction.terms[d] for d in interaction.degrees()}
+    terms = _linked_cluster_terms(edge, verts, ext, max_order)
     return GammaExpansion({k: complex(v) for k, v in terms.items() if v != 0}, max_order)
 
 

@@ -141,11 +141,11 @@ class ZetaSeries:
 
 
 def _float_or_inf(x) -> float:
-    """float(x), or inf for an exact integer past the float range."""
+    """float(x), or an infinity of its sign for an exact integer past the float range."""
     try:
         return float(x)
     except OverflowError:
-        return math.inf
+        return math.inf if x > 0 else -math.inf
 
 
 def _transversality_scale(p_power: np.ndarray) -> float:

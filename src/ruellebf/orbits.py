@@ -15,7 +15,7 @@ consumes only (length, P, rho, m).
 
 The loader parses every row first, validates each distinct (P, rho) record
 once (one stacked eigvals call per map size for the unit-circle check, one
-stacked det for the representation values), then merges the rows into
+stacked svd for the representation values), then merges the rows into
 classes and builds each class's PrimeOrbit once. Errors are those of
 row-by-row validation: the first bad line in file order wins.
 """
@@ -81,9 +81,9 @@ def _rho_errors(rhos: np.ndarray) -> list[str | None]:
     """Why PrimeOrbit rejects each matrix of an (n, r, r) complex stack, None where it passes."""
     finite = np.all(np.isfinite(rhos), axis=(1, 2))
     off_unit = np.zeros(len(rhos), dtype=bool)
-    off_unit[finite] = np.abs(np.abs(np.linalg.det(rhos[finite])) - 1.0) > 1e-8
+    off_unit[finite] = np.any(np.abs(np.linalg.svd(rhos[finite], compute_uv=False) - 1.0) > 1e-8, axis=-1)
     return ["representation value must be finite" if not fin
-            else "representation value must be unitary (|det| = 1)" if off else None
+            else "representation value must be unitary (every singular value 1)" if off else None
             for fin, off in zip(finite.tolist(), off_unit.tolist())]
 
 

@@ -73,6 +73,25 @@ def test_orbits_command_stays_exact_past_float_range(tmp_path):
         assert float(r["trace_P"]) == float(lucas[2 * int(r["period"])])
 
 
+@pytest.mark.parametrize("fmt, a, last", [("csv", [2, 1, 1, 1], "inf"), ("json", [-2, -1, -1, -1], "-inf")])
+def test_orbits_trace_past_the_float_range_reads_inf(tmp_path, capsys, fmt, a, last):
+    # tr A^n passes the float range at period 738; tr (-A)^n = (-1)^n tr A^n, so -A reads -inf at 739
+    payload = {"model": {"catmap": {"A": a}}, "truncation": {"n_max": 739}}
+    code, out, err = _run_quietly(capsys, ["orbits", "--config", write_config(tmp_path, payload), "--format", fmt])
+    assert (code, err) == (0, "")
+    if fmt == "csv":
+        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+        assert "# sieve_consistent: true" in out
+    else:
+        doc = _strict_json(out)
+        rows = doc["rows"]
+        assert doc["meta"]["sieve_consistent"] is True
+    trace = {int(r["period"]): r["trace_P"] for r in rows}
+    assert math.isfinite(float(trace[737]))
+    assert (trace[738], trace[739]) == ("inf", last)
+    assert all(float(r["det_P"]) == 1.0 for r in rows)
+
+
 def test_orbits_command_rotation_exits_2(tmp_path, capsys):
     payload = dict(CAT_CONFIG, model={"catmap": {"A": [0, -1, 1, 0]}})
     cfg = write_config(tmp_path, payload)
@@ -144,6 +163,19 @@ def test_bridge_command_orbit_routes(tmp_path):
         assert row["defect"] == 0.0
     half = [r for r in rows if r["hbar_re"] == 0.5 and r["route"] == "det"][0]
     assert half["defect"] < 1e-6
+
+
+@pytest.mark.parametrize("command", ["zeta", "bridge"])
+def test_catmap_atoms_stop_where_the_census_ends(tmp_path, capsys, command):
+    # the census ends at period n_max = 3, so with roof 1 it holds no atom past 3.0: L_max = 12 reads
+    # the same atoms as L_max = 3, and the zeta L_max column prints the length reached
+    outputs = []
+    for l_max in (12.0, 3.0):
+        payload = dict(CAT_CONFIG, truncation={"n_max": 3, "L_max": l_max, "K": 8})
+        code, out, err = _run_quietly(capsys, [command, "--config", write_config(tmp_path, payload)])
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_bridge_command_matrix_model(tmp_path):
@@ -742,9 +774,10 @@ def test_overflowing_return_map_power_exits_2_with_one_line(tmp_path, capsys, ro
 
 
 def test_short_roof_stops_raising_powers_at_the_first_scale_past_the_float_range(tmp_path, capsys):
-    # L_max / roof = 120000 powers per orbit; the exact A^j pass the float range near j = 370
-    payload = {"model": {"catmap": {"A": [2, 1, 1, 1], "roof": 1e-4}}, "truncation": {"n_max": 5, "L_max": 12.0},
-               "grid": [[3.0, 0.0]]}
+    # L_max / length = 120000 powers of an integer return map; the exact P^j pass the float range near j = 370
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("length,multiplicity,m,P_entries,rho_re,rho_im\n1e-4,1,1,2;1;1;1,1.0,0.0\n")
+    payload = {"model": {"spectrum_file": str(spectrum)}, "truncation": {"L_max": 12.0}, "grid": [[3.0, 0.0]]}
     started = time.perf_counter()
     code, _, err = _run_quietly(capsys, ["zeta", "--config", write_config(tmp_path, payload)])
     assert time.perf_counter() - started < 5.0

@@ -192,6 +192,14 @@ def test_prime_orbit_rejects_nonunitary_rho():
         PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=np.array([[0.5]]))
 
 
+def test_prime_orbit_checks_every_singular_value_of_rho():
+    # |det rho| = 1 is not enough: diag(2, 0.5) stretches one direction and shrinks the other
+    with pytest.raises(ValueError, match="unitary"):
+        PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=np.diag([2.0, 0.5]))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=swap).rho, swap)
+
+
 @pytest.mark.parametrize("length, corner, rho", [
     (math.nan, 0.5, 1.0), (math.inf, 0.5, 1.0), (1.0, 0.5, complex(math.nan, 0.0)), (1.0, 0.5, complex(0.0, math.inf)),
     (1.0, math.inf, 1.0),
