@@ -3,7 +3,6 @@ perturbative quantisation of a finite-dimensional BF-type theory."""
 
 from .bf_engine import (
     BridgeResult,
-    ExpectationResult,
     MatrixBFModel,
     expectation_grid,
     expectation_value,

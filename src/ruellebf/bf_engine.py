@@ -12,6 +12,8 @@ partition value a product of |mu + hbar|, and a grid builds its loop series
 once. The traces need only mu + lam != 0; only the propagator checks damping.
 Both loop series, from spectra and from orbit atoms, share one coefficient
 rule, _loop_coefficients.
+Both bridge grids, matrix and orbit, compute their routes and loop series and
+share _bridge_grid for the exponential, the radius flag and the BridgeResults.
 
 Sign table (single source of truth for the graded exponents):
   * a closed fermion-style loop in form degree k contributes
@@ -205,8 +207,8 @@ def full_space_operators(model: MatrixBFModel):
     return d_full, iota_full, l_full
 
 
-def projection_lemma_check(model: MatrixBFModel, B_op: np.ndarray, tol: float = 1e-10) -> bool:
-    """tr(B L^{-1} iota d) equals tr(B restricted to im(iota)) on the full space.
+def projection_lemma_check(model: MatrixBFModel, B_op: np.ndarray) -> bool:
+    """tr(B L^{-1} iota d) equals tr(B restricted to im(iota)) on the full space, to within 1e-10.
 
     B_op must leave im(iota) = V0 + 0 invariant; the lower-left block is the
     invariance defect and any nonzero defect is a precondition violation.
@@ -226,21 +228,66 @@ def projection_lemma_check(model: MatrixBFModel, B_op: np.ndarray, tol: float = 
     projector = np.linalg.solve(l_full, iota_full @ d_full)
     lhs = complex(np.trace(B_op @ projector))
     rhs = complex(np.trace(B_op[:n, :n]))
-    return abs(lhs - rhs) < tol
+    return abs(lhs - rhs) < 1e-10
 
 
 @dataclass(frozen=True)
-class ExpectationResult:
-    """Closed-form expectation value with the recorded series-route defect;
-    series_value is None outside the Taylor radius, and so is the defect."""
+class BridgeResult:
+    """One hbar of a bridge grid. routes maps "det" (every model) and "orbit" (the Euler product,
+    orbit models) to the route's value, tails to its truncation bound (0.0 for a matrix model's
+    exact ratio); series_value is None where the series was not evaluated."""
 
-    closed_form: complex
+    hbar: complex
+    routes: dict
+    tails: dict
     series_value: complex | None
-    K: int
+    series_diverges: bool
 
-    @property
-    def defect(self) -> float | None:
-        return None if self.series_value is None else abs(self.closed_form - self.series_value)
+    def defect(self, route: str) -> float | None:
+        if self.series_value is None:
+            return None
+        try:
+            return abs(self.series_value - self.routes[route])
+        except OverflowError:  # a difference of modulus past the float range
+            return math.inf
+
+
+def _exp(z: complex) -> complex:
+    """cmath.exp, except that a value past the float range reads inf times its phase, component
+    by component (a zero component stays 0), and an undefined one (ValueError) reads nan."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        return complex(*(c * math.inf if c else c for c in (math.cos(z.imag), math.sin(z.imag))))
+    except ValueError:
+        return complex(math.nan, math.nan)
+
+
+def _terms_grow(series: HbarSeries, hbar: complex) -> bool:
+    """Term-decay heuristic for the Taylor radius: the last nonzero |c_n hbar**n| is no smaller than
+    the first, or a term is past the float range."""
+    try:
+        magnitudes = [abs(series.coefficient(n) * hbar ** n) for n in range(1, series.order + 1)]
+    except OverflowError:
+        return True
+    magnitudes = [v for v in magnitudes if v > 0]
+    return len(magnitudes) >= 2 and magnitudes[-1] >= magnitudes[0]
+
+
+def _bridge_grid(hbars, routes: dict, tails: dict, loop_series, radius: float | None = None) -> list[BridgeResult]:
+    """The BridgeResults of a grid, for both model kinds; routes and tails map each route to its
+    values and bounds over the grid. loop_series() builds the log-ratio series in hbar, only if
+    some point needs it. An exact Taylor radius leaves series_value None outside it; without one,
+    the term-decay heuristic flags a point and its value is still given. A series value that is
+    not finite is flagged too."""
+    inside = [radius is None or math.hypot(h.real, h.imag) < radius for h in hbars]  # abs(h), inf past the range
+    series, results = loop_series() if any(inside) else None, []
+    for i, (hbar, ok) in enumerate(zip(hbars, inside)):
+        value = _exp(series.eval(hbar)) if ok else None
+        diverges = not ok or not cmath.isfinite(value) or (radius is None and _terms_grow(series, hbar))
+        results.append(BridgeResult(hbar, {r: v[i] for r, v in routes.items()}, {r: t[i] for r, t in tails.items()},
+                                    value, diverges))
+    return results
 
 
 def _closed_form_grid(model: MatrixBFModel, hbars) -> list[complex]:
@@ -262,25 +309,17 @@ def closed_form_expectation(model: MatrixBFModel, hbar: complex) -> complex:
     return _closed_form_grid(model, [hbar])[0]
 
 
-def expectation_grid(model: MatrixBFModel, hbars, K: int) -> list[ExpectationResult]:
-    """Expectation of the exponentiated perturbation at every hbar of a grid.
-
-    Each result holds the closed-form determinant ratio, alongside the value
-    of exp(Gamma_tr / hbar) with loop orders 1..K resummed, so the series
-    defect is O(hbar**(K+1)). The loop series does not depend on hbar and is
-    built once, and not at all for a grid wholly outside the Taylor radius
-    min |spec L|; outside it series_value is None.
-    """
-    radius = model.min_spectrum_abs()
-    inside = [math.hypot(hbar.real, hbar.imag) < radius for hbar in hbars]  # abs(hbar), inf past the float range
-    series = gamma_tr(model, 0.0, K + 1).shift_down() if any(inside) else None
-    return [
-        ExpectationResult(closed, cmath.exp(series.eval(hbar)) if ok else None, K)
-        for hbar, ok, closed in zip(hbars, inside, _closed_form_grid(model, hbars))
-    ]
+def expectation_grid(model: MatrixBFModel, hbars, K: int) -> list[BridgeResult]:
+    """Expectation of the exponentiated perturbation at every hbar of a grid: route det is the
+    exact determinant ratio (tail 0.0), series_value exp(Gamma_tr / hbar) with loop orders 1..K
+    resummed, a defect of O(hbar**(K+1)), and None outside the exact Taylor radius min |spec L|.
+    The hbar-independent loop series is built once, and not at all for a grid wholly outside it."""
+    hbars = [complex(h) for h in hbars]
+    return _bridge_grid(hbars, {"det": _closed_form_grid(model, hbars)}, {"det": [0.0] * len(hbars)},
+                        lambda: gamma_tr(model, 0.0, K + 1).shift_down(), model.min_spectrum_abs())
 
 
-def expectation_value(model: MatrixBFModel, hbar: complex, K: int = 8) -> ExpectationResult:
+def expectation_value(model: MatrixBFModel, hbar: complex, K: int = 8) -> BridgeResult:
     """expectation_grid at one hbar, which must lie inside the Taylor radius."""
     result = expectation_grid(model, [hbar], K)[0]
     if result.series_value is None:
@@ -382,31 +421,6 @@ def gamma_tr_orbits(orbits, m: int, lambda0: complex, L_max: float, K: int) -> H
     return _loop_series(flat_zeta.atom_table(orbits, m, L_max), lambda0, K)
 
 
-@dataclass(frozen=True)
-class BridgeResult:
-    """Zeta ratio at a shifted base point, through three truncated routes."""
-
-    hbar: complex
-    lambda0: complex
-    m: int
-    L_max: float
-    K: int
-    euler_value: complex
-    det_value: complex
-    series_value: complex
-    euler_tail: float
-    det_tail: float
-    series_diverges: bool = False
-
-    @property
-    def defect_euler_det(self) -> float:
-        return abs(self.euler_value - self.det_value)
-
-    @property
-    def defect_series_det(self) -> float:
-        return abs(self.series_value - self.det_value)
-
-
 def zeta_expectation_bridge(
     orbits, m: int, hbar: complex, L_max: float, lambda0: complex = 3.0, K: int = 8
 ) -> BridgeResult:
@@ -423,22 +437,16 @@ def zeta_expectation_bridge_grid(
     orbits, m: int, hbars, L_max: float, lambda0: complex = 3.0, K: int = 8
 ) -> list[BridgeResult]:
     """zeta_expectation_bridge at every hbar of a grid, from one atom table; the
-    lambda0 sums and the loop series do not depend on hbar and are computed once."""
+    lambda0 sums and the loop series do not depend on hbar and are computed once.
+    Each route's tail is the sum of its two truncation bounds; the Taylor radius
+    is the term-decay heuristic."""
     hbars, lambda0 = [complex(h) for h in hbars], complex(lambda0)
     table = flat_zeta.atom_table(orbits, m, L_max)
-    values, tails = (a.tolist() for a in table.log_zeta([lambda0] + [lambda0 + h for h in hbars]))
-    series = _loop_series(table, lambda0, K + 1).shift_down()
-    euler, results = 2 * m + 1, []
-    for hbar, vals, tls in zip(hbars, values[1:], tails[1:]):
-        det_log = sum(((-1) ** k * (vals[k] - values[0][k]) for k in range(2 * m + 1)), 0j)
-        det_tail = sum((tails[0][k] + tls[k] for k in range(2 * m + 1)), 0.0)
-        # outside the Taylor radius around lambda0 the term magnitudes stop
-        # decaying; report that rather than trusting the truncated sum
-        magnitudes = [abs(series.coefficient(n) * hbar ** n) for n in range(1, series.order + 1)]
-        magnitudes = [v for v in magnitudes if v > 0]
-        results.append(BridgeResult(
-            hbar, lambda0, m, float(L_max), K, cmath.exp((-1) ** m * (vals[euler] - values[0][euler])),
-            cmath.exp(det_log), cmath.exp(series.eval(hbar)), tails[0][euler] + tls[euler], det_tail,
-            series_diverges=len(magnitudes) >= 2 and magnitudes[-1] >= magnitudes[0],
-        ))
-    return results
+    values, tails = table.log_zeta([lambda0] + [lambda0 + h for h in hbars])
+    (base, *values), (base_tail, *tails) = values.tolist(), tails.tolist()
+    degrees, euler = range(2 * m + 1), 2 * m + 1
+    routes = {"det": [_exp(sum(((-1) ** k * (v[k] - base[k]) for k in degrees), 0j)) for v in values],
+              "orbit": [_exp((-1) ** m * (v[euler] - base[euler])) for v in values]}
+    route_tails = {"det": [sum((base_tail[k] + t[k] for k in degrees), 0.0) for t in tails],
+                   "orbit": [base_tail[euler] + t[euler] for t in tails]}
+    return _bridge_grid(hbars, routes, route_tails, lambda: _loop_series(table, lambda0, K + 1).shift_down())

@@ -306,31 +306,6 @@ def cmd_zeta(cfg, fmt, out_path):
     return EXIT_OK
 
 
-def _bridge_rows_orbit(orbs, m, model_id, grid, l_max, lambda0, k_ord):
-    rows = []
-    for hbar, res in zip(grid, bf_engine.zeta_expectation_bridge_grid(orbs, m, grid, l_max, lambda0, k_ord)):
-        shared = {"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord,
-                  "flag": "radius_violation" if res.series_diverges else "",
-                  "series_value_re": res.series_value.real, "series_value_im": res.series_value.imag}
-        for route, closed in (("det", res.det_value), ("orbit", res.euler_value)):
-            rows.append(dict(shared, route=route, closed_form_re=closed.real, closed_form_im=closed.imag,
-                             defect=abs(res.series_value - closed)))
-    return rows
-
-
-def _bridge_rows_matrix(bf, model_id, grid, k_ord):
-    rows = []
-    for hbar, res in zip(grid, bf_engine.expectation_grid(bf, grid, k_ord)):
-        series = res.series_value
-        rows.append({"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord, "route": "det",
-                     "flag": "radius_violation" if series is None else "",
-                     "series_value_re": None if series is None else series.real,
-                     "series_value_im": None if series is None else series.imag,
-                     "closed_form_re": res.closed_form.real, "closed_form_im": res.closed_form.imag,
-                     "defect": res.defect})
-    return rows
-
-
 def cmd_bridge(cfg, fmt, out_path):
     rep = _parse_rep(cfg)
     n_max, l_max, k_ord = _parse_truncation(cfg)
@@ -339,10 +314,20 @@ def cmd_bridge(cfg, fmt, out_path):
     _require(bool(grid), "grid", "a non-empty hbar grid is required")
     lambda0 = _parse_complex(cfg.get("lambda0", 3.0), "lambda0")
     if kind == "matrix":
-        rows = _bridge_rows_matrix(model, _matrix_model_id(model), grid, k_ord)
+        model_id, results = _matrix_model_id(model), bf_engine.expectation_grid(model, grid, k_ord)
     else:
         orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
-        rows = _bridge_rows_orbit(orbs, m, model_id, grid, _atom_reach(kind, model, n_max, l_max), lambda0, k_ord)
+        reach = _atom_reach(kind, model, n_max, l_max)
+        results = bf_engine.zeta_expectation_bridge_grid(orbs, m, grid, reach, lambda0, k_ord)
+    rows = []
+    for res in results:
+        series = res.series_value
+        for route, closed in res.routes.items():
+            rows.append({"model_id": model_id, "hbar_re": res.hbar.real, "hbar_im": res.hbar.imag, "K": k_ord,
+                         "route": route, "flag": "radius_violation" if res.series_diverges else "",
+                         "series_value_re": None if series is None else series.real,
+                         "series_value_im": None if series is None else series.imag,
+                         "closed_form_re": closed.real, "closed_form_im": closed.imag, "defect": res.defect(route)})
     columns = ["model_id", "hbar_re", "hbar_im", "K", "route", "flag",
                "series_value_re", "series_value_im", "closed_form_re", "closed_form_im", "defect"]
     _emit(rows, columns, fmt, out_path)

@@ -371,13 +371,13 @@ def flat_det_via_F(generator: np.ndarray, lam: complex = 0.0) -> complex:
     return cmath.exp(complex(np.sum(np.log(mu))))
 
 
-def flat_trace_cyclicity_check(A: np.ndarray, B: np.ndarray, tol: float = 1e-10) -> bool:
-    """Finite-dimensional shadow of trace cyclicity: |tr(AB) - tr(BA)| < tol."""
+def flat_trace_cyclicity_check(A: np.ndarray, B: np.ndarray) -> bool:
+    """Finite-dimensional shadow of trace cyclicity: |tr(AB) - tr(BA)| < 1e-10."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0] or B.shape[1] != A.shape[0]:
         raise ValueError("matrices are not composable both ways")
-    return abs(complex(np.trace(A @ B)) - complex(np.trace(B @ A))) < tol
+    return abs(complex(np.trace(A @ B)) - complex(np.trace(B @ A))) < 1e-10
 
 
 def zeta_grid_rows(orbits, m: int, lambdas, L_max: float) -> list[dict]:

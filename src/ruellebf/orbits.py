@@ -50,6 +50,8 @@ class Representation:
     def __post_init__(self):
         if self.kind not in ("trivial", "character"):
             raise ValueError(f"unknown representation kind {self.kind!r}")
+        if not math.isfinite(self.character_angle):
+            raise ValueError("character angle must be finite")
 
     def matrix(self, winding: int) -> np.ndarray:
         if self.kind == "trivial":
@@ -151,8 +153,8 @@ class HyperbolicToralModel:
         if len(a) != 2 or any(len(r) != 2 for r in a):
             raise ValueError("A must be a 2x2 integer matrix")
         object.__setattr__(self, "A", a)
-        if self.roof <= 0:
-            raise ValueError("roof must be positive")
+        if not (math.isfinite(self.roof) and self.roof > 0):
+            raise ValueError("roof must be positive and finite")
         det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
         if det not in (1, -1):
             raise ValueError(f"A must be unimodular, got det = {det}")
@@ -266,7 +268,7 @@ def _parse_row(row: list[str], line: int, parsed: dict[str, tuple]) -> tuple:
 
 def _record_errors(records: list[tuple]) -> list[str | None]:
     """PrimeOrbit's map and rho checks of each distinct (P entries, rho) record, stacked:
-    one eigvals call per map size and one det call."""
+    one eigvals call per map size and one svd call."""
     map_errors = [None] * len(records)
     by_size: dict[int, list[int]] = {}
     for i, (entries, _) in enumerate(records):

@@ -39,5 +39,5 @@ class HbarSeries:
             acc = acc * hbar + c
         return acc
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs)
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)

@@ -130,9 +130,9 @@ def test_criterion_4_diagram_resummation():
                 result = expectation_value(model, hbar, K)
                 # truncation-tail bound on |exp(E) - 1| scaled by the closed form
                 tail = dim * (h / rho) ** (K + 1) / ((K + 1) * (1 - h / rho))
-                c_bound = 2 * abs(result.closed_form) * tail / h ** (K + 1)
-                assert result.defect <= c_bound * h ** (K + 1)
-                defects.append(result.defect)
+                c_bound = 2 * abs(result.routes["det"]) * tail / h ** (K + 1)
+                assert result.defect("det") <= c_bound * h ** (K + 1)
+                defects.append(result.defect("det"))
             s12 = math.log2(defects[0] / defects[1])
             s23 = math.log2(defects[1] / defects[2])
             assert min(s12, s23) > 8.5

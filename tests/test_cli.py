@@ -839,3 +839,20 @@ def test_orbit_bridge_past_the_float_factorial_is_finite(tmp_path, capsys):
     rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
     assert len(rows) == 4 and all(r["K"] == "180" and r["flag"] == "" for r in rows)
     assert all(math.isfinite(float(r["series_value_re"])) and float(r["defect"]) < 1e-12 for r in rows)
+
+
+OVERFLOW_BRIDGE_CONFIG = dict(CAT_CONFIG, truncation={"n_max": 5, "L_max": 5.0})
+
+
+@pytest.mark.parametrize("hbar", [[40.0, 0.0], [-6.0, 0.0], [0.0, 1e200], [1e155, 1e155], [-5.887629209736579, -0.4]],
+                         ids=["exp-overflow", "left-of-axis", "heuristic-overflow", "nan-series", "defect-overflow"])
+def test_one_overflowing_bridge_point_leaves_the_rest_of_the_grid(tmp_path, capsys, hbar):
+    # each of these points once stopped the grid with exit 3, or printed a nan series without a flag; at the
+    # last, both series components are finite but its modulus, and so the defect, is past the float range
+    grid = write_config(tmp_path, dict(OVERFLOW_BRIDGE_CONFIG, grid=[[0.5, 0.0], hbar]))
+    code, out, err = _run_quietly(capsys, ["bridge", "--config", grid])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 5 and all(",radius_violation," in line for line in lines[3:])
+    alone = write_config(tmp_path, dict(OVERFLOW_BRIDGE_CONFIG, grid=[[0.5, 0.0]]), "alone.json")
+    assert _run_quietly(capsys, ["bridge", "--config", alone])[1].splitlines() == lines[:3]

@@ -97,3 +97,34 @@ def test_any_config_exits_with_a_documented_code(workdir, command, cfg):
         code = main([command, "--config", str(path), "--out", str(workdir / "out.csv")])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+BRIDGE_MODELS = {
+    "catmap": ({"catmap": {"A": [2, 1, 1, 1], "roof": 1.0}}, 2),
+    "matrix": ({"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]], "graded_split": [[0, 1], [1, 1]]}}, 1),
+}
+finite = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e300, 1e300), st.sampled_from([40.0, -6.0, 1e155, 1e200]))
+hbar_points = st.lists(finite, min_size=2, max_size=2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(BRIDGE_MODELS)), point=hbar_points,
+       others=st.lists(hbar_points, max_size=4), at=st.integers(0, 4))
+def test_bridge_point_rows_do_not_depend_on_the_grid(workdir, kind, point, others, at):
+    model, rows_per_point = BRIDGE_MODELS[kind]
+    at = min(at, len(others))
+
+    def bridge_lines(grid):
+        path = workdir / "bridge.json"
+        cfg = {"model": model, "rep": {"character": 0.7}, "truncation": {"n_max": 5, "L_max": 5.0}, "grid": grid}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["bridge", "--config", str(path), "--out", str(workdir / "bridge.csv")]) == 0
+        assert err.getvalue() == ""
+        return (workdir / "bridge.csv").read_text(encoding="utf-8").splitlines()
+
+    alone = bridge_lines([point])
+    inside = bridge_lines(others[:at] + [point] + others[at:])
+    assert inside[0] == alone[0]
+    assert inside[1 + at * rows_per_point:1 + (at + 1) * rows_per_point] == alone[1:]

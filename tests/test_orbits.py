@@ -155,6 +155,19 @@ def test_character_powers_two_routes():
             assert abs(via_power - via_angle) < 1e-12
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_character_angle_is_rejected(angle):
+    # enumerate_prime_orbits builds its orbits unchecked, so a nan twist would reach every rho
+    with pytest.raises(ValueError, match="character angle must be finite"):
+        Representation("character", angle)
+
+
+@pytest.mark.parametrize("roof", [math.nan, math.inf, 0.0, -1.0])
+def test_roof_must_be_positive_and_finite(roof):
+    with pytest.raises(ValueError, match="roof must be positive and finite"):
+        HyperbolicToralModel(((2, 1), (1, 1)), roof)
+
+
 def test_bigint_vs_floating_eigenvalue_formula():
     lam = max(np.linalg.eigvals(CAT.matrix()).real)
     for n in range(1, 31):
