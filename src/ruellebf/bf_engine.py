@@ -389,18 +389,6 @@ def doubled_field_tensors(model: MatrixBFModel, propagator: np.ndarray):
     return vertex, edge
 
 
-def embed_doubled(model: MatrixBFModel, A=None, B=None) -> dict:
-    """External-slot vectors for the doubled space, keyed by tail label."""
-    n = model.complex.n
-    a_vec = np.zeros(2 * n, dtype=np.complex128)
-    b_vec = np.zeros(2 * n, dtype=np.complex128)
-    if A is not None:
-        a_vec[:n] = np.asarray(A, dtype=np.complex128)
-    if B is not None:
-        b_vec[n:] = np.asarray(B, dtype=np.complex128)
-    return {"A": a_vec, "B": b_vec}
-
-
 def _loop_series(table: flat_zeta.AtomTable, lambda0: complex, K: int) -> HbarSeries:
     """gamma_tr_orbits from an atom table: moments of its degree-signed flat-trace atoms."""
     degree_signs = np.array([loop_sign(k) for k in range(2 * table.m + 1)])

@@ -180,18 +180,20 @@ def _parse_model(cfg, rep):
     raise ConfigError("model", f"unknown model source {kind!r}")
 
 
-def _orbit_data(kind, model, rep, n_max):
-    """(orbits, m, model_id); raises ModelError for invalid dynamics."""
+def _orbit_data(kind, model, n_max, l_max):
+    """(orbits, m, model_id, reach), reach the L_max an orbit sum reads: a cat map's census ends at
+    period n_max, so its atoms stop at n_max * roof. Raises ModelError for invalid dynamics, and
+    ConfigError when reach stops short of the shortest orbit."""
     if kind == "catmap":
         try:
             orbs = orbits_mod.enumerate_prime_orbits(model, n_max)
         except ValueError as exc:  # not Anosov, or an orbit length past the float range
             raise ModelError(str(exc))
-        a = model.A
+        a, rep = model.A, model.rep
         rep_tag = "trivial" if rep.kind == "trivial" else f"character{rep.character_angle!r}"
         model_id = f"catmap[{a[0][0]},{a[0][1]},{a[1][0]},{a[1][1]}]|roof={model.roof!r}|{rep_tag}"
-        return orbs, 1, model_id
-    if kind == "spectrum":
+        m, reach = 1, min(l_max, n_max * model.roof)
+    elif kind == "spectrum":
         try:
             orbs = orbits_mod.load_length_spectrum(model)
         except OSError as exc:
@@ -199,13 +201,13 @@ def _orbit_data(kind, model, rep, n_max):
         m = orbs[0].m if orbs else 1
         if any(o.m != m for o in orbs):
             raise ModelError(f"spectrum {model} mixes return maps of different m")
-        return orbs, m, f"spectrum:{model}"
-    raise ConfigError("model", "this command needs an orbit model (catmap or spectrum_file)")
-
-
-def _atom_reach(kind, model, n_max, l_max):
-    """The L_max an orbit sum reads: a cat map's census ends at period n_max, so its atoms stop at n_max * roof."""
-    return min(l_max, n_max * model.roof) if kind == "catmap" else l_max
+        model_id, reach = f"spectrum:{model}", l_max
+    else:
+        raise ConfigError("model", "this command needs an orbit model (catmap or spectrum_file)")
+    shortest = min((o.length for o in orbs), default=0.0)
+    _require(shortest <= reach * (1 + 1e-12), "truncation.L_max",  # the tolerance of flat_zeta.atom_table
+             f"{l_max!r} is shorter than the shortest orbit, of length {shortest!r}")
+    return orbs, m, model_id, reach
 
 
 def _matrix_model_id(bf) -> str:
@@ -260,7 +262,7 @@ def cmd_orbits(cfg, fmt, out_path):
     rep = _parse_rep(cfg)
     n_max, _, _ = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
-    orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
+    orbs, _, model_id, _ = _orbit_data(kind, model, n_max, math.inf)  # this command sums no atoms
     # an integer-valued P reads tr P = e_1 and det P = e_2m off its exact characteristic polynomial;
     # the float maps share one stacked determinant
     exact = [flat_zeta._integer_entries(orbit.poincare) is not None for orbit in orbs]
@@ -282,9 +284,12 @@ def cmd_orbits(cfg, fmt, out_path):
         })
     meta = {"model_id": model_id}
     if kind == "catmap":
-        counts = {orbit.period: orbit.multiplicity for orbit in orbs}
-        meta["sieve_consistent"] = all(sum(d * counts.get(d, 0) for d in range(1, n + 1) if n % d == 0)
-                                       == orbits_mod.fixed_point_count(model, n) for n in range(1, n_max + 1))
+        # each period d adds its d * multiplicity fixed points to every multiple of d
+        fixed = [0] * (n_max + 1)
+        for orbit in orbs:
+            for n in range(orbit.period, n_max + 1, orbit.period):
+                fixed[n] += orbit.period * orbit.multiplicity
+        meta["sieve_consistent"] = all(fixed[n] == orbits_mod.fixed_point_count(model, n) for n in range(1, n_max + 1))
     columns = ["period", "length", "multiplicity", "m", "trace_P", "det_P", "rho_re", "rho_im"]
     _emit(rows, columns, fmt, out_path, meta)
     return EXIT_OK
@@ -294,10 +299,10 @@ def cmd_zeta(cfg, fmt, out_path):
     rep = _parse_rep(cfg)
     n_max, l_max, _ = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
-    orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
+    orbs, m, model_id, reach = _orbit_data(kind, model, n_max, l_max)
     grid = _parse_grid(cfg)
     _require(bool(grid), "grid", "a non-empty lambda grid is required")
-    rows = flat_zeta.zeta_grid_rows(orbs, m, grid, _atom_reach(kind, model, n_max, l_max))
+    rows = flat_zeta.zeta_grid_rows(orbs, m, grid, reach)
     if orbs and all(math.isinf(r["tail_bound"]) for r in rows if r["k"] == -1):
         sys.stderr.write("all grid points diverge (every tail bound is infinite)\n")
         return EXIT_NONCONVERGENT
@@ -316,8 +321,7 @@ def cmd_bridge(cfg, fmt, out_path):
     if kind == "matrix":
         model_id, results = _matrix_model_id(model), bf_engine.expectation_grid(model, grid, k_ord)
     else:
-        orbs, m, model_id = _orbit_data(kind, model, rep, n_max)
-        reach = _atom_reach(kind, model, n_max, l_max)
+        orbs, m, model_id, reach = _orbit_data(kind, model, n_max, l_max)
         results = bf_engine.zeta_expectation_bridge_grid(orbs, m, grid, reach, lambda0, k_ord)
     rows = []
     for res in results:

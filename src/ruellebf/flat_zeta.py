@@ -124,10 +124,6 @@ class AtomicDistribution:
             raise ValueError("atoms must be sorted by time")
         object.__setattr__(self, "atoms", atoms)
 
-    @classmethod
-    def empty(cls) -> "AtomicDistribution":
-        return cls((), math.inf)
-
 
 @dataclass(frozen=True)
 class ZetaSeries:
@@ -168,35 +164,16 @@ def _transversality_denominator(e: list, scale: float) -> float:
     return float(det.real)
 
 
-def _orbit_power_terms(orbits, L_max: float):
-    """(t, orbit, j, P^j, scale) for j * length <= L_max, ascending t then input order;
-    integer-valued return maps are raised to powers in Python ints. An orbit's powers stop
-    at the first P^j whose _transversality_scale is inf: that atom fails its check, and
-    the powers past it, which grow without bound, are never built."""
-    items = []
-    for pos, orbit in enumerate(orbits):
-        exact = _integer_entries(orbit.poincare)
-        base = orbit.poincare if exact is None else np.array(exact, dtype=object).reshape(orbit.poincare.shape)
-        j, p_power, scale = 1, base, 0.0
-        while j * orbit.length <= L_max * (1 + 1e-12) and scale < math.inf:
-            scale = _transversality_scale(p_power)
-            items.append((j * orbit.length, pos, j, p_power, scale))
-            j += 1
-            # a P^j past the float range is reported at its atom, or an earlier one, by atom_table
-            with np.errstate(over="ignore", invalid="ignore"):
-                p_power = p_power @ base
-    items.sort(key=lambda item: item[:3])
-    return [(t, orbits[pos], j, p, scale) for t, pos, j, p, scale in items]
-
-
 def _geometric_tails(times: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """Tail estimate per row of mags (rows x time groups) from its trailing groups.
 
     A least-squares line through the logs of the last TAIL_WINDOW positive
     groups absorbs the lumpiness of period-truncated orbit censuses; the
     fitted decay ratio is inflated by 10% because the ratio approaches its
-    limit from below for the built-in models (a 1/n prefactor). A row with
-    under two positive groups or no decay gets inf; no groups at all give 0.
+    limit from below for the built-in models (a 1/n prefactor). It is an
+    estimate and can fall short of the truncation error. A row with under two
+    positive groups or no decay gets inf; no groups give 0, which
+    AtomTable.log_zeta keeps only for an empty orbit set.
     """
     if times.size == 0:
         return np.zeros(mags.shape[0])
@@ -242,9 +219,11 @@ class AtomTable:
 
     def log_zeta(self, lambdas) -> tuple[np.ndarray, np.ndarray]:
         """(values, tails), lambdas x (2m + 3): log zeta_k for k = 0..2m, the
-        Euler sum, the assembly. With orbits, the Euler tail is inf at Re lambda <= 0.
-        Terms are formed in real arithmetic and added atom by atom in table
-        order, so no lambda's result depends on the rest of the grid."""
+        Euler sum, the assembly. tails are _geometric_tails estimates, not bounds.
+        With orbits, the Euler tail is inf at Re lambda <= 0, and every tail is
+        inf when L_max stops short of the first atom. Terms are formed in real
+        arithmetic and added atom by atom in table order, so no lambda's result
+        depends on the rest of the grid."""
         lambdas = np.asarray(lambdas, dtype=complex).reshape(-1)
         columns = np.column_stack([self.weights * self.euler[:, None], self.euler, self.sign * self.euler])
         shape = (lambdas.size, columns.shape[1])
@@ -264,32 +243,46 @@ class AtomTable:
         tails = _geometric_tails(self.group_times, mags.reshape(shape[0] * shape[1], -1)).reshape(shape)
         if math.isfinite(self.t_min):
             tails[lambdas.real <= 0, 2 * self.m + 1] = math.inf
+            if not self.t.size:  # orbits, but none short enough: nothing certifies the truncation
+                tails[:] = math.inf
         return values, tails
 
 
 def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     """The atom table of orbits up to L_max; every return map must be 2m x 2m.
 
-    The characteristic polynomials of all finite float P^j come from one stacked eigendecomposition;
-    integer-valued P^j keep the exact route of _char_poly; a non-finite P^j fails its transversality check.
+    Integer-valued return maps are raised to powers in Python ints, up to the first P^j whose _transversality_scale
+    is inf; that atom, like any non-finite P^j, fails its check. All finite float P^j share one stacked
+    eigendecomposition for their characteristic polynomials; integer-valued P^j keep the exact route of _char_poly.
     """
-    terms = _orbit_power_terms(orbits, L_max)
+    atoms = []  # (t, input position, j, P^j, scale)
+    for pos, orbit in enumerate(orbits):
+        if orbit.poincare.shape[0] != 2 * m:
+            d = orbit.poincare.shape[0]
+            raise ValueError(f"orbit carries a {d}x{d} return map, expected 2m = {2 * m}")
+        exact = _integer_entries(orbit.poincare)
+        base = orbit.poincare if exact is None else np.array(exact, dtype=object).reshape(orbit.poincare.shape)
+        j, p_power, scale = 1, base, 0.0
+        while j * orbit.length <= L_max * (1 + 1e-12) and scale < math.inf:
+            scale = _transversality_scale(p_power)
+            atoms.append((j * orbit.length, pos, j, p_power, scale))
+            j += 1
+            # a P^j past the float range is reported at its atom, or an earlier one, below
+            with np.errstate(over="ignore", invalid="ignore"):
+                p_power = p_power @ base
+    atoms.sort(key=lambda atom: atom[:3])
     # object arrays hold the Python-int powers of integer maps; a float P^j may still be integer-valued
-    floating = [a for a, (*_, p, _) in enumerate(terms)
-                if p.dtype != object and p.shape[0] == 2 * m and _integer_entries(p) is None]
-    maps = np.array([terms[a][3] for a in floating], dtype=float).reshape(len(floating), 2 * m, 2 * m)
+    floating = [a for a, (*_, p, _) in enumerate(atoms) if p.dtype != object and _integer_entries(p) is None]
+    maps = np.array([atoms[a][3] for a in floating], dtype=float).reshape(len(floating), 2 * m, 2 * m)
     finite = np.isfinite(maps).all(axis=(1, 2))
     polys = dict.fromkeys(floating, [math.nan] * (2 * m + 1))
     polys.update(zip(np.compress(finite, floating).tolist(), _float_char_polys(maps[finite]).tolist()))
     t, euler, weights, sign = [], [], [], []
-    for a, (time, orbit, j, p_power, scale) in enumerate(terms):
-        if p_power.shape[0] != 2 * m:
-            d = p_power.shape[0]
-            raise ValueError(f"orbit carries a {d}x{d} return map, expected 2m = {2 * m}")
+    for a, (time, pos, j, p_power, scale) in enumerate(atoms):
         e = polys[a] if a in polys else _char_poly(p_power)
         det = _transversality_denominator(e, scale)
         t.append(time)
-        euler.append(-orbit.multiplicity * complex(np.trace(np.linalg.matrix_power(orbit.rho, j))) / j)
+        euler.append(-orbits[pos].multiplicity * complex(np.trace(np.linalg.matrix_power(orbits[pos].rho, j))) / j)
         weights.append([complex(x) / abs(det) for x in e])
         sign.append((-1) ** m * math.copysign(1.0, det))
     group_times, group = np.unique(np.array(t, dtype=float), return_inverse=True)
@@ -312,7 +305,7 @@ def flat_trace_evolution(orbits, k: int, t_max: float) -> AtomicDistribution:
     weight length * tr(rho^j) * tr(wedge^k P^j) / |det(I - P^j)|.
     """
     if not orbits:
-        return AtomicDistribution.empty()
+        return AtomicDistribution((), math.inf)
     if not 0 <= k <= 2 * orbits[0].m:
         raise ValueError(f"k = {k} outside 0..{2 * orbits[0].m}")
     table = atom_table(orbits, orbits[0].m, t_max)

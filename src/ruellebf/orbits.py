@@ -201,14 +201,16 @@ def _census(model: HyperbolicToralModel, n_max: int) -> list[tuple[int, tuple, i
         raise ValueError("not Anosov: an eigenvalue lies on the unit circle")
     (a, b), (c, d) = model.A
     census, power = [], ((1, 0), (0, 1))
+    sieved = [0] * (n_max + 1)  # the fixed points of A^n on orbits of the periods k < n dividing n
     for n in range(1, n_max + 1):
         (p, q), (r, s) = power
         power = ((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
-        total = abs((power[0][0] - 1) * (power[1][1] - 1) - power[0][1] * power[1][0])
-        total -= sum(k * census[k - 1][2] for k in range(1, n) if n % k == 0)
+        total = abs((power[0][0] - 1) * (power[1][1] - 1) - power[0][1] * power[1][0]) - sieved[n]
         if total % n:
             raise ArithmeticError(f"sieve produced a non-integer count at period {n}")
         census.append((n, power, total // n))
+        for multiple in range(2 * n, n_max + 1, n):  # each period's n * count goes to its multiples once
+            sieved[multiple] += total
     return census
 
 

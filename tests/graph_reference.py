@@ -9,6 +9,7 @@ tensor. No route of the library builds a graph; gamma_sum, gamma_int and
 gamma_tr sum chains and cycles in closed form, and the tests compare them
 with these weights divided by the automorphism counts.
 
+embed_doubled places the external vectors on the doubled field space, and
 toy_bf_partition is the per-point LU reference for bf_engine.partition_grid.
 """
 
@@ -295,6 +296,19 @@ def _tail_vector_map(graph: FeynmanGraph, external) -> dict[int, np.ndarray]:
         return out
     vec = np.asarray(external, dtype=complex)
     return {h: vec for h in tails}
+
+
+def embed_doubled(model, A=None, B=None) -> dict:
+    """External-slot vectors on the doubled field space V0 (A) + V1 (B) of a MatrixBFModel,
+    keyed by tail label: A fills the V0 half, B the V1 half."""
+    n = model.complex.n
+    a_vec = np.zeros(2 * n, dtype=np.complex128)
+    b_vec = np.zeros(2 * n, dtype=np.complex128)
+    if A is not None:
+        a_vec[:n] = np.asarray(A, dtype=np.complex128)
+    if B is not None:
+        b_vec[n:] = np.asarray(B, dtype=np.complex128)
+    return {"A": a_vec, "B": b_vec}
 
 
 def graph_weight(graph: FeynmanGraph, propagator: np.ndarray, interaction: Interaction, external) -> complex:

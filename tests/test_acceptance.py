@@ -33,11 +33,11 @@ from ruellebf.flat_zeta import (
     flat_determinant_orbit,
     log_zeta_k,
 )
-from ruellebf.bf_engine import doubled_field_tensors, embed_doubled
+from ruellebf.bf_engine import doubled_field_tensors
 from ruellebf.graded_core import ToyBFComplex
 from ruellebf.orbits import HyperbolicToralModel, enumerate_prime_orbits, fixed_point_count, prime_orbit_counts
 
-from graph_reference import automorphism_order, chain_graph, cycle_graph, graph_weight
+from graph_reference import automorphism_order, chain_graph, cycle_graph, embed_doubled, graph_weight
 
 
 @contextmanager

@@ -12,7 +12,6 @@ from ruellebf.bf_engine import (
     chain_contraction_matrix,
     closed_form_expectation,
     doubled_field_tensors,
-    embed_doubled,
     expectation_grid,
     expectation_value,
     full_space_operators,
@@ -32,7 +31,7 @@ from ruellebf.flat_zeta import euler_product_log_zeta
 from ruellebf.graded_core import GradedOperator, GradedVectorSpace, ToyBFComplex, superdeterminant
 from ruellebf.orbits import HyperbolicToralModel, enumerate_prime_orbits
 
-from graph_reference import automorphism_order, chain_graph, cycle_graph, graph_weight, toy_bf_partition
+from graph_reference import automorphism_order, chain_graph, cycle_graph, embed_doubled, graph_weight, toy_bf_partition
 
 
 def random_toy(rng, n=3, shift=4.0):

@@ -166,6 +166,31 @@ def test_bridge_command_orbit_routes(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["zeta", "bridge"])
+@pytest.mark.parametrize("model", ["catmap", "spectrum"])
+def test_l_max_short_of_the_shortest_orbit_exits_1(tmp_path, capsys, command, model):
+    # L_max = 0.5 sums no atom of orbits of length >= 1: a zeta of 0 or a bridge ratio of 1 would be unfounded
+    payload = dict(CAT_CONFIG, truncation={"n_max": 8, "L_max": 0.5})
+    if model == "spectrum":
+        spectrum = tmp_path / "spec.csv"
+        spectrum.write_text("length,multiplicity,m,P_entries,rho_re,rho_im\n1.0,1,1,2;0;0;0.5,1,0\n")
+        payload["model"] = {"spectrum_file": str(spectrum)}
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 1
+    _assert_one_line_error(capsys, "config error at truncation.L_max: 0.5 is shorter than the shortest orbit",
+                           "length 1.0")
+
+
+def test_orbits_reads_no_l_max(tmp_path, capsys):
+    outputs = []
+    for l_max in (0.5, 12.0):
+        payload = dict(CAT_CONFIG, truncation={"n_max": 8, "L_max": l_max})
+        code, out, err = _run_quietly(capsys, ["orbits", "--config", write_config(tmp_path, payload)])
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert "# sieve_consistent: true" in outputs[0]
+
+
+@pytest.mark.parametrize("command", ["zeta", "bridge"])
 def test_catmap_atoms_stop_where_the_census_ends(tmp_path, capsys, command):
     # the census ends at period n_max = 3, so with roof 1 it holds no atom past 3.0: L_max = 12 reads
     # the same atoms as L_max = 3, and the zeta L_max column prints the length reached
@@ -685,6 +710,32 @@ def test_boolean_config_values_exit_1(tmp_path, capsys, command, base, change, p
     cfg = write_config(tmp_path, dict(base, **change))
     assert main([command, "--config", cfg]) == 1
     _assert_one_line_error(capsys, f"config error at {path}")
+
+
+SPECTRUM_HEADER_LINE = "length,multiplicity,m,P_entries,rho_re,rho_im\n"
+
+
+@pytest.mark.parametrize("command, config, spectrum, code, fragment", [
+    ("orbits", "{not json", None, 1, "config error at <file>: invalid JSON"),
+    ("orbits", dict(CAT_CONFIG, rep={"sheaf": 1}), None, 1, "config error at rep: unknown representation 'sheaf'"),
+    ("orbits", dict(CAT_CONFIG, model={"torus": {}}), None, 1, "config error at model: unknown model source 'torus'"),
+    ("zeta", MATRIX_CONFIG, None, 1, "config error at model: this command needs an orbit model"),
+    ("zeta", dict(CAT_CONFIG, model={"spectrum_file": "spec.csv"}), SPECTRUM_HEADER_LINE + "1.0,1,1,2;0;0;0.5,1\n",
+     2, "model invalid: SpectrumFormatError: line 2: expected 6 fields, found 5"),
+    ("zeta", dict(CAT_CONFIG, model={"spectrum_file": "spec.csv"}), "# lengths only\n",
+     2, "model invalid: SpectrumFormatError: missing header row"),
+    ("zeta", dict(CAT_CONFIG, model={"spectrum_file": "spec.csv"}), SPECTRUM_HEADER_LINE + "1.0,0,1,2;0;0;0.5,1,0\n",
+     2, "model invalid: SpectrumFormatError: line 2: multiplicity must be a positive integer"),
+], ids=["invalid-json", "unknown-rep", "unknown-model", "zeta-on-matrix", "five-fields", "no-header", "multiplicity-0"])
+def test_config_and_spectrum_errors_exit_with_one_line(tmp_path, capsys, monkeypatch, command, config, spectrum,
+                                                       code, fragment):
+    monkeypatch.chdir(tmp_path)  # the spectrum path is relative to the working directory
+    if spectrum is not None:
+        (tmp_path / "spec.csv").write_text(spectrum, encoding="utf-8")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == code
+    _assert_one_line_error(capsys, fragment)
 
 
 def test_overflowing_propagator_exits_3(tmp_path, capsys):
