@@ -182,17 +182,25 @@ def _parse_model(cfg, rep):
 
 def _orbit_data(kind, model, n_max, l_max):
     """(orbits, m, model_id, reach), reach the L_max an orbit sum reads: a cat map's census ends at
-    period n_max, so its atoms stop at n_max * roof. Raises ModelError for invalid dynamics, and
-    ConfigError when reach stops short of the shortest orbit."""
+    period n_max, so its atoms stop at n_max * roof, and the census walks only the periods within
+    reach, at least period 1, whose orbit is the shortest. Raises ModelError for invalid dynamics,
+    and ConfigError when reach stops short of the shortest orbit."""
     if kind == "catmap":
+        reach = min(l_max, n_max * model.roof)
+        limit, periods = reach * (1 + 1e-12), n_max  # limit: the reach test of flat_zeta.atom_table
+        # past the float range the full census runs, and reports the first orbit length that is inf
+        if math.isfinite(n_max * model.roof * (1 + 1e-12)):
+            periods = min(n_max, int(limit // model.roof) + 1)
+            while periods > 1 and periods * model.roof > limit:
+                periods -= 1
         try:
-            orbs = orbits_mod.enumerate_prime_orbits(model, n_max)
+            orbs = orbits_mod.enumerate_prime_orbits(model, periods)
         except ValueError as exc:  # not Anosov, or an orbit length past the float range
             raise ModelError(str(exc))
         a, rep = model.A, model.rep
         rep_tag = "trivial" if rep.kind == "trivial" else f"character{rep.character_angle!r}"
         model_id = f"catmap[{a[0][0]},{a[0][1]},{a[1][0]},{a[1][1]}]|roof={model.roof!r}|{rep_tag}"
-        m, reach = 1, min(l_max, n_max * model.roof)
+        m = 1
     elif kind == "spectrum":
         try:
             orbs = orbits_mod.load_length_spectrum(model)
@@ -262,26 +270,25 @@ def cmd_orbits(cfg, fmt, out_path):
     rep = _parse_rep(cfg)
     n_max, _, _ = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
-    orbs, _, model_id, _ = _orbit_data(kind, model, n_max, math.inf)  # this command sums no atoms
+    orbs, m, model_id, _ = _orbit_data(kind, model, n_max, math.inf)  # this command sums no atoms
     # an integer-valued P reads tr P = e_1 and det P = e_2m off its exact characteristic polynomial;
-    # the float maps share one stacked determinant
-    exact = [flat_zeta._integer_entries(orbit.poincare) is not None for orbit in orbs]
-    floats = [orbit.poincare for orbit, ex in zip(orbs, exact) if not ex]
-    float_dets = iter(np.linalg.det(np.array(floats)).tolist() if floats else [])
-    rows = []
-    for orbit, ex in zip(orbs, exact):
-        p = orbit.poincare
-        e = flat_zeta._char_poly(p) if ex else None
-        rows.append({
-            "period": orbit.period if orbit.period is not None else -1,
-            "length": orbit.length,
-            "multiplicity": orbit.multiplicity,
-            "m": orbit.m,
-            "trace_P": flat_zeta._float_or_inf(np.trace(p) if e is None else e[1]),
-            "det_P": flat_zeta._float_or_inf(next(float_dets) if e is None else e[-1]),
-            "rho_re": float(orbit.rho[0, 0].real),
-            "rho_im": float(orbit.rho[0, 0].imag),
-        })
+    # the float maps share one stacked trace and one stacked determinant
+    floating = np.array([orbit.poincare.dtype.kind == "f" for orbit in orbs], dtype=bool)
+    maps = np.array([o.poincare for o, f in zip(orbs, floating) if f], dtype=float).reshape(-1, 2 * m, 2 * m)
+    integral = flat_zeta._integer_valued(maps)
+    floating[np.flatnonzero(floating)[integral]] = False
+    trace_p, det_p = np.zeros(len(orbs)), np.zeros(len(orbs))
+    trace_p[floating] = np.trace(maps[~integral], axis1=1, axis2=2)
+    det_p[floating] = np.linalg.det(maps[~integral])
+    for i in np.flatnonzero(~floating).tolist():
+        e = flat_zeta._char_poly(orbs[i].poincare)
+        trace_p[i], det_p[i] = flat_zeta._float_or_inf(e[1]), flat_zeta._float_or_inf(e[-1])
+    rho = np.array([orbit.rho[0, 0] for orbit in orbs], dtype=complex)
+    rows = [{"period": orbit.period if orbit.period is not None else -1, "length": orbit.length,
+             "multiplicity": orbit.multiplicity, "m": orbit.m, "trace_P": tr, "det_P": det,
+             "rho_re": re, "rho_im": im}
+            for orbit, tr, det, re, im in zip(orbs, trace_p.tolist(), det_p.tolist(),
+                                              rho.real.tolist(), rho.imag.tolist())]
     meta = {"model_id": model_id}
     if kind == "catmap":
         # each period d adds its d * multiplicity fixed points to every multiple of d
@@ -289,7 +296,13 @@ def cmd_orbits(cfg, fmt, out_path):
         for orbit in orbs:
             for n in range(orbit.period, n_max + 1, orbit.period):
                 fixed[n] += orbit.period * orbit.multiplicity
-        meta["sieve_consistent"] = all(fixed[n] == orbits_mod.fixed_point_count(model, n) for n in range(1, n_max + 1))
+        # independently of the census: |det(A^n - I)| = |delta^n - t_n + 1|, t_n = tr A^n by its recurrence
+        (a, b), (c, d) = model.A
+        tau, delta = a + d, a * d - b * c
+        traces = [2, tau]
+        for n in range(2, n_max + 1):
+            traces.append(tau * traces[-1] - delta * traces[-2])
+        meta["sieve_consistent"] = all(fixed[n] == abs(delta ** n - traces[n] + 1) for n in range(1, n_max + 1))
     columns = ["period", "length", "multiplicity", "m", "trace_P", "det_P", "rho_re", "rho_im"]
     _emit(rows, columns, fmt, out_path, meta)
     return EXIT_OK

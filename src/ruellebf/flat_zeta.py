@@ -4,15 +4,20 @@ Evolution semigroups of the orbit models have flat traces supported on the
 closed-orbit lengths; truncating those atom sums gives the per-degree log
 zeta factors, the Euler product, and the alternating assembly. All of them
 reduce one AtomTable, built once per (orbits, m, L_max), with the
-transversality check run once per atom. A lambda grid is evaluated in one
-pass, summed in the fixed atom order (ascending time, then input order, then
-repetition), so values are bit-stable, the same for a lambda alone as inside
-any grid, and each carries a geometric tail estimate. An atom's exterior
-traces tr(wedge^k P^j) and det(I - P^j) come from one characteristic
-polynomial of P^j: in exact integers for integer-valued return maps, from
-the eigenvalues for float ones. The finite float P^j of a whole table share
-one stacked eigvals call and one recurrence for their coefficients, run in
-real arithmetic over the stack and so independent of the BLAS build.
+transversality check run once per atom. An atom's exterior traces
+tr(wedge^k P^j) and det(I - P^j) come from one characteristic polynomial of
+P^j: in exact integers for integer-valued return maps, from the eigenvalues
+for float ones. The float maps of a table are raised by one stacked product
+per repetition j, and every column of their atoms comes from stacked arrays:
+one eigvals call and one recurrence for the coefficients, run in real
+arithmetic over the stack and so independent of the BLAS build, the
+determinant added column by column, the weights and Euler coefficients with
+Python's complex arithmetic spelled out on real parts. A lambda grid is
+evaluated in blocks of a fixed element budget, so temporaries stay small on
+large grids, and summed in the fixed atom order (ascending time, then input
+order, then repetition) by sequential cumsum and np.add.at, so values are
+bit-stable, the same for a lambda alone as inside any grid, and each carries
+a geometric tail estimate.
 
 Branch convention: principal logarithms everywhere, with log zeta built
 additively from per-orbit terms so no product-branch ambiguity arises.
@@ -32,6 +37,8 @@ NON_TRANSVERSE_RTOL = 1e-12
 # float64 holds every integer of smaller magnitude exactly
 EXACT_INT_LIMIT = 2.0 ** 53
 TAIL_WINDOW = 6
+# elements of a log_zeta block (lambdas x columns x atoms): about 2 MB per float64 temporary
+LOG_ZETA_BLOCK = 2 ** 18
 
 
 class NonTransverseOrbitError(ArithmeticError):
@@ -221,26 +228,36 @@ class AtomTable:
         """(values, tails), lambdas x (2m + 3): log zeta_k for k = 0..2m, the
         Euler sum, the assembly. tails are _geometric_tails estimates, not bounds.
         With orbits, the Euler tail is inf at Re lambda <= 0, and every tail is
-        inf when L_max stops short of the first atom. Terms are formed in real
-        arithmetic and added atom by atom in table order, so no lambda's result
-        depends on the rest of the grid."""
+        inf when L_max stops short of the first atom.
+
+        The grid runs in blocks of at most LOG_ZETA_BLOCK lambdas x columns x
+        atoms elements; a block's terms are formed at once in real arithmetic.
+        The values are summed along the atoms in table order by a sequential
+        cumsum, the magnitudes of each time group by np.add.at, both as a running
+        sum from 0.0 adds them, so no lambda's result depends on the rest of the
+        grid or on the block it falls in."""
         lambdas = np.asarray(lambdas, dtype=complex).reshape(-1)
         columns = np.column_stack([self.weights * self.euler[:, None], self.euler, self.sign * self.euler])
-        shape = (lambdas.size, columns.shape[1])
-        re, im = np.zeros(shape), np.zeros(shape)
-        mags = np.zeros(shape + (self.group_times.size,))
+        n_atoms, n_columns, n_groups = self.t.size, columns.shape[1], self.group_times.size
+        # columns x atoms, so that the sums run along the last axis
+        c_re, c_im = np.ascontiguousarray(columns.real.T), np.ascontiguousarray(columns.imag.T)
+        values = np.zeros((lambdas.size, n_columns), dtype=complex)
+        tails = np.zeros((lambdas.size, n_columns))
+        step = max(1, LOG_ZETA_BLOCK // max(1, n_columns * n_atoms))
         # far left of the axis e^{-lambda t} overflows: inf or nan values with inf tail bounds
         with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.exp(np.outer(-lambdas, self.t))
-            for a, g in enumerate(self.group):
-                x, y, c = phase[:, a, None].real, phase[:, a, None].imag, columns[a]
-                term_re, term_im = x * c.real - y * c.imag, x * c.imag + y * c.real
-                re += term_re
-                im += term_im
-                mags[:, :, g] += np.hypot(term_re, term_im)
-        values = re.astype(complex)
-        values.imag = im
-        tails = _geometric_tails(self.group_times, mags.reshape(shape[0] * shape[1], -1)).reshape(shape)
+            for lo in range(0, lambdas.size, step):
+                block = slice(lo, lo + step)
+                phase = np.exp(np.outer(-lambdas[block], self.t))[:, None, :]
+                x, y = phase.real, phase.imag
+                term_re, term_im = x * c_re - y * c_im, x * c_im + y * c_re
+                mags = np.zeros(term_re.shape[:2] + (n_groups,))
+                np.add.at(mags, (slice(None), slice(None), self.group), np.hypot(term_re, term_im))
+                if n_atoms:  # + 0.0: a sum of -0.0 terms started at 0.0 is 0.0
+                    values.real[block] = np.cumsum(term_re, axis=2)[:, :, -1] + 0.0
+                    values.imag[block] = np.cumsum(term_im, axis=2)[:, :, -1] + 0.0
+                flat = mags.reshape(mags.shape[0] * n_columns, n_groups)
+                tails[block] = _geometric_tails(self.group_times, flat).reshape(mags.shape[:2])
         if math.isfinite(self.t_min):
             tails[lambdas.real <= 0, 2 * self.m + 1] = math.inf
             if not self.t.size:  # orbits, but none short enough: nothing certifies the truncation
@@ -248,49 +265,153 @@ class AtomTable:
         return values, tails
 
 
-def atom_table(orbits, m: int, L_max: float) -> AtomTable:
-    """The atom table of orbits up to L_max; every return map must be 2m x 2m.
+def _integer_valued(maps: np.ndarray) -> np.ndarray:
+    """Per map of an (n, d, d) float stack: whether _integer_entries reads it as integers."""
+    return np.all((np.abs(maps) < EXACT_INT_LIMIT) & (maps == np.floor(maps)), axis=(1, 2))
 
-    Integer-valued return maps are raised to powers in Python ints, up to the first P^j whose _transversality_scale
-    is inf; that atom, like any non-finite P^j, fails its check. All finite float P^j share one stacked
-    eigendecomposition for their characteristic polynomials; integer-valued P^j keep the exact route of _char_poly.
+
+def _transversality_scales(maps: np.ndarray) -> np.ndarray:
+    """_transversality_scale of each map of an (n, d, d) float stack, bit for bit: fmax passes over
+    NaN entries as Python's max from 1.0 does, and float_power is the libm pow of a float64 scalar,
+    where the power ufunc may take a SIMD pow that rounds differently."""
+    n, d = maps.shape[:2]
+    deviation = np.abs(np.eye(d) - maps).reshape(n, d * d)
+    with np.errstate(over="ignore"):
+        return np.float_power(np.fmax.reduce(deviation, axis=1, initial=1.0), d)
+
+
+def _float_powers(base: np.ndarray, lengths: np.ndarray, reach: float) -> tuple:
+    """(index into base, j, P^j, scale) of every atom of an (n, d, d) stack of float return maps, one
+    stacked product per repetition j over the maps still within reach whose last scale was finite."""
+    index, js, powers, scales = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [base[:0]], [np.zeros(0)]
+    alive, power, j = np.arange(len(base)), base, 1
+    while alive.size:
+        within = j * lengths[alive] <= reach
+        alive, power = alive[within], power[within]
+        scale = _transversality_scales(power)
+        index.append(alive)
+        js.append(np.full(alive.size, j))
+        powers.append(power)
+        scales.append(scale)
+        finite = scale < math.inf
+        alive, power = alive[finite], power[finite]
+        # a P^j past the float range fails its check at its atom, or an earlier one fails first
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ base[alive]
+        j += 1
+    return tuple(np.concatenate(c) for c in (index, js, powers, scales))
+
+
+def _euler_coefficients(orbits, pos: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-mult * complex(tr rho^j) / j per atom, with the steps of Python's complex product and
+    quotient on real parts, and whether mult is past the float range), one stacked matrix_power per
+    rho shape and j."""
+    traces = np.zeros(pos.size, dtype=complex)
+    by_shape: dict[tuple, list[int]] = {}
+    for p, orbit in enumerate(orbits):
+        by_shape.setdefault(orbit.rho.shape, []).append(p)
+    slot = np.zeros(len(orbits), dtype=int)
+    for members in by_shape.values():
+        slot[members] = np.arange(len(members))
+        rhos = np.array([orbits[p].rho for p in members])
+        in_shape = np.flatnonzero(np.isin(pos, members))
+        for power in np.unique(j[in_shape]).tolist():
+            at = in_shape[j[in_shape] == power]
+            traces[at] = np.trace(np.linalg.matrix_power(rhos[slot[pos[at]]], power), axis1=1, axis2=2)
+    mult = np.array([_float_or_inf(-orbit.multiplicity) for orbit in orbits])[pos]
+    euler = np.zeros(pos.size, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        product_re = mult * traces.real - 0.0 * traces.imag
+        product_im = mult * traces.imag + 0.0 * traces.real
+        euler.real = (product_re + product_im * 0.0) / j
+        euler.imag = (product_im - product_re * 0.0) / j
+    return euler, np.isinf(mult)
+
+
+def atom_table(orbits, m: int, L_max: float) -> AtomTable:
+    """The atom table of orbits up to L_max; every return map must be 2m x 2m, a PrimeOrbit's float,
+    integer or Python-int matrix.
+
+    Each orbit's powers stop at the first P^j whose _transversality_scale is inf; that atom, like any
+    non-finite P^j, fails its check, and the first failing atom in table order raises. Integer-valued
+    return maps are raised to powers in Python ints; their atoms, and any integer-valued float P^j,
+    keep the exact route of _char_poly, one atom at a time. The other float maps are raised by
+    _float_powers, and every column of their atoms comes from stacked arrays: one _float_char_polys
+    call, det(I - P^j) = sum_k (-1)^k e_k added column by column as Python's sum adds it, and the
+    weights as Python's complex division forms them. _euler_coefficients serves both routes.
     """
-    atoms = []  # (t, input position, j, P^j, scale)
-    for pos, orbit in enumerate(orbits):
-        if orbit.poincare.shape[0] != 2 * m:
-            d = orbit.poincare.shape[0]
-            raise ValueError(f"orbit carries a {d}x{d} return map, expected 2m = {2 * m}")
-        exact = _integer_entries(orbit.poincare)
-        base = orbit.poincare if exact is None else np.array(exact, dtype=object).reshape(orbit.poincare.shape)
+    d = 2 * m
+    for orbit in orbits:
+        if orbit.poincare.shape[0] != d:
+            size = orbit.poincare.shape[0]
+            raise ValueError(f"orbit carries a {size}x{size} return map, expected 2m = {d}")
+    reach = L_max * (1 + 1e-12)
+    lengths = np.array([orbit.length for orbit in orbits], dtype=float)
+    is_float = np.array([orbit.poincare.dtype.kind == "f" for orbit in orbits], dtype=bool)
+    floats = np.array([o.poincare for o, f in zip(orbits, is_float) if f], dtype=float)
+    floats = floats.reshape(int(is_float.sum()), d, d)
+    integral = _integer_valued(floats)
+    exact = []  # (t, input position, j, P^j, scale) of the maps raised in Python ints
+    for pos in sorted(np.flatnonzero(~is_float).tolist() + np.flatnonzero(is_float)[integral].tolist()):
+        orbit = orbits[pos]
+        base = np.array(_integer_entries(orbit.poincare), dtype=object).reshape(d, d)
         j, p_power, scale = 1, base, 0.0
-        while j * orbit.length <= L_max * (1 + 1e-12) and scale < math.inf:
+        while j * orbit.length <= reach and scale < math.inf:
             scale = _transversality_scale(p_power)
-            atoms.append((j * orbit.length, pos, j, p_power, scale))
+            exact.append((j * orbit.length, pos, j, p_power, scale))
             j += 1
-            # a P^j past the float range is reported at its atom, or an earlier one, below
-            with np.errstate(over="ignore", invalid="ignore"):
-                p_power = p_power @ base
-    atoms.sort(key=lambda atom: atom[:3])
-    # object arrays hold the Python-int powers of integer maps; a float P^j may still be integer-valued
-    floating = [a for a, (*_, p, _) in enumerate(atoms) if p.dtype != object and _integer_entries(p) is None]
-    maps = np.array([atoms[a][3] for a in floating], dtype=float).reshape(len(floating), 2 * m, 2 * m)
-    finite = np.isfinite(maps).all(axis=(1, 2))
-    polys = dict.fromkeys(floating, [math.nan] * (2 * m + 1))
-    polys.update(zip(np.compress(finite, floating).tolist(), _float_char_polys(maps[finite]).tolist()))
-    t, euler, weights, sign = [], [], [], []
-    for a, (time, pos, j, p_power, scale) in enumerate(atoms):
-        e = polys[a] if a in polys else _char_poly(p_power)
-        det = _transversality_denominator(e, scale)
-        t.append(time)
-        euler.append(-orbits[pos].multiplicity * complex(np.trace(np.linalg.matrix_power(orbits[pos].rho, j))) / j)
-        weights.append([complex(x) / abs(det) for x in e])
-        sign.append((-1) ** m * math.copysign(1.0, det))
-    group_times, group = np.unique(np.array(t, dtype=float), return_inverse=True)
-    return AtomTable(
-        m, np.array(t, dtype=float), np.array(euler, dtype=complex),
-        np.array(weights, dtype=complex).reshape(len(t), 2 * m + 1), np.array(sign, dtype=float),
-        group, group_times, min((o.length for o in orbits), default=math.inf),
-    )
+            p_power = p_power @ base
+    float_pos = np.flatnonzero(is_float)[~integral]
+    index, f_j, f_maps, f_scale = _float_powers(floats[~integral], lengths[float_pos], reach)
+    t = np.concatenate([np.array([a[0] for a in exact], dtype=float), f_j * lengths[float_pos[index]]])
+    pos = np.concatenate([np.array([a[1] for a in exact], dtype=int), float_pos[index]])
+    j = np.concatenate([np.array([a[2] for a in exact], dtype=int), f_j])
+    scale = np.concatenate([np.array([a[4] for a in exact], dtype=float), f_scale])
+    # table order: ascending (t, input position, j)
+    order = np.lexsort((j, pos, t))
+    t, pos, j, scale = t[order], pos[order], j[order], scale[order]
+    on_float = np.flatnonzero(order >= len(exact))
+    maps = f_maps[order[on_float] - len(exact)]
+    stays_exact = _integer_valued(maps)
+    by_exact_route = {a: exact[order[a]][3] for a in np.flatnonzero(order < len(exact)).tolist()}
+    by_exact_route.update(zip(on_float[stays_exact].tolist(), maps[stays_exact]))
+    rows, maps = on_float[~stays_exact], maps[~stays_exact]
+
+    weights, det, bad = np.zeros((t.size, d + 1), dtype=complex), np.zeros(t.size), np.zeros(t.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # atoms that fail their check
+        finite = np.isfinite(maps).all(axis=(1, 2))
+        e = np.full((rows.size, d + 1), math.nan)
+        e[finite] = _float_char_polys(maps[finite])
+        float_det = np.zeros(rows.size)
+        for k in range(d + 1):
+            float_det = float_det - e[:, k] if k % 2 else float_det + e[:, k]
+        size = np.abs(float_det)
+        bad[rows] = ~((NON_TRANSVERSE_RTOL * scale[rows] <= size) & (size < math.inf))
+        det[rows] = float_det
+        # complex(x) / size: real part (x + 0.0 * (0.0 / size)) / size, so -0.0 reads 0.0; the
+        # imaginary part (0.0 - x * (0.0 / size)) / size is 0.0 for every finite x
+        weights.real[rows] = (e + 0.0) / size[:, None]
+    failures = {}
+    for a, p_power in by_exact_route.items():
+        e_exact = _char_poly(p_power)
+        try:
+            det[a] = _transversality_denominator(e_exact, float(scale[a]))
+            weights[a] = [complex(x) / abs(float(det[a])) for x in e_exact]
+        except ArithmeticError as exc:  # non-transverse, or an exact trace past the float range
+            failures[a] = exc
+            bad[a] = True
+    euler, overflow = _euler_coefficients(orbits, pos, j)
+    bad |= overflow
+    if bad.any():  # raise what the first failing atom raises
+        a = int(np.argmax(bad))
+        if a in failures:
+            raise failures[a]
+        if a in rows:
+            _transversality_denominator(e[np.searchsorted(rows, a)].tolist(), float(scale[a]))
+        complex(-orbits[pos[a]].multiplicity)  # a multiplicity past the float range
+    group_times, group = np.unique(t, return_inverse=True)
+    return AtomTable(m, t, euler, weights, (-1.0) ** m * np.copysign(1.0, det), group, group_times,
+                     min(lengths.tolist(), default=math.inf))
 
 
 def _series(orbits, m: int, lam, L_max: float, column: int, k: int | None = None) -> ZetaSeries:

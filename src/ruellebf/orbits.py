@@ -13,11 +13,13 @@ circle is n, which is what a character representation is evaluated on.
 Contact-ness of the suspension is not certified; every downstream formula
 consumes only (length, P, rho, m).
 
-The loader parses every row first, validates each distinct (P, rho) record
-once (one stacked eigvals call per map size for the unit-circle check, one
-stacked svd for the representation values), then merges the rows into
-classes and builds each class's PrimeOrbit once. Errors are those of
-row-by-row validation: the first bad line in file order wins.
+The loader parses every row first, giving each parsed P tuple one value id,
+validates each distinct (P, rho) record once (one stacked eigvals call per
+map size for the unit-circle check, one stacked svd for the representation
+values), then merges the rows into classes over one sort of the record and
+length keys and builds each class's PrimeOrbit once, its P a view of one
+stack per map size. Errors are those of row-by-row validation: the first
+bad line in file order wins.
 """
 
 from __future__ import annotations
@@ -130,9 +132,8 @@ class PrimeOrbit:
                       period: int | None = None) -> "PrimeOrbit":
         """A PrimeOrbit of fields that already passed its checks (the loader checks its records in bulk)."""
         orbit = object.__new__(cls)
-        for name, value in (("length", length), ("poincare", poincare), ("rho", rho),
-                            ("multiplicity", multiplicity), ("period", period)):
-            object.__setattr__(orbit, name, value)
+        # the fields go straight into the instance dict, past the frozen __setattr__
+        orbit.__dict__.update(length=length, poincare=poincare, rho=rho, multiplicity=multiplicity, period=period)
         return orbit
 
     @property
@@ -241,10 +242,10 @@ SPECTRUM_HEADER = ["length", "multiplicity", "m", "P_entries", "rho_re", "rho_im
 
 
 def _parse_row(row: list[str], line: int, parsed: dict[str, tuple]) -> tuple:
-    """(line, length, multiplicity, P entries, rho) of one data row; raises on a format error.
+    """(line, length, multiplicity, P index, rho) of one data row; raises on a format error.
 
-    parsed maps P_entries texts already read to their floats: rows repeating a text share one
-    tuple, which keeps a file of duplicated records small in memory.
+    parsed maps each P_entries text already read to (its P index, its floats), indices in order of
+    first appearance: rows repeating a text share one parse and one tuple.
     """
     if len(row) != len(SPECTRUM_HEADER):
         raise SpectrumFormatError(
@@ -254,18 +255,20 @@ def _parse_row(row: list[str], line: int, parsed: dict[str, tuple]) -> tuple:
         length = float(row[0])
         multiplicity = int(row[1])
         m = int(row[2])
-        entries = parsed.get(row[3]) or parsed.setdefault(row[3], tuple(map(float, row[3].split(";"))))
+        p = parsed.get(row[3])
+        if p is None:
+            p = parsed[row[3]] = (len(parsed), tuple(map(float, row[3].split(";"))))
         rho = complex(float(row[4]), float(row[5]))
     except ValueError as exc:
         raise SpectrumFormatError(str(exc), line) from None
     if m < 1:
         raise SpectrumFormatError(f"m must be a positive integer, found {m}", line)
     side = 2 * m
-    if len(entries) != side * side:
+    if len(p[1]) != side * side:
         raise SpectrumFormatError(
-            f"P_entries has {len(entries)} values, expected {side * side}", line
+            f"P_entries has {len(p[1])} values, expected {side * side}", line
         )
-    return line, length, multiplicity, entries, rho
+    return line, length, multiplicity, p[0], rho
 
 
 def _record_errors(records: list[tuple]) -> list[str | None]:
@@ -282,6 +285,28 @@ def _record_errors(records: list[tuple]) -> list[str | None]:
             map_errors[i] = error
     rho_errors = _rho_errors(np.array([rho for _, rho in records], dtype=complex).reshape(-1, 1, 1))
     return [a or b for a, b in zip(map_errors, rho_errors)]
+
+
+def _class_starts(lengths: np.ndarray, record_starts: np.ndarray) -> np.ndarray:
+    """Which rows open a class, for rows sorted by (record, length, file order) with record_starts
+    marking each record's first row.
+
+    A row joins the open class of its record when its length lies within 1e-12 of the class's first
+    length; that open class is the only candidate, since every earlier one started more than 1e-12
+    lower. A gap over 1e-12 to the previous row always opens a class, so only runs of close lengths
+    that span more than 1e-12 are walked row by row.
+    """
+    opens = record_starts.copy()
+    opens[1:] |= lengths[1:] - lengths[:-1] > 1e-12
+    starts = np.flatnonzero(opens)
+    ends = np.append(starts[1:], opens.size) - 1
+    wide = lengths[ends] - lengths[starts] > 1e-12
+    for start, end in zip(starts[wide].tolist(), ends[wide].tolist()):
+        first = lengths[start]
+        for i in range(start + 1, end + 1):
+            if lengths[i] - first > 1e-12:
+                opens[i], first = True, lengths[i]
+    return opens
 
 
 def load_length_spectrum(path) -> list[PrimeOrbit]:
@@ -314,34 +339,50 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
             stop = exc
         except UnicodeDecodeError as exc:
             stop = SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}")
-    # tuples of floats compare -0.0 == 0.0, as the merge requires
-    records: dict[tuple, int] = {}
-    record_of = [records.setdefault((entries, rho), len(records)) for _, _, _, entries, rho in rows]
-    record_errors = _record_errors(list(records))
-    for (line, length, multiplicity, _, _), record in zip(rows, record_of):
-        error = _scalar_error(length, multiplicity) or record_errors[record]
-        if error:
-            raise SpectrumFormatError(error, line)
+    lines, lengths, multiplicities, texts, rhos = zip(*rows) if rows else ((),) * 5
+    lengths, rho, texts = np.array(lengths, dtype=float), np.array(rhos, dtype=complex), np.array(texts, dtype=int)
+    entries = [floats for _, floats in parsed.values()]
+    # one value id per parsed P tuple; tuples of floats compare -0.0 == 0.0, as the merge requires
+    value_ids: dict[tuple, int] = {}
+    value_of = np.array([value_ids.setdefault(floats, len(value_ids)) for floats in entries], dtype=int)[texts]
+    # rows by record (P value, then rho: == also holds -0.0 == 0.0, and never for NaN), then by
+    # length, then in file order
+    order = np.lexsort((lengths, rho.imag, rho.real, value_of))
+    value, re, im = value_of[order], rho.real[order], rho.imag[order]
+    record_starts = np.ones(order.size, dtype=bool)
+    record_starts[1:] = (value[1:] != value[:-1]) | (re[1:] != re[:-1]) | (im[1:] != im[:-1])
+    record_of = np.empty(order.size, dtype=int)
+    record_of[order] = np.cumsum(record_starts) - 1
+    # each record is checked with the P entries and rho of its first row in the file
+    firsts = np.minimum.reduceat(order, np.flatnonzero(record_starts)).tolist() if order.size else []
+    record_errors = _record_errors([(entries[texts[i]], rhos[i]) for i in firsts])
+    bad = np.array([e is not None for e in record_errors], dtype=bool)[record_of]
+    bad |= ~(np.isfinite(lengths) & (lengths > 0.0))
+    if min(multiplicities, default=1) < 1:
+        bad |= np.array([x < 1 for x in multiplicities], dtype=bool)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SpectrumFormatError(_scalar_error(lengths[i], multiplicities[i]) or record_errors[record_of[i]], lines[i])
     if stop is not None:
         raise stop
     if header is None:
         raise SpectrumFormatError("missing header row")
+    if not rows:
+        return []
     # rows of one record merge when their lengths lie within 1e-12 of the class's first length
-    classes: list[list[int]] = []  # [representative row, multiplicity]
-    buckets: dict[int, list[int]] = {}
-    for i in sorted(range(len(rows)), key=lambda i: rows[i][1]):
-        bucket = buckets.setdefault(record_of[i], [])
-        for c in bucket:
-            if math.isclose(rows[classes[c][0]][1], rows[i][1], rel_tol=0, abs_tol=1e-12):
-                classes[c][1] += rows[i][2]
-                break
-        else:
-            bucket.append(len(classes))
-            classes.append([i, rows[i][2]])
-    orbits = []
-    for i, multiplicity in classes:
-        _, length, _, entries, rho = rows[i]
-        side = math.isqrt(len(entries))
-        p = np.array(entries, dtype=float).reshape(side, side)
-        orbits.append(PrimeOrbit._from_checked(length, p, np.array([[rho]], dtype=complex), multiplicity))
-    return orbits
+    starts = np.flatnonzero(_class_starts(lengths[order], record_starts))
+    multiplicity = np.add.reduceat(np.array(multiplicities, dtype=object)[order], starts)
+    first = order[starts]  # each class's first row in (length, file) order
+    by_length = np.lexsort((first, lengths[first]))
+    first, multiplicity = first[by_length], multiplicity[by_length].tolist()
+    # each class's P is a view of one stack per map size, its rho a view of one stack
+    text_of = texts[first]
+    side_of = np.array([math.isqrt(len(floats)) for floats in entries])[text_of]
+    maps = [None] * first.size
+    for side in np.unique(side_of).tolist():
+        members = np.flatnonzero(side_of == side).tolist()
+        stack = np.array([entries[k] for k in text_of[members].tolist()], dtype=float).reshape(-1, side, side)
+        for i, p in zip(members, stack):
+            maps[i] = p
+    return [PrimeOrbit._from_checked(length, p, r, mult)
+            for length, p, r, mult in zip(lengths[first].tolist(), maps, rho[first].reshape(-1, 1, 1), multiplicity)]

@@ -454,9 +454,8 @@ def test_one_atom_table_per_orbit_invocation(tmp_path, monkeypatch, command):
     assert len(built) == 1
 
 
-def test_one_anosov_check_and_no_power_or_det_per_period_in_orbits(tmp_path, monkeypatch):
-    # the census checks A once and forms each A^n by one product; per period, the parent code ran an
-    # Anosov check (eigvals), a binary power twice (matrix_power) and the orbit's own checks (eigvals, det)
+def _count_linalg_calls_from_orbits(monkeypatch):
+    """Counts of np.linalg.eigvals, det and matrix_power calls made from ruellebf.orbits or ruellebf.cli."""
     import sys
 
     calls = {"eigvals": 0, "det": 0, "matrix_power": 0}
@@ -465,16 +464,65 @@ def test_one_anosov_check_and_no_power_or_det_per_period_in_orbits(tmp_path, mon
         original = getattr(np.linalg, name)
 
         def wrapper(*args, **kwargs):
-            if sys._getframe(1).f_globals.get("__name__") == "ruellebf.orbits":
+            if sys._getframe(1).f_globals.get("__name__") in ("ruellebf.orbits", "ruellebf.cli"):
                 calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+def test_one_anosov_check_and_no_power_or_det_per_period_in_orbits(tmp_path, monkeypatch):
+    # the census checks A once and forms each A^n by one product; per period, an older census ran an
+    # Anosov check (eigvals), a binary power twice (matrix_power) and the orbit's own checks (eigvals, det)
+    calls = _count_linalg_calls_from_orbits(monkeypatch)
     payload = dict(CAT_CONFIG, truncation={"n_max": 20, "L_max": 20.0})
     assert main(["zeta", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == {"eigvals": 1, "det": 0, "matrix_power": 0}
+
+
+def test_orbits_sieve_digest_needs_no_anosov_check_or_power_per_period(tmp_path, monkeypatch):
+    # the digest reads |det(A^n - I)| off the trace recurrence, not off fixed_point_count per period
+    calls = _count_linalg_calls_from_orbits(monkeypatch)
+    out = tmp_path / "out.csv"
+    payload = dict(CAT_CONFIG, truncation={"n_max": 20})
+    assert main(["orbits", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    assert calls["eigvals"] <= 2 and calls["matrix_power"] == 0
+    assert out.read_text().splitlines()[-1] == "# sieve_consistent: true"
+
+
+def test_orbits_sieve_digest_flags_a_corrupted_census(tmp_path, monkeypatch):
+    from ruellebf import orbits
+
+    census = orbits._census
+
+    def corrupted(model, n_max):  # one orbit too many at period 3
+        return [(n, power, count + (n == 3)) for n, power, count in census(model, n_max)]
+
+    monkeypatch.setattr(orbits, "_census", corrupted)
+    out = tmp_path / "out.csv"
+    payload = dict(CAT_CONFIG, truncation={"n_max": 8})
+    assert main(["orbits", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == "# sieve_consistent: false"
+
+
+@pytest.mark.parametrize("command", ["zeta", "bridge"])
+def test_catmap_census_stops_at_the_periods_within_l_max(tmp_path, monkeypatch, command):
+    from ruellebf import orbits
+
+    walked = []
+    census = orbits._census
+    monkeypatch.setattr(orbits, "_census", lambda model, n_max: walked.append(n_max) or census(model, n_max))
+    outs = []
+    for n_max in (12000, 6):
+        out = tmp_path / f"{n_max}.csv"
+        payload = dict(CHARACTER_CONFIG, truncation={"n_max": n_max, "L_max": 6.0}, grid=ORBIT_GRID[:10])
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert walked == [6, 6]
 
 
 # ----------------------------------------------------------- exit-code table

@@ -492,13 +492,38 @@ def test_atom_table_float_map_from_eigenvalues(monkeypatch):
         assert table.sign[row] == np.sign(det)  # (-1)^m sgn det(I - P^j), m = 2
 
 
+def float_spectrum(n_orbits=40, seed=3):
+    """m = 2 orbits with triangular float return maps (diagonal 1.3..3 and 0.2..0.7), lengths 0.8..3
+    and character twists."""
+    rng = np.random.default_rng(seed)
+    orbits = []
+    for _ in range(n_orbits):
+        p = np.diag(np.concatenate([rng.uniform(1.3, 3.0, 2), rng.uniform(0.2, 0.7, 2)]))
+        p[np.triu_indices(4, 1)] = rng.uniform(-0.05, 0.05, 6)
+        orbits.append(PrimeOrbit(length=rng.uniform(0.8, 3.0), poincare=p,
+                                 rho=np.array([[cmath.exp(1j * rng.uniform(0, 2 * np.pi))]])))
+    return orbits
+
+
 def test_lambda_alone_equals_lambda_in_grid():
+    from ruellebf.flat_zeta import LOG_ZETA_BLOCK, atom_table
+
     i = np.arange(100)
     lams = list((2.0 + 0.98 * i / 99) + 1j * (0.1 * i))
     grid = zeta_grid_rows(CAT_ORBITS, 1, lams, 12.0)
     for idx in (0, 37, 99):
         alone = zeta_grid_rows(CAT_ORBITS, 1, [lams[idx]], 12.0)
         assert [repr(r) for r in alone] == [repr(r) for r in grid[4 * idx:4 * idx + 4]]
+    # a float spectrum whose grid spans several lambda blocks: points at and beside the block edges
+    orbits = float_spectrum()
+    atoms = atom_table(orbits, 2, 4.0).t.size
+    step = LOG_ZETA_BLOCK // (7 * atoms)
+    i = np.arange(3 * step + 20)
+    lams = list((1.0 + 4.0 * i / i.size) + 1j * np.sin(i))
+    grid = zeta_grid_rows(orbits, 2, lams, 4.0)
+    for idx in (0, step - 1, step, 2 * step, 3 * step + 19):
+        alone = zeta_grid_rows(orbits, 2, [lams[idx]], 4.0)
+        assert [repr(r) for r in alone] == [repr(r) for r in grid[6 * idx:6 * idx + 6]]
 
 
 def test_empty_orbits_give_zero_and_euler_tail_inf_off_region():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ruellebf import cli
+from ruellebf.orbits import PrimeOrbit
 
 # ------------------------------------------------------------ pinned output bytes
 
@@ -159,3 +160,120 @@ def test_atom_table_keeps_integer_valued_float_powers_exact(monkeypatch):
     # det(I - P^2) = (1 - 3)^2 = 4 and tr wedge^k P^2 = 1, 6, 9; det(I - P) = -2
     assert table.weights[1].tolist() == [0.25, 1.5, 2.25]
     assert table.sign.tolist() == [1.0, -1.0]
+
+
+# ------------------------------------------------- the stacked atom table and log zeta
+
+def random_spectrum(rng, m, n_orbits):
+    """PrimeOrbits with float 2m x 2m return maps of spectral radius 1.2 to 2 (real and complex
+    spectra, -0.0 below the diagonal of every triangular map) and one with zero eigenvalues, lengths
+    on a 0.1 grid (shared times), twists 1, -1, +-i with signed zeros and random characters, and multiplicities 1 to
+    3. For m = 1 an integer-valued float map and one whose square is integer-valued join, so both
+    routes share the table."""
+    maps = random_float_maps(rng, m, n_orbits)
+    for i, p in enumerate(maps):
+        p *= rng.uniform(1.2, 2.0) / np.max(np.abs(np.linalg.eigvals(p)))
+        if i % 3 == 0:
+            p[np.tril_indices(2 * m, -1)] = -0.0
+    maps = list(maps)
+    if m == 1:
+        maps += [np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([[0.0, 0.5], [6.0, 0.0]])]
+    maps.append(np.diag([1.5] + [0.0] * (2 * m - 1)))  # zero eigenvalues: zero coefficients
+    # twists on and off the axes, where the signed zeros of Python's complex arithmetic show
+    twists = [1.0, -1.0, complex(0.0, 1.0), complex(0.0, -1.0), complex(-0.0, -1.0)]
+    orbits = []
+    for i, p in enumerate(maps):
+        rho = twists[i] if i < len(twists) else np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        orbits.append(PrimeOrbit(length=rng.integers(5, 30) / 10, poincare=p, rho=np.array([[rho]], dtype=complex),
+                                 multiplicity=int(rng.integers(1, 4))))
+    return orbits
+
+
+def assert_same_table(table, reference):
+    assert (table.m, table.t_min) == (reference.m, reference.t_min)
+    for name in ("t", "euler", "weights", "sign", "group", "group_times"):
+        got, want = getattr(table, name), getattr(reference, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_atom_table_matches_per_atom_reference_bit_for_bit(m):
+    from atom_reference import reference_atom_table, reference_log_zeta
+    from ruellebf.flat_zeta import atom_table
+
+    orbits = random_spectrum(np.random.default_rng(202), m, 60)
+    table, reference = atom_table(orbits, m, 3.0), reference_atom_table(orbits, m, 3.0)
+    assert_same_table(table, reference)
+    # repetitions j >= 4, shared atom times and complex twists
+    assert min(o.length for o in orbits) * 4 <= 3.0 and table.t.size > 60
+    assert table.group_times.size < table.t.size
+    assert np.count_nonzero(table.euler.imag) > table.t.size // 2
+    lambdas = [3.0, 4.5 + 1.0j, -0.5 + 2.0j, 0.0, 12.0 - 2.0j]
+    for got, want in zip(table.log_zeta(lambdas), reference_log_zeta(reference, lambdas)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_log_zeta_blocks_match_the_per_atom_sum(monkeypatch):
+    from atom_reference import reference_log_zeta
+    from ruellebf import flat_zeta
+
+    table = flat_zeta.atom_table(random_spectrum(np.random.default_rng(202), 2, 60), 2, 3.0)
+    rng = np.random.default_rng(9)
+    lambdas = rng.uniform(-1.0, 6.0, 50) + 1j * rng.uniform(-3.0, 3.0, 50)
+    want = reference_log_zeta(table, lambdas)
+    # blocks of 3 lambdas, the last one short
+    monkeypatch.setattr(flat_zeta, "LOG_ZETA_BLOCK", 3 * 7 * table.t.size + 5)
+    for got, ref in zip(table.log_zeta(lambdas), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(200, 208))
+def test_stacked_atom_table_fails_at_the_reference_atom(seed):
+    from atom_reference import reference_atom_table
+    from ruellebf.flat_zeta import NonTransverseOrbitError, atom_table
+
+    # at m = 3 these spectra mix tables that build with ones whose first failing atom sits anywhere
+    orbits = random_spectrum(np.random.default_rng(seed), 3, 60)
+    try:
+        reference = reference_atom_table(orbits, 3, 3.0)
+    except NonTransverseOrbitError as exc:
+        with pytest.raises(NonTransverseOrbitError) as got:
+            atom_table(orbits, 3, 3.0)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_table(atom_table(orbits, 3, 3.0), reference)
+
+
+def test_non_finite_power_raises_the_reference_message():
+    from atom_reference import reference_atom_table
+    from ruellebf.flat_zeta import NonTransverseOrbitError, atom_table
+
+    # P passes its check (|det(I - P)| ~ 1e308 against a threshold ~ 1e296); P^2 has an inf entry
+    overflowing = PrimeOrbit(length=1.0, poincare=np.array([[1e154, 1e154], [1e140, 1e154]]), rho=np.eye(1))
+    benign = random_spectrum(np.random.default_rng(7), 1, 6)
+    for orbits in ([overflowing], benign + [overflowing]):
+        with pytest.raises(NonTransverseOrbitError) as want:
+            reference_atom_table(orbits, 1, 2.5)
+        with pytest.raises(NonTransverseOrbitError) as got:
+            atom_table(orbits, 1, 2.5)
+        assert str(got.value) == str(want.value) == "non-transverse orbit: |det(I - P^j)| = nan"
+
+
+def test_multiplicity_past_the_float_range_raises_what_the_reference_raises():
+    from atom_reference import reference_atom_table
+    from ruellebf.flat_zeta import atom_table
+
+    huge = PrimeOrbit(length=0.7, poincare=np.diag([2.5, 0.3]), rho=np.eye(1), multiplicity=10**400)
+    # non-transverse at t = 0.6, before the huge multiplicity's first atom: |det(I - P)| = 0.5
+    # against a threshold of 1e-12 * (1e8)^2
+    flat = PrimeOrbit(length=0.6, poincare=np.array([[2.0, 1e8], [0.0, 0.5]]), rho=np.eye(1))
+    benign = random_spectrum(np.random.default_rng(7), 1, 6)
+    for orbits in ([huge], benign + [huge], [huge, flat]):
+        raised = []
+        for build in (reference_atom_table, atom_table):
+            with pytest.raises(ArithmeticError) as exc:
+                build(orbits, 1, 2.5)
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised[0] == raised[1]
+    assert raised[0][0].__name__ == "NonTransverseOrbitError"
