@@ -1,10 +1,15 @@
 """Command-line front end.
 
-One JSON config document drives every run; see README for the schema. CSV
-floats are locale-independent scientific notation with 17 significant digits,
-JSON floats Python's shortest repr; both spell non-finite values inf, -inf and
-nan (strings in JSON). Grid points are emitted in input order, and identical
-configs produce byte-identical output files. An orbit-model grid is evaluated
+One JSON config document drives every run; see README for the schema. Its
+number arrays (grids, lambda0, matrices, external vectors) are validated in one
+pass each; only a failing array is walked, to name its first bad entry at the
+same path as an entry-by-entry check. A CSV table is written from one format
+template per table, floats in locale-independent scientific notation with 17
+significant digits; a meta value keeps to its one comment line (a carriage
+return or newline in it is written as \\r or \\n). JSON floats are Python's
+shortest repr; both formats spell non-finite values inf, -inf and nan (strings
+in JSON). Grid points are emitted in input order, and identical configs produce
+byte-identical output files. An orbit-model grid is evaluated
 in one pass over one atom table, and a matrix-model grid reads one loop
 series. The partition command reads the block spectra for the whole grid in
 one pass, its gauge cross-check from one operator spectrum per model. The
@@ -22,9 +27,12 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
+import operator
 import sys
+import types
 
 import numpy as np
 
@@ -101,26 +109,53 @@ def _parse_truncation(cfg):
     return int(n_max), float(l_max), int(k_ord)
 
 
+def _finite_floats(values) -> np.ndarray | None:
+    """A list of JSON numbers as one float array, or None unless each is an int or float that
+    converts to a finite float, as _finite tests one: one exact type test, one conversion, which
+    raises OverflowError for an int past the float range, and one isfinite check."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _complex_array(entries, path) -> np.ndarray:
+    """A list of finite numbers and [re, im] pairs of them as one complex array, each value
+    complex(entry) or complex(re, im) bit for bit: its real and imaginary parts are assembled apart.
+
+    Validated in one pass; only when that fails are the entries walked, and the ConfigError names
+    the first bad one at path.format(index) ("grid[{}]" gives grid[i]; "lambda0" stays as it is).
+    """
+    pairs = [entry if isinstance(entry, list) else (entry, 0.0) for entry in entries]
+    values = _finite_floats(list(itertools.chain.from_iterable(pairs))) if set(map(len, pairs)) <= {2} else None
+    if values is None:
+        bad = next(i for i, pair in enumerate(pairs) if len(pair) != 2 or _finite_floats(pair) is None)
+        raise ConfigError(path.format(bad), "must be a finite number or an [re, im] pair of them")
+    array = np.empty(len(pairs), dtype=complex)
+    array.real, array.imag = values[0::2], values[1::2]
+    return array
+
+
 def _parse_complex(entry, path) -> complex:
-    if _finite(entry):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(_finite(x) for x in entry):
-        return complex(entry[0], entry[1])
-    raise ConfigError(path, "must be a finite number or an [re, im] pair of them")
+    return complex(_complex_array([entry], path)[0])
 
 
 def _parse_grid(cfg):
     grid = cfg.get("grid", [])
     _require(isinstance(grid, list), "grid", "must be a list")
-    return [_parse_complex(entry, f"grid[{i}]") for i, entry in enumerate(grid)]
+    return _complex_array(grid, "grid[{}]").tolist()
 
 
 def _parse_matrix(value, path) -> np.ndarray:
-    """A non-empty square matrix (list of rows) of finite real numbers."""
-    _require(isinstance(value, list) and value and all(
-        isinstance(row, list) and len(row) == len(value) and all(_finite(x) for x in row) for row in value
-    ), path, "must be a square matrix (list of rows) of finite numbers")
-    return np.array(value, dtype=complex)
+    """A non-empty square matrix (list of rows) of finite real numbers, validated in one pass."""
+    square = isinstance(value, list) and value and all(isinstance(row, list) for row in value) \
+        and set(map(len, value)) == {len(value)}
+    entries = _finite_floats(list(itertools.chain.from_iterable(value))) if square else None
+    _require(entries is not None, path, "must be a square matrix (list of rows) of finite numbers")
+    return entries.reshape(len(value), len(value)).astype(complex)
 
 
 def _parse_external(cfg, n):
@@ -130,8 +165,7 @@ def _parse_external(cfg, n):
     vecs = {name: ext.get(name, [1.0] * n) for name in ("A", "B")}
     for name, vec in vecs.items():
         _require(isinstance(vec, list) and len(vec) == n, f"external.{name}", f"must be a list of {n} numbers")
-    return [np.array([_parse_complex(x, f"external.{name}[{i}]") for i, x in enumerate(vec)])
-            for name, vec in vecs.items()]
+    return [_complex_array(vec, f"external.{name}[{{}}]") for name, vec in vecs.items()]
 
 
 def _parse_model(cfg, rep):
@@ -232,12 +266,12 @@ def _emit(rows, columns, fmt, out_path, meta=None):
     """Serialize rows deterministically; CSV appends meta as comment lines."""
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+        csv.writer(buf, lineterminator="\n").writerow(columns)
+        buf.write(_csv_body(rows, columns))
         for key, value in (meta or {}).items():
-            buf.write(f"# {key}: {_format_cell(value)}\n")
+            # one line per key: a newline in a value (a spectrum path, say) would start a data row
+            text = f"{_format_cell(value)}".replace("\r", "\\r").replace("\n", "\\n")
+            buf.write(f"# {key}: {text}\n")
         payload = buf.getvalue()
     else:
         def cell(value):  # JSON has no non-finite numbers: those cells carry the CSV spelling
@@ -254,6 +288,37 @@ def _emit(rows, columns, fmt, out_path, meta=None):
             raise ConfigError("--out", f"cannot write {out_path}: {exc.strerror}")
     else:
         sys.stdout.write(payload)
+
+
+def _csv_body(rows, columns) -> str:
+    """The data lines of a CSV table, written by one % template per table.
+
+    A column of exact floats takes %.16e, the call format(value, ".16e") makes, and a column of
+    exact ints %s. Any other column goes cell by cell through _format_cell (a column of str needs
+    no call), and csv.writer quotes each distinct text once; a field alone on its row is quoted
+    when empty, as csv.writer quotes it.
+    """
+    if not rows:
+        return ""
+    get = operator.itemgetter(*columns)
+    table = list(zip(*map(get, rows))) if len(columns) > 1 else [list(map(get, rows))]
+    specs = []
+    for i, column in enumerate(table):
+        kinds = set(map(type, column))
+        if kinds == {float} or kinds == {int}:
+            specs.append("%.16e" if float in kinds else "%s")
+            continue
+        texts = column if kinds == {str} else [f"{_format_cell(value)}" for value in column]
+        distinct = list(dict.fromkeys(texts))
+        lines = []  # csv.writer makes one write per row
+        writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n")
+        writer.writerows((text,) if len(columns) == 1 else (text, "") for text in distinct)
+        cut = -1 if len(columns) == 1 else -2  # the line ends "\n" or ",\n"
+        quoted = {text: line[:cut] for text, line in zip(distinct, lines)}
+        table[i] = list(map(quoted.__getitem__, texts))
+        specs.append("%s")
+    template = ",".join(specs) + "\n"
+    return (template * len(rows)) % tuple(itertools.chain.from_iterable(zip(*table)))
 
 
 def _format_cell(value):

@@ -60,14 +60,15 @@ def _integer_entries(P: np.ndarray) -> list[list[int]] | None:
     return [[int(x) for x in row] for row in rows] if exact else None
 
 
-def _float_char_polys(maps: np.ndarray) -> np.ndarray:
-    """[e_0, ..., e_d] for each map of an (n, d, d) stack of finite float maps, from one stacked eigvals call.
+def _float_char_polys(maps: np.ndarray, roots: np.ndarray | None = None) -> np.ndarray:
+    """[e_0, ..., e_d] for each map of an (n, d, d) stack of finite float maps, from one stacked eigvals
+    call, or from roots, the (n, d) eigenvalues of the maps when they are known already.
 
     The recurrence c[1:] -= r * c[:-1] runs root by root in LAPACK order over the whole stack, the
     complex product spelled out in real arithmetic: each row is bit for bit a plain complex
     recurrence over its map's eigenvalues, whatever the BLAS build. A real map gets the real part.
     """
-    roots = np.linalg.eigvals(maps)
+    roots = np.linalg.eigvals(maps) if roots is None else roots
     n, d = roots.shape
     re, im = np.zeros((n, d + 1)), np.zeros((n, d + 1))
     re[:, 0] = 1.0
@@ -348,6 +349,7 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     reach = L_max * (1 + 1e-12)
     lengths = np.array([orbit.length for orbit in orbits], dtype=float)
     is_float = np.array([orbit.poincare.dtype.kind == "f" for orbit in orbits], dtype=bool)
+    has_roots = np.array([hasattr(orbit, "_roots") for orbit in orbits], dtype=bool)
     floats = np.array([o.poincare for o, f in zip(orbits, is_float) if f], dtype=float)
     floats = floats.reshape(int(is_float.sum()), d, d)
     integral = _integer_valued(floats)
@@ -380,8 +382,16 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     weights, det, bad = np.zeros((t.size, d + 1), dtype=complex), np.zeros(t.size), np.zeros(t.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # atoms that fail their check
         finite = np.isfinite(maps).all(axis=(1, 2))
+        # a j = 1 atom of a loaded orbit reads the eigenvalues its check found; one eigvals call serves the rest
+        carried = finite & (j[rows] == 1) & has_roots[pos[rows]]
+        fresh = finite & ~carried
+        roots = np.zeros((rows.size, d), dtype=complex)
+        if carried.any():
+            roots[carried] = [orbits[p]._roots for p in pos[rows[carried]].tolist()]
+        if fresh.any():
+            roots[fresh] = np.linalg.eigvals(maps[fresh])
         e = np.full((rows.size, d + 1), math.nan)
-        e[finite] = _float_char_polys(maps[finite])
+        e[finite] = _float_char_polys(maps[finite], roots[finite])
         float_det = np.zeros(rows.size)
         for k in range(d + 1):
             float_det = float_det - e[:, k] if k % 2 else float_det + e[:, k]

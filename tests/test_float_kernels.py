@@ -277,3 +277,50 @@ def test_multiplicity_past_the_float_range_raises_what_the_reference_raises():
             raised.append((type(exc.value), str(exc.value)))
         assert raised[0] == raised[1]
     assert raised[0][0].__name__ == "NonTransverseOrbitError"
+
+
+# ------------------------------------------- the loader's eigenvalues serve the j = 1 atoms
+
+def test_loaded_spectrum_table_matches_the_reference_bit_for_bit(tmp_path):
+    from atom_reference import reference_atom_table, reference_log_zeta
+    from ruellebf.flat_zeta import atom_table
+    from ruellebf.orbits import load_length_spectrum
+
+    # the pin spectrum holds copies with a -0.0 entry: a class whose P text differs from the one its
+    # record was checked with recomputes its eigenvalues
+    write_pin_spectrum(tmp_path / "pin.csv")
+    orbits = load_length_spectrum(tmp_path / "pin.csv")
+    carried = [hasattr(orbit, "_roots") for orbit in orbits]
+    assert 0 < carried.count(False) < carried.count(True)
+    assert not any(orbit.poincare.flags.writeable for orbit in orbits)
+    table, reference = atom_table(orbits, 2, 4.0), reference_atom_table(orbits, 2, 4.0)
+    assert_same_table(table, reference)
+    lambdas = [3.0, 4.5 + 1.0j, 6.0 - 2.0j]
+    for got, want in zip(table.log_zeta(lambdas), reference_log_zeta(reference, lambdas)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_spectrum_zeta_eigendecomposes_each_return_map_once(tmp_path, monkeypatch):
+    from ruellebf.flat_zeta import atom_table
+    from ruellebf.orbits import load_length_spectrum
+
+    monkeypatch.chdir(tmp_path)
+    write_pin_spectrum(tmp_path / "pin.csv")
+    (tmp_path / "cfg.json").write_text(json.dumps(PIN_CONFIGS["zeta"]), encoding="utf-8")
+    orbits = load_length_spectrum(tmp_path / "pin.csv")
+    atoms = atom_table(orbits, 2, 4.0).t.size
+    # every orbit has its j = 1 atom within L_max; all but a few carry the loader's eigenvalues
+    assert max(orbit.length for orbit in orbits) <= 4.0 and atoms > len(orbits)
+    carried = sum(hasattr(orbit, "_roots") for orbit in orbits)
+    assert len(orbits) - 3 <= carried < len(orbits)
+    # the loader checks each distinct (P, rho) record once: -0.0 == 0.0, rows within 1e-12 merge
+    with open(tmp_path / "pin.csv", encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[2:]]
+    records = len({(tuple(map(float, p.split(";"))), complex(float(re), float(im))) for _, _, _, p, re, im in rows})
+    matrices = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: matrices.append(len(a)) or eigvals(a))
+    assert cli.main(["zeta", "--config", "cfg.json", "--out", "out.csv"]) == 0
+    # one eigendecomposition per record and one per atom, less the j = 1 atoms that read the
+    # loader's eigenvalues
+    assert sum(matrices) == records + atoms - carried
