@@ -17,15 +17,9 @@ from .bf_engine import (
 )
 from .flat_zeta import (
     AtomicDistribution,
-    ZetaSeries,
-    alternating_assembly,
-    euler_product_log_zeta,
-    exterior_power_trace,
     flat_det_via_F,
-    flat_determinant_orbit,
     flat_trace_cyclicity_check,
     flat_trace_evolution,
-    log_zeta_k,
 )
 from .graded_core import (
     GradedOperator,

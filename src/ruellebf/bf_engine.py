@@ -246,10 +246,7 @@ class BridgeResult:
     def defect(self, route: str) -> float | None:
         if self.series_value is None:
             return None
-        try:
-            return abs(self.series_value - self.routes[route])
-        except OverflowError:  # a difference of modulus past the float range
-            return math.inf
+        return flat_zeta._abs_or_inf(self.series_value - self.routes[route])
 
 
 def _exp(z: complex) -> complex:
@@ -291,9 +288,9 @@ def _bridge_grid(hbars, routes: dict, tails: dict, loop_series, radius: float | 
 
 
 def _closed_form_grid(model: MatrixBFModel, hbars) -> list[complex]:
-    """closed_form_expectation at every hbar of a grid: one np.prod over each block for the whole
-    grid, the blocks then combined point by point in Python complex arithmetic. A product past
-    the float range reads inf or nan, and a pole, a zero ratio of an odd-degree block, inf + nan j."""
+    """prod_k det((L_k + hbar)/L_k)**((-1)**k) at every hbar of a grid, each ratio one np.prod of 1 + hbar/mu
+    over a block spectrum for the whole grid, the blocks combined point by point in Python complex arithmetic.
+    A product past the float range reads inf or nan, and a pole, a zero ratio of an odd-degree block, inf + nan j."""
     hbars = np.asarray(hbars, dtype=complex)[:, None]
     out = [1.0 + 0j] * len(hbars)
     for degree, mu in model.spectra:
@@ -301,12 +298,6 @@ def _closed_form_grid(model: MatrixBFModel, hbars) -> list[complex]:
             ratios = np.prod(1 + hbars / mu, axis=1).tolist()
         out = [o * r if degree % 2 == 0 else o / r if r else complex(math.inf, math.nan) for o, r in zip(out, ratios)]
     return out
-
-
-def closed_form_expectation(model: MatrixBFModel, hbar: complex) -> complex:
-    """Alternating determinant ratio prod_k det((L_k + hbar)/L_k)**((-1)**k),
-    each ratio the product of 1 + hbar/mu over the block spectrum."""
-    return _closed_form_grid(model, [hbar])[0]
 
 
 def expectation_grid(model: MatrixBFModel, hbars, K: int) -> list[BridgeResult]:
@@ -390,7 +381,8 @@ def doubled_field_tensors(model: MatrixBFModel, propagator: np.ndarray):
 
 
 def _loop_series(table: flat_zeta.AtomTable, lambda0: complex, K: int) -> HbarSeries:
-    """gamma_tr_orbits from an atom table: moments of its degree-signed flat-trace atoms."""
+    """Loop series from an atom table: the degree-k flat trace of the N-th resolvent power at base
+    point lambda0 is the sum over its atoms of w * t**(N-1) e^{-lambda0 t} / (N-1)!."""
     degree_signs = np.array([loop_sign(k) for k in range(2 * table.m + 1)])
     signed = (table.flat_weights() * degree_signs).sum(axis=1) * np.exp(-lambda0 * table.t)
     # from n = 172 on, (n - 1)! is past the float range and t**(n - 1) / (n - 1)! goes through logarithms
@@ -398,15 +390,6 @@ def _loop_series(table: flat_zeta.AtomTable, lambda0: complex, K: int) -> HbarSe
         lambda n: complex(np.sum(signed * table.t ** (n - 1))) / math.factorial(n - 1) if n <= 171
         else complex(np.sum(signed * np.exp((n - 1) * np.log(table.t) - math.lgamma(n)))), K
     )
-
-
-def gamma_tr_orbits(orbits, m: int, lambda0: complex, L_max: float, K: int) -> HbarSeries:
-    """Loop series with resolvent-power traces read off the orbit atoms.
-
-    The degree-k flat trace of the N-th resolvent power at base point
-    lambda0 is sum over atoms of w * t**(N-1) e^{-lambda0 t} / (N-1)!.
-    """
-    return _loop_series(flat_zeta.atom_table(orbits, m, L_max), lambda0, K)
 
 
 def zeta_expectation_bridge(

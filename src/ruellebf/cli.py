@@ -221,9 +221,9 @@ def _orbit_data(kind, model, n_max, l_max):
     and ConfigError when reach stops short of the shortest orbit."""
     if kind == "catmap":
         reach = min(l_max, n_max * model.roof)
-        limit, periods = reach * (1 + 1e-12), n_max  # limit: the reach test of flat_zeta.atom_table
+        limit, periods = reach * flat_zeta.REACH_FACTOR, n_max  # limit: the reach test of flat_zeta.atom_table
         # past the float range the full census runs, and reports the first orbit length that is inf
-        if math.isfinite(n_max * model.roof * (1 + 1e-12)):
+        if math.isfinite(n_max * model.roof * flat_zeta.REACH_FACTOR):
             periods = min(n_max, int(limit // model.roof) + 1)
             while periods > 1 and periods * model.roof > limit:
                 periods -= 1
@@ -247,7 +247,7 @@ def _orbit_data(kind, model, n_max, l_max):
     else:
         raise ConfigError("model", "this command needs an orbit model (catmap or spectrum_file)")
     shortest = min((o.length for o in orbs), default=0.0)
-    _require(shortest <= reach * (1 + 1e-12), "truncation.L_max",  # the tolerance of flat_zeta.atom_table
+    _require(shortest <= reach * flat_zeta.REACH_FACTOR, "truncation.L_max",
              f"{l_max!r} is shorter than the shortest orbit, of length {shortest!r}")
     return orbs, m, model_id, reach
 
@@ -496,7 +496,6 @@ EXIT_CODES = (
     (orbits_mod.SpectrumFormatError, EXIT_MODEL, "model invalid: "),
     (flat_zeta.NonTransverseOrbitError, EXIT_MODEL, "model invalid: "),
     (graded_core.SingularBlockError, EXIT_MODEL, "model invalid: "),
-    (flat_zeta.BranchCutError, EXIT_NONCONVERGENT, "non-convergent: "),
     (ArithmeticError, EXIT_NONCONVERGENT, "non-convergent: "),
     (np.linalg.LinAlgError, EXIT_NONCONVERGENT, "non-convergent: "),
 )

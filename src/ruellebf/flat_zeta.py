@@ -3,19 +3,15 @@
 Evolution semigroups of the orbit models have flat traces supported on the
 closed-orbit lengths; truncating those atom sums gives the per-degree log
 zeta factors, the Euler product, and the alternating assembly. All of them
-reduce one AtomTable, built once per (orbits, m, L_max), with the
-transversality check run once per atom. An atom's exterior traces
+are columns of AtomTable.log_zeta: a caller builds one AtomTable per
+(orbits, m, L_max), with the transversality check run once per atom, and
+reads its columns over a whole lambda grid. An atom's exterior traces
 tr(wedge^k P^j) and det(I - P^j) come from one characteristic polynomial of
 P^j: in exact integers for integer-valued return maps, from the eigenvalues
-for float ones. The float maps of a table are raised by one stacked product
-per repetition j, and every column of their atoms comes from stacked arrays:
-one eigvals call and one recurrence for the coefficients, run in real
-arithmetic over the stack and so independent of the BLAS build, the
-determinant added column by column, the weights and Euler coefficients with
-Python's complex arithmetic spelled out on real parts. A lambda grid is
-evaluated in blocks of a fixed element budget, so temporaries stay small on
-large grids, and summed in the fixed atom order (ascending time, then input
-order, then repetition) by sequential cumsum and np.add.at, so values are
+for float ones, whose atoms atom_table builds in stacked arrays independent
+of the BLAS build. A lambda grid is evaluated in blocks of a fixed element
+budget, so temporaries stay small, and summed in the fixed atom order
+(ascending time, then input order, then repetition), so values are
 bit-stable, the same for a lambda alone as inside any grid, and each carries
 a geometric tail estimate.
 
@@ -34,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 NON_TRANSVERSE_RTOL = 1e-12
+REACH_FACTOR = 1 + 1e-12  # an atom time j * length <= L_max * REACH_FACTOR is within L_max
 # float64 holds every integer of smaller magnitude exactly
 EXACT_INT_LIMIT = 2.0 ** 53
 TAIL_WINDOW = 6
@@ -106,15 +103,6 @@ def _char_poly(P) -> list:
     return e
 
 
-def exterior_power_trace(P: np.ndarray, k: int) -> complex:
-    """tr of the k-th exterior power: e_k of the characteristic polynomial of P
-    (exact when P is integer-valued)."""
-    e = _char_poly(P)
-    if not 0 <= k < len(e):
-        raise ValueError(f"k = {k} outside 0..{len(e) - 1}")
-    return complex(e[k])
-
-
 @dataclass(frozen=True)
 class AtomicDistribution:
     """Finite sum of Dirac atoms on the positive half-line."""
@@ -133,23 +121,20 @@ class AtomicDistribution:
         object.__setattr__(self, "atoms", atoms)
 
 
-@dataclass(frozen=True)
-class ZetaSeries:
-    """Truncated log zeta value with its truncation metadata."""
-
-    lam: complex
-    k: int | None
-    value: complex
-    L_max: float
-    tail_bound: float
-
-
 def _float_or_inf(x) -> float:
     """float(x), or an infinity of its sign for an exact integer past the float range."""
     try:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def _abs_or_inf(z: complex) -> float:
+    """abs(z), or inf where both parts are finite but the modulus is past the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _transversality_scale(p_power: np.ndarray) -> float:
@@ -208,8 +193,11 @@ class AtomTable:
 
     t: atom time j * length; euler: -mult tr(rho^j) / j; weights[:, k]:
     tr(wedge^k P^j) / |det(I - P^j)|, k = 0..2m; sign: the assembly sign
-    (-1)^m sum_k (-1)^k weights[:, k]; group: index into group_times, the
-    distinct atom times. t_min is the shortest orbit length (inf for none).
+    (-1)^m sum_k (-1)^k weights[:, k], the exact +-1.0 (-1)^m sgn det(I - P^j)
+    since the alternating minor sum is det(I - P^j): where every sign is +1, as
+    for a cat map, the assembly equals the Euler sum exactly, not merely closely;
+    group: index into group_times, the distinct atom times. t_min is the
+    shortest orbit length (inf for none).
     """
 
     m: int
@@ -226,10 +214,10 @@ class AtomTable:
         return (-self.t * self.euler)[:, None] * self.weights
 
     def log_zeta(self, lambdas) -> tuple[np.ndarray, np.ndarray]:
-        """(values, tails), lambdas x (2m + 3): log zeta_k for k = 0..2m, the
-        Euler sum, the assembly. tails are _geometric_tails estimates, not bounds.
-        With orbits, the Euler tail is inf at Re lambda <= 0, and every tail is
-        inf when L_max stops short of the first atom.
+        """(values, tails), lambdas x (2m + 3): log zeta_k for k = 0..2m, the Euler sum, the assembly,
+        where the (orbit, j) term of log zeta_k is -mult e^{-lambda j l} / j * tr(rho^j) tr(wedge^k P^j)
+        / |det(I - P^j)|. tails are _geometric_tails estimates, not bounds. With orbits, the Euler tail
+        is inf at Re lambda <= 0, and every tail is inf when L_max stops short of the first atom.
 
         The grid runs in blocks of at most LOG_ZETA_BLOCK lambdas x columns x
         atoms elements; a block's terms are formed at once in real arithmetic.
@@ -346,7 +334,7 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
         if orbit.poincare.shape[0] != d:
             size = orbit.poincare.shape[0]
             raise ValueError(f"orbit carries a {size}x{size} return map, expected 2m = {d}")
-    reach = L_max * (1 + 1e-12)
+    reach = L_max * REACH_FACTOR
     lengths = np.array([orbit.length for orbit in orbits], dtype=float)
     is_float = np.array([orbit.poincare.dtype.kind == "f" for orbit in orbits], dtype=bool)
     has_roots = np.array([hasattr(orbit, "_roots") for orbit in orbits], dtype=bool)
@@ -424,11 +412,6 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
                      min(lengths.tolist(), default=math.inf))
 
 
-def _series(orbits, m: int, lam, L_max: float, column: int, k: int | None = None) -> ZetaSeries:
-    values, tails = atom_table(orbits, m, L_max).log_zeta([lam])
-    return ZetaSeries(lam, k, complex(values[0, column]), float(L_max), float(tails[0, column]))
-
-
 def flat_trace_evolution(orbits, k: int, t_max: float) -> AtomicDistribution:
     """Atoms of the flat trace of the degree-k evolution semigroup up to t_max.
 
@@ -443,42 +426,6 @@ def flat_trace_evolution(orbits, k: int, t_max: float) -> AtomicDistribution:
     merged = np.zeros(table.group_times.size, dtype=complex)
     np.add.at(merged, table.group, table.flat_weights()[:, k])
     return AtomicDistribution(tuple(zip(table.group_times.tolist(), merged.tolist())), table.t_min)
-
-
-def log_zeta_k(orbits, k: int, lam: complex, L_max: float) -> ZetaSeries:
-    """Truncated log of the degree-k zeta factor.
-
-    Each (orbit, j) term is -exp(-lam j l) / j * tr(rho^j) tr(wedge^k P^j)
-    / |det(I - P^j)|; divergence is reported through tail_bound = inf.
-    """
-    if not orbits:
-        return ZetaSeries(lam, k, 0j, float(L_max), 0.0)
-    if not 0 <= k <= 2 * orbits[0].m:
-        raise ValueError(f"k = {k} outside 0..{2 * orbits[0].m}")
-    return _series(orbits, orbits[0].m, lam, L_max, k, k)
-
-
-def euler_product_log_zeta(orbits, lam: complex, L_max: float) -> ZetaSeries:
-    """Truncated log of the Euler product via -sum_j tr(rho^j) e^{-lam j l} / j."""
-    m = orbits[0].m if orbits else 0
-    return _series(orbits, m, lam, L_max, 2 * m + 1)
-
-
-def alternating_assembly(orbits, m: int, lam: complex, L_max: float) -> ZetaSeries:
-    """(-1)^m alternating sum over form degrees of the log zeta factors.
-
-    Combined atom-wise: per (orbit, j) the alternating minor sum equals
-    det(I - P^j), so the degree-combined weight is the exact sign
-    (-1)^m sgn det(I - P^j) times the Euler term. For integer return maps
-    the sign is an exact +-1.0 and shared-truncation agreement with the
-    Euler expansion is exact, not merely close.
-    """
-    return _series(orbits, m, lam, L_max, 2 * m + 2)
-
-
-def flat_determinant_orbit(orbits, k: int, lam: complex, L_max: float) -> complex:
-    """Flat determinant det(L_k + lam) from the orbit atoms: exp(log zeta_k)."""
-    return cmath.exp(log_zeta_k(orbits, k, lam, L_max).value)
 
 
 def flat_det_via_F(generator: np.ndarray, lam: complex = 0.0) -> complex:
@@ -513,7 +460,7 @@ def zeta_grid_rows(orbits, m: int, lambdas, L_max: float) -> list[dict]:
     values, tails = atom_table(orbits, m, L_max).log_zeta(lams)
     rows = []
     for lam, vals, tls in zip(lams, values.tolist(), tails.tolist()):
-        defect = abs(vals[-1] - vals[-2])
+        defect = _abs_or_inf(vals[-1] - vals[-2])
         for col, k in enumerate([*range(2 * m + 1), -1]):
             rows.append({"re_lambda": lam.real, "im_lambda": lam.imag, "k": k,
                          "re_logzeta": vals[col].real, "im_logzeta": vals[col].imag,

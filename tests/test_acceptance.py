@@ -16,7 +16,6 @@ from scipy.linalg import block_diag
 
 from ruellebf.bf_engine import (
     MatrixBFModel,
-    closed_form_expectation,
     expectation_value,
     gamma_int,
     gamma_tr,
@@ -25,14 +24,7 @@ from ruellebf.bf_engine import (
     simplex_volume_check,
 )
 from ruellebf.feynman import EffectiveQuadraticInteraction, Interaction, rge_evolve
-from ruellebf.flat_zeta import (
-    alternating_assembly,
-    euler_product_log_zeta,
-    exterior_power_trace,
-    flat_det_via_F,
-    flat_determinant_orbit,
-    log_zeta_k,
-)
+from ruellebf.flat_zeta import _char_poly, atom_table, flat_det_via_F
 from ruellebf.bf_engine import doubled_field_tensors
 from ruellebf.graded_core import ToyBFComplex
 from ruellebf.orbits import HyperbolicToralModel, enumerate_prime_orbits, fixed_point_count, prime_orbit_counts
@@ -60,7 +52,8 @@ def test_criterion_1_alternating_minors_flat_trace_identity():
         for _ in range(200):
             d = int(rng.integers(1, 7))
             p = rng.normal(size=(d, d))
-            alternating = sum((-1) ** k * exterior_power_trace(p, k) for k in range(d + 1))
+            e = _char_poly(p)
+            alternating = sum((-1) ** k * e[k] for k in range(d + 1))
             det = np.linalg.det(np.eye(d) - p)
             assert abs(alternating - det) <= 1e-9 * max(1.0, abs(det))
 
@@ -96,13 +89,14 @@ def test_criterion_2_cat_map_orbit_census():
 def test_criterion_3_zeta_factorization():
     with criterion(3, "Euler product vs alternating assembly, cat suspension", 5.0):
         orbits = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1))), 12)
-        for lam in (2.5, 3.0, 4.0):
-            euler = euler_product_log_zeta(orbits, lam, 12.0)
-            assembly = alternating_assembly(orbits, 1, lam, 12.0)
-            assert assembly.value - euler.value == 0.0  # exact at shared truncation
-            short = alternating_assembly(orbits, 1, lam, 9.0)
-            gap = abs(euler.value - short.value)
-            assert gap <= euler.tail_bound + short.tail_bound
+        lams = [2.5, 3.0, 4.0]
+        # columns 3 and 4 of the m = 1 table: the Euler sum and the alternating assembly
+        values, tails = atom_table(orbits, 1, 12.0).log_zeta(lams)
+        short_values, short_tails = atom_table(orbits, 1, 9.0).log_zeta(lams)
+        for i in range(len(lams)):
+            assert values[i, 4] - values[i, 3] == 0.0  # exact at shared truncation
+            gap = abs(values[i, 3] - short_values[i, 4])
+            assert gap <= tails[i, 3] + short_tails[i, 4]
 
 
 def _random_graded_model(rng):
@@ -236,7 +230,7 @@ def test_criterion_7_rge_semigroup_law():
 
 
 def test_criterion_8_flat_determinant_routes():
-    with criterion(8, "flat_det_via_F vs direct det; orbit determinant wiring"):
+    with criterion(8, "flat_det_via_F vs direct det; orbit flat dets vs det(I - e^-3 wedge^k A)"):
         rng = np.random.default_rng(108)
         for _ in range(20):
             b = rng.normal(size=(5, 5))
@@ -245,10 +239,13 @@ def test_criterion_8_flat_determinant_routes():
             got = flat_det_via_F(b, lam)
             want = complex(np.linalg.det(b + lam * np.eye(5)))
             assert abs(got - want) <= 1e-9 * abs(want)
+        # the flat determinant exp(log zeta_k) of the cat suspension (roof 1) against its closed form
         orbits = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1))), 10)
-        for k in range(3):
-            series = log_zeta_k(orbits, k, 3.0, 10.0)
-            assert flat_determinant_orbit(orbits, k, 3.0, 10.0) == cmath.exp(series.value)
+        values, _ = atom_table(orbits, 1, 10.0).log_zeta([3.0])
+        a = np.array([[2.0, 1.0], [1.0, 1.0]])
+        for k, wedge in enumerate([np.eye(1), a, np.array([[np.linalg.det(a)]])]):
+            want = np.linalg.det(np.eye(len(wedge)) - math.exp(-3.0) * wedge)
+            assert abs(cmath.exp(values[0, k]) - want) <= 1e-9 * abs(want)
 
 
 def _simplex_volume_quadrature(n, t, nodes=3001):

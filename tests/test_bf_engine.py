@@ -9,15 +9,15 @@ from ruellebf.bf_engine import (
     ConvergenceRadiusError,
     IRDivergenceError,
     MatrixBFModel,
+    _closed_form_grid,
+    _loop_series,
     chain_contraction_matrix,
-    closed_form_expectation,
     doubled_field_tensors,
     expectation_grid,
     expectation_value,
     full_space_operators,
     gamma_int,
     gamma_tr,
-    gamma_tr_orbits,
     loop_sign,
     partition_grid,
     perturbing_functional,
@@ -27,7 +27,7 @@ from ruellebf.bf_engine import (
     zeta_expectation_bridge,
 )
 from ruellebf.feynman import Interaction, gamma_sum
-from ruellebf.flat_zeta import euler_product_log_zeta
+from ruellebf.flat_zeta import atom_table
 from ruellebf.graded_core import GradedOperator, GradedVectorSpace, ToyBFComplex, superdeterminant
 from ruellebf.orbits import HyperbolicToralModel, enumerate_prime_orbits
 
@@ -360,7 +360,7 @@ def test_resummation_partition_identity():
     for _ in range(10):
         model = random_toy(rng)
         hbar = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        lhs = abs(closed_form_expectation(model, hbar)) * toy_bf_partition(model.complex, 0.0)
+        lhs = abs(_closed_form_grid(model, [hbar])[0]) * toy_bf_partition(model.complex, 0.0)
         rhs = toy_bf_partition(model.complex, hbar)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -381,9 +381,9 @@ def test_expectation_grid_matches_expectation_value_pointwise():
     hbars = [0.0, 0.3, -0.2 + 0.4j, 1.5 * radius, 0.5j, radius]
     results = expectation_grid(model, hbars, 7)
     assert len(results) == len(hbars)
-    for hbar, res in zip(hbars, results):
+    for hbar, res, closed_form in zip(hbars, results, _closed_form_grid(model, hbars)):
         assert res.hbar == hbar
-        assert res.routes["det"] == closed_form_expectation(model, hbar)
+        assert res.routes["det"] == closed_form
         if abs(hbar) < radius:
             single = expectation_value(model, hbar, 7)
             assert (res.routes["det"], res.series_value, res.defect("det")) == (
@@ -518,13 +518,13 @@ def test_expectation_grid_closed_forms_are_the_per_point_products():
     # the ratio of each block, per point, is np.prod(1 + hbar / mu) combined in Python complex arithmetic
     model = partition_model(np.random.default_rng(30), "complex")
     hbars = [0.0, 0.3, -0.2 + 0.4j, 1.7 - 0.9j, 5.0]
-    for hbar, res in zip(hbars, expectation_grid(model, hbars, 4)):
+    for hbar, res, closed_form in zip(hbars, expectation_grid(model, hbars, 4), _closed_form_grid(model, hbars)):
         want = 1.0 + 0j
         for degree, mu in model.spectra:
             ratio = complex(np.prod(1 + hbar / mu))
             want = want * ratio if degree % 2 == 0 else want / ratio
         assert res.routes["det"] == want
-        assert closed_form_expectation(model, hbar) == want
+        assert closed_form == want
 
 
 # -------------------------------------------- cross-module diagram consistency
@@ -593,8 +593,7 @@ def test_bridge_routes_agree_cat():
     assert res.defect("det") < 1e-6
     # independent closed-form oracle from the truncated euler sums
     lam0, lam1 = 3.0, 3.5
-    log0 = euler_product_log_zeta(CAT_ORBITS, lam0, 12.0).value
-    log1 = euler_product_log_zeta(CAT_ORBITS, lam1, 12.0).value
+    log0, log1 = atom_table(CAT_ORBITS, 1, 12.0).log_zeta([lam0, lam1])[0][:, 3]  # the Euler column
     assert res.routes["orbit"] == pytest.approx(cmath.exp(-(log1 - log0)), rel=1e-12)
 
 
@@ -606,8 +605,8 @@ def test_bridge_conjugation_symmetry():
     assert minus.series_value == pytest.approx(plus.series_value.conjugate(), rel=1e-12)
 
 
-def test_gamma_tr_orbits_first_coefficient_from_atoms():
-    series = gamma_tr_orbits(CAT_ORBITS, 1, 3.0, 12.0, 6)
+def test_orbit_loop_series_first_coefficient_from_atoms():
+    series = _loop_series(atom_table(CAT_ORBITS, 1, 12.0), 3.0, 6)
     # N = 1 coefficient: sum_k (-1)^(k+1) sum_atoms w e^{-3 t}, times -1
     from ruellebf.flat_zeta import flat_trace_evolution
 
@@ -618,16 +617,14 @@ def test_gamma_tr_orbits_first_coefficient_from_atoms():
     assert series.coefficient(2) == pytest.approx(-signed, rel=1e-12)
 
 
-def test_gamma_tr_orbits_past_the_float_factorial_keeps_the_moment_formula():
+def test_orbit_loop_series_past_the_float_factorial_keeps_the_moment_formula():
     from fractions import Fraction
-
-    from ruellebf.flat_zeta import atom_table
 
     # order N + 1 divides the N-th moment by (N - 1)!, which passes the float range from N = 172
     orbits = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1))), 20)
     table = atom_table(orbits, 1, 20.0)
     signed = (table.flat_weights() * [loop_sign(k) for k in range(3)]).sum(axis=1) * np.exp(-3.0 * table.t)
-    series = gamma_tr_orbits(orbits, 1, 3.0, 20.0, 180)
+    series = _loop_series(table, 3.0, 180)
     for n in (171, 172, 179):
         moment = sum(w * float(Fraction(t) ** (n - 1) / math.factorial(n - 1)) for w, t in zip(signed, table.t))
         assert series.coefficient(n + 1) == pytest.approx((-1) ** n / n * moment, rel=1e-12, abs=0.0)
@@ -646,10 +643,11 @@ def test_spectral_kernel_on_non_normal_blocks():
         blocks.append(q @ u @ np.diag(d) @ np.linalg.inv(u) @ q.T)
     model = MatrixBFModel(ToyBFComplex(block_diag(*blocks)), ((0, 3), (1, 3)))
     eye = np.eye(3)
-    for hbar in (0.4 + 0.2j, -0.5j, 0.7):
+    hbars = [0.4 + 0.2j, -0.5j, 0.7]
+    for hbar, got in zip(hbars, _closed_form_grid(model, hbars)):
         ratios = [np.linalg.det(b + hbar * eye) / np.linalg.det(b) for b in blocks]
         want = ratios[0] / ratios[1]
-        assert abs(closed_form_expectation(model, hbar) - want) <= 1e-8 * abs(want)
+        assert abs(got - want) <= 1e-8 * abs(want)
     for lam in (0.0, 0.3 + 0.1j):
         series = gamma_tr(model, lam, 8)
         for n in range(1, 8):

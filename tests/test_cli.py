@@ -611,7 +611,6 @@ def test_bridge_reads_a_real_lambda0_and_its_pair_alike(tmp_path, capsys):
 
 @pytest.mark.parametrize("module, attr, error, code", [
     ("flat_zeta", "zeta_grid_rows", "NonTransverseOrbitError", 2),
-    ("flat_zeta", "zeta_grid_rows", "BranchCutError", 3),
     ("flat_zeta", "zeta_grid_rows", "SingularBlockError", 2),
     ("flat_zeta", "zeta_grid_rows", "ConvergenceError", 3),
     ("flat_zeta", "zeta_grid_rows", "IRDivergenceError", 3),
@@ -626,7 +625,6 @@ def test_every_library_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch
     modules = {"flat_zeta": flat_zeta, "bf_engine": bf_engine}
     classes = {
         "NonTransverseOrbitError": flat_zeta.NonTransverseOrbitError,
-        "BranchCutError": flat_zeta.BranchCutError,
         "SingularBlockError": graded_core.SingularBlockError,
         "ConvergenceError": feynman.ConvergenceError,
         "IRDivergenceError": bf_engine.IRDivergenceError,
@@ -890,6 +888,24 @@ def test_zeta_far_left_of_the_axis_is_quiet_and_prints_minus_inf(tmp_path, capsy
     rows = csv.DictReader(line for line in out.splitlines() if not line.startswith("#"))
     left = [r for r in rows if float(r["re_lambda"]) == -60.0]
     assert [(r["re_logzeta"], r["im_logzeta"], r["tail_bound"]) for r in left] == [("-inf", "nan", "inf")] * 4
+
+
+def test_zeta_defect_past_the_float_range_reads_inf(tmp_path, capsys):
+    # sign -1 atoms make the assembly minus the Euler sum; far left of the axis both parts of their
+    # difference are finite, but its modulus is past the float range: that point once stopped the grid with exit 3
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text(SPECTRUM_HEADER_LINE + "".join(f"{length},1,1,-2;0;0;-0.5,1.0,0.0\n" for length in (1.0, 1.05, 1.1)))
+    payload = {"model": {"spectrum_file": str(spectrum)}, "truncation": {"L_max": 1.1},
+               "grid": [[3.0, 0.0], [-644.81, math.pi / 4]]}
+    code, out, err = _run_quietly(capsys, ["zeta", "--config", write_config(tmp_path, payload)])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    far = list(csv.DictReader(lines[:1] + lines[5:9]))
+    assert all(math.isfinite(float(r["re_logzeta"])) and math.isfinite(float(r["im_logzeta"])) for r in far)
+    assert [r["defect"] for r in far] == ["inf"] * 4
+    # the lambda = 3 rows read the bytes they have in a grid of their own
+    alone = write_config(tmp_path, dict(payload, grid=[[3.0, 0.0]]), "alone.json")
+    assert _run_quietly(capsys, ["zeta", "--config", alone])[1].splitlines() == lines[:5] + lines[9:]
 
 
 @pytest.mark.parametrize("command", ["bridge", "diagrams"])

@@ -10,14 +10,11 @@ from ruellebf.flat_zeta import (
     AtomicDistribution,
     BranchCutError,
     NonTransverseOrbitError,
-    alternating_assembly,
-    euler_product_log_zeta,
-    exterior_power_trace,
+    _char_poly,
+    atom_table,
     flat_det_via_F,
-    flat_determinant_orbit,
     flat_trace_cyclicity_check,
     flat_trace_evolution,
-    log_zeta_k,
     zeta_grid_rows,
 )
 from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, enumerate_prime_orbits
@@ -36,27 +33,22 @@ def eig_symmetric_sum(mat, k):
 
 def test_exterior_trace_k0_is_one():
     rng = np.random.default_rng(0)
-    assert exterior_power_trace(rng.normal(size=(5, 5)), 0) == 1.0
+    assert _char_poly(rng.normal(size=(5, 5)))[0] == 1.0
 
 
 def test_exterior_trace_defining_cases_2x2():
     p = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert exterior_power_trace(p, 1) == pytest.approx(np.trace(p))
-    assert exterior_power_trace(p, 2) == pytest.approx(np.linalg.det(p))
+    assert _char_poly(p)[1] == pytest.approx(np.trace(p))
+    assert _char_poly(p)[2] == pytest.approx(np.linalg.det(p))
 
 
 def test_exterior_trace_4x4_eigenvalue_oracle():
     rng = np.random.default_rng(1)
     for _ in range(10):
         p = rng.normal(size=(4, 4))
-        got = exterior_power_trace(p, 2)
+        got = _char_poly(p)[2]
         want = eig_symmetric_sum(p, 2)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
-
-
-def test_exterior_trace_out_of_range():
-    with pytest.raises(ValueError):
-        exterior_power_trace(np.eye(2), 3)
 
 
 def test_alternating_minors_identity():
@@ -64,7 +56,8 @@ def test_alternating_minors_identity():
     for _ in range(25):
         d = int(rng.integers(1, 7))
         p = rng.normal(size=(d, d))
-        alt = sum((-1) ** k * exterior_power_trace(p, k) for k in range(d + 1))
+        e = _char_poly(p)
+        alt = sum((-1) ** k * e[k] for k in range(d + 1))
         det = np.linalg.det(np.eye(d) - p)
         assert abs(alt - det) <= 1e-9 * max(1.0, abs(det))
 
@@ -111,7 +104,7 @@ def test_flat_trace_atoms_sorted_with_t_min():
 def test_non_transverse_guard():
     # orbit ingestion already rejects unit-circle eigenvalues, so the sum-level
     # threshold is defense in depth; exercise it on the guard directly
-    from ruellebf.flat_zeta import _char_poly, _transversality_denominator, _transversality_scale
+    from ruellebf.flat_zeta import _transversality_denominator, _transversality_scale
 
     with pytest.raises(NonTransverseOrbitError):
         p = np.diag([1.0 + 1e-14, 0.5])
@@ -122,7 +115,7 @@ def test_non_transverse_guard():
 
 # ---------------------------------------------------------------- log zeta_k
 
-def brute_log_zeta_k(orbits, k, lam, l_max):
+def brute_log_zeta(orbits, k, lam, l_max):
     """Independent double loop, numpy dets, reversed accumulation order."""
     total = 0j
     for orbit in reversed(orbits):
@@ -143,142 +136,128 @@ def brute_log_zeta_k(orbits, k, lam, l_max):
 
 
 def test_log_zeta_empty():
-    series = log_zeta_k([], 0, 3.0, 10.0)
-    assert series.value == 0
-    assert series.tail_bound == 0.0
+    values, tails = atom_table([], 1, 10.0).log_zeta([3.0])
+    assert values[0, 0] == 0
+    assert tails[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_log_zeta_cat_vs_brute_force(k):
-    series = log_zeta_k(CAT_ORBITS, k, 3.0, 12.0)
-    assert series.value == pytest.approx(brute_log_zeta_k(CAT_ORBITS, k, 3.0, 12.0), rel=1e-12)
+    values, _ = atom_table(CAT_ORBITS, 1, 12.0).log_zeta([3.0])
+    assert values[0, k] == pytest.approx(brute_log_zeta(CAT_ORBITS, k, 3.0, 12.0), rel=1e-12)
 
 
 def test_log_zeta_cat_closed_forms():
     # the k = 0 and k = 2 factors collapse to -sum e^{-lam n}/n; k = 1 carries tr(A^n)
     lam = 3.0
-    s0 = log_zeta_k(CAT_ORBITS, 0, lam, 12.0)
-    s2 = log_zeta_k(CAT_ORBITS, 2, lam, 12.0)
+    s0, s1, s2 = atom_table(CAT_ORBITS, 1, 12.0).log_zeta([lam])[0][0, :3]
     exact0 = -sum(math.exp(-lam * n) / n for n in range(1, 13))
-    assert s0.value.real == pytest.approx(exact0, rel=1e-12)
-    assert s2.value.real == pytest.approx(exact0, rel=1e-12)
-    s1 = log_zeta_k(CAT_ORBITS, 1, lam, 12.0)
+    assert s0.real == pytest.approx(exact0, rel=1e-12)
+    assert s2.real == pytest.approx(exact0, rel=1e-12)
     exact1 = -sum(
         (CAT_EIGS[0] ** n + CAT_EIGS[1] ** n) * math.exp(-lam * n) / n for n in range(1, 13)
     )
-    assert s1.value.real == pytest.approx(exact1, rel=1e-12)
+    assert s1.real == pytest.approx(exact1, rel=1e-12)
 
 
 def test_log_zeta_decays_in_lambda():
-    values = [abs(log_zeta_k(CAT_ORBITS, 0, lam, 12.0).value) for lam in (3.0, 5.0, 9.0, 14.0)]
+    values = np.abs(atom_table(CAT_ORBITS, 1, 12.0).log_zeta([3.0, 5.0, 9.0, 14.0])[0][:, 0]).tolist()
     assert values == sorted(values, reverse=True)
     assert values[-1] < 1e-6
 
 
 def test_tail_bound_monotone_in_truncation():
-    tails = [log_zeta_k(CAT_ORBITS, 0, 3.0, L).tail_bound for L in (6.0, 9.0, 12.0)]
+    tails = [atom_table(CAT_ORBITS, 1, L).log_zeta([3.0])[1][0, 0] for L in (6.0, 9.0, 12.0)]
     assert tails[0] > tails[1] > tails[2] > 0
 
 
 def test_truncation_gap_geometric():
     # |value(L) - value(L + roof)| shrinks at least like e^{-(Re lam - h) roof}
     lam, h = 3.0, math.log(CAT_EIGS[1])
-    gaps = []
-    for L in (6.0, 7.0, 8.0, 9.0, 10.0, 11.0):
-        a = log_zeta_k(CAT_ORBITS, 0, lam, L).value
-        b = log_zeta_k(CAT_ORBITS, 0, lam, L + 1.0).value
-        gaps.append(abs(b - a))
+    values = [atom_table(CAT_ORBITS, 1, L).log_zeta([lam])[0][0, 0] for L in (6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0)]
+    gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     for g1, g2 in zip(gaps, gaps[1:]):
         assert g2 <= g1 * math.exp(-(lam - h)) * 1.05
 
 
 def test_truncation_before_the_first_atom_is_uncertified():
     # L_max = 0.5 < the shortest length 1 sums no atom: the value 0 is exact only for an empty orbit set
+    values, tails = atom_table(CAT_ORBITS, 1, 0.5).log_zeta([3.0])
     for k in range(3):
-        series = log_zeta_k(CAT_ORBITS, k, 3.0, 0.5)
-        assert (series.value, series.tail_bound) == (0, math.inf)
-    assert euler_product_log_zeta(CAT_ORBITS, 3.0, 0.5).tail_bound == math.inf
-    assert alternating_assembly(CAT_ORBITS, 1, 3.0, 0.5).tail_bound == math.inf
+        assert (values[0, k], tails[0, k]) == (0, math.inf)
+    assert tails[0, 3] == math.inf  # the Euler sum
+    assert tails[0, 4] == math.inf  # the assembly
     assert all(row["tail_bound"] == math.inf for row in zeta_grid_rows(CAT_ORBITS, 1, [3.0, 5.0 + 1j], 0.5))
-    assert log_zeta_k([], 1, 3.0, 0.5).tail_bound == 0.0
-    assert euler_product_log_zeta([], 3.0, 0.5).tail_bound == 0.0
+    _, tails = atom_table([], 1, 0.5).log_zeta([3.0])
+    assert tails[0, 1] == 0.0
+    assert tails[0, 3] == 0.0
 
 
 # ------------------------------------------------- euler product and assembly
+# columns of AtomTable.log_zeta: log zeta_k at k = 0..2m, the Euler sum at 2m + 1, the assembly at 2m + 2
 
 def test_euler_no_orbits():
-    series = euler_product_log_zeta([], 3.0, 10.0)
-    assert series.value == 0
-    assert cmath.exp(series.value) == 1
+    values, _ = atom_table([], 1, 10.0).log_zeta([3.0])
+    assert values[0, 3] == 0
+    assert cmath.exp(values[0, 3]) == 1
 
 
 def test_euler_single_orbit_closed_form():
     orbit = PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=np.eye(1))
     lam = 2.0
-    series = euler_product_log_zeta([orbit], lam, 8.0)
+    values, _ = atom_table([orbit], 1, 8.0).log_zeta([lam])
     # log(1 - e^{-lam}) truncated at j <= 8
     exact = -sum(math.exp(-lam * j) / j for j in range(1, 9))
-    assert series.value.real == pytest.approx(exact, rel=1e-12)
+    assert values[0, 3].real == pytest.approx(exact, rel=1e-12)
 
 
 def test_euler_divergence_flag():
     orbit = PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=np.eye(1))
-    assert math.isinf(euler_product_log_zeta([orbit], -0.5, 8.0).tail_bound)
+    assert math.isinf(atom_table([orbit], 1, 8.0).log_zeta([-0.5])[1][0, 3])
 
 
 def test_assembly_equals_euler_exactly_for_cat():
-    for lam in (2.5, 3.0, 4.0):
-        euler = euler_product_log_zeta(CAT_ORBITS, lam, 12.0)
-        assembly = alternating_assembly(CAT_ORBITS, 1, lam, 12.0)
-        assert assembly.value - euler.value == 0.0  # bit-exact, not approximate
+    values, _ = atom_table(CAT_ORBITS, 1, 12.0).log_zeta([2.5, 3.0, 4.0])
+    for euler, assembly in values[:, 3:]:
+        assert assembly - euler == 0.0  # bit-exact, not approximate
 
 
 def test_assembly_matches_per_degree_formula():
     lam = 3.0
-    assembly = alternating_assembly(CAT_ORBITS, 1, lam, 12.0)
-    per_degree = sum(
-        (-1) ** k * log_zeta_k(CAT_ORBITS, k, lam, 12.0).value for k in range(3)
-    )
-    assert assembly.value == pytest.approx(-per_degree, rel=1e-12)
+    values, _ = atom_table(CAT_ORBITS, 1, 12.0).log_zeta([lam])
+    per_degree = sum((-1) ** k * values[0, k] for k in range(3))
+    assert values[0, 4] == pytest.approx(-per_degree, rel=1e-12)
 
 
 def test_assembly_m_zero_degenerate():
     orbit = PrimeOrbit(length=1.0, poincare=np.zeros((0, 0)), rho=np.eye(1))
     lam = 2.0
-    assembly = alternating_assembly([orbit], 0, lam, 6.0)
-    zeta0 = log_zeta_k([orbit], 0, lam, 6.0)
-    assert assembly.value == pytest.approx(zeta0.value, rel=1e-14)
+    values, _ = atom_table([orbit], 0, 6.0).log_zeta([lam])
+    assert values[0, 2] == pytest.approx(values[0, 0], rel=1e-14)  # m = 0: the assembly against log zeta_0
 
 
 def test_assembly_dimension_check():
     with pytest.raises(ValueError, match="2m"):
-        alternating_assembly(CAT_ORBITS, 2, 3.0, 6.0)
+        atom_table(CAT_ORBITS, 2, 6.0)
 
 
 def test_euler_agrees_with_assembly_at_independent_truncations():
     lam = 3.0
-    euler = euler_product_log_zeta(CAT_ORBITS, lam, 12.0)
-    assembly = alternating_assembly(CAT_ORBITS, 1, lam, 9.0)
-    assert abs(euler.value - assembly.value) <= euler.tail_bound + assembly.tail_bound
+    values, tails = atom_table(CAT_ORBITS, 1, 12.0).log_zeta([lam])
+    short_values, short_tails = atom_table(CAT_ORBITS, 1, 9.0).log_zeta([lam])
+    assert abs(values[0, 3] - short_values[0, 4]) <= tails[0, 3] + short_tails[0, 4]
 
 
 # ----------------------------------------------------------- flat determinant
 
-def test_flat_determinant_orbit_empty():
-    assert flat_determinant_orbit([], 0, 3.0, 10.0) == 1.0
-
-
-def test_flat_determinant_orbit_wiring():
-    value = flat_determinant_orbit(CAT_ORBITS, 1, 3.0, 12.0)
-    assert value == cmath.exp(log_zeta_k(CAT_ORBITS, 1, 3.0, 12.0).value)
-
-
 def test_flat_determinant_alternating_product_is_zeta():
+    # the flat determinant det(L_k + lam) is exp(log zeta_k)
     lam = 3.0
+    values, _ = atom_table(CAT_ORBITS, 1, 12.0).log_zeta([lam])
     product = 1.0 + 0j
     for k in range(3):
-        product *= flat_determinant_orbit(CAT_ORBITS, k, lam, 12.0) ** ((-1) ** k)
-    euler = cmath.exp(euler_product_log_zeta(CAT_ORBITS, lam, 12.0).value)
+        product *= cmath.exp(values[0, k]) ** ((-1) ** k)
+    euler = cmath.exp(values[0, 3])
     # product over k of det^((-1)^k) = zeta^((-1)^m), m = 1
     assert product == pytest.approx(euler ** -1, rel=1e-10)
 
@@ -375,8 +354,6 @@ def cat_log_zeta(a, roof, theta, lam):
 
 
 def test_char_poly_matches_eigenvalue_sums():
-    from ruellebf.flat_zeta import _char_poly
-
     rng = np.random.default_rng(11)
     for _ in range(20):
         d = int(rng.integers(1, 6))
@@ -392,14 +369,14 @@ def test_exterior_trace_exact_on_large_integer_powers():
     # float minors of these matrices cancel catastrophically
     for n in (20, 30, 40):
         exact = np.array(CAT.power(n), dtype=object)
-        assert exterior_power_trace(exact, 2) == 1
-        assert exterior_power_trace(exact, 1) == complex(exact[0, 0] + exact[1, 1])
+        assert _char_poly(exact)[2] == 1
+        assert _char_poly(exact)[1] == exact[0, 0] + exact[1, 1]
     as_float = np.array(CAT.power(30), dtype=float)
-    assert exterior_power_trace(as_float, 2) == 1.0
+    assert _char_poly(as_float)[2] == 1.0
 
 
 def test_transversality_denominator_exact_for_integer_maps():
-    from ruellebf.flat_zeta import _char_poly, _transversality_denominator, _transversality_scale
+    from ruellebf.flat_zeta import _transversality_denominator, _transversality_scale
 
     def denominator(p):
         return _transversality_denominator(_char_poly(p), _transversality_scale(p))
@@ -428,9 +405,9 @@ def test_character_3121_degree_two_matches_closed_form():
 @pytest.mark.xfail(strict=True, reason="tail_bound is a geometric estimate, not a bound (ROADMAP item 4)")
 def test_tail_bound_covers_the_error_of_a_three_period_census():
     # the 10% inflation of the fitted decay ratio falls short here: the error is 8.06e-5, the tail 6.22e-5
-    series = log_zeta_k(enumerate_prime_orbits(CAT, 3), 1, 3.0, 3.0)
+    values, tails = atom_table(enumerate_prime_orbits(CAT, 3), 1, 3.0).log_zeta([3.0])
     ref = cat_log_zeta([2, 1, 1, 1], 1.0, 0.0, 3.0)[1]  # log det(I - e^{-lambda} A)
-    assert abs(series.value - ref) <= series.tail_bound
+    assert abs(values[0, 1] - ref) <= tails[0, 1]
 
 
 @pytest.mark.parametrize("a, roof, l_max", [([2, 1, 1, 1], 1.0, 20.0), ([3, 1, 2, 1], 0.7, 14.0)])
@@ -453,8 +430,6 @@ def test_cat_zeta_grid_rows_within_tail_of_closed_form(a, roof, l_max):
 # ------------------------------------------------------------- the atom table
 
 def test_atom_table_columns():
-    from ruellebf.flat_zeta import atom_table
-
     table = atom_table(CAT_ORBITS, 1, 4.0)
     assert table.t.tolist() == sorted(table.t.tolist())
     assert table.group_times.tolist() == [1.0, 2.0, 3.0, 4.0]
@@ -506,7 +481,7 @@ def float_spectrum(n_orbits=40, seed=3):
 
 
 def test_lambda_alone_equals_lambda_in_grid():
-    from ruellebf.flat_zeta import LOG_ZETA_BLOCK, atom_table
+    from ruellebf.flat_zeta import LOG_ZETA_BLOCK
 
     i = np.arange(100)
     lams = list((2.0 + 0.98 * i / 99) + 1j * (0.1 * i))
@@ -530,21 +505,10 @@ def test_empty_orbits_give_zero_and_euler_tail_inf_off_region():
     rows = zeta_grid_rows([], 1, [3.0, -1.0, 0.5j], 10.0)
     assert all(r["re_logzeta"] == 0.0 and r["im_logzeta"] == 0.0 for r in rows)
     assert all(r["tail_bound"] == 0.0 and r["defect"] == 0.0 for r in rows)
-    assert euler_product_log_zeta([], -1.0, 10.0).tail_bound == 0.0
+    assert atom_table([], 1, 10.0).log_zeta([-1.0])[1][0, 3] == 0.0
     rows = zeta_grid_rows(CAT_ORBITS, 1, [-0.5, 0.0, 0.5j, 3.0], 12.0)
     euler_tails = [r["tail_bound"] for r in rows if r["k"] == -1]
     assert [math.isinf(t) for t in euler_tails] == [True, True, True, False]
-
-
-def test_routes_agree_with_grid_rows():
-    lam = 3.0 + 0.5j
-    rows = zeta_grid_rows(CAT_ORBITS, 1, [lam], 12.0)
-    for k in range(3):
-        series = log_zeta_k(CAT_ORBITS, k, lam, 12.0)
-        assert (series.value.real, series.value.imag, series.tail_bound) == (
-            rows[k]["re_logzeta"], rows[k]["im_logzeta"], rows[k]["tail_bound"])
-    euler = euler_product_log_zeta(CAT_ORBITS, lam, 12.0)
-    assert (euler.value.real, euler.value.imag) == (rows[3]["re_logzeta"], rows[3]["im_logzeta"])
 
 
 def reference_geometric_tail(grouped):
