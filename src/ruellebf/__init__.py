@@ -9,26 +9,17 @@ from .bf_engine import (
     gamma_int,
     gamma_tr,
     partition_grid,
-    perturbing_functional,
-    projection_lemma_check,
     regularized_propagator,
     simplex_volume_check,
     zeta_expectation_bridge,
 )
 from .flat_zeta import (
     AtomicDistribution,
-    flat_det_via_F,
-    flat_trace_cyclicity_check,
     flat_trace_evolution,
 )
 from .graded_core import (
-    GradedOperator,
-    GradedVectorSpace,
     SingularBlockError,
     ToyBFComplex,
-    gaussian_partition,
-    superdeterminant,
-    supertrace,
 )
 from .orbits import (
     HyperbolicToralModel,
@@ -36,7 +27,6 @@ from .orbits import (
     Representation,
     anosov_check,
     enumerate_prime_orbits,
-    fixed_point_count,
     load_length_spectrum,
 )
 from .series import HbarSeries

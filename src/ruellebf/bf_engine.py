@@ -127,14 +127,6 @@ def chain_contraction_matrix(model: MatrixBFModel, propagator: np.ndarray) -> np
     return propagator @ (cx.L1_inv @ cx.d)
 
 
-def perturbing_functional(model: MatrixBFModel, A: np.ndarray, B: np.ndarray) -> complex:
-    """Quadratic perturbation <B, L^{-1} d A> in the bilinear toy pairing."""
-    cx = model.complex
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
-    return complex(B @ (cx.L1_inv @ (cx.d @ A)))
-
-
 def gamma_int(
     model: MatrixBFModel,
     propagator: np.ndarray,
@@ -194,41 +186,6 @@ def simplex_volume_check(N: int, t: float) -> float:
     if N < 1 or t <= 0:
         raise ValueError("need N >= 1 and t > 0")
     return t ** (N - 1) / math.factorial(N - 1)
-
-
-def full_space_operators(model: MatrixBFModel):
-    """d, iota and the graded commutator on the full two-term space V0 + V1."""
-    cx = model.complex
-    n = cx.n
-    zeros = np.zeros((n, n), dtype=np.complex128)
-    d_full = np.block([[zeros, zeros], [cx.d, zeros]])
-    iota_full = np.block([[zeros, cx.iota], [zeros, zeros]])
-    l_full = np.block([[cx.L0, zeros], [zeros, cx.L1]])
-    return d_full, iota_full, l_full
-
-
-def projection_lemma_check(model: MatrixBFModel, B_op: np.ndarray) -> bool:
-    """tr(B L^{-1} iota d) equals tr(B restricted to im(iota)) on the full space, to within 1e-10.
-
-    B_op must leave im(iota) = V0 + 0 invariant; the lower-left block is the
-    invariance defect and any nonzero defect is a precondition violation.
-    """
-    cx = model.complex
-    n = cx.n
-    B_op = np.asarray(B_op, dtype=np.complex128)
-    if B_op.shape != (2 * n, 2 * n):
-        raise ValueError(f"operator must act on the full {2 * n}-dimensional space")
-    defect = float(np.linalg.norm(B_op[n:, :n]))
-    scale = max(1.0, float(np.max(np.abs(B_op))))
-    if defect > 1e-10 * scale:
-        raise ValueError(
-            f"operator does not leave im(iota) invariant: defect norm {defect:.3e}"
-        )
-    d_full, iota_full, l_full = full_space_operators(model)
-    projector = np.linalg.solve(l_full, iota_full @ d_full)
-    lhs = complex(np.trace(B_op @ projector))
-    rhs = complex(np.trace(B_op[:n, :n]))
-    return abs(lhs - rhs) < 1e-10
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Orbit sums: flat traces as atomic distributions and regularized determinants.
+"""Orbit sums: the atom table, its log zeta columns and flat traces as atomic distributions.
 
 Evolution semigroups of the orbit models have flat traces supported on the
 closed-orbit lengths; truncating those atom sums gives the per-degree log
@@ -23,7 +23,6 @@ tail_bound = inf rather than extrapolated.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,10 +39,6 @@ LOG_ZETA_BLOCK = 2 ** 18
 
 class NonTransverseOrbitError(ArithmeticError):
     """det(I - P^j) fell below the transversality threshold."""
-
-
-class BranchCutError(ValueError):
-    """An eigenvalue crossed the principal-branch cut of the logarithm."""
 
 
 def _integer_entries(P: np.ndarray) -> list[list[int]] | None:
@@ -426,29 +421,6 @@ def flat_trace_evolution(orbits, k: int, t_max: float) -> AtomicDistribution:
     merged = np.zeros(table.group_times.size, dtype=complex)
     np.add.at(merged, table.group, table.flat_weights()[:, k])
     return AtomicDistribution(tuple(zip(table.group_times.tolist(), merged.tolist())), table.t_min)
-
-
-def flat_det_via_F(generator: np.ndarray, lam: complex = 0.0) -> complex:
-    """Regularized determinant of a matrix semigroup generator, shifted by lam.
-
-    The Mellin-normalized trace F(s, lam) = sum_i (mu_i + lam)^{-s} has
-    -dF/ds at s = 0 equal to sum_i log(mu_i + lam), so the determinant is the
-    plain eigenvalue product, provided every shifted eigenvalue stays off the
-    principal branch cut (Re > 0 required).
-    """
-    mu = np.linalg.eigvals(np.asarray(generator, dtype=complex)) + lam
-    if np.any(mu.real <= 0):
-        raise BranchCutError("an eigenvalue of generator + lam has non-positive real part")
-    return cmath.exp(complex(np.sum(np.log(mu))))
-
-
-def flat_trace_cyclicity_check(A: np.ndarray, B: np.ndarray) -> bool:
-    """Finite-dimensional shadow of trace cyclicity: |tr(AB) - tr(BA)| < 1e-10."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0] or B.shape[1] != A.shape[0]:
-        raise ValueError("matrices are not composable both ways")
-    return abs(complex(np.trace(A @ B)) - complex(np.trace(B @ A))) < 1e-10
 
 
 def zeta_grid_rows(orbits, m: int, lambdas, L_max: float) -> list[dict]:

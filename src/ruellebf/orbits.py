@@ -65,7 +65,7 @@ def _scalar_error(length: float, multiplicity: int) -> str | None:
     """Why PrimeOrbit rejects this length or multiplicity, None if it does not."""
     if not (math.isfinite(length) and length > 0):
         return "orbit length must be positive and finite"
-    if multiplicity < 1:
+    if isinstance(multiplicity, bool) or not isinstance(multiplicity, (int, np.integer)) or multiplicity < 1:
         return "multiplicity must be a positive integer"
     return None
 
@@ -160,7 +160,10 @@ class HyperbolicToralModel:
     rep: Representation = field(default_factory=Representation)
 
     def __post_init__(self):
-        a = tuple(tuple(int(x) for x in row) for row in np.asarray(self.A, dtype=object))
+        try:  # a non-integral entry is dropped, leaving its row short; int() raises on NaN or infinity
+            a = tuple(tuple(int(x) for x in row if int(x) == x) for row in np.asarray(self.A, dtype=object))
+        except (TypeError, ValueError, OverflowError):
+            a = ()
         if len(a) != 2 or any(len(r) != 2 for r in a):
             raise ValueError("A must be a 2x2 integer matrix")
         object.__setattr__(self, "A", a)
@@ -172,11 +175,6 @@ class HyperbolicToralModel:
 
     def matrix(self) -> np.ndarray:
         return np.array(self.A, dtype=float)
-
-    def power(self, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Exact integer power A^n (Python big ints)."""
-        an = np.linalg.matrix_power(np.array(self.A, dtype=object), n)
-        return tuple(tuple(int(x) for x in row) for row in an)
 
 
 def anosov_check(model: HyperbolicToralModel) -> tuple[bool, float]:
@@ -192,17 +190,6 @@ def anosov_check(model: HyperbolicToralModel) -> tuple[bool, float]:
     if expanding.size == 0:
         return False, 0.0
     return True, float(np.log(np.min(expanding)) / model.roof)
-
-
-def fixed_point_count(model: HyperbolicToralModel, n: int) -> int:
-    """Number of fixed points of the n-th iterate on the torus: |det(A^n - I)|."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not anosov_check(model)[0]:
-        raise ValueError("not Anosov: an eigenvalue lies on the unit circle")
-    an = model.power(n)
-    det = (an[0][0] - 1) * (an[1][1] - 1) - an[0][1] * an[1][0]
-    return abs(det)
 
 
 def _census(model: HyperbolicToralModel, n_max: int) -> list[tuple[int, tuple, int]]:
@@ -223,11 +210,6 @@ def _census(model: HyperbolicToralModel, n_max: int) -> list[tuple[int, tuple, i
         for multiple in range(2 * n, n_max + 1, n):  # each period's n * count goes to its multiples once
             sieved[multiple] += total
     return census
-
-
-def prime_orbit_counts(model: HyperbolicToralModel, n_max: int) -> dict[int, int]:
-    """Prime-orbit census per period via the divisor sieve on fixed-point counts."""
-    return {n: count for n, _, count in _census(model, n_max)}
 
 
 def enumerate_prime_orbits(model: HyperbolicToralModel, n_max: int) -> list[PrimeOrbit]:

@@ -24,12 +24,13 @@ from ruellebf.bf_engine import (
     simplex_volume_check,
 )
 from ruellebf.feynman import EffectiveQuadraticInteraction, Interaction, rge_evolve
-from ruellebf.flat_zeta import _char_poly, atom_table, flat_det_via_F
+from ruellebf.flat_zeta import _char_poly, atom_table
 from ruellebf.bf_engine import doubled_field_tensors
 from ruellebf.graded_core import ToyBFComplex
-from ruellebf.orbits import HyperbolicToralModel, enumerate_prime_orbits, fixed_point_count, prime_orbit_counts
+from ruellebf.orbits import HyperbolicToralModel, enumerate_prime_orbits
 
 from graph_reference import automorphism_order, chain_graph, cycle_graph, embed_doubled, graph_weight
+from math_reference import fixed_point_count, flat_det_via_F, power, prime_orbit_counts
 
 
 @contextmanager
@@ -59,7 +60,7 @@ def test_criterion_1_alternating_minors_flat_trace_identity():
 
 
 def _lattice_fixed_points(a, n):
-    m_pow = HyperbolicToralModel(a).power(n)
+    m_pow = power(HyperbolicToralModel(a), n)
     mat = ((m_pow[0][0] - 1, m_pow[0][1]), (m_pow[1][0], m_pow[1][1] - 1))
     det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     reach = [abs(mat[0][0]) + abs(mat[0][1]), abs(mat[1][0]) + abs(mat[1][1])]

@@ -15,23 +15,28 @@ from ruellebf.bf_engine import (
     doubled_field_tensors,
     expectation_grid,
     expectation_value,
-    full_space_operators,
     gamma_int,
     gamma_tr,
     loop_sign,
     partition_grid,
-    perturbing_functional,
-    projection_lemma_check,
     regularized_propagator,
     simplex_volume_check,
     zeta_expectation_bridge,
 )
 from ruellebf.feynman import Interaction, gamma_sum
 from ruellebf.flat_zeta import atom_table
-from ruellebf.graded_core import GradedOperator, GradedVectorSpace, ToyBFComplex, superdeterminant
+from ruellebf.graded_core import ToyBFComplex
 from ruellebf.orbits import HyperbolicToralModel, enumerate_prime_orbits
 
 from graph_reference import automorphism_order, chain_graph, cycle_graph, embed_doubled, graph_weight, toy_bf_partition
+from math_reference import (
+    GradedOperator,
+    GradedVectorSpace,
+    full_space_operators,
+    perturbing_functional,
+    projection_lemma_check,
+    superdeterminant,
+)
 
 
 def random_toy(rng, n=3, shift=4.0):

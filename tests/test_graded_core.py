@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import nquad, quad
 
-from ruellebf.graded_core import (
-    GradedOperator,
-    GradedVectorSpace,
-    SingularBlockError,
-    ToyBFComplex,
-    gaussian_partition,
-    superdeterminant,
-    supertrace,
-)
+from ruellebf.graded_core import SingularBlockError, ToyBFComplex
 
 from graph_reference import toy_bf_partition
+from math_reference import GradedOperator, GradedVectorSpace, gaussian_partition, superdeterminant, supertrace
 
 
 def naive_supertrace(op):

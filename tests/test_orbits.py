@@ -11,10 +11,10 @@ from ruellebf.orbits import (
     SpectrumFormatError,
     anosov_check,
     enumerate_prime_orbits,
-    fixed_point_count,
     load_length_spectrum,
-    prime_orbit_counts,
 )
+
+from math_reference import fixed_point_count, power, prime_orbit_counts
 
 CAT = HyperbolicToralModel(((2, 1), (1, 1)))
 
@@ -25,7 +25,7 @@ def lattice_fixed_points(a, n):
     Solves x = M^{-1} m over the rationals for every integer vector m in the
     image box of the fundamental domain.
     """
-    m_pow = HyperbolicToralModel(a).power(n)
+    m_pow = power(HyperbolicToralModel(a), n)
     mat = ((m_pow[0][0] - 1, m_pow[0][1]), (m_pow[1][0], m_pow[1][1] - 1))
     det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     assert det != 0
@@ -78,15 +78,15 @@ def test_census_matches_binary_powers_and_fixed_point_counts(a):
     model = HyperbolicToralModel(a)
     census = _census(model, 41)
     assert [n for n, _, _ in census] == list(range(1, 42))
-    for n, power, _ in census:
-        assert power == model.power(n)
+    for n, a_n, _ in census:
+        assert a_n == power(model, n)
         fixed = sum(d * census[d - 1][2] for d in range(1, n + 1) if n % d == 0)
         assert fixed == fixed_point_count(model, n)
     assert prime_orbit_counts(model, 41) == {n: count for n, _, count in census}
     orbits = enumerate_prime_orbits(model, 41)
     assert [(o.period, o.multiplicity) for o in orbits] == [(n, count) for n, _, count in census if count]
     for orbit in orbits:
-        assert _integer_entries(orbit.poincare) == [list(row) for row in model.power(orbit.period)]
+        assert _integer_entries(orbit.poincare) == [list(row) for row in power(model, orbit.period)]
 
 
 def test_enumerate_keeps_the_period_of_every_orbit():
@@ -96,7 +96,7 @@ def test_enumerate_keeps_the_period_of_every_orbit():
     assert [o.period for o in orbits] == [n for n in range(1, 13) if n != 2]
     for orbit in orbits:
         assert orbit.length == orbit.period * 0.5
-        assert np.array_equal(orbit.poincare, np.array(model.power(orbit.period)))
+        assert np.array_equal(orbit.poincare, np.array(power(model, orbit.period)))
 
 
 def test_enumerate_rejects_an_orbit_length_past_the_float_range():
@@ -118,7 +118,7 @@ def test_enumerate_keeps_return_maps_exact_past_float_range():
     from ruellebf.flat_zeta import _integer_entries
 
     for orbit in enumerate_prime_orbits(CAT, 41):
-        assert _integer_entries(orbit.poincare) == [list(row) for row in CAT.power(orbit.period)]
+        assert _integer_entries(orbit.poincare) == [list(row) for row in power(CAT, orbit.period)]
 
 
 def test_enumerate_keeps_return_maps_exact_past_int64():
@@ -126,7 +126,7 @@ def test_enumerate_keeps_return_maps_exact_past_int64():
     from ruellebf.flat_zeta import _char_poly
 
     for orbit in enumerate_prime_orbits(CAT, 48)[44:]:
-        assert orbit.poincare.tolist() == [list(row) for row in CAT.power(orbit.period)]
+        assert orbit.poincare.tolist() == [list(row) for row in power(CAT, orbit.period)]
         assert _char_poly(orbit.poincare)[-1] == 1
 
 
@@ -166,6 +166,20 @@ def test_non_finite_character_angle_is_rejected(angle):
 def test_roof_must_be_positive_and_finite(roof):
     with pytest.raises(ValueError, match="roof must be positive and finite"):
         HyperbolicToralModel(((2, 1), (1, 1)), roof)
+
+
+@pytest.mark.parametrize("a", [((2.5, 1), (1, 1.9)), ((math.inf, 1), (1, 1)), ((math.nan, 1), (1, 1))],
+                         ids=["fractional", "inf", "nan"])
+def test_model_rejects_non_integer_entries(a):
+    # truncating ((2.5, 1), (1, 1.9)) would give ((2, 1), (1, 1)), another map
+    with pytest.raises(ValueError, match="A must be a 2x2 integer matrix"):
+        HyperbolicToralModel(a)
+
+
+def test_model_accepts_integral_float_entries():
+    model = HyperbolicToralModel(((2.0, 1.0), (np.int64(1), 1)))
+    assert model.A == ((2, 1), (1, 1))
+    assert all(type(x) is int for row in model.A for x in row)
 
 
 def test_bigint_vs_floating_eigenvalue_formula():
@@ -211,6 +225,19 @@ def test_prime_orbit_checks_every_singular_value_of_rho():
         PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=np.diag([2.0, 0.5]))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=swap).rho, swap)
+
+
+@pytest.mark.parametrize("multiplicity", [1.5, True, 2.0, np.float64(3.0)], ids=["1.5", "True", "2.0", "float64"])
+def test_prime_orbit_rejects_a_multiplicity_that_is_not_an_integer(multiplicity):
+    # a multiplicity of 1.5 would give the atom table an Euler coefficient of -1.5
+    with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+        PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=np.eye(1), multiplicity=multiplicity)
+
+
+def test_prime_orbit_accepts_a_numpy_integer_multiplicity():
+    # a Python int of any size is covered by the 10**400 orbit of the float kernel tests
+    orbit = PrimeOrbit(length=1.0, poincare=np.diag([2.0, 0.5]), rho=np.eye(1), multiplicity=np.int64(3))
+    assert orbit.multiplicity == 3
 
 
 @pytest.mark.parametrize("length, corner, rho", [
