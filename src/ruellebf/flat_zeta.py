@@ -4,16 +4,17 @@ Evolution semigroups of the orbit models have flat traces supported on the
 closed-orbit lengths; truncating those atom sums gives the per-degree log
 zeta factors, the Euler product, and the alternating assembly. All of them
 are columns of AtomTable.log_zeta: a caller builds one AtomTable per
-(orbits, m, L_max), with the transversality check run once per atom, and
-reads its columns over a whole lambda grid. An atom's exterior traces
-tr(wedge^k P^j) and det(I - P^j) come from one characteristic polynomial of
-P^j: in exact integers for integer-valued return maps, from the eigenvalues
-for float ones, whose atoms atom_table builds in stacked arrays independent
-of the BLAS build. A lambda grid is evaluated in blocks of a fixed element
-budget, so temporaries stay small, and summed in the fixed atom order
-(ascending time, then input order, then repetition), so values are
-bit-stable, the same for a lambda alone as inside any grid, and each carries
-a geometric tail estimate.
+(orbits, m, L_max), every atom transversality-checked, and reads its columns
+over a whole lambda grid. An atom's exterior traces tr(wedge^k P^j) and
+det(I - P^j) come from one characteristic polynomial of P^j: in exact
+integers for integer-valued return maps, formed once per distinct power and
+shared by the atoms that equal it (a cat-map census repeats A^N once per
+divisor of N), from the eigenvalues for float ones, whose atoms atom_table
+builds in stacked arrays independent of the BLAS build. A lambda grid is
+evaluated in blocks of a fixed element budget, so temporaries stay small, and
+summed in the fixed atom order (ascending time, then input order, then
+repetition), so values are bit-stable, the same for a lambda alone as inside
+any grid, and each carries a geometric tail estimate.
 
 Branch convention: principal logarithms everywhere, with log zeta built
 additively from per-orbit terms so no product-branch ambiguity arises.
@@ -24,6 +25,7 @@ tail_bound = inf rather than extrapolated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,12 @@ def _integer_entries(P: np.ndarray) -> list[list[int]] | None:
     return [[int(x) for x in row] for row in rows] if exact else None
 
 
+def _int_product(a: tuple, b: tuple) -> tuple:
+    """a @ b for square matrices given as rows of Python ints."""
+    columns = tuple(zip(*b))
+    return tuple([tuple([sum(map(operator.mul, row, column)) for column in columns]) for row in a])
+
+
 def _float_char_polys(maps: np.ndarray, roots: np.ndarray | None = None) -> np.ndarray:
     """[e_0, ..., e_d] for each map of an (n, d, d) stack of finite float maps, from one stacked eigvals
     call, or from roots, the (n, d) eigenvalues of the maps when they are known already.
@@ -74,27 +82,29 @@ def _float_char_polys(maps: np.ndarray, roots: np.ndarray | None = None) -> np.n
 
 
 def _char_poly(P) -> list:
-    """[e_0, ..., e_d], e_k = tr(wedge^k P), the sum of all k x k principal minors.
+    """[e_0, ..., e_d], e_k = tr(wedge^k P), the sum of all k x k principal minors, of an array P or of
+    an integer matrix given as a tuple of rows of Python ints.
 
-    Integer-valued P: Faddeev-LeVerrier in exact integers, M_1 = I,
+    Integer-valued P: Faddeev-LeVerrier in exact integers, A M_1 = A,
     e_k = (-1)^(k+1) tr(A M_k) / k (an exact division), M_{k+1} = A M_k + (-1)^k e_k I.
     Otherwise the elementary symmetric functions of the eigenvalues, as
     _float_char_polys computes them for a stack.
     """
-    P = np.asarray(P)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("P must be square")
-    a = _integer_entries(P)
-    if a is None:
-        return _float_char_polys(P[None])[0].tolist()
-    d = len(a)
-    e = [1]
-    m = [[int(i == j) for j in range(d)] for i in range(d)]
-    for k in range(1, d + 1):
-        am = [[sum(a[i][l] * m[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
-        e.append((-1) ** (k + 1) * sum(am[i][i] for i in range(d)) // k)
-        shift = (-1) ** k * e[k]
-        m = [[am[i][j] + (shift if i == j else 0) for j in range(d)] for i in range(d)]
+    a = P
+    if not isinstance(P, tuple):
+        P = np.asarray(P)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise ValueError("P must be square")
+        a = _integer_entries(P)
+        if a is None:
+            return _float_char_polys(P[None])[0].tolist()
+    e, am = [1], a
+    for k in range(1, len(a) + 1):
+        e.append((-1) ** (k + 1) * sum(row[i] for i, row in enumerate(am)) // k)
+        if k < len(a):
+            shift = (-1) ** k * e[k]
+            m_next = [[x + shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(am)]
+            am = _int_product(a, m_next)
     return e
 
 
@@ -132,9 +142,10 @@ def _abs_or_inf(z: complex) -> float:
         return math.inf
 
 
-def _transversality_scale(p_power: np.ndarray) -> float:
-    """max(1, max|I - P^j|)^d, the scale of the transversality threshold; inf past the float range."""
-    rows = p_power.tolist()
+def _transversality_scale(p_power) -> float:
+    """max(1, max|I - P^j|)^d, the scale of the transversality threshold, of an array or of rows of
+    numbers; inf past the float range."""
+    rows = p_power.tolist() if isinstance(p_power, np.ndarray) else p_power
     base = max([1.0] + [abs((i == j) - x) for i, row in enumerate(rows) for j, x in enumerate(row)])
     with np.errstate(over="ignore"):  # an integer base keeps its exact power
         return _float_or_inf(base ** len(rows) if isinstance(base, int) else np.float64(base) ** len(rows))
@@ -286,22 +297,45 @@ def _float_powers(base: np.ndarray, lengths: np.ndarray, reach: float) -> tuple:
     return tuple(np.concatenate(c) for c in (index, js, powers, scales))
 
 
+def _matrix_powers(base: np.ndarray, which: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """base[which[a]] ** j[a] for each atom a, j >= 1, each formed as np.linalg.matrix_power forms it:
+    a, a @ a and (a @ a) @ a for j <= 3, else the binary powers a^(2^b) multiplied into the result from
+    the lowest set bit up. One pass over the bits of j serves every atom; the squarings run once per
+    base matrix."""
+    out = np.empty((which.size,) + base.shape[1:], dtype=base.dtype)
+    three = j == 3
+    square = base @ base
+    out[three] = square[which[three]] @ base[which[three]]
+    bits = np.where(three, 0, j)
+    started = np.zeros(which.size, dtype=bool)
+    z = base
+    while True:
+        take = (bits & 1).astype(bool)
+        first, rest = take & ~started, take & started
+        out[first] = z[which[first]]
+        out[rest] = out[rest] @ z[which[rest]]
+        started |= take
+        bits >>= 1
+        if not bits.any():
+            return out
+        z = square if z is base else z @ z
+
+
 def _euler_coefficients(orbits, pos: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(-mult * complex(tr rho^j) / j per atom, with the steps of Python's complex product and
-    quotient on real parts, and whether mult is past the float range), one stacked matrix_power per
-    rho shape and j."""
+    quotient on real parts, and whether mult is past the float range), the powers rho^j from one
+    _matrix_powers pass per rho shape."""
     traces = np.zeros(pos.size, dtype=complex)
     by_shape: dict[tuple, list[int]] = {}
     for p, orbit in enumerate(orbits):
         by_shape.setdefault(orbit.rho.shape, []).append(p)
-    slot = np.zeros(len(orbits), dtype=int)
-    for members in by_shape.values():
-        slot[members] = np.arange(len(members))
+    slot, shape_of = np.zeros(len(orbits), dtype=int), np.zeros(len(orbits), dtype=int)
+    for shape, members in enumerate(by_shape.values()):
+        slot[members], shape_of[members] = np.arange(len(members)), shape
+    for shape, members in enumerate(by_shape.values()):
+        at = np.flatnonzero(shape_of[pos] == shape)
         rhos = np.array([orbits[p].rho for p in members])
-        in_shape = np.flatnonzero(np.isin(pos, members))
-        for power in np.unique(j[in_shape]).tolist():
-            at = in_shape[j[in_shape] == power]
-            traces[at] = np.trace(np.linalg.matrix_power(rhos[slot[pos[at]]], power), axis1=1, axis2=2)
+        traces[at] = np.trace(_matrix_powers(rhos, slot[pos[at]], j[at]), axis1=1, axis2=2)
     mult = np.array([_float_or_inf(-orbit.multiplicity) for orbit in orbits])[pos]
     euler = np.zeros(pos.size, dtype=complex)
     with np.errstate(invalid="ignore"):
@@ -318,8 +352,11 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
 
     Each orbit's powers stop at the first P^j whose _transversality_scale is inf; that atom, like any
     non-finite P^j, fails its check, and the first failing atom in table order raises. Integer-valued
-    return maps are raised to powers in Python ints; their atoms, and any integer-valued float P^j,
-    keep the exact route of _char_poly, one atom at a time. The other float maps are raised by
+    return maps are raised to powers on rows of Python ints; their atoms, and any integer-valued float
+    P^j, take the exact route, keyed by the entries of P^j: one _transversality_scale and one exact
+    _char_poly per distinct P^j, one det(I - P^j) check and weight division per distinct (P^j, scale),
+    which every atom with that key reads (a float P^j keeps the scale of its float route). A check
+    that fails under a key fails at each of its atoms. The other float maps are raised by
     _float_powers, and every column of their atoms comes from stacked arrays: one _float_char_polys
     call, det(I - P^j) = sum_k (-1)^k e_k added column by column as Python's sum adds it, and the
     weights as Python's complex division forms them. _euler_coefficients serves both routes.
@@ -337,15 +374,18 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     floats = floats.reshape(int(is_float.sum()), d, d)
     integral = _integer_valued(floats)
     exact = []  # (t, input position, j, P^j, scale) of the maps raised in Python ints
+    scales = {}  # exact P^j -> its _transversality_scale
     for pos in sorted(np.flatnonzero(~is_float).tolist() + np.flatnonzero(is_float)[integral].tolist()):
-        orbit = orbits[pos]
-        base = np.array(_integer_entries(orbit.poincare), dtype=object).reshape(d, d)
+        length, base = orbits[pos].length, tuple(map(tuple, _integer_entries(orbits[pos].poincare)))
         j, p_power, scale = 1, base, 0.0
-        while j * orbit.length <= reach and scale < math.inf:
-            scale = _transversality_scale(p_power)
-            exact.append((j * orbit.length, pos, j, p_power, scale))
+        while j * length <= reach and scale < math.inf:
+            if j > 1:
+                p_power = _int_product(p_power, base)
+            scale = scales.get(p_power)
+            if scale is None:
+                scale = scales[p_power] = _transversality_scale(p_power)
+            exact.append((j * length, pos, j, p_power, scale))
             j += 1
-            p_power = p_power @ base
     float_pos = np.flatnonzero(is_float)[~integral]
     index, f_j, f_maps, f_scale = _float_powers(floats[~integral], lengths[float_pos], reach)
     t = np.concatenate([np.array([a[0] for a in exact], dtype=float), f_j * lengths[float_pos[index]]])
@@ -358,8 +398,10 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     on_float = np.flatnonzero(order >= len(exact))
     maps = f_maps[order[on_float] - len(exact)]
     stays_exact = _integer_valued(maps)
+    # the exact route: each atom's P^j as rows of Python ints
     by_exact_route = {a: exact[order[a]][3] for a in np.flatnonzero(order < len(exact)).tolist()}
-    by_exact_route.update(zip(on_float[stays_exact].tolist(), maps[stays_exact]))
+    by_exact_route.update((a, tuple(map(tuple, _integer_entries(p))))
+                          for a, p in zip(on_float[stays_exact].tolist(), maps[stays_exact]))
     rows, maps = on_float[~stays_exact], maps[~stays_exact]
 
     weights, det, bad = np.zeros((t.size, d + 1), dtype=complex), np.zeros(t.size), np.zeros(t.size, dtype=bool)
@@ -384,15 +426,28 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
         # complex(x) / size: real part (x + 0.0 * (0.0 / size)) / size, so -0.0 reads 0.0; the
         # imaginary part (0.0 - x * (0.0 / size)) / size is 0.0 for every finite x
         weights.real[rows] = (e + 0.0) / size[:, None]
-    failures = {}
+    # one characteristic polynomial per distinct exact P^j, one check and weight division per distinct
+    # (P^j, scale): a float P^j keeps the scale of its float route
+    polys, checked, failures, passed = {}, {}, {}, {}
+    scale_of = scale.tolist()
     for a, p_power in by_exact_route.items():
-        e_exact = _char_poly(p_power)
-        try:
-            det[a] = _transversality_denominator(e_exact, float(scale[a]))
-            weights[a] = [complex(x) / abs(float(det[a])) for x in e_exact]
-        except ArithmeticError as exc:  # non-transverse, or an exact trace past the float range
-            failures[a] = exc
-            bad[a] = True
+        key = p_power, scale_of[a]
+        if key not in checked:
+            if p_power not in polys:
+                polys[p_power] = _char_poly(p_power)
+            e_exact = polys[p_power]
+            try:
+                det_a = _transversality_denominator(e_exact, key[1])
+                checked[key] = det_a, [complex(x) / abs(det_a) for x in e_exact]
+            except ArithmeticError as exc:  # non-transverse, or an exact trace past the float range
+                checked[key] = exc
+        if isinstance(checked[key], ArithmeticError):
+            failures[a] = checked[key]
+        else:
+            passed[a] = checked[key]
+    if passed:
+        det[list(passed)], weights[list(passed)] = zip(*passed.values())
+    bad[list(failures)] = True
     euler, overflow = _euler_coefficients(orbits, pos, j)
     bad |= overflow
     if bad.any():  # raise what the first failing atom raises

@@ -6,9 +6,8 @@ once, at construction; every gauge route reads that inverse.
 
 Scalars are complex throughout. A block is flagged singular when its
 smallest singular value is at most 1e-12 times its largest, a test that
-does not depend on the scale or the dimension of the block; a block that
-passes has its determinant taken by LU factorization with partial pivoting
-(LAPACK getrf). The partition value |det(L + hbar)| of the complex is
+does not depend on the scale or the dimension of the block; the check takes
+no determinant. The partition value |det(L + hbar)| of the complex is
 bf_engine.partition_grid, read off the block spectra; its per-point LU
 reference and the graded operator algebra (supertrace, superdeterminant)
 live with the tests.
@@ -31,13 +30,14 @@ class SingularBlockError(ValueError):
         self.degree = degree
 
 
-def _checked_det(block: np.ndarray, degree) -> complex:
+def _check_nonsingular(block: np.ndarray, degree) -> None:
+    """Raise SingularBlockError when the smallest singular value of a nonempty block is at most
+    SINGULARITY_RTOL times its largest."""
     if block.shape[0] == 0:
-        return 1.0 + 0j
+        return
     sigma = np.linalg.svd(block, compute_uv=False)
     if sigma[-1] <= SINGULARITY_RTOL * sigma[0]:
         raise SingularBlockError(f"singular block in degree {degree}", degree=degree)
-    return complex(np.linalg.det(block))
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class ToyBFComplex:
         object.__setattr__(self, "L0", iota @ d)
         object.__setattr__(self, "L1", d @ iota)
         try:
-            _checked_det(self.L0, 0)
+            _check_nonsingular(self.L0, 0)
         except SingularBlockError:
             raise SingularBlockError(
                 "zero is a Pollicott-Ruelle resonance of the toy model", degree=0

@@ -316,8 +316,9 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     stop = None
     header = None
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            for line_no, row in enumerate(csv.reader(fh), start=1):
+            for line_no, row in enumerate(reader, start=1):
                 if not row or (row[0].startswith("#")):
                     continue
                 if header is None:
@@ -332,6 +333,8 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
             stop = exc
         except UnicodeDecodeError as exc:
             stop = SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}")
+        except csv.Error as exc:  # a field past csv.field_size_limit(), or a NUL byte before Python 3.11
+            stop = SpectrumFormatError(str(exc), reader.line_num)
     lines, lengths, multiplicities, texts, rhos = zip(*rows) if rows else ((),) * 5
     lengths, rho, texts = np.array(lengths, dtype=float), np.array(rhos, dtype=complex), np.array(texts, dtype=int)
     entries = [floats for _, floats in parsed.values()]

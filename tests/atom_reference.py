@@ -61,6 +61,15 @@ def reference_atom_table(orbits, m: int, L_max: float) -> AtomTable:
     )
 
 
+def assert_same_table(table: AtomTable, reference: AtomTable) -> None:
+    """Assert that two atom tables hold the same columns, bit for bit."""
+    assert (table.m, table.t_min) == (reference.m, reference.t_min)
+    for name in ("t", "euler", "weights", "sign", "group", "group_times"):
+        got, want = getattr(table, name), getattr(reference, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
 def reference_log_zeta(table: AtomTable, lambdas) -> tuple[np.ndarray, np.ndarray]:
     """AtomTable.log_zeta, adding one atom's terms at a time to the whole grid."""
     lambdas = np.asarray(lambdas, dtype=complex).reshape(-1)

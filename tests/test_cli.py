@@ -772,7 +772,12 @@ SPECTRUM_HEADER_LINE = "length,multiplicity,m,P_entries,rho_re,rho_im\n"
      2, "model invalid: SpectrumFormatError: missing header row"),
     ("zeta", dict(CAT_CONFIG, model={"spectrum_file": "spec.csv"}), SPECTRUM_HEADER_LINE + "1.0,0,1,2;0;0;0.5,1,0\n",
      2, "model invalid: SpectrumFormatError: line 2: multiplicity must be a positive integer"),
-], ids=["invalid-json", "unknown-rep", "unknown-model", "zeta-on-matrix", "five-fields", "no-header", "multiplicity-0"])
+    # a P_entries field longer than the csv module's field limit (a 2m x 2m map at m of about 41)
+    ("zeta", dict(CAT_CONFIG, model={"spectrum_file": "spec.csv"}),
+     SPECTRUM_HEADER_LINE + "1.0,1,1," + "1" * 140000 + ",1,0\n",
+     2, f"model invalid: SpectrumFormatError: line 2: field larger than field limit ({csv.field_size_limit()})"),
+], ids=["invalid-json", "unknown-rep", "unknown-model", "zeta-on-matrix", "five-fields", "no-header", "multiplicity-0",
+        "field-past-limit"])
 def test_config_and_spectrum_errors_exit_with_one_line(tmp_path, capsys, monkeypatch, command, config, spectrum,
                                                        code, fragment):
     monkeypatch.chdir(tmp_path)  # the spectrum path is relative to the working directory

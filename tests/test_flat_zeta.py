@@ -14,7 +14,7 @@ from ruellebf.flat_zeta import (
     flat_trace_evolution,
     zeta_grid_rows,
 )
-from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, enumerate_prime_orbits
+from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, Representation, enumerate_prime_orbits
 
 from math_reference import BranchCutError, flat_det_via_F, flat_trace_cyclicity_check, power
 
@@ -464,6 +464,64 @@ def test_atom_table_float_map_from_eigenvalues(monkeypatch):
         want = [eig_symmetric_sum(np.diag(mu), k) / abs(det) for k in range(5)]
         assert np.allclose(table.weights[row], want, rtol=1e-12, atol=0)
         assert table.sign[row] == np.sign(det)  # (-1)^m sgn det(I - P^j), m = 2
+
+
+# ------------------------------------------- the exact route: one kernel per distinct power
+
+@pytest.mark.parametrize("n", [1, 20, 29, 30, 50, 400])
+@pytest.mark.parametrize("roof", [1.0, 0.7])
+@pytest.mark.parametrize("rep", [Representation(), Representation("character", 0.7)], ids=["trivial", "character"])
+@pytest.mark.parametrize("a", [((2, 1), (1, 1)), ((3, 1), (2, 1))], ids=["2111", "3121"])
+def test_cat_map_atom_table_matches_the_per_atom_reference(a, rep, roof, n):
+    from atom_reference import assert_same_table, reference_atom_table
+
+    # a census repeats each A^N once per divisor of N; past N of about 45 the powers leave int64, and
+    # the longer tables fail the transversality check (ROADMAP item 4) at an atom the reference names
+    orbits = enumerate_prime_orbits(HyperbolicToralModel(a, roof, rep), n)
+    try:
+        reference = reference_atom_table(orbits, 1, float(n))
+    except ArithmeticError as exc:
+        with pytest.raises(type(exc)) as got:
+            atom_table(orbits, 1, float(n))
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_table(atom_table(orbits, 1, float(n)), reference)
+
+
+def test_atom_table_forms_one_characteristic_polynomial_per_distinct_power(monkeypatch):
+    from ruellebf import flat_zeta
+
+    orbits = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1)), 1.0, Representation("character", 0.7)), 20)
+    powers = []
+    char_poly = flat_zeta._char_poly
+    monkeypatch.setattr(flat_zeta, "_char_poly", lambda p: powers.append(p) or char_poly(p))
+    table = flat_zeta.atom_table(orbits, 1, 20.0)
+    # the atom (n, j) has P^j = A^(n j): 66 atoms, 20 distinct powers A^1 .. A^20
+    assert table.t.size == 66
+    assert sorted(powers) == sorted({power(CAT, n) for n in range(1, 21)})
+
+
+def test_euler_coefficients_match_matrix_power_on_matrix_twists():
+    from atom_reference import assert_same_table, reference_atom_table
+    from ruellebf.flat_zeta import _euler_coefficients
+
+    # 2 x 2 unitary twists, where the product order of rho^j shows in the last bits, and a 1 x 1 one
+    rng = np.random.default_rng(17)
+    orbits = []
+    for i, length in enumerate([0.3, 0.45, 0.6, 1.0, 1.3]):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        orbits.append(PrimeOrbit(length=length, poincare=np.array([[2, 1], [1, 1]]),
+                                 rho=q * (np.diag(r) / np.abs(np.diag(r))), multiplicity=i + 1))
+    orbits.insert(2, PrimeOrbit(length=0.5, poincare=np.array([[2, 1], [1, 1]]), rho=np.array([[1j]])))
+    atoms = [(p, j) for p, orbit in enumerate(orbits) for j in range(1, 10) if j * orbit.length <= 2.9]
+    pos, j = (np.array(column) for column in zip(*atoms))
+    assert j.max() == 9
+    euler, overflow = _euler_coefficients(orbits, pos, j)
+    want = [-orbits[p].multiplicity * complex(np.trace(np.linalg.matrix_power(orbits[p].rho, k))) / k
+            for p, k in atoms]
+    assert euler.tobytes() == np.array(want).tobytes()
+    assert not overflow.any()
+    assert_same_table(atom_table(orbits, 1, 2.9), reference_atom_table(orbits, 1, 2.9))
 
 
 def float_spectrum(n_orbits=40, seed=3):

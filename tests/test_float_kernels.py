@@ -10,6 +10,8 @@ import pytest
 from ruellebf import cli
 from ruellebf.orbits import PrimeOrbit
 
+from atom_reference import assert_same_table
+
 # ------------------------------------------------------------ pinned output bytes
 
 PYTHAGOREAN = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]
@@ -187,14 +189,6 @@ def random_spectrum(rng, m, n_orbits):
         orbits.append(PrimeOrbit(length=rng.integers(5, 30) / 10, poincare=p, rho=np.array([[rho]], dtype=complex),
                                  multiplicity=int(rng.integers(1, 4))))
     return orbits
-
-
-def assert_same_table(table, reference):
-    assert (table.m, table.t_min) == (reference.m, reference.t_min)
-    for name in ("t", "euler", "weights", "sign", "group", "group_times"):
-        got, want = getattr(table, name), getattr(reference, name)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-        assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

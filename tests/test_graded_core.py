@@ -178,6 +178,20 @@ def test_toy_complex_singular_generator():
         ToyBFComplex(np.diag([1.0, 0.0]))
 
 
+def test_toy_complex_takes_no_determinant(monkeypatch):
+    # the singular-value check alone decides; building the complex takes no LU determinant
+    def no_det(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    rng = np.random.default_rng(6)
+    d = np.triu(rng.uniform(-0.3, 0.3, (64, 64)), 1) + np.diag(np.linspace(1.0, 8.0, 64))
+    assert ToyBFComplex(d).n == 64
+    with pytest.raises(SingularBlockError, match="Pollicott-Ruelle resonance") as exc:
+        ToyBFComplex(np.diag([1.0, 0.0]))
+    assert exc.value.degree == 0
+
+
 def non_normal_generator(rng, d, cond):
     """Q U diag(d) U^-1 Q^T: eigenvector matrix Q U of condition number cond."""
     n = len(d)

@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -324,6 +325,15 @@ def test_loader_rejects_m_below_one_with_line(tmp_path):
         load_length_spectrum(path)
 
 
+def test_loader_reports_a_field_past_the_csv_limit_with_its_line(tmp_path):
+    limit = csv.field_size_limit()
+    path = tmp_path / "long.csv"
+    path.write_text(HEADER + "1.0,1,1,3.0;0.0;0.0;0.25,1.0,0.0\n" + "1.0,1,1," + "1" * (limit + 1) + ",1.0,0.0\n")
+    with pytest.raises(SpectrumFormatError, match=rf"^line 3: field larger than field limit \({limit}\)$"):
+        load_length_spectrum(path)
+    assert csv.field_size_limit() == limit
+
+
 GOOD_ROW = "1.0,1,1,3.0;0.0;0.0;0.25,1.0,0.0\n"
 CIRCLE_ROW = "2.0,1,1,1.0;0.0;0.0;1.0,1.0,0.0\n"
 MALFORMED_ROW = "not-a-number,1,1,3.0;0.0;0.0;0.25,1.0,0.0\n"
@@ -338,6 +348,13 @@ def test_loader_first_bad_line_wins_over_error_kind(tmp_path, line3, line5, mess
     path = tmp_path / "two-errors.csv"
     path.write_text(HEADER + GOOD_ROW + line3 + GOOD_ROW + line5)
     with pytest.raises(SpectrumFormatError, match=rf"^line 3: .*{message}"):
+        load_length_spectrum(path)
+
+
+def test_loader_earlier_bad_row_wins_over_a_field_past_the_csv_limit(tmp_path):
+    path = tmp_path / "circle-then-long.csv"
+    path.write_text(HEADER + GOOD_ROW + CIRCLE_ROW + "1.0,1,1," + "1" * (csv.field_size_limit() + 1) + ",1.0,0.0\n")
+    with pytest.raises(SpectrumFormatError, match="^line 3: .*unit circle"):
         load_length_spectrum(path)
 
 
