@@ -2,16 +2,15 @@
 perturbative quantisation of a finite-dimensional BF-type theory."""
 
 from .bf_engine import (
-    BridgeResult,
+    BridgeGrid,
     MatrixBFModel,
     expectation_grid,
-    expectation_value,
     gamma_int,
     gamma_tr,
     partition_grid,
     regularized_propagator,
     simplex_volume_check,
-    zeta_expectation_bridge,
+    zeta_expectation_bridge_grid,
 )
 from .flat_zeta import (
     AtomicDistribution,

@@ -13,7 +13,8 @@ once. The traces need only mu + lam != 0; only the propagator checks damping.
 Both loop series, from spectra and from orbit atoms, share one coefficient
 rule, _loop_coefficients.
 Both bridge grids, matrix and orbit, compute their routes and loop series and
-share _bridge_grid for the exponential, the radius flag and the BridgeResults.
+share _bridge_grid for the exponential and the radius flag; each returns one
+BridgeGrid of columns over its hbar grid.
 
 Sign table (single source of truth for the graded exponents):
   * a closed fermion-style loop in form degree k contributes
@@ -43,10 +44,6 @@ from .series import HbarSeries
 
 class IRDivergenceError(ArithmeticError):
     """Scale-infinity propagator with Re(mu + lambda) <= 0 on some mode, or a trace at mu + lambda = 0."""
-
-
-class ConvergenceRadiusError(ArithmeticError):
-    """The Taylor radius |hbar| < min |spec L| was violated."""
 
 
 def loop_sign(degree: int) -> int:
@@ -189,21 +186,21 @@ def simplex_volume_check(N: int, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class BridgeResult:
-    """One hbar of a bridge grid. routes maps "det" (every model) and "orbit" (the Euler product,
-    orbit models) to the route's value, tails to its truncation bound (0.0 for a matrix model's
-    exact ratio); series_value is None where the series was not evaluated."""
+class BridgeGrid:
+    """A bridge over an hbar grid, every column in grid order. routes maps "det" (every model) and
+    "orbit" (the Euler product, orbit models) to the route's values, tails to its truncation bounds
+    (0.0 for a matrix model's exact ratio); series holds exp of the resummed loop series, None where
+    it was not evaluated, and diverges the radius flag of each point."""
 
-    hbar: complex
+    hbars: list
     routes: dict
     tails: dict
-    series_value: complex | None
-    series_diverges: bool
+    series: list
+    diverges: list
 
-    def defect(self, route: str) -> float | None:
-        if self.series_value is None:
-            return None
-        return flat_zeta._abs_or_inf(self.series_value - self.routes[route])
+    def defects(self, route: str) -> list:
+        """|series - route| at each point, None where the series is None."""
+        return [None if s is None else flat_zeta._abs_or_inf(s - v) for s, v in zip(self.series, self.routes[route])]
 
 
 def _exp(z: complex) -> complex:
@@ -228,20 +225,18 @@ def _terms_grow(series: HbarSeries, hbar: complex) -> bool:
     return len(magnitudes) >= 2 and magnitudes[-1] >= magnitudes[0]
 
 
-def _bridge_grid(hbars, routes: dict, tails: dict, loop_series, radius: float | None = None) -> list[BridgeResult]:
-    """The BridgeResults of a grid, for both model kinds; routes and tails map each route to its
+def _bridge_grid(hbars, routes: dict, tails: dict, loop_series, radius: float | None = None) -> BridgeGrid:
+    """The BridgeGrid of a grid, for both model kinds; routes and tails map each route to its
     values and bounds over the grid. loop_series() builds the log-ratio series in hbar, only if
-    some point needs it. An exact Taylor radius leaves series_value None outside it; without one,
+    some point needs it. An exact Taylor radius leaves the series None outside it; without one,
     the term-decay heuristic flags a point and its value is still given. A series value that is
     not finite is flagged too."""
     inside = [radius is None or math.hypot(h.real, h.imag) < radius for h in hbars]  # abs(h), inf past the range
-    series, results = loop_series() if any(inside) else None, []
-    for i, (hbar, ok) in enumerate(zip(hbars, inside)):
-        value = _exp(series.eval(hbar)) if ok else None
-        diverges = not ok or not cmath.isfinite(value) or (radius is None and _terms_grow(series, hbar))
-        results.append(BridgeResult(hbar, {r: v[i] for r, v in routes.items()}, {r: t[i] for r, t in tails.items()},
-                                    value, diverges))
-    return results
+    loop = loop_series() if any(inside) else None
+    series = [_exp(loop.eval(h)) if ok else None for h, ok in zip(hbars, inside)]
+    diverges = [not ok or not cmath.isfinite(value) or (radius is None and _terms_grow(loop, h))
+                for h, ok, value in zip(hbars, inside, series)]
+    return BridgeGrid(hbars, routes, tails, series, diverges)
 
 
 def _closed_form_grid(model: MatrixBFModel, hbars) -> list[complex]:
@@ -257,23 +252,14 @@ def _closed_form_grid(model: MatrixBFModel, hbars) -> list[complex]:
     return out
 
 
-def expectation_grid(model: MatrixBFModel, hbars, K: int) -> list[BridgeResult]:
+def expectation_grid(model: MatrixBFModel, hbars, K: int) -> BridgeGrid:
     """Expectation of the exponentiated perturbation at every hbar of a grid: route det is the
-    exact determinant ratio (tail 0.0), series_value exp(Gamma_tr / hbar) with loop orders 1..K
+    exact determinant ratio (tail 0.0), the series exp(Gamma_tr / hbar) with loop orders 1..K
     resummed, a defect of O(hbar**(K+1)), and None outside the exact Taylor radius min |spec L|.
     The hbar-independent loop series is built once, and not at all for a grid wholly outside it."""
     hbars = [complex(h) for h in hbars]
     return _bridge_grid(hbars, {"det": _closed_form_grid(model, hbars)}, {"det": [0.0] * len(hbars)},
                         lambda: gamma_tr(model, 0.0, K + 1).shift_down(), model.min_spectrum_abs())
-
-
-def expectation_value(model: MatrixBFModel, hbar: complex, K: int = 8) -> BridgeResult:
-    """expectation_grid at one hbar, which must lie inside the Taylor radius."""
-    result = expectation_grid(model, [hbar], K)[0]
-    if result.series_value is None:
-        raise ConvergenceRadiusError(f"|hbar| = {math.hypot(hbar.real, hbar.imag):.6g} outside Taylor radius "
-                                     f"{model.min_spectrum_abs():.6g}; evaluate the determinant ratio directly")
-    return result
 
 
 def _abs_product(factors, size: int) -> np.ndarray:
@@ -349,25 +335,16 @@ def _loop_series(table: flat_zeta.AtomTable, lambda0: complex, K: int) -> HbarSe
     )
 
 
-def zeta_expectation_bridge(
-    orbits, m: int, hbar: complex, L_max: float, lambda0: complex = 3.0, K: int = 8
-) -> BridgeResult:
-    """Ratio zeta(lambda0 + hbar) / zeta(lambda0) to the power (-1)**m.
-
-    The base point shifts the evaluation into the verified convergence
-    region of the truncated orbit sums; the identity being checked is
-    unchanged. Convergence problems surface through the tail bounds.
-    """
-    return zeta_expectation_bridge_grid(orbits, m, [hbar], L_max, lambda0, K)[0]
-
-
 def zeta_expectation_bridge_grid(
     orbits, m: int, hbars, L_max: float, lambda0: complex = 3.0, K: int = 8
-) -> list[BridgeResult]:
-    """zeta_expectation_bridge at every hbar of a grid, from one atom table; the
-    lambda0 sums and the loop series do not depend on hbar and are computed once.
-    Each route's tail is the sum of its two truncation bounds; the Taylor radius
-    is the term-decay heuristic."""
+) -> BridgeGrid:
+    """Ratio zeta(lambda0 + hbar) / zeta(lambda0) to the power (-1)**m at every hbar of a grid,
+    from one atom table; the lambda0 sums and the loop series do not depend on hbar and are
+    computed once.
+
+    The base point shifts the evaluation into the verified convergence region of the truncated
+    orbit sums; the identity being checked is unchanged. Each route's tail is the sum of its two
+    truncation bounds; the Taylor radius is the term-decay heuristic."""
     hbars, lambda0 = [complex(h) for h in hbars], complex(lambda0)
     table = flat_zeta.atom_table(orbits, m, L_max)
     values, tails = table.log_zeta([lambda0] + [lambda0 + h for h in hbars])

@@ -80,6 +80,8 @@ def _load_config(path):
         raise ConfigError("<file>", f"config file is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}")
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's recursion limit
+        raise ConfigError("<file>", f"invalid JSON: {exc}")
     _require(isinstance(cfg, dict), "<root>", "config must be a JSON object")
     return cfg
 
@@ -397,19 +399,18 @@ def cmd_bridge(cfg, fmt, out_path):
     _require(bool(grid), "grid", "a non-empty hbar grid is required")
     lambda0 = _parse_complex(cfg.get("lambda0", 3.0), "lambda0")
     if kind == "matrix":
-        model_id, results = _matrix_model_id(model), bf_engine.expectation_grid(model, grid, k_ord)
+        model_id, bridge = _matrix_model_id(model), bf_engine.expectation_grid(model, grid, k_ord)
     else:
         orbs, m, model_id, reach = _orbit_data(kind, model, n_max, l_max)
-        results = bf_engine.zeta_expectation_bridge_grid(orbs, m, grid, reach, lambda0, k_ord)
-    rows = []
-    for res in results:
-        series = res.series_value
-        for route, closed in res.routes.items():
-            rows.append({"model_id": model_id, "hbar_re": res.hbar.real, "hbar_im": res.hbar.imag, "K": k_ord,
-                         "route": route, "flag": "radius_violation" if res.series_diverges else "",
-                         "series_value_re": None if series is None else series.real,
-                         "series_value_im": None if series is None else series.imag,
-                         "closed_form_re": closed.real, "closed_form_im": closed.imag, "defect": res.defect(route)})
+        bridge = bf_engine.zeta_expectation_bridge_grid(orbs, m, grid, reach, lambda0, k_ord)
+    defects = {route: bridge.defects(route) for route in bridge.routes}
+    rows = [{"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord, "route": route,
+             "flag": "radius_violation" if diverges else "",
+             "series_value_re": None if series is None else series.real,
+             "series_value_im": None if series is None else series.imag,
+             "closed_form_re": values[i].real, "closed_form_im": values[i].imag, "defect": defects[route][i]}
+            for i, (hbar, series, diverges) in enumerate(zip(bridge.hbars, bridge.series, bridge.diverges))
+            for route, values in bridge.routes.items()]
     columns = ["model_id", "hbar_re", "hbar_im", "K", "route", "flag",
                "series_value_re", "series_value_im", "closed_form_re", "closed_form_im", "defect"]
     _emit(rows, columns, fmt, out_path)

@@ -346,6 +346,34 @@ def _euler_coefficients(orbits, pos: np.ndarray, j: np.ndarray) -> tuple[np.ndar
     return euler, np.isinf(mult)
 
 
+def _float_atom_columns(orbits, maps: np.ndarray, pos: np.ndarray, j: np.ndarray, scale: np.ndarray) -> tuple:
+    """(e, det(I - P^j), whether the check fails, real weights) of the float atoms whose P^j, an (n, d, d)
+    stack, is not integer-valued; pos, j and scale are their columns in the table. One _float_char_polys
+    call (e is nan on a non-finite P^j), det(I - P^j) = sum_k (-1)^k e_k added column by column as
+    Python's sum adds it, and the weights as Python's complex division forms them."""
+    d = maps.shape[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # atoms that fail their check
+        finite = np.isfinite(maps).all(axis=(1, 2))
+        # a j = 1 atom of a loaded orbit reads the eigenvalues its check found; one eigvals call serves the rest
+        carried = finite & (j == 1) & np.array([hasattr(orbits[p], "_roots") for p in pos.tolist()], dtype=bool)
+        fresh = finite & ~carried
+        roots = np.zeros((pos.size, d), dtype=complex)
+        if carried.any():
+            roots[carried] = [orbits[p]._roots for p in pos[carried].tolist()]
+        if fresh.any():
+            roots[fresh] = np.linalg.eigvals(maps[fresh])
+        e = np.full((pos.size, d + 1), math.nan)
+        e[finite] = _float_char_polys(maps[finite], roots[finite])
+        det = np.zeros(pos.size)
+        for k in range(d + 1):
+            det = det - e[:, k] if k % 2 else det + e[:, k]
+        size = np.abs(det)
+        bad = ~((NON_TRANSVERSE_RTOL * scale <= size) & (size < math.inf))
+        # complex(x) / size: real part (x + 0.0 * (0.0 / size)) / size, so -0.0 reads 0.0; the
+        # imaginary part (0.0 - x * (0.0 / size)) / size is 0.0 for every finite x
+        return e, det, bad, (e + 0.0) / size[:, None]
+
+
 def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     """The atom table of orbits up to L_max; every return map must be 2m x 2m, a PrimeOrbit's float,
     integer or Python-int matrix.
@@ -357,9 +385,9 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     _char_poly per distinct P^j, one det(I - P^j) check and weight division per distinct (P^j, scale),
     which every atom with that key reads (a float P^j keeps the scale of its float route). A check
     that fails under a key fails at each of its atoms. The other float maps are raised by
-    _float_powers, and every column of their atoms comes from stacked arrays: one _float_char_polys
-    call, det(I - P^j) = sum_k (-1)^k e_k added column by column as Python's sum adds it, and the
-    weights as Python's complex division forms them. _euler_coefficients serves both routes.
+    _float_powers, and every column of their atoms comes from the stacked arrays of
+    _float_atom_columns, which a table without such atoms skips. _euler_coefficients serves both
+    routes.
     """
     d = 2 * m
     for orbit in orbits:
@@ -369,7 +397,6 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     reach = L_max * REACH_FACTOR
     lengths = np.array([orbit.length for orbit in orbits], dtype=float)
     is_float = np.array([orbit.poincare.dtype.kind == "f" for orbit in orbits], dtype=bool)
-    has_roots = np.array([hasattr(orbit, "_roots") for orbit in orbits], dtype=bool)
     floats = np.array([o.poincare for o, f in zip(orbits, is_float) if f], dtype=float)
     floats = floats.reshape(int(is_float.sum()), d, d)
     integral = _integer_valued(floats)
@@ -403,29 +430,9 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     by_exact_route.update((a, tuple(map(tuple, _integer_entries(p))))
                           for a, p in zip(on_float[stays_exact].tolist(), maps[stays_exact]))
     rows, maps = on_float[~stays_exact], maps[~stays_exact]
-
     weights, det, bad = np.zeros((t.size, d + 1), dtype=complex), np.zeros(t.size), np.zeros(t.size, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # atoms that fail their check
-        finite = np.isfinite(maps).all(axis=(1, 2))
-        # a j = 1 atom of a loaded orbit reads the eigenvalues its check found; one eigvals call serves the rest
-        carried = finite & (j[rows] == 1) & has_roots[pos[rows]]
-        fresh = finite & ~carried
-        roots = np.zeros((rows.size, d), dtype=complex)
-        if carried.any():
-            roots[carried] = [orbits[p]._roots for p in pos[rows[carried]].tolist()]
-        if fresh.any():
-            roots[fresh] = np.linalg.eigvals(maps[fresh])
-        e = np.full((rows.size, d + 1), math.nan)
-        e[finite] = _float_char_polys(maps[finite], roots[finite])
-        float_det = np.zeros(rows.size)
-        for k in range(d + 1):
-            float_det = float_det - e[:, k] if k % 2 else float_det + e[:, k]
-        size = np.abs(float_det)
-        bad[rows] = ~((NON_TRANSVERSE_RTOL * scale[rows] <= size) & (size < math.inf))
-        det[rows] = float_det
-        # complex(x) / size: real part (x + 0.0 * (0.0 / size)) / size, so -0.0 reads 0.0; the
-        # imaginary part (0.0 - x * (0.0 / size)) / size is 0.0 for every finite x
-        weights.real[rows] = (e + 0.0) / size[:, None]
+    if rows.size:  # a table of integer-valued return maps, as every cat-map table is, has no float atoms
+        e, det[rows], bad[rows], weights.real[rows] = _float_atom_columns(orbits, maps, pos[rows], j[rows], scale[rows])
     # one characteristic polynomial per distinct exact P^j, one check and weight division per distinct
     # (P^j, scale): a float P^j keeps the scale of its float route
     polys, checked, failures, passed = {}, {}, {}, {}

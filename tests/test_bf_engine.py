@@ -6,7 +6,6 @@ import pytest
 from scipy.linalg import block_diag, expm
 
 from ruellebf.bf_engine import (
-    ConvergenceRadiusError,
     IRDivergenceError,
     MatrixBFModel,
     _closed_form_grid,
@@ -14,14 +13,13 @@ from ruellebf.bf_engine import (
     chain_contraction_matrix,
     doubled_field_tensors,
     expectation_grid,
-    expectation_value,
     gamma_int,
     gamma_tr,
     loop_sign,
     partition_grid,
     regularized_propagator,
     simplex_volume_check,
-    zeta_expectation_bridge,
+    zeta_expectation_bridge_grid,
 )
 from ruellebf.feynman import Interaction, gamma_sum
 from ruellebf.flat_zeta import atom_table
@@ -322,25 +320,25 @@ def test_projection_lemma_non_invariant_errors():
 
 def test_expectation_at_zero_is_one():
     model = random_toy(np.random.default_rng(13))
-    res = expectation_value(model, 0.0, 6)
-    assert res.routes["det"] == 1.0
-    assert res.series_value == 1.0
+    res = expectation_grid(model, [0.0], 6)
+    assert res.routes["det"] == [1.0]
+    assert res.series == [1.0]
 
 
 def test_expectation_single_block_example():
     model = MatrixBFModel(ToyBFComplex(np.diag([2.0, 3.0])))
-    res = expectation_value(model, 0.1, 8)
-    assert res.routes["det"] == pytest.approx(2.1 * 3.1 / 6.0, rel=1e-12)
+    res = expectation_grid(model, [0.1], 8)
+    assert res.routes["det"][0] == pytest.approx(2.1 * 3.1 / 6.0, rel=1e-12)
     # series log = log(1.05) + log(3.1/3) = 0.0815804...
-    assert cmath.log(res.series_value).real == pytest.approx(0.0815804, abs=5e-7)
-    assert res.defect("det") < 1e-10
+    assert cmath.log(res.series[0]).real == pytest.approx(0.0815804, abs=5e-7)
+    assert res.defects("det")[0] < 1e-10
 
 
 def test_expectation_two_block_graded_vs_superdeterminant():
     rng = np.random.default_rng(14)
     model = random_graded(rng, degrees=(0, 1), lo=1.0, hi=2.0)
     hbar = 0.2
-    res = expectation_value(model, hbar, 10)
+    res = expectation_grid(model, [hbar], 10)
     (_, n0), _ = model.graded_split
     l0 = model.complex.L0
     blocks = {0: l0[:n0, :n0], 1: l0[n0:, n0:]}
@@ -348,15 +346,18 @@ def test_expectation_two_block_graded_vs_superdeterminant():
     num = GradedOperator(space, {k: b + hbar * np.eye(b.shape[0]) for k, b in blocks.items()})
     den = GradedOperator(space, blocks)
     oracle = superdeterminant(num) / superdeterminant(den)
-    assert res.routes["det"] == pytest.approx(complex(oracle), rel=1e-10)
+    assert res.routes["det"][0] == pytest.approx(complex(oracle), rel=1e-10)
 
 
 def test_expectation_radius_violation():
     model = MatrixBFModel(ToyBFComplex(np.diag([2.0, 3.0])))
-    with pytest.raises(ConvergenceRadiusError):
-        expectation_value(model, 2.5, 6)
-    with pytest.raises(ConvergenceRadiusError, match=r"\|hbar\| = inf"):  # |hbar| past the float range
-        expectation_value(model, complex(1.5e308, 1.5e308), 6)
+    hbars = [2.5, complex(1.5e308, 1.5e308)]  # |hbar| past the radius 2, then past the float range
+    res = expectation_grid(model, hbars, 6)
+    assert res.series == [None, None]
+    assert res.defects("det") == [None, None]
+    assert res.diverges == [True, True]
+    assert res.routes["det"][0] == pytest.approx(4.5 * 5.5 / 6.0, rel=1e-12)
+    assert repr(res.routes["det"]) == repr(_closed_form_grid(model, hbars))  # the nan of an overflow too
 
 
 def test_resummation_partition_identity():
@@ -374,29 +375,39 @@ def test_resummation_defect_order():
     rng = np.random.default_rng(16)
     model = random_graded(rng)
     phi = 0.7
-    defects = [expectation_value(model, h * cmath.exp(1j * phi), 8).defect("det") for h in (0.1, 0.05, 0.025)]
+    defects = expectation_grid(model, [h * cmath.exp(1j * phi) for h in (0.1, 0.05, 0.025)], 8).defects("det")
     s12 = math.log2(defects[0] / defects[1])
     s23 = math.log2(defects[1] / defects[2])
     assert min(s12, s23) > 8.5
 
 
-def test_expectation_grid_matches_expectation_value_pointwise():
+def _grid_points(grid, i: int) -> str:
+    """Every column of a bridge grid at point i, and its det defect, as a repr: equal reprs are equal bits."""
+    return repr((grid.hbars[i], {r: v[i] for r, v in grid.routes.items()}, {r: t[i] for r, t in grid.tails.items()},
+                 grid.series[i], grid.diverges[i], grid.defects("det")[i]))
+
+
+@pytest.mark.parametrize("kind", ["matrix", "orbit"])
+def test_bridge_grid_points_do_not_depend_on_the_grid(kind):
+    # a spiral out to three times the Taylor radius (exact for the matrix model, the term-decay
+    # heuristic for the cat map, whose orbit loop series has radius about 2.04 at lambda0 = 3)
     model = random_graded(np.random.default_rng(20), lo=1.0, hi=2.0)
-    radius = model.min_spectrum_abs()
-    hbars = [0.0, 0.3, -0.2 + 0.4j, 1.5 * radius, 0.5j, radius]
-    results = expectation_grid(model, hbars, 7)
-    assert len(results) == len(hbars)
-    for hbar, res, closed_form in zip(hbars, results, _closed_form_grid(model, hbars)):
-        assert res.hbar == hbar
-        assert res.routes["det"] == closed_form
-        if abs(hbar) < radius:
-            single = expectation_value(model, hbar, 7)
-            assert (res.routes["det"], res.series_value, res.defect("det")) == (
-                single.routes["det"], single.series_value, single.defect("det"))
-        else:
-            assert res.series_value is None and res.defect("det") is None
-            with pytest.raises(ConvergenceRadiusError):
-                expectation_value(model, hbar, 7)
+    radius = model.min_spectrum_abs() if kind == "matrix" else 2.04
+
+    def grid(hbars):
+        if kind == "matrix":
+            return expectation_grid(model, hbars, 7)
+        return zeta_expectation_bridge_grid(CAT_ORBITS, 1, hbars, 12.0, 3.0, 7)
+
+    hbars = [3 * radius * k / 49 * cmath.exp(0.9j * k) for k in range(50)]
+    whole = grid(hbars)
+    assert whole.hbars == hbars
+    assert 10 < sum(whole.diverges) < 40
+    if kind == "matrix":
+        assert repr(whole.routes["det"]) == repr(_closed_form_grid(model, hbars))
+        assert [s is None for s in whole.series] == [abs(h) >= radius for h in hbars]
+    for i, hbar in enumerate(hbars):
+        assert _grid_points(grid([hbar]), 0) == _grid_points(whole, i)
 
 
 def test_expectation_grid_builds_one_loop_series(monkeypatch):
@@ -523,12 +534,13 @@ def test_expectation_grid_closed_forms_are_the_per_point_products():
     # the ratio of each block, per point, is np.prod(1 + hbar / mu) combined in Python complex arithmetic
     model = partition_model(np.random.default_rng(30), "complex")
     hbars = [0.0, 0.3, -0.2 + 0.4j, 1.7 - 0.9j, 5.0]
-    for hbar, res, closed_form in zip(hbars, expectation_grid(model, hbars, 4), _closed_form_grid(model, hbars)):
+    dets = expectation_grid(model, hbars, 4).routes["det"]
+    for hbar, det, closed_form in zip(hbars, dets, _closed_form_grid(model, hbars)):
         want = 1.0 + 0j
         for degree, mu in model.spectra:
             ratio = complex(np.prod(1 + hbar / mu))
             want = want * ratio if degree % 2 == 0 else want / ratio
-        assert res.routes["det"] == want
+        assert det == want
         assert closed_form == want
 
 
@@ -586,28 +598,29 @@ CAT_ORBITS = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1))), 12)
 
 
 def test_bridge_at_zero():
-    res = zeta_expectation_bridge(CAT_ORBITS, 1, 0.0, 12.0, 3.0, 6)
-    assert res.routes["orbit"] == 1.0
-    assert res.routes["det"] == 1.0
-    assert res.series_value == 1.0
+    res = zeta_expectation_bridge_grid(CAT_ORBITS, 1, [0.0], 12.0, 3.0, 6)
+    assert res.routes["orbit"] == [1.0]
+    assert res.routes["det"] == [1.0]
+    assert res.series == [1.0]
 
 
 def test_bridge_routes_agree_cat():
-    res = zeta_expectation_bridge(CAT_ORBITS, 1, 0.5, 12.0, 3.0, 10)
-    assert abs(res.routes["orbit"] - res.routes["det"]) <= res.tails["orbit"] + res.tails["det"]
-    assert res.defect("det") < 1e-6
+    res = zeta_expectation_bridge_grid(CAT_ORBITS, 1, [0.5], 12.0, 3.0, 10)
+    (orbit,), (det,) = res.routes["orbit"], res.routes["det"]
+    assert abs(orbit - det) <= res.tails["orbit"][0] + res.tails["det"][0]
+    assert res.defects("det")[0] < 1e-6
     # independent closed-form oracle from the truncated euler sums
     lam0, lam1 = 3.0, 3.5
     log0, log1 = atom_table(CAT_ORBITS, 1, 12.0).log_zeta([lam0, lam1])[0][:, 3]  # the Euler column
-    assert res.routes["orbit"] == pytest.approx(cmath.exp(-(log1 - log0)), rel=1e-12)
+    assert orbit == pytest.approx(cmath.exp(-(log1 - log0)), rel=1e-12)
 
 
 def test_bridge_conjugation_symmetry():
     hbar = 0.4 + 0.3j
-    plus = zeta_expectation_bridge(CAT_ORBITS, 1, hbar, 12.0, 3.0, 8)
-    minus = zeta_expectation_bridge(CAT_ORBITS, 1, hbar.conjugate(), 12.0, 3.0, 8)
-    assert minus.routes["orbit"] == pytest.approx(plus.routes["orbit"].conjugate(), rel=1e-12)
-    assert minus.series_value == pytest.approx(plus.series_value.conjugate(), rel=1e-12)
+    res = zeta_expectation_bridge_grid(CAT_ORBITS, 1, [hbar, hbar.conjugate()], 12.0, 3.0, 8)
+    (plus, minus), (plus_series, minus_series) = res.routes["orbit"], res.series
+    assert minus == pytest.approx(plus.conjugate(), rel=1e-12)
+    assert minus_series == pytest.approx(plus_series.conjugate(), rel=1e-12)
 
 
 def test_orbit_loop_series_first_coefficient_from_atoms():

@@ -776,8 +776,10 @@ SPECTRUM_HEADER_LINE = "length,multiplicity,m,P_entries,rho_re,rho_im\n"
     ("zeta", dict(CAT_CONFIG, model={"spectrum_file": "spec.csv"}),
      SPECTRUM_HEADER_LINE + "1.0,1,1," + "1" * 140000 + ",1,0\n",
      2, f"model invalid: SpectrumFormatError: line 2: field larger than field limit ({csv.field_size_limit()})"),
+    # arrays nested past the recursion limit of json.load
+    ("orbits", "[" * 100000 + "]" * 100000, None, 1, "config error at <file>: invalid JSON: maximum recursion depth"),
 ], ids=["invalid-json", "unknown-rep", "unknown-model", "zeta-on-matrix", "five-fields", "no-header", "multiplicity-0",
-        "field-past-limit"])
+        "field-past-limit", "deep-nesting"])
 def test_config_and_spectrum_errors_exit_with_one_line(tmp_path, capsys, monkeypatch, command, config, spectrum,
                                                        code, fragment):
     monkeypatch.chdir(tmp_path)  # the spectrum path is relative to the working directory

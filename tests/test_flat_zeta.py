@@ -501,6 +501,19 @@ def test_atom_table_forms_one_characteristic_polynomial_per_distinct_power(monke
     assert sorted(powers) == sorted({power(CAT, n) for n in range(1, 21)})
 
 
+def test_cat_map_atom_table_skips_the_float_route(monkeypatch):
+    from atom_reference import assert_same_table, reference_atom_table
+    from ruellebf import flat_zeta
+
+    def no_float_route(*args):
+        raise AssertionError("a cat-map table has no float atoms")
+
+    orbits = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1)), 1.0, Representation("character", 0.7)), 20)
+    want = reference_atom_table(orbits, 1, 20.0)
+    monkeypatch.setattr(flat_zeta, "_float_char_polys", no_float_route)
+    assert_same_table(flat_zeta.atom_table(orbits, 1, 20.0), want)
+
+
 def test_euler_coefficients_match_matrix_power_on_matrix_twists():
     from atom_reference import assert_same_table, reference_atom_table
     from ruellebf.flat_zeta import _euler_coefficients
