@@ -13,8 +13,8 @@ once. The traces need only mu + lam != 0; only the propagator checks damping.
 Both loop series, from spectra and from orbit atoms, share one coefficient
 rule, _loop_coefficients.
 Both bridge grids, matrix and orbit, compute their routes and loop series and
-share _bridge_grid for the exponential and the radius flag; each returns one
-BridgeGrid of columns over its hbar grid.
+share _bridge_grid for the exponential and the radius flag (one array pass);
+each returns one BridgeGrid of columns over its hbar grid.
 
 Sign table (single source of truth for the graded exponents):
   * a closed fermion-style loop in form degree k contributes
@@ -214,15 +214,42 @@ def _exp(z: complex) -> complex:
         return complex(math.nan, math.nan)
 
 
-def _terms_grow(series: HbarSeries, hbar: complex) -> bool:
-    """Term-decay heuristic for the Taylor radius: the last nonzero |c_n hbar**n| is no smaller than
-    the first, or a term is past the float range."""
+def _pow_or_inf(z: complex, n: int) -> complex:
+    """z ** n, or inf + inf j where Python raises OverflowError for it."""
     try:
-        magnitudes = [abs(series.coefficient(n) * hbar ** n) for n in range(1, series.order + 1)]
+        return z ** n
     except OverflowError:
-        return True
-    magnitudes = [v for v in magnitudes if v > 0]
-    return len(magnitudes) >= 2 and magnitudes[-1] >= magnitudes[0]
+        return complex(math.inf, math.inf)
+
+
+def _terms_grow(series: HbarSeries, hbars) -> np.ndarray:
+    """Term-decay heuristic for the Taylor radius at each point of a grid, in one (grid x order) pass: the
+    last nonzero |c_n hbar**n| is no smaller than the first, or a term is past the float range (Python
+    raises OverflowError). Python's complex products are spelled out on real parts, abs is np.hypot, and
+    hbar**n is formed as CPython forms it: binary powers (c_powu) up to n = 100, a polar form past it."""
+    hbars, n = np.asarray(hbars, dtype=complex), np.arange(1, series.order + 1)
+    if not n.size:
+        return np.zeros(hbars.size, dtype=bool)
+    re, im = np.ones((hbars.size, n.size)), np.zeros((hbars.size, n.size))
+    p_re, p_im = hbars.real[:, None], hbars.imag[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bit in range(min(series.order, 100).bit_length()):  # r = r * p at each set bit, then p = p * p
+            take = (n <= 100) & ((n >> bit) & 1 == 1)
+            r_re, r_im = re[:, take], im[:, take]
+            re[:, take], im[:, take] = r_re * p_re - r_im * p_im, r_re * p_im + r_im * p_re
+            p_re, p_im = p_re * p_re - p_im * p_im, p_re * p_im + p_im * p_re
+        for k in range(100, n.size):  # n = k + 1 > 100
+            powers = np.array([_pow_or_inf(h, k + 1) for h in hbars.tolist()], dtype=complex)
+            re[:, k], im[:, k] = powers.real, powers.imag
+        c = np.array(series.coeffs[1:])
+        t_re, t_im = c.real * re - c.imag * im, c.real * im + c.imag * re
+        mags = np.hypot(t_re, t_im)
+        # Python raises for a power with an inf part, and for an inf modulus of finite parts
+        overflow = np.isinf(re) | np.isinf(im) | (np.isfinite(t_re) & np.isfinite(t_im) & np.isinf(mags))
+        positive, rows = mags > 0, np.arange(hbars.size)
+        first = mags[rows, np.argmax(positive, axis=1)]
+        last = mags[rows, n.size - 1 - np.argmax(positive[:, ::-1], axis=1)]
+        return overflow.any(axis=1) | ((positive.sum(axis=1) >= 2) & (last >= first))
 
 
 def _bridge_grid(hbars, routes: dict, tails: dict, loop_series, radius: float | None = None) -> BridgeGrid:
@@ -234,8 +261,8 @@ def _bridge_grid(hbars, routes: dict, tails: dict, loop_series, radius: float | 
     inside = [radius is None or math.hypot(h.real, h.imag) < radius for h in hbars]  # abs(h), inf past the range
     loop = loop_series() if any(inside) else None
     series = [_exp(loop.eval(h)) if ok else None for h, ok in zip(hbars, inside)]
-    diverges = [not ok or not cmath.isfinite(value) or (radius is None and _terms_grow(loop, h))
-                for h, ok, value in zip(hbars, inside, series)]
+    grows = _terms_grow(loop, hbars).tolist() if radius is None and hbars else [False] * len(hbars)
+    diverges = [not ok or not cmath.isfinite(value) or g for ok, value, g in zip(inside, series, grows)]
     return BridgeGrid(hbars, routes, tails, series, diverges)
 
 

@@ -3,13 +3,15 @@
 One JSON config document drives every run; see README for the schema. Its
 number arrays (grids, lambda0, matrices, external vectors) are validated in one
 pass each; only a failing array is walked, to name its first bad entry at the
-same path as an entry-by-entry check. A CSV table is written from one format
-template per table, floats in locale-independent scientific notation with 17
-significant digits; a meta value keeps to its one comment line (a carriage
-return or newline in it is written as \\r or \\n). JSON floats are Python's
-shortest repr; both formats spell non-finite values inf, -inf and nan (strings
-in JSON). Grid points are emitted in input order, and identical configs produce
-byte-identical output files. An orbit-model grid is evaluated
+same path as an entry-by-entry check. Every command builds its table as
+columns, a dict from column name to cells, and writes it from them, never
+from per-row dicts: a CSV table by one format template per table, floats in
+locale-independent scientific notation with 17 significant digits, and JSON
+row objects zipped from the columns. A meta value keeps to its one comment
+line (a carriage return or newline in it is written as \\r or \\n). JSON floats
+are Python's shortest repr; both formats spell non-finite values inf, -inf and
+nan (strings in JSON). Grid points are emitted in input order, and identical
+configs produce byte-identical output files. An orbit-model grid is evaluated
 in one pass over one atom table, and a matrix-model grid reads one loop
 series. The partition command reads the block spectra for the whole grid in
 one pass, its gauge cross-check from one operator spectrum per model. The
@@ -30,7 +32,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import sys
 import types
 
@@ -264,12 +265,13 @@ def _matrix_model_id(bf) -> str:
     return f"matrix:{digest.hexdigest()[:12]}"
 
 
-def _emit(rows, columns, fmt, out_path, meta=None):
-    """Serialize rows deterministically; CSV appends meta as comment lines."""
+def _emit(table, fmt, out_path, meta=None):
+    """Serialize a table, a dict of equal-length columns in output order, deterministically; CSV
+    appends meta as comment lines, and JSON forms its row objects from the columns."""
     if fmt == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(columns)
-        buf.write(_csv_body(rows, columns))
+        csv.writer(buf, lineterminator="\n").writerow(table)
+        buf.write(_csv_body(table))
         for key, value in (meta or {}).items():
             # one line per key: a newline in a value (a spectrum path, say) would start a data row
             text = f"{_format_cell(value)}".replace("\r", "\\r").replace("\n", "\\n")
@@ -278,7 +280,8 @@ def _emit(rows, columns, fmt, out_path, meta=None):
     else:
         def cell(value):  # JSON has no non-finite numbers: those cells carry the CSV spelling
             return _format_cell(value) if isinstance(value, float) and not math.isfinite(value) else value
-        doc = {"rows": [{c: cell(v) for c, v in row.items()} for row in rows]}
+        cells = [list(map(cell, column)) for column in table.values()]
+        doc = {"rows": [dict(zip(table, row)) for row in zip(*cells)]}
         if meta:
             doc["meta"] = {key: cell(value) for key, value in meta.items()}
         payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -292,20 +295,16 @@ def _emit(rows, columns, fmt, out_path, meta=None):
         sys.stdout.write(payload)
 
 
-def _csv_body(rows, columns) -> str:
-    """The data lines of a CSV table, written by one % template per table.
+def _csv_body(table) -> str:
+    """The data lines of a CSV table of columns, written by one % template per table.
 
     A column of exact floats takes %.16e, the call format(value, ".16e") makes, and a column of
     exact ints %s. Any other column goes cell by cell through _format_cell (a column of str needs
     no call), and csv.writer quotes each distinct text once; a field alone on its row is quoted
     when empty, as csv.writer quotes it.
     """
-    if not rows:
-        return ""
-    get = operator.itemgetter(*columns)
-    table = list(zip(*map(get, rows))) if len(columns) > 1 else [list(map(get, rows))]
-    specs = []
-    for i, column in enumerate(table):
+    columns, specs = list(table.values()), []
+    for i, column in enumerate(columns):
         kinds = set(map(type, column))
         if kinds == {float} or kinds == {int}:
             specs.append("%.16e" if float in kinds else "%s")
@@ -317,10 +316,10 @@ def _csv_body(rows, columns) -> str:
         writer.writerows((text,) if len(columns) == 1 else (text, "") for text in distinct)
         cut = -1 if len(columns) == 1 else -2  # the line ends "\n" or ",\n"
         quoted = {text: line[:cut] for text, line in zip(distinct, lines)}
-        table[i] = list(map(quoted.__getitem__, texts))
+        columns[i] = list(map(quoted.__getitem__, texts))
         specs.append("%s")
     template = ",".join(specs) + "\n"
-    return (template * len(rows)) % tuple(itertools.chain.from_iterable(zip(*table)))
+    return (template * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 def _format_cell(value):
@@ -351,11 +350,10 @@ def cmd_orbits(cfg, fmt, out_path):
         e = flat_zeta._char_poly(orbs[i].poincare)
         trace_p[i], det_p[i] = flat_zeta._float_or_inf(e[1]), flat_zeta._float_or_inf(e[-1])
     rho = np.array([orbit.rho[0, 0] for orbit in orbs], dtype=complex)
-    rows = [{"period": orbit.period if orbit.period is not None else -1, "length": orbit.length,
-             "multiplicity": orbit.multiplicity, "m": orbit.m, "trace_P": tr, "det_P": det,
-             "rho_re": re, "rho_im": im}
-            for orbit, tr, det, re, im in zip(orbs, trace_p.tolist(), det_p.tolist(),
-                                              rho.real.tolist(), rho.imag.tolist())]
+    table = {"period": [-1 if orbit.period is None else orbit.period for orbit in orbs],
+             "length": [orbit.length for orbit in orbs], "multiplicity": [orbit.multiplicity for orbit in orbs],
+             "m": [orbit.m for orbit in orbs], "trace_P": trace_p.tolist(), "det_P": det_p.tolist(),
+             "rho_re": rho.real.tolist(), "rho_im": rho.imag.tolist()}
     meta = {"model_id": model_id}
     if kind == "catmap":
         # each period d adds its d * multiplicity fixed points to every multiple of d
@@ -370,8 +368,7 @@ def cmd_orbits(cfg, fmt, out_path):
         for n in range(2, n_max + 1):
             traces.append(tau * traces[-1] - delta * traces[-2])
         meta["sieve_consistent"] = all(fixed[n] == abs(delta ** n - traces[n] + 1) for n in range(1, n_max + 1))
-    columns = ["period", "length", "multiplicity", "m", "trace_P", "det_P", "rho_re", "rho_im"]
-    _emit(rows, columns, fmt, out_path, meta)
+    _emit(table, fmt, out_path, meta)
     return EXIT_OK
 
 
@@ -382,12 +379,12 @@ def cmd_zeta(cfg, fmt, out_path):
     orbs, m, model_id, reach = _orbit_data(kind, model, n_max, l_max)
     grid = _parse_grid(cfg)
     _require(bool(grid), "grid", "a non-empty lambda grid is required")
-    rows = flat_zeta.zeta_grid_rows(orbs, m, grid, reach)
-    if orbs and all(math.isinf(r["tail_bound"]) for r in rows if r["k"] == -1):
+    table = flat_zeta.zeta_grid_rows(orbs, m, grid, reach)
+    # the Euler row, k = -1, closes each lambda's 2m + 2 rows
+    if orbs and all(map(math.isinf, table["tail_bound"][2 * m + 1::2 * m + 2])):
         sys.stderr.write("all grid points diverge (every tail bound is infinite)\n")
         return EXIT_NONCONVERGENT
-    columns = ["re_lambda", "im_lambda", "k", "re_logzeta", "im_logzeta", "tail_bound", "L_max", "defect"]
-    _emit(rows, columns, fmt, out_path, {"model_id": model_id})
+    _emit(table, fmt, out_path, {"model_id": model_id})
     return EXIT_OK
 
 
@@ -403,17 +400,18 @@ def cmd_bridge(cfg, fmt, out_path):
     else:
         orbs, m, model_id, reach = _orbit_data(kind, model, n_max, l_max)
         bridge = bf_engine.zeta_expectation_bridge_grid(orbs, m, grid, reach, lambda0, k_ord)
-    defects = {route: bridge.defects(route) for route in bridge.routes}
-    rows = [{"model_id": model_id, "hbar_re": hbar.real, "hbar_im": hbar.imag, "K": k_ord, "route": route,
-             "flag": "radius_violation" if diverges else "",
-             "series_value_re": None if series is None else series.real,
-             "series_value_im": None if series is None else series.imag,
-             "closed_form_re": values[i].real, "closed_form_im": values[i].imag, "defect": defects[route][i]}
-            for i, (hbar, series, diverges) in enumerate(zip(bridge.hbars, bridge.series, bridge.diverges))
-            for route, values in bridge.routes.items()]
-    columns = ["model_id", "hbar_re", "hbar_im", "K", "route", "flag",
-               "series_value_re", "series_value_im", "closed_form_re", "closed_form_im", "defect"]
-    _emit(rows, columns, fmt, out_path)
+    points = len(bridge.hbars)
+    hbar_re, hbar_im = [h.real for h in bridge.hbars], [h.imag for h in bridge.hbars]
+    flags = ["radius_violation" if diverges else "" for diverges in bridge.diverges]
+    series_re = [None if s is None else s.real for s in bridge.series]
+    series_im = [None if s is None else s.imag for s in bridge.series]
+    tables = [{"model_id": [model_id] * points, "hbar_re": hbar_re, "hbar_im": hbar_im, "K": [k_ord] * points,
+               "route": [route] * points, "flag": flags, "series_value_re": series_re, "series_value_im": series_im,
+               "closed_form_re": [v.real for v in values], "closed_form_im": [v.imag for v in values],
+               "defect": bridge.defects(route)} for route, values in bridge.routes.items()]
+    # one row per (point, route), point-major: the routes' tables interleave row by row
+    _emit({name: list(itertools.chain.from_iterable(zip(*(table[name] for table in tables)))) for name in tables[0]},
+          fmt, out_path)
     return EXIT_OK
 
 
@@ -429,10 +427,8 @@ def cmd_partition(cfg, fmt, out_path):
     mu = np.concatenate([spectrum for _, spectrum in model.spectra])
     tol = 1e-9 * max(1.0, float(np.max(np.abs(mu))))
     nearest = functools.reduce(np.minimum, (np.abs(m + hbars) for m in mu))
-    rows = [{"hbar_re": hbar.real, "hbar_im": hbar.imag, "partition": value, "resonance_hit": hit}
-            for hbar, value, hit in zip(grid, values, (nearest < tol).tolist())]
-    _emit(rows, ["hbar_re", "hbar_im", "partition", "resonance_hit"], fmt, out_path,
-          {"model_id": _matrix_model_id(model)})
+    _emit({"hbar_re": hbars.real.tolist(), "hbar_im": hbars.imag.tolist(), "partition": values,
+           "resonance_hit": (nearest < tol).tolist()}, fmt, out_path, {"model_id": _matrix_model_id(model)})
     return EXIT_OK
 
 
@@ -447,21 +443,18 @@ def cmd_diagrams(cfg, fmt, out_path):
         prop = bf_engine.regularized_propagator(model, 0.0, math.inf, lambda0)
         gi = bf_engine.gamma_int(model, prop, a_vec, b_vec, k_ord)
         gt = bf_engine.gamma_tr(model, lambda0, k_ord + 1)
-    rows = []
+    rows = []  # one tuple per row, transposed into the table's columns
     for order in range(1, k_ord + 1):
         # the connected graphs of bivalent vertices: the chain, whose unlabelled ends swap, and from
         # order 2 the cycle, with its dihedral symmetry and one more hbar for its loop
         shapes = (("chain", order - 1, 2, 2, order, gi), ("cycle", order, 0, 2 * order, order + 1, gt))
         for shape, n_edges, n_tails, aut_order, power, series in shapes[:min(order, 2)]:
-            row = {"order": order, "kind": shape, "n_vertices": order, "n_edges": n_edges, "n_tails": n_tails,
-                   "aut_order": aut_order, "hbar_power": power, "coeff_re": math.nan, "coeff_im": math.nan}
-            if series is not None and power <= series.order:
-                c = series.coefficient(power)
-                row["coeff_re"], row["coeff_im"] = c.real, c.imag
-            rows.append(row)
+            c = series.coefficient(power) if series is not None and power <= series.order else None
+            rows.append((order, shape, order, n_edges, n_tails, aut_order, power,
+                         math.nan if c is None else c.real, math.nan if c is None else c.imag))
     columns = ["order", "kind", "n_vertices", "n_edges", "n_tails", "aut_order",
                "hbar_power", "coeff_re", "coeff_im"]
-    _emit(rows, columns, fmt, out_path)
+    _emit(dict(zip(columns, map(list, zip(*rows)))), fmt, out_path)
     return EXIT_OK
 
 

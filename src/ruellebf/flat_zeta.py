@@ -11,10 +11,11 @@ integers for integer-valued return maps, formed once per distinct power and
 shared by the atoms that equal it (a cat-map census repeats A^N once per
 divisor of N), from the eigenvalues for float ones, whose atoms atom_table
 builds in stacked arrays independent of the BLAS build. A lambda grid is
-evaluated in blocks of a fixed element budget, so temporaries stay small, and
-summed in the fixed atom order (ascending time, then input order, then
-repetition), so values are bit-stable, the same for a lambda alone as inside
-any grid, and each carries a geometric tail estimate.
+evaluated once per distinct column, in blocks of a fixed element budget, so
+temporaries stay small, and summed in the fixed atom order (ascending time,
+then input order, then repetition), time groups by np.bincount, so values are
+bit-stable, the same for a lambda alone as inside any grid, and each carries a
+geometric tail estimate. The zeta table leaves as columns.
 
 Branch convention: principal logarithms everywhere, with log zeta built
 additively from per-orbit terms so no product-branch ambiguity arises.
@@ -225,34 +226,41 @@ class AtomTable:
         / |det(I - P^j)|. tails are _geometric_tails estimates, not bounds. With orbits, the Euler tail
         is inf at Re lambda <= 0, and every tail is inf when L_max stops short of the first atom.
 
-        The grid runs in blocks of at most LOG_ZETA_BLOCK lambdas x columns x
-        atoms elements; a block's terms are formed at once in real arithmetic.
-        The values are summed along the atoms in table order by a sequential
-        cumsum, the magnitudes of each time group by np.add.at, both as a running
-        sum from 0.0 adds them, so no lambda's result depends on the rest of the
-        grid or on the block it falls in."""
+        Each distinct column, equal bit for bit, is evaluated once and copied out (on a cat map k = 0
+        repeats k = 2 and the assembly the Euler sum). The grid runs in blocks of at most LOG_ZETA_BLOCK
+        lambdas x distinct columns x atoms elements; a block gathers one phase e^{-lambda t} per time
+        group to the atoms and forms its terms at once in real arithmetic. The values are summed along
+        the atoms in table order by a sequential cumsum, the magnitudes of each time group by one
+        np.bincount, both as a running sum from 0.0 adds them, so no lambda's result depends on the
+        rest of the grid or on the block it falls in."""
         lambdas = np.asarray(lambdas, dtype=complex).reshape(-1)
-        columns = np.column_stack([self.weights * self.euler[:, None], self.euler, self.sign * self.euler])
-        n_atoms, n_columns, n_groups = self.t.size, columns.shape[1], self.group_times.size
-        # columns x atoms, so that the sums run along the last axis
-        c_re, c_im = np.ascontiguousarray(columns.real.T), np.ascontiguousarray(columns.imag.T)
+        columns = np.column_stack([self.weights * self.euler[:, None], self.euler, self.sign * self.euler]).T
+        keys = [column.tobytes() for column in columns]
+        distinct = list(dict.fromkeys(keys))
+        # distinct columns x atoms, so that the sums run along the last axis
+        kept = columns[[keys.index(key) for key in distinct]]
+        c_re, c_im = np.ascontiguousarray(kept.real), np.ascontiguousarray(kept.imag)
+        n_atoms, n_columns, n_groups = self.t.size, len(distinct), self.group_times.size
         values = np.zeros((lambdas.size, n_columns), dtype=complex)
         tails = np.zeros((lambdas.size, n_columns))
-        step = max(1, LOG_ZETA_BLOCK // max(1, n_columns * n_atoms))
+        step = max(1, min(lambdas.size, LOG_ZETA_BLOCK // max(1, n_columns * n_atoms)))
+        # the bin of each term's magnitude, (lambda, column, time group) flattened
+        bins = (np.arange(step * n_columns)[:, None] * n_groups + self.group).reshape(-1)
         # far left of the axis e^{-lambda t} overflows: inf or nan values with inf tail bounds
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, lambdas.size, step):
                 block = slice(lo, lo + step)
-                phase = np.exp(np.outer(-lambdas[block], self.t))[:, None, :]
+                phase = np.exp(np.outer(-lambdas[block], self.group_times))[:, None, self.group]
                 x, y = phase.real, phase.imag
                 term_re, term_im = x * c_re - y * c_im, x * c_im + y * c_re
-                mags = np.zeros(term_re.shape[:2] + (n_groups,))
-                np.add.at(mags, (slice(None), slice(None), self.group), np.hypot(term_re, term_im))
+                rows = term_re.shape[0] * n_columns
+                mags = np.bincount(bins[:rows * n_atoms], np.hypot(term_re, term_im).reshape(-1), rows * n_groups)
                 if n_atoms:  # + 0.0: a sum of -0.0 terms started at 0.0 is 0.0
                     values.real[block] = np.cumsum(term_re, axis=2)[:, :, -1] + 0.0
                     values.imag[block] = np.cumsum(term_im, axis=2)[:, :, -1] + 0.0
-                flat = mags.reshape(mags.shape[0] * n_columns, n_groups)
-                tails[block] = _geometric_tails(self.group_times, flat).reshape(mags.shape[:2])
+                tails[block] = _geometric_tails(self.group_times, mags.reshape(rows, n_groups)).reshape(-1, n_columns)
+        which = [distinct.index(key) for key in keys]
+        values, tails = values[:, which], tails[:, which]
         if math.isfinite(self.t_min):
             tails[lambdas.real <= 0, 2 * self.m + 1] = math.inf
             if not self.t.size:  # orbits, but none short enough: nothing certifies the truncation
@@ -480,23 +488,24 @@ def flat_trace_evolution(orbits, k: int, t_max: float) -> AtomicDistribution:
     if not 0 <= k <= 2 * orbits[0].m:
         raise ValueError(f"k = {k} outside 0..{2 * orbits[0].m}")
     table = atom_table(orbits, orbits[0].m, t_max)
-    merged = np.zeros(table.group_times.size, dtype=complex)
-    np.add.at(merged, table.group, table.flat_weights()[:, k])
+    weights, merged = table.flat_weights()[:, k], np.zeros(table.group_times.size, dtype=complex)
+    # each time group's weights summed in table order from 0.0, real and imaginary parts apart
+    merged.real = np.bincount(table.group, weights.real, merged.size)
+    merged.imag = np.bincount(table.group, weights.imag, merged.size)
     return AtomicDistribution(tuple(zip(table.group_times.tolist(), merged.tolist())), table.t_min)
 
 
-def zeta_grid_rows(orbits, m: int, lambdas, L_max: float) -> list[dict]:
-    """Evaluation table rows for a lambda grid, from one atom table; the k = -1
-    row is the Euler sum. The defect column repeats |assembly - euler| at
-    shared truncation for every row of the same lambda.
-    """
-    lams = [complex(lam) for lam in lambdas]
+def zeta_grid_rows(orbits, m: int, lambdas, L_max: float) -> dict[str, list]:
+    """The evaluation table of a lambda grid as columns, from one atom table: per lambda a row for each
+    k = 0..2m and the Euler sum at k = -1, each with |assembly - euler| at shared truncation (np.hypot
+    forms abs) as its defect."""
+    lams = np.array([complex(lam) for lam in lambdas], dtype=complex)
     values, tails = atom_table(orbits, m, L_max).log_zeta(lams)
-    rows = []
-    for lam, vals, tls in zip(lams, values.tolist(), tails.tolist()):
-        defect = _abs_or_inf(vals[-1] - vals[-2])
-        for col, k in enumerate([*range(2 * m + 1), -1]):
-            rows.append({"re_lambda": lam.real, "im_lambda": lam.imag, "k": k,
-                         "re_logzeta": vals[col].real, "im_logzeta": vals[col].imag,
-                         "tail_bound": tls[col], "L_max": float(L_max), "defect": defect})
-    return rows
+    n = 2 * m + 2
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, as _abs_or_inf
+        defect = np.hypot(values[:, -1].real - values[:, -2].real, values[:, -1].imag - values[:, -2].imag)
+    return {"re_lambda": np.repeat(lams.real, n).tolist(), "im_lambda": np.repeat(lams.imag, n).tolist(),
+            "k": [*range(2 * m + 1), -1] * lams.size,
+            "re_logzeta": values[:, :n].real.ravel().tolist(), "im_logzeta": values[:, :n].imag.ravel().tolist(),
+            "tail_bound": tails[:, :n].ravel().tolist(), "L_max": [float(L_max)] * (n * lams.size),
+            "defect": np.repeat(defect, n).tolist()}

@@ -6,7 +6,8 @@ partition value (the graded algebra that the block spectra of a MatrixBFModel re
 full two-term space of a toy complex, its projection lemma and the quadratic perturbing
 functional; the regularized determinant of a matrix generator and trace cyclicity; and, for
 hyperbolic toral models, the exact power A^n, the fixed-point count |det(A^n - I)| and the
-prime-orbit census per period.
+prime-orbit census per period; and the per-point term-decay heuristic of the bridge, which
+bf_engine._terms_grow evaluates for a whole grid.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from ruellebf.bf_engine import MatrixBFModel
 from ruellebf.graded_core import _check_nonsingular
 from ruellebf.orbits import HyperbolicToralModel, _census, anosov_check
+from ruellebf.series import HbarSeries
 
 
 # ------------------------------------------------------------------ graded algebra
@@ -221,3 +223,16 @@ def fixed_point_count(model: HyperbolicToralModel, n: int) -> int:
 def prime_orbit_counts(model: HyperbolicToralModel, n_max: int) -> dict[int, int]:
     """Prime-orbit census per period via the divisor sieve on fixed-point counts."""
     return {n: count for n, _, count in _census(model, n_max)}
+
+
+# ------------------------------------------------------- the bridge's radius heuristic
+
+def terms_grow(series: HbarSeries, hbar: complex) -> bool:
+    """Term-decay heuristic for the Taylor radius at one point: the last nonzero |c_n hbar**n| is
+    no smaller than the first, or a term is past the float range."""
+    try:
+        magnitudes = [abs(series.coefficient(n) * hbar ** n) for n in range(1, series.order + 1)]
+    except OverflowError:
+        return True
+    magnitudes = [v for v in magnitudes if v > 0]
+    return len(magnitudes) >= 2 and magnitudes[-1] >= magnitudes[0]

@@ -24,10 +24,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
+def as_table(rows, columns) -> dict:
+    """The columns of a table given as row dicts, in the form cli._emit takes it."""
+    return {c: [row[c] for row in rows] for c in columns}
+
+
 def emitted(rows, columns, fmt, meta=None) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit(rows, columns, fmt, None, meta)
+        cli._emit(as_table(rows, columns), fmt, None, meta)
     return out.getvalue()
 
 
@@ -73,7 +78,7 @@ def test_emit_file_holds_the_payload_bytes(tmp_path):
             {"id": 'say "hi"\r\n', "x": math.nan, "n": -3, "hit": False, "s": 1.5}]
     columns = ["id", "x", "n", "hit", "s"]
     meta = {"model_id": "spectrum:a\nb\r.csv"}
-    cli._emit(rows, columns, "csv", str(tmp_path / "out.csv"), meta)
+    cli._emit(as_table(rows, columns), "csv", str(tmp_path / "out.csv"), meta)
     payload = reference_payload(rows, columns, "csv", meta)
     assert (tmp_path / "out.csv").read_bytes() == payload.encode("utf-8")
     assert payload.splitlines()[1:3] == ['"catmap[2,1,1,1]|roof=1.0|trivial",-0.0000000000000000e+00,'

@@ -23,6 +23,12 @@ CAT_ORBITS = enumerate_prime_orbits(CAT, 12)
 CAT_EIGS = sorted(np.linalg.eigvals(CAT.matrix()).real)
 
 
+def zeta_rows(orbits, m, lambdas, l_max) -> list[dict]:
+    """The table of zeta_grid_rows, one dict per row."""
+    table = zeta_grid_rows(orbits, m, lambdas, l_max)
+    return [dict(zip(table, cells)) for cells in zip(*table.values())]
+
+
 def eig_symmetric_sum(mat, k):
     eigs = np.linalg.eigvals(mat)
     return sum(np.prod(list(sel)) for sel in combinations(eigs, k)) if k else 1.0
@@ -186,7 +192,7 @@ def test_truncation_before_the_first_atom_is_uncertified():
         assert (values[0, k], tails[0, k]) == (0, math.inf)
     assert tails[0, 3] == math.inf  # the Euler sum
     assert tails[0, 4] == math.inf  # the assembly
-    assert all(row["tail_bound"] == math.inf for row in zeta_grid_rows(CAT_ORBITS, 1, [3.0, 5.0 + 1j], 0.5))
+    assert all(row["tail_bound"] == math.inf for row in zeta_rows(CAT_ORBITS, 1, [3.0, 5.0 + 1j], 0.5))
     _, tails = atom_table([], 1, 0.5).log_zeta([3.0])
     assert tails[0, 1] == 0.0
     assert tails[0, 3] == 0.0
@@ -329,7 +335,7 @@ def test_cyclicity_shape_mismatch():
 # ------------------------------------------------------------------ grid rows
 
 def test_zeta_grid_rows_schema_and_defect():
-    rows = zeta_grid_rows(CAT_ORBITS, 1, [3.0, 4.0 + 1.0j], 12.0)
+    rows = zeta_rows(CAT_ORBITS, 1, [3.0, 4.0 + 1.0j], 12.0)
     assert len(rows) == 2 * 4  # k in {0,1,2} plus the euler row, per lambda
     for row in rows:
         assert set(row) == {
@@ -394,7 +400,7 @@ def test_character_3121_degree_two_matches_closed_form():
     model = HyperbolicToralModel(((3, 1), (2, 1)), 0.7, Representation("character", 0.7))
     orbits = enumerate_prime_orbits(model, 20)
     lams = [2.0 + 1j * y for y in np.linspace(0.0, 9.9, 12)]
-    rows = zeta_grid_rows(orbits, 1, lams, 14.0)
+    rows = zeta_rows(orbits, 1, lams, 14.0)
     for lam in lams:
         (row,) = [r for r in rows if r["k"] == 2 and complex(r["re_lambda"], r["im_lambda"]) == lam]
         ref = cat_log_zeta([3, 1, 2, 1], 0.7, 0.7, lam)[2]
@@ -417,7 +423,7 @@ def test_cat_zeta_grid_rows_within_tail_of_closed_form(a, roof, l_max):
     orbits = enumerate_prime_orbits(model, 20)
     i = np.arange(100)
     lams = list((2.0 + 0.98 * i / 99) + 1j * (0.1 * i))
-    rows = zeta_grid_rows(orbits, 1, lams, l_max)
+    rows = zeta_rows(orbits, 1, lams, l_max)
     assert len(rows) == 4 * len(lams)
     for row in rows:
         ref = cat_log_zeta(a, roof, 0.7, complex(row["re_lambda"], row["im_lambda"]))[row["k"]]
@@ -555,28 +561,30 @@ def test_lambda_alone_equals_lambda_in_grid():
 
     i = np.arange(100)
     lams = list((2.0 + 0.98 * i / 99) + 1j * (0.1 * i))
-    grid = zeta_grid_rows(CAT_ORBITS, 1, lams, 12.0)
+    grid = zeta_rows(CAT_ORBITS, 1, lams, 12.0)
     for idx in (0, 37, 99):
-        alone = zeta_grid_rows(CAT_ORBITS, 1, [lams[idx]], 12.0)
+        alone = zeta_rows(CAT_ORBITS, 1, [lams[idx]], 12.0)
         assert [repr(r) for r in alone] == [repr(r) for r in grid[4 * idx:4 * idx + 4]]
     # a float spectrum whose grid spans several lambda blocks: points at and beside the block edges
     orbits = float_spectrum()
-    atoms = atom_table(orbits, 2, 4.0).t.size
-    step = LOG_ZETA_BLOCK // (7 * atoms)
+    table = atom_table(orbits, 2, 4.0)
+    # every sign is +1, so the assembly column repeats the Euler column: six distinct columns
+    assert (table.sign == 1.0).all()
+    step = LOG_ZETA_BLOCK // (6 * table.t.size)
     i = np.arange(3 * step + 20)
     lams = list((1.0 + 4.0 * i / i.size) + 1j * np.sin(i))
-    grid = zeta_grid_rows(orbits, 2, lams, 4.0)
+    grid = zeta_rows(orbits, 2, lams, 4.0)
     for idx in (0, step - 1, step, 2 * step, 3 * step + 19):
-        alone = zeta_grid_rows(orbits, 2, [lams[idx]], 4.0)
+        alone = zeta_rows(orbits, 2, [lams[idx]], 4.0)
         assert [repr(r) for r in alone] == [repr(r) for r in grid[6 * idx:6 * idx + 6]]
 
 
 def test_empty_orbits_give_zero_and_euler_tail_inf_off_region():
-    rows = zeta_grid_rows([], 1, [3.0, -1.0, 0.5j], 10.0)
+    rows = zeta_rows([], 1, [3.0, -1.0, 0.5j], 10.0)
     assert all(r["re_logzeta"] == 0.0 and r["im_logzeta"] == 0.0 for r in rows)
     assert all(r["tail_bound"] == 0.0 and r["defect"] == 0.0 for r in rows)
     assert atom_table([], 1, 10.0).log_zeta([-1.0])[1][0, 3] == 0.0
-    rows = zeta_grid_rows(CAT_ORBITS, 1, [-0.5, 0.0, 0.5j, 3.0], 12.0)
+    rows = zeta_rows(CAT_ORBITS, 1, [-0.5, 0.0, 0.5j, 3.0], 12.0)
     euler_tails = [r["tail_bound"] for r in rows if r["k"] == -1]
     assert [math.isinf(t) for t in euler_tails] == [True, True, True, False]
 

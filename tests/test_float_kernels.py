@@ -318,3 +318,103 @@ def test_spectrum_zeta_eigendecomposes_each_return_map_once(tmp_path, monkeypatc
     # one eigendecomposition per record and one per atom, less the j = 1 atoms that read the
     # loader's eigenvalues
     assert sum(matrices) == records + atoms - carried
+
+
+# ------------------------------------------- log zeta: distinct columns, grouped phases, bincount
+
+def cat_table(a, roof, rep, n_max=20):
+    from ruellebf.flat_zeta import atom_table
+    from ruellebf.orbits import HyperbolicToralModel, enumerate_prime_orbits
+
+    model = HyperbolicToralModel(((a[0], a[1]), (a[2], a[3])), roof, rep)
+    return atom_table(enumerate_prime_orbits(model, n_max), 1, n_max * roof)
+
+
+def assert_log_zeta_matches_the_reference(table, lambdas):
+    from atom_reference import reference_log_zeta
+
+    for got, want in zip(table.log_zeta(lambdas), reference_log_zeta(table, lambdas)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+CAT_LAMBDAS = [3.0, 2.5 + 1.0j, 2.0 - 7.5j, 1.9, 5.0 + 0.3j, -0.5 + 2.0j, 0.0, 40.0, -30.0 + 1.0j]
+
+
+@pytest.mark.parametrize("a, roof", [([2, 1, 1, 1], 1.0), ([3, 1, 2, 1], 0.7)])
+@pytest.mark.parametrize("twist", ["trivial", "character"])
+def test_cat_map_log_zeta_matches_the_reference_bit_for_bit(a, roof, twist):
+    from ruellebf.orbits import Representation
+
+    rep = Representation("trivial") if twist == "trivial" else Representation("character", 0.7)
+    table = cat_table(a, roof, rep)
+    columns = np.column_stack([table.weights * table.euler[:, None], table.euler, table.sign * table.euler]).T
+    # det A = 1 and every sign +1: k = 0 repeats k = 2 and the assembly the Euler sum, bit for bit
+    assert columns[0].tobytes() == columns[2].tobytes() and columns[3].tobytes() == columns[4].tobytes()
+    assert columns[0].tobytes() != columns[1].tobytes()
+    assert_log_zeta_matches_the_reference(table, CAT_LAMBDAS)
+
+
+def test_columns_that_differ_only_in_the_sign_of_a_zero_stay_apart():
+    from ruellebf.flat_zeta import AtomTable
+
+    # with euler = -1 - 0.0j, a weight 1 + 0.0j gives the column -1 - 0.0j and 1 - 0.0j gives -1 + 0.0j
+    t = np.array([0.5, 0.5, 1.0, 1.5, 2.0, 2.5])
+    euler = np.full(t.size, complex(-1.0, -0.0))
+    weights = np.array([[complex(1.0, 0.0), 0.5, complex(1.0, -0.0)]] * t.size)
+    weights[::2, 1] = complex(-0.0, 0.0)
+    group_times, group = np.unique(t, return_inverse=True)
+    table = AtomTable(1, t, euler, weights, np.ones(t.size), group, group_times, 0.5)
+    columns = np.column_stack([table.weights * table.euler[:, None], table.euler, table.sign * table.euler]).T
+    assert np.array_equal(columns[0], columns[2]) and columns[0].tobytes() != columns[2].tobytes()
+    assert_log_zeta_matches_the_reference(table, [3.0, 1.0 + 2.0j, -0.0, complex(0.0, -0.0), -1.0 - 1.0j])
+
+
+def test_grid_sizes_and_blocks_match_the_reference(monkeypatch):
+    from ruellebf import flat_zeta
+    from ruellebf.orbits import Representation
+
+    table = cat_table([3, 1, 2, 1], 0.7, Representation("character", 0.7))
+    rng = np.random.default_rng(23)
+    lambdas = rng.uniform(-1.0, 6.0, 40) + 1j * rng.uniform(-8.0, 8.0, 40)
+    for size in range(1, 41):
+        assert_log_zeta_matches_the_reference(table, lambdas[:size])
+    # three distinct columns: blocks of 4 lambdas, the last one short
+    monkeypatch.setattr(flat_zeta, "LOG_ZETA_BLOCK", 4 * 3 * table.t.size + 2)
+    blocks = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda bins, weights, size: blocks.append(size) or bincount(bins, weights, size))
+    assert_log_zeta_matches_the_reference(table, lambdas[:39])
+    assert blocks == [4 * 3 * table.group_times.size] * 9 + [3 * 3 * table.group_times.size]
+
+
+def test_the_euler_tail_is_inf_off_region_and_the_assembly_tail_it_shares_stays_finite():
+    from ruellebf.flat_zeta import atom_table
+
+    # det(I - P) = -0.5 < 0 at m = 1: every sign +1, so the assembly column repeats the Euler column;
+    # its six terms fall as e^{-lambda t} / j, fast enough near Re lambda = 0 for a finite fitted tail
+    orbit = PrimeOrbit(length=0.5, poincare=np.diag([2.0, 0.5]), rho=np.array([[np.exp(0.3j)]]))
+    table = atom_table([orbit], 1, 3.0)
+    assert (table.sign == 1.0).all() and table.t.size == 6
+    lambdas = [0.0, -0.0, -0.2 + 0.5j, -0.0 - 2.0j, 0.3, 1.0]
+    assert_log_zeta_matches_the_reference(table, lambdas)
+    values, tails = table.log_zeta(lambdas)
+    assert values[:, 3].tobytes() == values[:, 4].tobytes()
+    assert np.isinf(tails[:4, 3]).all() and np.isfinite(tails[:, 4]).all()
+    assert tails[4:, 3].tobytes() == tails[4:, 4].tobytes()
+
+
+def test_flat_trace_atoms_merge_as_np_add_at_merges_them(tmp_path):
+    from ruellebf.flat_zeta import atom_table, flat_trace_evolution
+    from ruellebf.orbits import HyperbolicToralModel, Representation, enumerate_prime_orbits, load_length_spectrum
+
+    write_pin_spectrum(tmp_path / "pin.csv")
+    cat = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1)), 1.0, Representation("character", 0.7)), 12)
+    for orbits, t_max in ((cat, 12.0), (load_length_spectrum(tmp_path / "pin.csv"), 4.0)):
+        table = atom_table(orbits, orbits[0].m, t_max)
+        assert table.group_times.size < table.t.size  # some time groups merge several atoms
+        for k in range(2 * table.m + 1):
+            want = np.zeros(table.group_times.size, dtype=complex)
+            np.add.at(want, table.group, table.flat_weights()[:, k])
+            got = np.array([w for _, w in flat_trace_evolution(orbits, k, t_max).atoms], dtype=complex)
+            assert got.tobytes() == want.tobytes()
