@@ -318,7 +318,9 @@ def partition_grid(model: MatrixBFModel, hbars) -> np.ndarray:
     hbars = np.asarray(hbars, dtype=complex)
     direct = _abs_product((mu + hbars for _, spectrum in model.spectra for mu in spectrum), hbars.size)
     nu = np.linalg.eigvals(np.linalg.solve(cx.L0, cx.iota @ cx.L1_inv @ cx.d))
-    gauge = _abs_product(itertools.chain([np.linalg.det(cx.L0)], (1 + hbars * v for v in nu)), hbars.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # a det L0 past the float range reads inf
+        det_l0 = np.linalg.det(cx.L0)
+    gauge = _abs_product(itertools.chain([det_l0], (1 + hbars * v for v in nu)), hbars.size)
     # max|L0|^n may exceed the float range: the scale is then inf; two inf values differ by nan
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(np.maximum(direct, gauge), np.max(np.abs(cx.L0)) ** cx.n)
@@ -354,7 +356,8 @@ def _loop_series(table: flat_zeta.AtomTable, lambda0: complex, K: int) -> HbarSe
     """Loop series from an atom table: the degree-k flat trace of the N-th resolvent power at base
     point lambda0 is the sum over its atoms of w * t**(N-1) e^{-lambda0 t} / (N-1)!."""
     degree_signs = np.array([loop_sign(k) for k in range(2 * table.m + 1)])
-    signed = (table.flat_weights() * degree_signs).sum(axis=1) * np.exp(-lambda0 * table.t)
+    with np.errstate(over="ignore", invalid="ignore"):  # far left of the axis: inf or nan, a radius violation
+        signed = (table.flat_weights() * degree_signs).sum(axis=1) * np.exp(-lambda0 * table.t)
     # from n = 172 on, (n - 1)! is past the float range and t**(n - 1) / (n - 1)! goes through logarithms
     return _loop_coefficients(
         lambda n: complex(np.sum(signed * table.t ** (n - 1))) / math.factorial(n - 1) if n <= 171

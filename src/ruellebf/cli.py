@@ -337,16 +337,13 @@ def cmd_orbits(cfg, fmt, out_path):
     n_max, _, _ = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
     orbs, m, model_id, _ = _orbit_data(kind, model, n_max, math.inf)  # this command sums no atoms
-    # an integer-valued P reads tr P = e_1 and det P = e_2m off its exact characteristic polynomial;
-    # the float maps share one stacked trace and one stacked determinant
-    floating = np.array([orbit.poincare.dtype.kind == "f" for orbit in orbs], dtype=bool)
-    maps = np.array([o.poincare for o, f in zip(orbs, floating) if f], dtype=float).reshape(-1, 2 * m, 2 * m)
-    integral = flat_zeta._integer_valued(maps)
-    floating[np.flatnonzero(floating)[integral]] = False
+    # the maps of the float route share one stacked trace and one stacked determinant; any other P
+    # reads tr P = e_1 and det P = e_2m off its exact characteristic polynomial
+    floating, maps = flat_zeta._float_route(orbs, 2 * m)
     trace_p, det_p = np.zeros(len(orbs)), np.zeros(len(orbs))
-    trace_p[floating] = np.trace(maps[~integral], axis1=1, axis2=2)
-    det_p[floating] = np.linalg.det(maps[~integral])
-    for i in np.flatnonzero(~floating).tolist():
+    trace_p[floating] = np.trace(maps, axis1=1, axis2=2)
+    det_p[floating] = np.linalg.det(maps)
+    for i in np.setdiff1d(np.arange(len(orbs)), floating).tolist():
         e = flat_zeta._char_poly(orbs[i].poincare)
         trace_p[i], det_p[i] = flat_zeta._float_or_inf(e[1]), flat_zeta._float_or_inf(e[-1])
     rho = np.array([orbit.rho[0, 0] for orbit in orbs], dtype=complex)
@@ -434,8 +431,10 @@ def cmd_partition(cfg, fmt, out_path):
 
 def cmd_diagrams(cfg, fmt, out_path):
     rep = _parse_rep(cfg)
-    _, _, k_ord = _parse_truncation(cfg)
+    n_max, _, k_ord = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
+    if kind != "matrix":  # an orbit model is read and validated, with no L_max: this command sums no atoms
+        _orbit_data(kind, model, n_max, math.inf)
     lambda0 = _parse_complex(cfg.get("lambda0", 0.0), "lambda0")
     gi = gt = None
     if kind == "matrix":

@@ -5,12 +5,15 @@ closed-orbit lengths; truncating those atom sums gives the per-degree log
 zeta factors, the Euler product, and the alternating assembly. All of them
 are columns of AtomTable.log_zeta: a caller builds one AtomTable per
 (orbits, m, L_max), every atom transversality-checked, and reads its columns
-over a whole lambda grid. An atom's exterior traces tr(wedge^k P^j) and
-det(I - P^j) come from one characteristic polynomial of P^j: in exact
-integers for integer-valued return maps, formed once per distinct power and
-shared by the atoms that equal it (a cat-map census repeats A^N once per
-divisor of N), from the eigenvalues for float ones, whose atoms atom_table
-builds in stacked arrays independent of the BLAS build. A lambda grid is
+over a whole lambda grid. atom_table owns the return-map arithmetic: it takes
+plain PrimeOrbits and computes and checks every atom itself. An atom's
+exterior traces tr(wedge^k P^j) and det(I - P^j) come from one
+characteristic polynomial of P^j: in exact integers for integer-valued
+return maps, formed once per distinct power and shared by the atoms that
+equal it (a cat-map census repeats A^N once per divisor of N), from the
+eigenvalues for the maps of the float route (_float_route, which the orbits
+table reads too), whose atoms atom_table builds in stacked arrays
+independent of the BLAS build. A lambda grid is
 evaluated once per distinct column, in blocks of a fixed element budget, so
 temporaries stay small, and summed in the fixed atom order (ascending time,
 then input order, then repetition), time groups by np.bincount, so values are
@@ -61,15 +64,15 @@ def _int_product(a: tuple, b: tuple) -> tuple:
     return tuple([tuple([sum(map(operator.mul, row, column)) for column in columns]) for row in a])
 
 
-def _float_char_polys(maps: np.ndarray, roots: np.ndarray | None = None) -> np.ndarray:
+def _float_char_polys(maps: np.ndarray) -> np.ndarray:
     """[e_0, ..., e_d] for each map of an (n, d, d) stack of finite float maps, from one stacked eigvals
-    call, or from roots, the (n, d) eigenvalues of the maps when they are known already.
+    call.
 
     The recurrence c[1:] -= r * c[:-1] runs root by root in LAPACK order over the whole stack, the
     complex product spelled out in real arithmetic: each row is bit for bit a plain complex
     recurrence over its map's eigenvalues, whatever the BLAS build. A real map gets the real part.
     """
-    roots = np.linalg.eigvals(maps) if roots is None else roots
+    roots = np.linalg.eigvals(maps)
     n, d = roots.shape
     re, im = np.zeros((n, d + 1)), np.zeros((n, d + 1))
     re[:, 0] = 1.0
@@ -162,6 +165,13 @@ def _transversality_denominator(e: list, scale: float) -> float:
     if not NON_TRANSVERSE_RTOL * scale <= size < math.inf:
         raise NonTransverseOrbitError(f"non-transverse orbit: |det(I - P^j)| = {size:.3e}")
     return float(det.real)
+
+
+def _atom_columns(e: list, scale: float) -> tuple[float, list]:
+    """(det(I - P^j), weights e_k / |det(I - P^j)|) of an atom from its traces e; raises what its check
+    raises, or OverflowError for an exact trace past the float range."""
+    det = _transversality_denominator(e, scale)
+    return det, [complex(x) / abs(det) for x in e]
 
 
 def _geometric_tails(times: np.ndarray, mags: np.ndarray) -> np.ndarray:
@@ -273,6 +283,15 @@ def _integer_valued(maps: np.ndarray) -> np.ndarray:
     return np.all((np.abs(maps) < EXACT_INT_LIMIT) & (maps == np.floor(maps)), axis=(1, 2))
 
 
+def _float_route(orbits, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, (n, d, d) stack) of the orbits whose d x d return maps take the float route: float
+    maps that are not integer-valued. Every other map is read exactly, by _integer_entries."""
+    is_float = [orbit.poincare.dtype.kind == "f" for orbit in orbits]
+    maps = np.array([o.poincare for o, f in zip(orbits, is_float) if f], dtype=float).reshape(sum(is_float), d, d)
+    keep = ~_integer_valued(maps)
+    return np.flatnonzero(is_float)[keep], maps[keep]
+
+
 def _transversality_scales(maps: np.ndarray) -> np.ndarray:
     """_transversality_scale of each map of an (n, d, d) float stack, bit for bit: fmax passes over
     NaN entries as Python's max from 1.0 does, and float_power is the libm pow of a float64 scalar,
@@ -354,26 +373,17 @@ def _euler_coefficients(orbits, pos: np.ndarray, j: np.ndarray) -> tuple[np.ndar
     return euler, np.isinf(mult)
 
 
-def _float_atom_columns(orbits, maps: np.ndarray, pos: np.ndarray, j: np.ndarray, scale: np.ndarray) -> tuple:
+def _float_atom_columns(maps: np.ndarray, scale: np.ndarray) -> tuple:
     """(e, det(I - P^j), whether the check fails, real weights) of the float atoms whose P^j, an (n, d, d)
-    stack, is not integer-valued; pos, j and scale are their columns in the table. One _float_char_polys
+    stack, is not integer-valued, with scale their _transversality_scale column. One _float_char_polys
     call (e is nan on a non-finite P^j), det(I - P^j) = sum_k (-1)^k e_k added column by column as
     Python's sum adds it, and the weights as Python's complex division forms them."""
-    d = maps.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # atoms that fail their check
         finite = np.isfinite(maps).all(axis=(1, 2))
-        # a j = 1 atom of a loaded orbit reads the eigenvalues its check found; one eigvals call serves the rest
-        carried = finite & (j == 1) & np.array([hasattr(orbits[p], "_roots") for p in pos.tolist()], dtype=bool)
-        fresh = finite & ~carried
-        roots = np.zeros((pos.size, d), dtype=complex)
-        if carried.any():
-            roots[carried] = [orbits[p]._roots for p in pos[carried].tolist()]
-        if fresh.any():
-            roots[fresh] = np.linalg.eigvals(maps[fresh])
-        e = np.full((pos.size, d + 1), math.nan)
-        e[finite] = _float_char_polys(maps[finite], roots[finite])
-        det = np.zeros(pos.size)
-        for k in range(d + 1):
+        e = np.full((len(maps), maps.shape[1] + 1), math.nan)
+        e[finite] = _float_char_polys(maps[finite])
+        det = np.zeros(len(maps))
+        for k in range(e.shape[1]):
             det = det - e[:, k] if k % 2 else det + e[:, k]
         size = np.abs(det)
         bad = ~((NON_TRANSVERSE_RTOL * scale <= size) & (size < math.inf))
@@ -387,15 +397,16 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     integer or Python-int matrix.
 
     Each orbit's powers stop at the first P^j whose _transversality_scale is inf; that atom, like any
-    non-finite P^j, fails its check, and the first failing atom in table order raises. Integer-valued
-    return maps are raised to powers on rows of Python ints; their atoms, and any integer-valued float
-    P^j, take the exact route, keyed by the entries of P^j: one _transversality_scale and one exact
-    _char_poly per distinct P^j, one det(I - P^j) check and weight division per distinct (P^j, scale),
-    which every atom with that key reads (a float P^j keeps the scale of its float route). A check
-    that fails under a key fails at each of its atoms. The other float maps are raised by
-    _float_powers, and every column of their atoms comes from the stacked arrays of
-    _float_atom_columns, which a table without such atoms skips. _euler_coefficients serves both
-    routes.
+    non-finite P^j, fails its check. The maps that _float_route leaves out are raised to powers on rows
+    of Python ints; their atoms, and any integer-valued P^j of the float route, take the exact route,
+    keyed by the entries of P^j: one _transversality_scale and one exact _char_poly per distinct P^j,
+    one _atom_columns (the det(I - P^j) check and the weight division) per distinct (P^j, scale), whose
+    result, or its failure, every atom with that key reads (a float P^j keeps the scale of its float
+    route). The other float maps are raised by _float_powers, and every column of their atoms comes from
+    the stacked arrays of _float_atom_columns, which a table without such atoms skips.
+    _euler_coefficients serves both routes. The table keeps no error: where any atom fails, the first
+    in table order runs its scalar steps again (_atom_columns on its exact or float traces, then its
+    multiplicity's conversion to complex) and raises what they raise.
     """
     d = 2 * m
     for orbit in orbits:
@@ -404,13 +415,10 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
             raise ValueError(f"orbit carries a {size}x{size} return map, expected 2m = {d}")
     reach = L_max * REACH_FACTOR
     lengths = np.array([orbit.length for orbit in orbits], dtype=float)
-    is_float = np.array([orbit.poincare.dtype.kind == "f" for orbit in orbits], dtype=bool)
-    floats = np.array([o.poincare for o, f in zip(orbits, is_float) if f], dtype=float)
-    floats = floats.reshape(int(is_float.sum()), d, d)
-    integral = _integer_valued(floats)
+    float_pos, floats = _float_route(orbits, d)
     exact = []  # (t, input position, j, P^j, scale) of the maps raised in Python ints
     scales = {}  # exact P^j -> its _transversality_scale
-    for pos in sorted(np.flatnonzero(~is_float).tolist() + np.flatnonzero(is_float)[integral].tolist()):
+    for pos in np.setdiff1d(np.arange(len(orbits)), float_pos).tolist():
         length, base = orbits[pos].length, tuple(map(tuple, _integer_entries(orbits[pos].poincare)))
         j, p_power, scale = 1, base, 0.0
         while j * length <= reach and scale < math.inf:
@@ -421,8 +429,7 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
                 scale = scales[p_power] = _transversality_scale(p_power)
             exact.append((j * length, pos, j, p_power, scale))
             j += 1
-    float_pos = np.flatnonzero(is_float)[~integral]
-    index, f_j, f_maps, f_scale = _float_powers(floats[~integral], lengths[float_pos], reach)
+    index, f_j, f_maps, f_scale = _float_powers(floats, lengths[float_pos], reach)
     t = np.concatenate([np.array([a[0] for a in exact], dtype=float), f_j * lengths[float_pos[index]]])
     pos = np.concatenate([np.array([a[1] for a in exact], dtype=int), float_pos[index]])
     j = np.concatenate([np.array([a[2] for a in exact], dtype=int), f_j])
@@ -440,37 +447,30 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     rows, maps = on_float[~stays_exact], maps[~stays_exact]
     weights, det, bad = np.zeros((t.size, d + 1), dtype=complex), np.zeros(t.size), np.zeros(t.size, dtype=bool)
     if rows.size:  # a table of integer-valued return maps, as every cat-map table is, has no float atoms
-        e, det[rows], bad[rows], weights.real[rows] = _float_atom_columns(orbits, maps, pos[rows], j[rows], scale[rows])
-    # one characteristic polynomial per distinct exact P^j, one check and weight division per distinct
-    # (P^j, scale): a float P^j keeps the scale of its float route
-    polys, checked, failures, passed = {}, {}, {}, {}
+        e, det[rows], bad[rows], weights.real[rows] = _float_atom_columns(maps, scale[rows])
+    # one characteristic polynomial per distinct exact P^j, one _atom_columns per distinct (P^j, scale),
+    # None where its check fails: a float P^j keeps the scale of its float route
+    polys, checked = {}, {}
     scale_of = scale.tolist()
     for a, p_power in by_exact_route.items():
         key = p_power, scale_of[a]
         if key not in checked:
             if p_power not in polys:
                 polys[p_power] = _char_poly(p_power)
-            e_exact = polys[p_power]
             try:
-                det_a = _transversality_denominator(e_exact, key[1])
-                checked[key] = det_a, [complex(x) / abs(det_a) for x in e_exact]
-            except ArithmeticError as exc:  # non-transverse, or an exact trace past the float range
-                checked[key] = exc
-        if isinstance(checked[key], ArithmeticError):
-            failures[a] = checked[key]
+                checked[key] = _atom_columns(polys[p_power], key[1])
+            except ArithmeticError:  # non-transverse, or an exact trace past the float range
+                checked[key] = None
+        if checked[key] is None:
+            bad[a] = True
         else:
-            passed[a] = checked[key]
-    if passed:
-        det[list(passed)], weights[list(passed)] = zip(*passed.values())
-    bad[list(failures)] = True
+            det[a], weights[a] = checked[key]
     euler, overflow = _euler_coefficients(orbits, pos, j)
     bad |= overflow
-    if bad.any():  # raise what the first failing atom raises
+    if bad.any():  # the first failing atom's steps again, to raise what they raise
         a = int(np.argmax(bad))
-        if a in failures:
-            raise failures[a]
-        if a in rows:
-            _transversality_denominator(e[np.searchsorted(rows, a)].tolist(), float(scale[a]))
+        _atom_columns(polys[by_exact_route[a]] if a in by_exact_route else e[np.searchsorted(rows, a)].tolist(),
+                      scale_of[a])
         complex(-orbits[pos[a]].multiplicity)  # a multiplicity past the float range
     group_times, group = np.unique(t, return_inverse=True)
     return AtomTable(m, t, euler, weights, (-1.0) ** m * np.copysign(1.0, det), group, group_times,

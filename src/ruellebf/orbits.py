@@ -17,9 +17,10 @@ The loader parses every row first, giving each parsed P tuple one value id,
 validates each distinct (P, rho) record once (one stacked eigvals call per
 map size for the unit-circle check, one stacked svd for the representation
 values), then merges the rows into classes over one sort of the record and
-length keys and builds each class's PrimeOrbit once, its P a view of one
-stack per map size. Errors are those of row-by-row validation: the first
-bad line in file order wins.
+length keys and builds each class's PrimeOrbit once, its P a read-only view
+of one stack per map size. A loaded orbit carries its fields and nothing
+else: the traces and determinants of its return map are flat_zeta's. Errors
+are those of row-by-row validation: the first bad line in file order wins.
 """
 
 from __future__ import annotations
@@ -70,19 +71,15 @@ def _scalar_error(length: float, multiplicity: int) -> str | None:
     return None
 
 
-def _map_errors(maps: np.ndarray) -> tuple[list[str | None], np.ndarray]:
-    """Why PrimeOrbit rejects each map of an (n, 2m, 2m) float stack, None where it passes, and the
-    (n, 2m) complex eigenvalues of the maps (NaN rows for maps that are not finite); the finite maps
-    share one stacked eigvals call."""
+def _map_errors(maps: np.ndarray) -> list[str | None]:
+    """Why PrimeOrbit rejects each map of an (n, 2m, 2m) float stack, None where it passes; the finite
+    maps share one stacked eigvals call."""
     finite = np.all(np.isfinite(maps), axis=(1, 2))
-    roots = np.full(maps.shape[:2], math.nan, dtype=complex)
-    roots[finite] = np.linalg.eigvals(maps[finite])
     on_circle = np.zeros(len(maps), dtype=bool)
-    on_circle[finite] = np.any(np.abs(np.abs(roots[finite]) - 1.0) <= UNIT_CIRCLE_TOL, axis=-1)
-    errors = ["Poincare map entries must be finite" if not fin
-              else "Poincare map has an eigenvalue on the unit circle" if hit else None
-              for fin, hit in zip(finite.tolist(), on_circle.tolist())]
-    return errors, roots
+    on_circle[finite] = np.any(np.abs(np.abs(np.linalg.eigvals(maps[finite])) - 1.0) <= UNIT_CIRCLE_TOL, axis=-1)
+    return ["Poincare map entries must be finite" if not fin
+            else "Poincare map has an eigenvalue on the unit circle" if hit else None
+            for fin, hit in zip(finite.tolist(), on_circle.tolist())]
 
 
 def _rho_errors(rhos: np.ndarray) -> list[str | None]:
@@ -119,7 +116,7 @@ class PrimeOrbit:
             p = np.asarray(p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] % 2:
             raise ValueError("Poincare matrix must be square of even dimension 2m")
-        (error,), _ = _map_errors(np.asarray(p, dtype=float)[None])
+        (error,) = _map_errors(np.asarray(p, dtype=float)[None])
         if error:
             raise ValueError(error)
         r = np.asarray(self.rho, dtype=complex)
@@ -133,17 +130,11 @@ class PrimeOrbit:
 
     @classmethod
     def _from_checked(cls, length: float, poincare: np.ndarray, rho: np.ndarray, multiplicity: int,
-                      period: int | None = None, roots: np.ndarray | None = None) -> "PrimeOrbit":
-        """A PrimeOrbit of fields that already passed its checks (the loader checks its records in bulk).
-
-        roots, the eigenvalues of a float poincare that its check computed, is kept as _roots (not a
-        field), and flat_zeta.atom_table reads it for the orbit's j = 1 atom.
-        """
+                      period: int | None = None) -> "PrimeOrbit":
+        """A PrimeOrbit of fields that already passed its checks (the loader checks its records in bulk)."""
         orbit = object.__new__(cls)
         # the fields go straight into the instance dict, past the frozen __setattr__
         orbit.__dict__.update(length=length, poincare=poincare, rho=rho, multiplicity=multiplicity, period=period)
-        if roots is not None:
-            orbit.__dict__["_roots"] = roots
         return orbit
 
     @property
@@ -189,7 +180,8 @@ def anosov_check(model: HyperbolicToralModel) -> tuple[bool, float]:
     expanding = moduli[moduli > 1.0]
     if expanding.size == 0:
         return False, 0.0
-    return True, float(np.log(np.min(expanding)) / model.roof)
+    with np.errstate(over="ignore"):  # a roof below the float range's reciprocal gives theta = inf
+        return True, float(np.log(np.min(expanding)) / model.roof)
 
 
 def _census(model: HyperbolicToralModel, n_max: int) -> list[tuple[int, tuple, int]]:
@@ -263,21 +255,20 @@ def _parse_row(row: list[str], line: int, parsed: dict[str, tuple]) -> tuple:
     return line, length, multiplicity, p[0], rho
 
 
-def _record_errors(records: list[tuple]) -> tuple[list[str | None], list[np.ndarray | None]]:
+def _record_errors(records: list[tuple]) -> list[str | None]:
     """PrimeOrbit's map and rho checks of each distinct (P entries, rho) record, stacked: one
-    eigvals call per map size and one svd call; with the eigenvalues of each record's map."""
-    map_errors, roots = [None] * len(records), [None] * len(records)
+    eigvals call per map size and one svd call."""
+    map_errors = [None] * len(records)
     by_size: dict[int, list[int]] = {}
     for i, (entries, _) in enumerate(records):
         by_size.setdefault(len(entries), []).append(i)
     for size, idx in by_size.items():
         side = math.isqrt(size)
         maps = np.array([records[i][0] for i in idx], dtype=float).reshape(-1, side, side)
-        errors, eigenvalues = _map_errors(maps)
-        for i, error, eig in zip(idx, errors, eigenvalues):
-            map_errors[i], roots[i] = error, eig
+        for i, error in zip(idx, _map_errors(maps)):
+            map_errors[i] = error
     rho_errors = _rho_errors(np.array([rho for _, rho in records], dtype=complex).reshape(-1, 1, 1))
-    return [a or b for a, b in zip(map_errors, rho_errors)], roots
+    return [a or b for a, b in zip(map_errors, rho_errors)]
 
 
 def _class_starts(lengths: np.ndarray, record_starts: np.ndarray) -> np.ndarray:
@@ -351,7 +342,7 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     record_of[order] = np.cumsum(record_starts) - 1
     # each record is checked with the P entries and rho of its first row in the file
     firsts = np.minimum.reduceat(order, np.flatnonzero(record_starts)).tolist() if order.size else []
-    record_errors, record_roots = _record_errors([(entries[texts[i]], rhos[i]) for i in firsts])
+    record_errors = _record_errors([(entries[texts[i]], rhos[i]) for i in firsts])
     bad = np.array([e is not None for e in record_errors], dtype=bool)[record_of]
     bad |= ~(np.isfinite(lengths) & (lengths > 0.0))
     if min(multiplicities, default=1) < 1:
@@ -378,13 +369,8 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     for side in np.unique(side_of).tolist():
         members = np.flatnonzero(side_of == side).tolist()
         stack = np.array([entries[k] for k in text_of[members].tolist()], dtype=float).reshape(-1, side, side)
-        stack.flags.writeable = False  # the eigenvalues below stay those of P
+        stack.flags.writeable = False  # a checked map of a frozen orbit, and a view of a shared stack
         for i, p in zip(members, stack):
             maps[i] = p
-    # a class whose P is the very tuple its record was checked with keeps that check's eigenvalues
-    record = record_of[first]
-    same_p = text_of == texts[np.array(firsts, dtype=int)[record]]
-    roots = [record_roots[r] if same else None for r, same in zip(record.tolist(), same_p.tolist())]
-    return [PrimeOrbit._from_checked(length, p, r, mult, roots=eig)
-            for length, p, r, mult, eig in zip(lengths[first].tolist(), maps, rho[first].reshape(-1, 1, 1),
-                                               multiplicity, roots)]
+    return [PrimeOrbit._from_checked(length, p, r, mult)
+            for length, p, r, mult in zip(lengths[first].tolist(), maps, rho[first].reshape(-1, 1, 1), multiplicity)]

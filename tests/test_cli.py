@@ -978,3 +978,49 @@ def test_one_overflowing_bridge_point_leaves_the_rest_of_the_grid(tmp_path, caps
     assert len(lines) == 5 and all(",radius_violation," in line for line in lines[3:])
     alone = write_config(tmp_path, dict(OVERFLOW_BRIDGE_CONFIG, grid=[[0.5, 0.0]]), "alone.json")
     assert _run_quietly(capsys, ["bridge", "--config", alone])[1].splitlines() == lines[:3]
+
+
+@pytest.mark.parametrize("command, payload, expected", [
+    # theta = log|nu| / roof past the float range
+    ("orbits", {"model": {"catmap": {"A": [2, 1, 1, 1], "roof": 1e-320}}, "truncation": {"n_max": 3}},
+     "period,length,multiplicity,m,trace_P,det_P,rho_re,rho_im\n"
+     "1,9.9998886718268301e-321,1,1,3.0000000000000000e+00,1.0000000000000000e+00,1.0000000000000000e+00,"
+     "0.0000000000000000e+00\n"
+     "2,1.9999777343653660e-320,2,1,7.0000000000000000e+00,1.0000000000000000e+00,1.0000000000000000e+00,"
+     "0.0000000000000000e+00\n"
+     "3,2.9999666015480490e-320,5,1,1.8000000000000000e+01,1.0000000000000000e+00,1.0000000000000000e+00,"
+     "0.0000000000000000e+00\n"
+     "# model_id: catmap[2,1,1,1]|roof=1e-320|trivial\n# sieve_consistent: true\n"),
+    # det L0 = 1e400 past the float range
+    ("partition", {"model": {"matrix": {"d": [[1e200, 0], [0, 1e200]]}}, "grid": [[1, 0]]},
+     "hbar_re,hbar_im,partition,resonance_hit\n1.0000000000000000e+00,0.0000000000000000e+00,inf,false\n"
+     "# model_id: matrix:53115e7c19b6\n"),
+    # e^{-lambda0 t} past the float range at lambda0 = -800
+    ("bridge", {"model": {"catmap": {"A": [2, 1, 1, 1]}}, "grid": [[0.1, 0]], "lambda0": [-800, 0]},
+     "model_id,hbar_re,hbar_im,K,route,flag,series_value_re,series_value_im,closed_form_re,closed_form_im,defect\n"
+     '"catmap[2,1,1,1]|roof=1.0|trivial",1.0000000000000001e-01,0.0000000000000000e+00,8,det,radius_violation,'
+     "nan,nan,nan,nan,nan\n"
+     '"catmap[2,1,1,1]|roof=1.0|trivial",1.0000000000000001e-01,0.0000000000000000e+00,8,orbit,radius_violation,'
+     "nan,nan,nan,nan,nan\n"),
+], ids=["orbits-theta", "partition-det", "bridge-lambda0"])
+def test_an_overflow_in_a_valid_config_prints_no_warning(tmp_path, capsys, command, payload, expected):
+    assert _run_quietly(capsys, [command, "--config", write_config(tmp_path, payload)]) == (0, expected, "")
+
+
+# ---------------------------------------------- diagrams reads an orbit model
+
+@pytest.mark.parametrize("model, spectrum", [
+    ({"spectrum_file": "missing.csv"}, None),
+    ({"spectrum_file": "spec.csv"}, "1.0,1,1,2;1;1;1,1,0\n"),
+    ({"spectrum_file": "spec.csv"}, SPECTRUM_HEADER_LINE + "1.0,1,1,2;1;1;1,1,0\n"
+     "1.5,1,2,2;0;0;0;0;0.5;0;0;0;0;2;0;0;0;0;0.5,1,0\n"),
+    ({"catmap": {"A": [1, 1, 0, 1]}}, None),
+], ids=["missing-file", "no-header", "mixed-m", "not-anosov"])
+def test_diagrams_refuses_the_orbit_models_that_orbits_refuses(tmp_path, capsys, monkeypatch, model, spectrum):
+    monkeypatch.chdir(tmp_path)  # the spectrum path is relative to the working directory
+    if spectrum is not None:
+        (tmp_path / "spec.csv").write_text(spectrum, encoding="utf-8")
+    cfg = write_config(tmp_path, {"model": model})
+    code, _, err = _run_quietly(capsys, ["orbits", "--config", cfg])
+    assert code in (1, 2) and err
+    assert _run_quietly(capsys, ["diagrams", "--config", cfg])[::2] == (code, err)

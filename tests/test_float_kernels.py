@@ -1,5 +1,6 @@
 """The float orbit path in stacked numpy calls: pinned output bytes and bit-identical kernels."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -273,19 +274,18 @@ def test_multiplicity_past_the_float_range_raises_what_the_reference_raises():
     assert raised[0][0].__name__ == "NonTransverseOrbitError"
 
 
-# ------------------------------------------- the loader's eigenvalues serve the j = 1 atoms
+# ------------------------------------------- loaded orbits: plain PrimeOrbits, one eigvals per float atom
 
 def test_loaded_spectrum_table_matches_the_reference_bit_for_bit(tmp_path):
     from atom_reference import reference_atom_table, reference_log_zeta
     from ruellebf.flat_zeta import atom_table
     from ruellebf.orbits import load_length_spectrum
 
-    # the pin spectrum holds copies with a -0.0 entry: a class whose P text differs from the one its
-    # record was checked with recomputes its eigenvalues
+    # the pin spectrum holds copies with a -0.0 entry, which merge with the record they equal
     write_pin_spectrum(tmp_path / "pin.csv")
     orbits = load_length_spectrum(tmp_path / "pin.csv")
-    carried = [hasattr(orbit, "_roots") for orbit in orbits]
-    assert 0 < carried.count(False) < carried.count(True)
+    # a loaded orbit carries its fields and nothing else
+    assert all(set(vars(orbit)) == {f.name for f in dataclasses.fields(orbit)} for orbit in orbits)
     assert not any(orbit.poincare.flags.writeable for orbit in orbits)
     table, reference = atom_table(orbits, 2, 4.0), reference_atom_table(orbits, 2, 4.0)
     assert_same_table(table, reference)
@@ -294,7 +294,7 @@ def test_loaded_spectrum_table_matches_the_reference_bit_for_bit(tmp_path):
         assert got.tobytes() == want.tobytes()
 
 
-def test_spectrum_zeta_eigendecomposes_each_return_map_once(tmp_path, monkeypatch):
+def test_spectrum_zeta_eigendecomposes_once_per_record_and_once_per_float_atom(tmp_path, monkeypatch):
     from ruellebf.flat_zeta import atom_table
     from ruellebf.orbits import load_length_spectrum
 
@@ -303,10 +303,8 @@ def test_spectrum_zeta_eigendecomposes_each_return_map_once(tmp_path, monkeypatc
     (tmp_path / "cfg.json").write_text(json.dumps(PIN_CONFIGS["zeta"]), encoding="utf-8")
     orbits = load_length_spectrum(tmp_path / "pin.csv")
     atoms = atom_table(orbits, 2, 4.0).t.size
-    # every orbit has its j = 1 atom within L_max; all but a few carry the loader's eigenvalues
+    # every orbit has its j = 1 atom within L_max
     assert max(orbit.length for orbit in orbits) <= 4.0 and atoms > len(orbits)
-    carried = sum(hasattr(orbit, "_roots") for orbit in orbits)
-    assert len(orbits) - 3 <= carried < len(orbits)
     # the loader checks each distinct (P, rho) record once: -0.0 == 0.0, rows within 1e-12 merge
     with open(tmp_path / "pin.csv", encoding="utf-8") as fh:
         rows = [line.split(",") for line in fh.read().splitlines()[2:]]
@@ -315,9 +313,8 @@ def test_spectrum_zeta_eigendecomposes_each_return_map_once(tmp_path, monkeypatc
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: matrices.append(len(a)) or eigvals(a))
     assert cli.main(["zeta", "--config", "cfg.json", "--out", "out.csv"]) == 0
-    # one eigendecomposition per record and one per atom, less the j = 1 atoms that read the
-    # loader's eigenvalues
-    assert sum(matrices) == records + atoms - carried
+    # one eigendecomposition per record, for the loader's check, and one per atom, for its traces
+    assert sum(matrices) == records + atoms
 
 
 # ------------------------------------------- log zeta: distinct columns, grouped phases, bincount
