@@ -82,8 +82,9 @@ class MatrixBFModel:
         object.__setattr__(self, "spectra", tuple(
             (k, np.linalg.eigvals(l0[at:end, at:end])) for (k, _), at, end in zip(split, edges, edges[1:])))
 
-    def min_spectrum_abs(self) -> float:
-        return float(np.min(np.abs(np.concatenate([mu for _, mu in self.spectra]))))
+    def min_spectrum_abs(self, lam: complex = 0.0) -> float:
+        """min |mu + lam| over the block spectra."""
+        return float(np.min(np.abs(np.concatenate([mu + lam for _, mu in self.spectra]))))
 
 
 def regularized_propagator(
@@ -162,6 +163,15 @@ def _loop_coefficients(traces, K: int) -> HbarSeries:
     return HbarSeries(tuple(coeffs))
 
 
+def _shifted_spectra(model: MatrixBFModel, lam: complex) -> list:
+    """(degree, mu + lam) of each block; raises IRDivergenceError where mu + lam = 0."""
+    shifted = [(degree, mu + lam) for degree, mu in model.spectra]
+    for degree, s in shifted:
+        if np.any(s == 0):
+            raise IRDivergenceError(f"IR divergence: degree-{degree} block + lambda has a zero eigenvalue")
+    return shifted
+
+
 def gamma_tr(model: MatrixBFModel, lam: complex, K: int) -> HbarSeries:
     """Loop-diagram series starting at second order.
 
@@ -169,10 +179,7 @@ def gamma_tr(model: MatrixBFModel, lam: complex, K: int) -> HbarSeries:
     contraction is sum loop_sign(k) (mu + lam)**(-N) over the block spectra; it
     needs mu + lam != 0, not damping (an acyclic spectrum such as +-0.7i is fine).
     """
-    shifted = [(degree, mu + lam) for degree, mu in model.spectra]
-    for degree, s in shifted:
-        if np.any(s == 0):
-            raise IRDivergenceError(f"IR divergence: degree-{degree} block + lambda has a zero eigenvalue")
+    shifted = _shifted_spectra(model, lam)
     return _loop_coefficients(
         lambda n: sum((loop_sign(degree) * complex(np.sum(s ** -n)) for degree, s in shifted), 0j), K
     )
@@ -266,27 +273,31 @@ def _bridge_grid(hbars, routes: dict, tails: dict, loop_series, radius: float | 
     return BridgeGrid(hbars, routes, tails, series, diverges)
 
 
-def _closed_form_grid(model: MatrixBFModel, hbars) -> list[complex]:
-    """prod_k det((L_k + hbar)/L_k)**((-1)**k) at every hbar of a grid, each ratio one np.prod of 1 + hbar/mu
-    over a block spectrum for the whole grid, the blocks combined point by point in Python complex arithmetic.
-    A product past the float range reads inf or nan, and a pole, a zero ratio of an odd-degree block, inf + nan j."""
+def _closed_form_grid(model: MatrixBFModel, hbars, lambda0: complex = 0.0) -> list[complex]:
+    """prod_k det((L_k + lambda0 + hbar)/(L_k + lambda0))**((-1)**k) at every hbar of a grid, each ratio one
+    np.prod of 1 + hbar/(mu + lambda0) over a block spectrum for the whole grid, the blocks combined point by
+    point in Python complex arithmetic. A product past the float range reads inf or nan, and a pole, a zero
+    ratio of an odd-degree block, inf + nan j. At lambda0 = 0 the spectra are read as they are (adding 0 would
+    turn a -0.0 part into 0.0); elsewhere a zero mu + lambda0 raises IRDivergenceError."""
     hbars = np.asarray(hbars, dtype=complex)[:, None]
     out = [1.0 + 0j] * len(hbars)
-    for degree, mu in model.spectra:
+    for degree, mu in model.spectra if lambda0 == 0 else _shifted_spectra(model, lambda0):
         with np.errstate(over="ignore", invalid="ignore"):
             ratios = np.prod(1 + hbars / mu, axis=1).tolist()
         out = [o * r if degree % 2 == 0 else o / r if r else complex(math.inf, math.nan) for o, r in zip(out, ratios)]
     return out
 
 
-def expectation_grid(model: MatrixBFModel, hbars, K: int) -> BridgeGrid:
-    """Expectation of the exponentiated perturbation at every hbar of a grid: route det is the
-    exact determinant ratio (tail 0.0), the series exp(Gamma_tr / hbar) with loop orders 1..K
-    resummed, a defect of O(hbar**(K+1)), and None outside the exact Taylor radius min |spec L|.
-    The hbar-independent loop series is built once, and not at all for a grid wholly outside it."""
+def expectation_grid(model: MatrixBFModel, hbars, K: int, lambda0: complex = 0.0) -> BridgeGrid:
+    """Expectation of the exponentiated perturbation at every hbar of a grid, at base point lambda0:
+    route det is the exact determinant ratio det(L + lambda0 + hbar) / det(L + lambda0) (tail 0.0),
+    the series exp(Gamma_tr / hbar) at lambda0 with loop orders 1..K resummed, a defect of
+    O(hbar**(K+1)), and None outside the exact Taylor radius min |spec L + lambda0|. A lambda0 on
+    the spectrum of -L raises IRDivergenceError. The hbar-independent loop series is built once, and
+    not at all for a grid wholly outside it."""
     hbars = [complex(h) for h in hbars]
-    return _bridge_grid(hbars, {"det": _closed_form_grid(model, hbars)}, {"det": [0.0] * len(hbars)},
-                        lambda: gamma_tr(model, 0.0, K + 1).shift_down(), model.min_spectrum_abs())
+    return _bridge_grid(hbars, {"det": _closed_form_grid(model, hbars, lambda0)}, {"det": [0.0] * len(hbars)},
+                        lambda: gamma_tr(model, lambda0, K + 1).shift_down(), model.min_spectrum_abs(lambda0))
 
 
 def _abs_product(factors, size: int) -> np.ndarray:

@@ -18,8 +18,9 @@ one pass, its gauge cross-check from one operator spectrum per model. The
 diagrams table writes the chain and cycle of each order from their
 closed forms and builds no graph.
 
-Exit codes: 0 success, 1 config error, 2 model invalid, 3 numerical
-non-convergence; EXIT_CODES maps every library error to one of them.
+Exit codes: 0 success, 1 config error (a run out of memory too), 2 model
+invalid, 3 numerical non-convergence; EXIT_CODES maps every library error to
+one of them.
 """
 
 from __future__ import annotations
@@ -391,9 +392,10 @@ def cmd_bridge(cfg, fmt, out_path):
     kind, model = _parse_model(cfg, rep)
     grid = _parse_grid(cfg)
     _require(bool(grid), "grid", "a non-empty hbar grid is required")
-    lambda0 = _parse_complex(cfg.get("lambda0", 3.0), "lambda0")
+    # an orbit model's truncated sums need a base point inside their convergence region; a matrix model's do not
+    lambda0 = _parse_complex(cfg.get("lambda0", 0.0 if kind == "matrix" else 3.0), "lambda0")
     if kind == "matrix":
-        model_id, bridge = _matrix_model_id(model), bf_engine.expectation_grid(model, grid, k_ord)
+        model_id, bridge = _matrix_model_id(model), bf_engine.expectation_grid(model, grid, k_ord, lambda0)
     else:
         orbs, m, model_id, reach = _orbit_data(kind, model, n_max, l_max)
         bridge = bf_engine.zeta_expectation_bridge_grid(orbs, m, grid, reach, lambda0, k_ord)
@@ -482,9 +484,11 @@ def build_parser():
 
 # error class -> (exit code, stderr prefix); the first match wins, so subclasses precede their
 # bases. ArithmeticError covers IRDivergenceError and the partition_grid cross-check; LinAlgError
-# is a LAPACK routine that did not converge.
+# is a LAPACK routine that did not converge; MemoryError a table that a truncation (n_max, K) or
+# an input makes too large to allocate.
 EXIT_CODES = (
     (ConfigError, EXIT_CONFIG, ""),
+    (MemoryError, EXIT_CONFIG, "out of memory: "),
     (ModelError, EXIT_MODEL, "model invalid: "),
     (orbits_mod.SpectrumFormatError, EXIT_MODEL, "model invalid: "),
     (flat_zeta.NonTransverseOrbitError, EXIT_MODEL, "model invalid: "),
@@ -501,7 +505,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, args.format, args.out)
     except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in EXIT_CODES if isinstance(exc, cls))
-        detail = exc if isinstance(exc, (ConfigError, ModelError)) else f"{type(exc).__name__}: {exc}"
+        detail = exc
+        if not isinstance(exc, (ConfigError, ModelError)):  # a bare MemoryError has no message
+            detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         sys.stderr.write(f"{prefix}{detail}\n")
         return code
 

@@ -13,20 +13,28 @@ circle is n, which is what a character representation is evaluated on.
 Contact-ness of the suspension is not certified; every downstream formula
 consumes only (length, P, rho, m).
 
-The loader parses every row first, giving each parsed P tuple one value id,
-validates each distinct (P, rho) record once (one stacked eigvals call per
-map size for the unit-circle check, one stacked svd for the representation
-values), then merges the rows into classes over one sort of the record and
-length keys and builds each class's PrimeOrbit once, its P a read-only view
-of one stack per map size. A loaded orbit carries its fields and nothing
-else: the traces and determinants of its return map are flat_zeta's. Errors
-are those of row-by-row validation: the first bad line in file order wins.
+The loader streams a spectrum file line by line: a plain line (no quote,
+carriage return or NUL, and within csv.field_size_limit()) is split at its
+commas, and from the first line that is not, csv.reader reads the rest; a
+row is numbered by the physical line it starts on. The rows go into
+columns, converted one column at a time, and each distinct P_entries text
+is parsed once, into one float stack per map size. The (P, rho) records are
+keyed by np.unique over the sign-normalised stack rows and each is validated
+once (one stacked eigvals call per map size for the unit-circle check, one
+stacked svd for the representation values); the rows then merge into
+classes over one sort of the record and length keys, and each class's
+PrimeOrbit is built once, its P a read-only row of its size's stack. A
+loaded orbit carries its fields and nothing else: the traces and
+determinants of its return map are flat_zeta's. Errors are those of
+row-by-row reading: when the column pass fails, the rows are walked to find
+the first format error, and the first bad line in file order wins.
 """
 
 from __future__ import annotations
 
 import cmath
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -225,50 +233,84 @@ def enumerate_prime_orbits(model: HyperbolicToralModel, n_max: int) -> list[Prim
 SPECTRUM_HEADER = ["length", "multiplicity", "m", "P_entries", "rho_re", "rho_im"]
 
 
-def _parse_row(row: list[str], line: int, parsed: dict[str, tuple]) -> tuple:
-    """(line, length, multiplicity, P index, rho) of one data row; raises on a format error.
-
-    parsed maps each P_entries text already read to (its P index, its floats), indices in order of
-    first appearance: rows repeating a text share one parse and one tuple.
-    """
-    if len(row) != len(SPECTRUM_HEADER):
-        raise SpectrumFormatError(
-            f"expected {len(SPECTRUM_HEADER)} fields, found {len(row)}", line
-        )
+def _parse_row(row: list[str], line: int) -> None:
+    """Raise the SpectrumFormatError of the first format error of one six-field data row, if it has
+    one, in the order the fields are read; the column pass of the loader calls it only to locate a
+    failure."""
     try:
-        length = float(row[0])
-        multiplicity = int(row[1])
+        float(row[0])
+        int(row[1])
         m = int(row[2])
-        p = parsed.get(row[3])
-        if p is None:
-            p = parsed[row[3]] = (len(parsed), tuple(map(float, row[3].split(";"))))
-        rho = complex(float(row[4]), float(row[5]))
+        entries = len(list(map(float, row[3].split(";"))))
+        float(row[4]), float(row[5])
     except ValueError as exc:
         raise SpectrumFormatError(str(exc), line) from None
     if m < 1:
         raise SpectrumFormatError(f"m must be a positive integer, found {m}", line)
-    side = 2 * m
-    if len(p[1]) != side * side:
-        raise SpectrumFormatError(
-            f"P_entries has {len(p[1])} values, expected {side * side}", line
-        )
-    return line, length, multiplicity, p[0], rho
+    if entries != 4 * m * m:
+        raise SpectrumFormatError(f"P_entries has {entries} values, expected {4 * m * m}", line)
 
 
-def _record_errors(records: list[tuple]) -> list[str | None]:
-    """PrimeOrbit's map and rho checks of each distinct (P entries, rho) record, stacked: one
-    eigvals call per map size and one svd call."""
-    map_errors = [None] * len(records)
-    by_size: dict[int, list[int]] = {}
-    for i, (entries, _) in enumerate(records):
-        by_size.setdefault(len(entries), []).append(i)
-    for size, idx in by_size.items():
+def _read_rows(fh):
+    """(line, fields) of each nonempty row of an open spectrum file, as csv.reader reads it, line the
+    physical line the row starts on. A line holding no '"', carriage return or NUL, and no longer than
+    csv.field_size_limit(), is split at its commas; from the first line that is not, csv.reader reads
+    the rest of the file (a quoted field may span lines), its csv.Error a SpectrumFormatError at the
+    line where the reader stopped."""
+    limit, line_no = csv.field_size_limit(), 0
+    for line in fh:
+        line_no += 1
+        if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+            break
+        line = line[:-1] if line[-1:] == "\n" else line
+        if line:
+            yield line_no, line.split(",")
+    else:
+        return
+    reader = csv.reader(itertools.chain([line], fh))
+    start = line_no
+    try:
+        for row in reader:
+            if row:
+                yield start, row
+            start = line_no + reader.line_num
+    except csv.Error as exc:  # a field past csv.field_size_limit(), or a NUL byte before Python 3.11
+        raise SpectrumFormatError(str(exc), line_no - 1 + reader.line_num) from None
+
+
+def _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts):
+    """(lengths, multiplicities, rho, stacks, stack_of, row_of) of the data rows held in columns, or
+    None if some row has a format error. Each distinct P text (texts, indexed by p_ids) is parsed
+    once, into one read-only (n, 2m, 2m) float stack per map size: text k is row row_of[k] of
+    stacks[stack_of[k]]."""
+    n = len(lengths)
+    try:
+        length = np.fromiter(map(float, lengths), float, n)
+        multiplicity = list(map(int, multiplicities))
+        m = list(map(int, ms))
+        rho = np.empty(n, dtype=complex)
+        rho.real, rho.imag = np.fromiter(map(float, rho_re), float, n), np.fromiter(map(float, rho_im), float, n)
+    except ValueError:
+        return None
+    if n and (min(m) < 1 or max(m) > 2**20):  # no text in memory holds 4 m^2 entries at m = 2**20
+        return None
+    counts = np.array([t.count(";") + 1 for t in texts], dtype=int)
+    if np.any(4 * np.array(m, dtype=int) ** 2 != counts[p_ids]):
+        return None
+    stacks, stack_of, row_of = [], np.empty(len(texts), dtype=int), np.empty(len(texts), dtype=int)
+    for size in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == size)
+        floats = map(float, itertools.chain.from_iterable(texts[k].split(";") for k in members.tolist()))
+        try:
+            stack = np.fromiter(floats, float, members.size * size)
+        except ValueError:
+            return None
         side = math.isqrt(size)
-        maps = np.array([records[i][0] for i in idx], dtype=float).reshape(-1, side, side)
-        for i, error in zip(idx, _map_errors(maps)):
-            map_errors[i] = error
-    rho_errors = _rho_errors(np.array([rho for _, rho in records], dtype=complex).reshape(-1, 1, 1))
-    return [a or b for a, b in zip(map_errors, rho_errors)]
+        stack = stack.reshape(-1, side, side)
+        stack.flags.writeable = False  # each orbit's P is a row of it: a checked map of a frozen orbit
+        stack_of[members], row_of[members] = len(stacks), np.arange(members.size)
+        stacks.append(stack)
+    return length, multiplicity, rho, stacks, stack_of, row_of
 
 
 def _class_starts(lengths: np.ndarray, record_starts: np.ndarray) -> np.ndarray:
@@ -300,38 +342,63 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     -0.0 == 0.0, lengths within 1e-12) are aggregated by summing
     multiplicities; output is sorted by ascending length. Reading stops at
     the first format error, which is raised unless an earlier row fails
-    validation.
+    validation. Rows are read as csv.reader reads them (see _read_rows) and
+    numbered by the physical line they start on.
     """
-    rows = []
-    parsed: dict[str, tuple] = {}
+    columns = tuple([] for _ in range(7))
+    lines, lengths, multiplicities, ms, p_ids, rho_re, rho_im = columns
+    texts: dict[str, int] = {}  # each distinct P_entries text, in order of first appearance
     stop = None
     header = None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            for line_no, row in enumerate(reader, start=1):
-                if not row or (row[0].startswith("#")):
+            for line_no, row in _read_rows(fh):
+                if row[0].startswith("#"):
                     continue
                 if header is None:
                     header = [c.strip() for c in row]
                     if header != SPECTRUM_HEADER:
-                        raise SpectrumFormatError(
-                            f"bad header {header}, expected {SPECTRUM_HEADER}", line_no
-                        )
+                        raise SpectrumFormatError(f"bad header {header}, expected {SPECTRUM_HEADER}", line_no)
                     continue
-                rows.append(_parse_row(row, line_no, parsed))
+                if len(row) != len(SPECTRUM_HEADER):
+                    raise SpectrumFormatError(f"expected {len(SPECTRUM_HEADER)} fields, found {len(row)}", line_no)
+                length, multiplicity, m, p, re, im = row
+                lines.append(line_no)
+                lengths.append(length)
+                multiplicities.append(multiplicity)
+                ms.append(m)
+                p_ids.append(texts.setdefault(p, len(texts)))
+                rho_re.append(re)
+                rho_im.append(im)
         except SpectrumFormatError as exc:
             stop = exc
         except UnicodeDecodeError as exc:
             stop = SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}")
-        except csv.Error as exc:  # a field past csv.field_size_limit(), or a NUL byte before Python 3.11
-            stop = SpectrumFormatError(str(exc), reader.line_num)
-    lines, lengths, multiplicities, texts, rhos = zip(*rows) if rows else ((),) * 5
-    lengths, rho, texts = np.array(lengths, dtype=float), np.array(rhos, dtype=complex), np.array(texts, dtype=int)
-    entries = [floats for _, floats in parsed.values()]
-    # one value id per parsed P tuple; tuples of floats compare -0.0 == 0.0, as the merge requires
-    value_ids: dict[tuple, int] = {}
-    value_of = np.array([value_ids.setdefault(floats, len(value_ids)) for floats in entries], dtype=int)[texts]
+    texts = list(texts)
+    parsed = _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts)
+    if parsed is None:  # some row has a format error: the first one stops the rows, as if read one by one
+        try:
+            for i, fields in enumerate(zip(lengths, multiplicities, ms, map(texts.__getitem__, p_ids), rho_re, rho_im)):
+                _parse_row(fields, lines[i])
+        except SpectrumFormatError as exc:
+            stop = exc
+        for column in columns:
+            del column[i:]
+        kept: dict[str, int] = {}
+        p_ids[:] = [kept.setdefault(texts[k], len(kept)) for k in p_ids]
+        texts = list(kept)
+        parsed = _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts)
+    lengths, multiplicities, rho, stacks, stack_of, row_of = parsed
+    p_ids = np.array(p_ids, dtype=int)
+    # one value id per P text, shared by texts of equal floats (-0.0 == 0.0, as the merge requires):
+    # np.unique over the bytes of each stack's sign-normalised rows
+    value_of_text, offset = np.empty(len(texts), dtype=int), 0
+    for s, stack in enumerate(stacks):
+        keys = (stack.reshape(len(stack), -1) + 0.0).view(np.dtype((np.void, stack[0].nbytes)))
+        _, ids = np.unique(keys.ravel(), return_inverse=True)
+        value_of_text[stack_of == s] = offset + ids.ravel()
+        offset += len(stack)
+    value_of = value_of_text[p_ids]
     # rows by record (P value, then rho: == also holds -0.0 == 0.0, and never for NaN), then by
     # length, then in file order
     order = np.lexsort((lengths, rho.imag, rho.real, value_of))
@@ -340,9 +407,15 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     record_starts[1:] = (value[1:] != value[:-1]) | (re[1:] != re[:-1]) | (im[1:] != im[:-1])
     record_of = np.empty(order.size, dtype=int)
     record_of[order] = np.cumsum(record_starts) - 1
-    # each record is checked with the P entries and rho of its first row in the file
-    firsts = np.minimum.reduceat(order, np.flatnonzero(record_starts)).tolist() if order.size else []
-    record_errors = _record_errors([(entries[texts[i]], rhos[i]) for i in firsts])
+    # each record is checked with the P and rho of its first row in the file: one eigvals call per
+    # map size, one svd call
+    firsts = np.minimum.reduceat(order, np.flatnonzero(record_starts)) if order.size else order
+    first_text = p_ids[firsts]
+    record_errors = _rho_errors(rho[firsts].reshape(-1, 1, 1))
+    for s, stack in enumerate(stacks):
+        checked = np.flatnonzero(stack_of[first_text] == s)
+        for i, error in zip(checked.tolist(), _map_errors(stack[row_of[first_text[checked]]])):
+            record_errors[i] = error or record_errors[i]
     bad = np.array([e is not None for e in record_errors], dtype=bool)[record_of]
     bad |= ~(np.isfinite(lengths) & (lengths > 0.0))
     if min(multiplicities, default=1) < 1:
@@ -354,7 +427,7 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
         raise stop
     if header is None:
         raise SpectrumFormatError("missing header row")
-    if not rows:
+    if not order.size:
         return []
     # rows of one record merge when their lengths lie within 1e-12 of the class's first length
     starts = np.flatnonzero(_class_starts(lengths[order], record_starts))
@@ -362,15 +435,8 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     first = order[starts]  # each class's first row in (length, file) order
     by_length = np.lexsort((first, lengths[first]))
     first, multiplicity = first[by_length], multiplicity[by_length].tolist()
-    # each class's P is a read-only view of one stack per map size, its rho a view of one stack
-    text_of = texts[first]
-    side_of = np.array([math.isqrt(len(floats)) for floats in entries])[text_of]
-    maps = [None] * first.size
-    for side in np.unique(side_of).tolist():
-        members = np.flatnonzero(side_of == side).tolist()
-        stack = np.array([entries[k] for k in text_of[members].tolist()], dtype=float).reshape(-1, side, side)
-        stack.flags.writeable = False  # a checked map of a frozen orbit, and a view of a shared stack
-        for i, p in zip(members, stack):
-            maps[i] = p
+    # each class's P is a read-only row of its size's stack, its rho a view of one stack
+    text_of = p_ids[first]
+    maps = [stacks[s][r] for s, r in zip(stack_of[text_of].tolist(), row_of[text_of].tolist())]
     return [PrimeOrbit._from_checked(length, p, r, mult)
             for length, p, r, mult in zip(lengths[first].tolist(), maps, rho[first].reshape(-1, 1, 1), multiplicity)]

@@ -349,6 +349,33 @@ def test_expectation_two_block_graded_vs_superdeterminant():
     assert res.routes["det"][0] == pytest.approx(complex(oracle), rel=1e-10)
 
 
+@pytest.mark.parametrize("lambda0", [0.7, 0.5 + 0.3j, -0.2])
+def test_expectation_at_a_base_point_vs_superdeterminant(lambda0):
+    rng = np.random.default_rng(14)
+    model = random_graded(rng, degrees=(0, 1), lo=1.0, hi=2.0)
+    hbars = [0.2, 0.1 - 0.15j]
+    res = expectation_grid(model, hbars, 12, lambda0)
+    (_, n0), _ = model.graded_split
+    l0 = model.complex.L0
+    blocks = {0: l0[:n0, :n0], 1: l0[n0:, n0:]}
+    space = GradedVectorSpace(dict(model.graded_split))
+    den = GradedOperator(space, {k: b + lambda0 * np.eye(b.shape[0]) for k, b in blocks.items()})
+    radius = min(abs(mu + lambda0) for _, spectrum in model.spectra for mu in spectrum)
+    for hbar, det, series in zip(hbars, res.routes["det"], res.series):
+        num = GradedOperator(space, {k: b + (lambda0 + hbar) * np.eye(b.shape[0]) for k, b in blocks.items()})
+        oracle = complex(superdeterminant(num) / superdeterminant(den))
+        assert det == pytest.approx(oracle, rel=1e-10)
+        assert abs(series - oracle) <= 10 * abs(oracle) * (abs(hbar) / radius) ** 13
+    assert model.min_spectrum_abs(lambda0) == pytest.approx(radius, rel=1e-14)
+    assert res.diverges == [False, False]
+
+
+def test_expectation_at_a_base_point_on_the_spectrum_raises():
+    model = MatrixBFModel(ToyBFComplex(np.diag([2.0, 3.0])))
+    with pytest.raises(IRDivergenceError, match="degree-0 block \\+ lambda has a zero eigenvalue"):
+        expectation_grid(model, [0.1], 8, -3.0)
+
+
 def test_expectation_radius_violation():
     model = MatrixBFModel(ToyBFComplex(np.diag([2.0, 3.0])))
     hbars = [2.5, complex(1.5e308, 1.5e308)]  # |hbar| past the radius 2, then past the float range

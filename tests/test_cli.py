@@ -584,6 +584,40 @@ def test_invalid_catmap_exits_2_with_one_line(tmp_path, capsys, command, catmap,
     assert (code, out, err) == (2, "", f"model invalid: {message}\n")
 
 
+def test_matrix_bridge_evaluates_at_lambda0(tmp_path, capsys):
+    # det(L + lambda0 + hbar) / det(L + lambda0) on L = diag(2, 3), radius min |mu + lambda0|; a
+    # matrix config without the key reads lambda0 = 0
+    base = {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 8}, "grid": [[0.1, 0.0]]}
+    outs = {}
+    for lambda0 in (None, 0.0, 1.5, -2.0):
+        payload = base if lambda0 is None else dict(base, lambda0=lambda0)
+        cfg = write_config(tmp_path, payload)
+        outs[lambda0] = _run_quietly(capsys, ["bridge", "--config", cfg, "--format", "json"])
+    assert outs[None] == outs[0.0]
+    code, out, err = outs[1.5]
+    assert (code, err) == (0, "")
+    (row,) = json.loads(out)["rows"]
+    assert complex(row["closed_form_re"], row["closed_form_im"]) == pytest.approx(3.6 * 4.6 / (3.5 * 4.5), rel=1e-14)
+    assert row["flag"] == "" and row["defect"] <= (0.1 / 3.5) ** 9
+    # a lambda0 on the spectrum of -L
+    assert outs[-2.0] == (3, "", "non-convergent: IRDivergenceError: IR divergence: degree-0 block + lambda has a "
+                                 "zero eigenvalue\n")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("orbits", {"model": {"catmap": {"A": [2, 1, 1, 1]}}, "truncation": {"n_max": 10**15}}),
+    ("diagrams", {"model": {"catmap": {"A": [2, 1, 1, 1]}}, "truncation": {"n_max": 10**15}}),
+    ("bridge", dict(CAT_CONFIG, truncation={"n_max": 3, "L_max": 3.0, "K": 10**15}, grid=[0.1])),
+    ("bridge", {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 10**15}, "grid": [0.1]}),
+    ("diagrams", {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 10**15}}),
+], ids=["orbits-n_max", "diagrams-n_max", "bridge-catmap-K", "bridge-matrix-K", "diagrams-matrix-K"])
+def test_a_truncation_too_large_to_allocate_exits_1_with_one_line(tmp_path, capsys, command, payload):
+    # the census sieve of n_max + 1 counts and the K + 1 series coefficients are Python lists: asking
+    # for 10**15 of them fails at once, before any memory is touched
+    code, out, err = _run_quietly(capsys, [command, "--config", write_config(tmp_path, payload)])
+    assert (code, out, err) == (1, "", "out of memory: MemoryError\n")
+
+
 def test_acyclic_matrix_bridge_needs_no_damping(tmp_path):
     # spectrum +-0.7i: not damped, but mu != 0, so the loop series exists with Taylor radius 0.7
     payload = {"model": {"matrix": {"d": [[0.0, -0.7], [0.7, 0.0]]}}, "truncation": {"K": 8},

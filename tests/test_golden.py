@@ -1,6 +1,7 @@
 """Every command's output on the cat-map, spectrum-CSV and matrix configs of the CI, in both formats,
 against the files in tests/data/golden byte for byte; a command that refuses a config gives its
-recorded exit code and stderr (exits.json)."""
+recorded exit code and stderr (exits.json). spectrum-quoted.csv is spectrum.csv with CRLF line ends,
+every field quoted and a comment line: csv.reader reads it, where spectrum.csv is split line by line."""
 
 import contextlib
 import io
@@ -17,7 +18,7 @@ EXITS = json.loads((GOLDEN / "exits.json").read_text(encoding="utf-8"))
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["orbits", "zeta", "bridge", "partition", "diagrams"])
-@pytest.mark.parametrize("config", ["catmap", "spectrum", "matrix"])
+@pytest.mark.parametrize("config", ["catmap", "spectrum", "spectrum-quoted", "matrix"])
 def test_cli_reproduces_the_golden_bytes(monkeypatch, config, command, fmt):
     monkeypatch.chdir(GOLDEN)  # the spectrum config names its CSV by a relative path
     out, err = io.StringIO(), io.StringIO()
