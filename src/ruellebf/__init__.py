@@ -9,7 +9,6 @@ from .bf_engine import (
     gamma_tr,
     partition_grid,
     regularized_propagator,
-    simplex_volume_check,
     zeta_expectation_bridge_grid,
 )
 from .flat_zeta import (

@@ -185,13 +185,6 @@ def gamma_tr(model: MatrixBFModel, lam: complex, K: int) -> HbarSeries:
     )
 
 
-def simplex_volume_check(N: int, t: float) -> float:
-    """Volume of the ordered (N-1)-simplex of flow times: t**(N-1) / (N-1)!."""
-    if N < 1 or t <= 0:
-        raise ValueError("need N >= 1 and t > 0")
-    return t ** (N - 1) / math.factorial(N - 1)
-
-
 @dataclass(frozen=True)
 class BridgeGrid:
     """A bridge over an hbar grid, every column in grid order. routes maps "det" (every model) and

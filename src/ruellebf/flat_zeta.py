@@ -12,8 +12,10 @@ characteristic polynomial of P^j: in exact integers for integer-valued
 return maps, formed once per distinct power and shared by the atoms that
 equal it (a cat-map census repeats A^N once per divisor of N), from the
 eigenvalues for the maps of the float route (_float_route, which the orbits
-table reads too), whose atoms atom_table builds in stacked arrays
-independent of the BLAS build. A lambda grid is
+table reads too), in stacked arrays independent of the BLAS build. Either
+route only produces traces: one stacked pass over the whole table then
+checks transversality, divides the weights and raises at the first atom
+that fails. A lambda grid is
 evaluated once per distinct column, in blocks of a fixed element budget, so
 temporaries stay small, and summed in the fixed atom order (ascending time,
 then input order, then repetition), time groups by np.bincount, so values are
@@ -47,15 +49,15 @@ class NonTransverseOrbitError(ArithmeticError):
     """det(I - P^j) fell below the transversality threshold."""
 
 
-def _integer_entries(P: np.ndarray) -> list[list[int]] | None:
-    """P as rows of Python ints when every entry is an exact integer (floats
-    below EXACT_INT_LIMIT in magnitude, Python ints at any size), else None."""
+def _integer_entries(P: np.ndarray) -> tuple[tuple[int, ...], ...] | None:
+    """P as a tuple of rows of Python ints, the key of the exact route, when every entry is an exact
+    integer (floats below EXACT_INT_LIMIT in magnitude, Python ints at any size), else None."""
     rows = P.tolist()
     exact = P.dtype.kind in "iufO" and all(
         isinstance(x, int) or (isinstance(x, float) and x.is_integer() and abs(x) < EXACT_INT_LIMIT)
         for row in rows for x in row
     )
-    return [[int(x) for x in row] for row in rows] if exact else None
+    return tuple(tuple(int(x) for x in row) for row in rows) if exact else None
 
 
 def _int_product(a: tuple, b: tuple) -> tuple:
@@ -155,23 +157,17 @@ def _transversality_scale(p_power) -> float:
         return _float_or_inf(base ** len(rows) if isinstance(base, int) else np.float64(base) ** len(rows))
 
 
-def _transversality_denominator(e: list, scale: float) -> float:
-    """det(I - P^j) = sum_k (-1)^k e_k from the traces e = _char_poly(P^j), exact
-    for integer-valued P^j; raises when it is not finite or is below 1e-12 times the
-    _transversality_scale of P^j, so always when that scale is inf. An exact det past
-    the float range counts as inf, as a float one does."""
-    det = sum((-1) ** k * x for k, x in enumerate(e))
-    size = _float_or_inf(abs(det))
-    if not NON_TRANSVERSE_RTOL * scale <= size < math.inf:
-        raise NonTransverseOrbitError(f"non-transverse orbit: |det(I - P^j)| = {size:.3e}")
-    return float(det.real)
-
-
-def _atom_columns(e: list, scale: float) -> tuple[float, list]:
-    """(det(I - P^j), weights e_k / |det(I - P^j)|) of an atom from its traces e; raises what its check
-    raises, or OverflowError for an exact trace past the float range."""
-    det = _transversality_denominator(e, scale)
-    return det, [complex(x) / abs(det) for x in e]
+def _exact_traces(powers: list, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e, det(I - P^j)) as float columns of integer P^j given as tuples of rows of Python ints: one
+    exact _char_poly and one exact det(I - P^j) = sum_k (-1)^k e_k per distinct P^j, each value
+    rounded once by _float_or_inf."""
+    rows = {}
+    for p_power in powers:
+        if p_power not in rows:
+            e = _char_poly(p_power)
+            rows[p_power] = [*map(_float_or_inf, e), _float_or_inf(sum((-1) ** k * x for k, x in enumerate(e)))]
+    traces = np.array([rows[p_power] for p_power in powers], dtype=float).reshape(len(powers), d + 2)
+    return traces[:, :-1], traces[:, -1]
 
 
 def _geometric_tails(times: np.ndarray, mags: np.ndarray) -> np.ndarray:
@@ -373,23 +369,17 @@ def _euler_coefficients(orbits, pos: np.ndarray, j: np.ndarray) -> tuple[np.ndar
     return euler, np.isinf(mult)
 
 
-def _float_atom_columns(maps: np.ndarray, scale: np.ndarray) -> tuple:
-    """(e, det(I - P^j), whether the check fails, real weights) of the float atoms whose P^j, an (n, d, d)
-    stack, is not integer-valued, with scale their _transversality_scale column. One _float_char_polys
-    call (e is nan on a non-finite P^j), det(I - P^j) = sum_k (-1)^k e_k added column by column as
-    Python's sum adds it, and the weights as Python's complex division forms them."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # atoms that fail their check
+def _float_traces(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, det(I - P^j)) of an (n, d, d) stack of float P^j: one _float_char_polys call (e is nan on a
+    non-finite P^j), det(I - P^j) = sum_k (-1)^k e_k added column by column as Python's sum adds it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # atoms that fail their check
         finite = np.isfinite(maps).all(axis=(1, 2))
         e = np.full((len(maps), maps.shape[1] + 1), math.nan)
         e[finite] = _float_char_polys(maps[finite])
         det = np.zeros(len(maps))
         for k in range(e.shape[1]):
             det = det - e[:, k] if k % 2 else det + e[:, k]
-        size = np.abs(det)
-        bad = ~((NON_TRANSVERSE_RTOL * scale <= size) & (size < math.inf))
-        # complex(x) / size: real part (x + 0.0 * (0.0 / size)) / size, so -0.0 reads 0.0; the
-        # imaginary part (0.0 - x * (0.0 / size)) / size is 0.0 for every finite x
-        return e, det, bad, (e + 0.0) / size[:, None]
+    return e, det
 
 
 def atom_table(orbits, m: int, L_max: float) -> AtomTable:
@@ -398,15 +388,13 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
 
     Each orbit's powers stop at the first P^j whose _transversality_scale is inf; that atom, like any
     non-finite P^j, fails its check. The maps that _float_route leaves out are raised to powers on rows
-    of Python ints; their atoms, and any integer-valued P^j of the float route, take the exact route,
-    keyed by the entries of P^j: one _transversality_scale and one exact _char_poly per distinct P^j,
-    one _atom_columns (the det(I - P^j) check and the weight division) per distinct (P^j, scale), whose
-    result, or its failure, every atom with that key reads (a float P^j keeps the scale of its float
-    route). The other float maps are raised by _float_powers, and every column of their atoms comes from
-    the stacked arrays of _float_atom_columns, which a table without such atoms skips.
-    _euler_coefficients serves both routes. The table keeps no error: where any atom fails, the first
-    in table order runs its scalar steps again (_atom_columns on its exact or float traces, then its
-    multiplicity's conversion to complex) and raises what they raise.
+    of Python ints, one _transversality_scale per distinct P^j; their atoms, and any integer-valued P^j
+    of the float route (which keeps the scale of its float route), take their traces from
+    _exact_traces. The other float maps are raised by _float_powers and take their traces from the
+    stacked _float_traces, which a table without such atoms skips. _euler_coefficients serves both
+    routes. One pass over every atom in table order then checks |det(I - P^j)| against 1e-12 times
+    the scale and divides the weights; the first atom that fails, or whose exact trace or multiplicity
+    is past the float range, raises NonTransverseOrbitError or OverflowError.
     """
     d = 2 * m
     for orbit in orbits:
@@ -419,7 +407,7 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     exact = []  # (t, input position, j, P^j, scale) of the maps raised in Python ints
     scales = {}  # exact P^j -> its _transversality_scale
     for pos in np.setdiff1d(np.arange(len(orbits)), float_pos).tolist():
-        length, base = orbits[pos].length, tuple(map(tuple, _integer_entries(orbits[pos].poincare)))
+        length, base = orbits[pos].length, _integer_entries(orbits[pos].poincare)
         j, p_power, scale = 1, base, 0.0
         while j * length <= reach and scale < math.inf:
             if j > 1:
@@ -437,41 +425,30 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     # table order: ascending (t, input position, j)
     order = np.lexsort((j, pos, t))
     t, pos, j, scale = t[order], pos[order], j[order], scale[order]
-    on_float = np.flatnonzero(order >= len(exact))
+    on_exact, on_float = np.flatnonzero(order < len(exact)), np.flatnonzero(order >= len(exact))
     maps = f_maps[order[on_float] - len(exact)]
     stays_exact = _integer_valued(maps)
-    # the exact route: each atom's P^j as rows of Python ints
-    by_exact_route = {a: exact[order[a]][3] for a in np.flatnonzero(order < len(exact)).tolist()}
-    by_exact_route.update((a, tuple(map(tuple, _integer_entries(p))))
-                          for a, p in zip(on_float[stays_exact].tolist(), maps[stays_exact]))
-    rows, maps = on_float[~stays_exact], maps[~stays_exact]
-    weights, det, bad = np.zeros((t.size, d + 1), dtype=complex), np.zeros(t.size), np.zeros(t.size, dtype=bool)
+    weights, det = np.zeros((t.size, d + 1), dtype=complex), np.zeros(t.size)
+    # every integer-valued P^j as rows of Python ints; e goes straight into the weights, divided below
+    rows = np.concatenate([on_exact, on_float[stays_exact]])
+    powers = [exact[a][3] for a in order[on_exact].tolist()] + list(map(_integer_entries, maps[stays_exact]))
+    weights.real[rows], det[rows] = _exact_traces(powers, d)
+    rows = on_float[~stays_exact]
     if rows.size:  # a table of integer-valued return maps, as every cat-map table is, has no float atoms
-        e, det[rows], bad[rows], weights.real[rows] = _float_atom_columns(maps, scale[rows])
-    # one characteristic polynomial per distinct exact P^j, one _atom_columns per distinct (P^j, scale),
-    # None where its check fails: a float P^j keeps the scale of its float route
-    polys, checked = {}, {}
-    scale_of = scale.tolist()
-    for a, p_power in by_exact_route.items():
-        key = p_power, scale_of[a]
-        if key not in checked:
-            if p_power not in polys:
-                polys[p_power] = _char_poly(p_power)
-            try:
-                checked[key] = _atom_columns(polys[p_power], key[1])
-            except ArithmeticError:  # non-transverse, or an exact trace past the float range
-                checked[key] = None
-        if checked[key] is None:
-            bad[a] = True
-        else:
-            det[a], weights[a] = checked[key]
+        weights.real[rows], det[rows] = _float_traces(maps[~stays_exact])
     euler, overflow = _euler_coefficients(orbits, pos, j)
-    bad |= overflow
-    if bad.any():  # the first failing atom's steps again, to raise what they raise
-        a = int(np.argmax(bad))
-        _atom_columns(polys[by_exact_route[a]] if a in by_exact_route else e[np.searchsorted(rows, a)].tolist(),
-                      scale_of[a])
-        complex(-orbits[pos[a]].multiplicity)  # a multiplicity past the float range
+    e, size = weights.real, np.abs(det)
+    bad = ~((NON_TRANSVERSE_RTOL * scale <= size) & (size < math.inf))
+    fails = bad | overflow | np.isinf(e).any(axis=1)
+    if fails.any():
+        a = int(np.argmax(fails))
+        if bad[a]:
+            raise NonTransverseOrbitError(f"non-transverse orbit: |det(I - P^j)| = {size[a]:.3e}")
+        raise OverflowError("int too large to convert to float")
+    # complex(e_k) / size: real part (e_k + 0.0 * (0.0 / size)) / size, so -0.0 reads 0.0; the imaginary
+    # part (0.0 - e_k * (0.0 / size)) / size is 0.0 for every finite e_k
+    e += 0.0
+    e /= size[:, None]
     group_times, group = np.unique(t, return_inverse=True)
     return AtomTable(m, t, euler, weights, (-1.0) ** m * np.copysign(1.0, det), group, group_times,
                      min(lengths.tolist(), default=math.inf))

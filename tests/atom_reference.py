@@ -3,7 +3,9 @@ the references the stacked columns are compared with bit for bit.
 
 Each atom is formed on its own: P^j by one product per repetition, its transversality scale and
 determinant in Python floats (or exact ints), its Euler coefficient from np.linalg.matrix_power of
-rho, its weights by Python complex division; log zeta adds the atoms' terms one at a time.
+rho, its weights by Python complex division; log zeta adds the atoms' terms one at a time. The
+scalar transversality check, _transversality_denominator, lives here: atom_table checks every atom
+in one stacked pass, and this check, atom by atom, is what that pass is compared with.
 """
 
 from __future__ import annotations
@@ -13,14 +15,28 @@ import math
 import numpy as np
 
 from ruellebf.flat_zeta import (
+    NON_TRANSVERSE_RTOL,
     AtomTable,
+    NonTransverseOrbitError,
     _char_poly,
     _float_char_polys,
+    _float_or_inf,
     _geometric_tails,
     _integer_entries,
-    _transversality_denominator,
     _transversality_scale,
 )
+
+
+def _transversality_denominator(e: list, scale: float) -> float:
+    """det(I - P^j) = sum_k (-1)^k e_k from the traces e = _char_poly(P^j), exact
+    for integer-valued P^j; raises when it is not finite or is below 1e-12 times the
+    _transversality_scale of P^j, so always when that scale is inf. An exact det past
+    the float range counts as inf, as a float one does."""
+    det = sum((-1) ** k * x for k, x in enumerate(e))
+    size = _float_or_inf(abs(det))
+    if not NON_TRANSVERSE_RTOL * scale <= size < math.inf:
+        raise NonTransverseOrbitError(f"non-transverse orbit: |det(I - P^j)| = {size:.3e}")
+    return float(det.real)
 
 
 def reference_atom_table(orbits, m: int, L_max: float) -> AtomTable:

@@ -6,8 +6,9 @@ partition value (the graded algebra that the block spectra of a MatrixBFModel re
 full two-term space of a toy complex, its projection lemma and the quadratic perturbing
 functional; the regularized determinant of a matrix generator and trace cyclicity; and, for
 hyperbolic toral models, the exact power A^n, the fixed-point count |det(A^n - I)| and the
-prime-orbit census per period; and the per-point term-decay heuristic of the bridge, which
-bf_engine._terms_grow evaluates for a whole grid.
+prime-orbit census per period; the volume of the ordered simplex of flow times by quadrature;
+and the per-point term-decay heuristic of the bridge, which bf_engine._terms_grow evaluates for a
+whole grid.
 """
 
 from __future__ import annotations
@@ -223,6 +224,18 @@ def fixed_point_count(model: HyperbolicToralModel, n: int) -> int:
 def prime_orbit_counts(model: HyperbolicToralModel, n_max: int) -> dict[int, int]:
     """Prime-orbit census per period via the divisor sieve on fixed-point counts."""
     return {n: count for n, _, count in _census(model, n_max)}
+
+
+# ------------------------------------------------------------- the ordered simplex
+
+def simplex_volume_quadrature(n: int, t: float, nodes: int = 2001) -> float:
+    """Volume of the ordered (n - 1)-simplex of flow times 0 <= t_1 <= ... <= t_(n-1) <= t, by an
+    iterated cumulative trapezoid rule; t**(n - 1) / (n - 1)! in closed form."""
+    grid = np.linspace(0.0, t, nodes)
+    vol = np.ones_like(grid)
+    for _ in range(n - 1):
+        vol = np.concatenate(([0.0], np.cumsum((vol[1:] + vol[:-1]) * 0.5 * np.diff(grid))))
+    return vol[-1]
 
 
 # ------------------------------------------------------- the bridge's radius heuristic

@@ -16,21 +16,21 @@ from scipy.linalg import block_diag
 
 from ruellebf.bf_engine import (
     MatrixBFModel,
+    _loop_series,
     expectation_grid,
     gamma_int,
     gamma_tr,
     loop_sign,
     regularized_propagator,
-    simplex_volume_check,
 )
 from ruellebf.feynman import EffectiveQuadraticInteraction, Interaction, rge_evolve
 from ruellebf.flat_zeta import _char_poly, atom_table
 from ruellebf.bf_engine import doubled_field_tensors
 from ruellebf.graded_core import ToyBFComplex
-from ruellebf.orbits import HyperbolicToralModel, enumerate_prime_orbits
+from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, enumerate_prime_orbits
 
 from graph_reference import automorphism_order, chain_graph, cycle_graph, embed_doubled, graph_weight
-from math_reference import fixed_point_count, flat_det_via_F, power, prime_orbit_counts
+from math_reference import fixed_point_count, flat_det_via_F, power, prime_orbit_counts, simplex_volume_quadrature
 
 
 @contextmanager
@@ -248,19 +248,16 @@ def test_criterion_8_flat_determinant_routes():
             assert abs(cmath.exp(values[0, k]) - want) <= 1e-9 * abs(want)
 
 
-def _simplex_volume_quadrature(n, t, nodes=3001):
-    grid = np.linspace(0.0, t, nodes)
-    vol = np.ones_like(grid)
-    for _ in range(n - 1):
-        vol = np.concatenate(([0.0], np.cumsum((vol[1:] + vol[:-1]) * 0.5 * np.diff(grid))))
-    return vol[-1]
-
-
 def test_criterion_9_simplex_factor():
     with criterion(9, "ordered-simplex volume t^(N-1)/(N-1)! vs quadrature, N <= 5"):
         rng = np.random.default_rng(109)
         for n in range(1, 6):
             for t in (1.0, float(rng.uniform(0.5, 2.5))):
-                exact = simplex_volume_check(n, t)
-                numeric = _simplex_volume_quadrature(n, t)
-                assert abs(numeric - exact) <= 1e-3 * max(exact, 1e-9)
+                # one atom at time t whose signed flat weight is t (det(I - P) = -1): at lambda0 = 0 the
+                # loop series' order-(N + 1) coefficient is (-1)^N / N * t * t^(N-1) / (N-1)!
+                table = atom_table([PrimeOrbit(t, np.array([[2, 1], [1, 1]]), np.eye(1))], 1, t)
+                series = _loop_series(table, 0.0, n + 1)
+                factor = (-1) ** n * n * series.coefficient(n + 1) / t
+                numeric = simplex_volume_quadrature(n, t, 3001)
+                assert table.t.tolist() == [t]
+                assert abs(numeric - factor) <= 1e-3 * max(abs(factor), 1e-9)

@@ -18,13 +18,12 @@ from ruellebf.bf_engine import (
     loop_sign,
     partition_grid,
     regularized_propagator,
-    simplex_volume_check,
     zeta_expectation_bridge_grid,
 )
 from ruellebf.feynman import Interaction, gamma_sum
 from ruellebf.flat_zeta import atom_table
 from ruellebf.graded_core import ToyBFComplex
-from ruellebf.orbits import HyperbolicToralModel, enumerate_prime_orbits
+from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, enumerate_prime_orbits
 
 from graph_reference import automorphism_order, chain_graph, cycle_graph, embed_doubled, graph_weight, toy_bf_partition
 from math_reference import (
@@ -33,6 +32,7 @@ from math_reference import (
     full_space_operators,
     perturbing_functional,
     projection_lemma_check,
+    simplex_volume_quadrature,
     superdeterminant,
 )
 
@@ -268,31 +268,14 @@ def test_gamma_tr_spectrum_violation():
 
 # --------------------------------------------------------------------- simplex
 
-def test_simplex_order_one():
-    assert simplex_volume_check(1, 5.0) == 1.0
-
-
-def test_simplex_n3_t2():
-    assert simplex_volume_check(3, 2.0) == pytest.approx(2.0)
-
-
-def _simplex_volume_quadrature(n, t, nodes=2001):
-    """Iterated cumulative trapezoid for the ordered simplex volume."""
-    grid = np.linspace(0.0, t, nodes)
-    vol = np.ones_like(grid)
-    for _ in range(n - 1):
-        integrated = np.concatenate(
-            ([0.0], np.cumsum((vol[1:] + vol[:-1]) * 0.5 * np.diff(grid)))
-        )
-        vol = integrated
-    return vol[-1]
-
-
 @pytest.mark.parametrize("n,t", [(2, 1.0), (3, 2.0), (4, 1.0), (5, 1.5)])
 def test_simplex_vs_numerical_integration(n, t):
-    exact = simplex_volume_check(n, t)
-    numeric = _simplex_volume_quadrature(n, t)
-    assert abs(numeric - exact) <= 1e-3 * max(exact, 1e-12)
+    # one atom at time t whose signed flat weight is t (det(I - P) = -1): at lambda0 = 0 the loop
+    # series' order-(N + 1) coefficient is (-1)^N / N * t * t^(N-1) / (N-1)!
+    series = _loop_series(atom_table([PrimeOrbit(t, np.array([[2, 1], [1, 1]]), np.eye(1))], 1, t), 0.0, n + 1)
+    factor = (-1) ** n * n * series.coefficient(n + 1) / t
+    numeric = simplex_volume_quadrature(n, t)
+    assert abs(numeric - factor) <= 1e-3 * max(abs(factor), 1e-12)
 
 
 # ------------------------------------------------------------ projection lemma

@@ -986,6 +986,16 @@ def test_overflowing_orbit_loop_series_is_quiet(tmp_path, capsys):
     assert out.count(",radius_violation,nan,nan,") == 2
 
 
+@pytest.mark.parametrize("command", ["zeta", "bridge"])
+def test_multiplicity_past_the_float_range_exits_3(tmp_path, capsys, command):
+    # the Euler coefficient -mult tr(rho^j) / j of a multiplicity of 10**400 is past the float range
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text(f"length,multiplicity,m,P_entries,rho_re,rho_im\n1.0,{10**400},1,2;0;0;0.5,1.0,0.0\n")
+    payload = {"model": {"spectrum_file": str(spectrum)}, "truncation": {"L_max": 3.0}, "grid": [[3.0, 0.0]]}
+    code, out, err = _run_quietly(capsys, [command, "--config", write_config(tmp_path, payload)])
+    assert (code, out, err) == (3, "", "non-convergent: OverflowError: int too large to convert to float\n")
+
+
 def test_orbit_bridge_past_the_float_factorial_is_finite(tmp_path, capsys):
     # the loop coefficient of order N + 1 divides by (N - 1)!, past the float range from N = 172
     payload = dict(CAT_CONFIG, truncation={"n_max": 20, "L_max": 20.0, "K": 180},

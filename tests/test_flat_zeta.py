@@ -109,7 +109,8 @@ def test_flat_trace_atoms_sorted_with_t_min():
 def test_non_transverse_guard():
     # orbit ingestion already rejects unit-circle eigenvalues, so the sum-level
     # threshold is defense in depth; exercise it on the guard directly
-    from ruellebf.flat_zeta import _transversality_denominator, _transversality_scale
+    from atom_reference import _transversality_denominator
+    from ruellebf.flat_zeta import _transversality_scale
 
     with pytest.raises(NonTransverseOrbitError):
         p = np.diag([1.0 + 1e-14, 0.5])
@@ -381,7 +382,8 @@ def test_exterior_trace_exact_on_large_integer_powers():
 
 
 def test_transversality_denominator_exact_for_integer_maps():
-    from ruellebf.flat_zeta import _transversality_denominator, _transversality_scale
+    from atom_reference import _transversality_denominator
+    from ruellebf.flat_zeta import _transversality_scale
 
     def denominator(p):
         return _transversality_denominator(_char_poly(p), _transversality_scale(p))

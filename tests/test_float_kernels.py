@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -240,6 +241,29 @@ def test_stacked_atom_table_fails_at_the_reference_atom(seed):
         assert_same_table(atom_table(orbits, 3, 3.0), reference)
 
 
+def test_first_failing_atom_wins_across_routes():
+    from atom_reference import reference_atom_table
+    from ruellebf.flat_zeta import NonTransverseOrbitError, atom_table
+
+    # |det(I - P)| against a threshold of 1e-12 * (1e8)^2 = 1e4, on each route: exact integers, an
+    # integer-valued float map (exact traces on the float route) and a float map
+    failing = [np.array([[2, 10**8], [0, 3]]), np.array([[2.0, 1e8], [0.0, 3.0]]), np.array([[2.5, 1e8], [0.0, 0.5]])]
+    sizes = ["2.000e+00", "2.000e+00", "7.500e-01"]
+    benign = random_spectrum(np.random.default_rng(7), 1, 6)
+    cases = [([1.5], [i]) for i in range(3)]
+    # all three at once: the shortest fails first, or at one length the first in input order
+    cases += [([1.5, 1.6, 1.7], [i, (i + 1) % 3, (i + 2) % 3]) for i in range(3)]
+    cases += [([1.5] * 3, [i, (i + 1) % 3, (i + 2) % 3]) for i in range(3)]
+    for lengths, which in cases:
+        flat = [PrimeOrbit(length, failing[i], np.eye(1)) for length, i in zip(lengths, which)]
+        orbits = benign[:3] + flat + benign[3:]
+        with pytest.raises(NonTransverseOrbitError) as want:
+            reference_atom_table(orbits, 1, 2.5)
+        with pytest.raises(NonTransverseOrbitError) as got:
+            atom_table(orbits, 1, 2.5)
+        assert str(got.value) == str(want.value) == f"non-transverse orbit: |det(I - P^j)| = {sizes[which[0]]}"
+
+
 def test_non_finite_power_raises_the_reference_message():
     from atom_reference import reference_atom_table
     from ruellebf.flat_zeta import NonTransverseOrbitError, atom_table
@@ -263,8 +287,14 @@ def test_multiplicity_past_the_float_range_raises_what_the_reference_raises():
     # non-transverse at t = 0.6, before the huge multiplicity's first atom: |det(I - P)| = 0.5
     # against a threshold of 1e-12 * (1e8)^2
     flat = PrimeOrbit(length=0.6, poincare=np.array([[2.0, 1e8], [0.0, 0.5]]), rho=np.eye(1))
+    # an exact trace past the float range: P = [[a, b], [-b, a]] has det P = a^2 + b^2 just past it
+    # (2**1024 - 2**970 is the least int that float() refuses), while det(I - P) = 1 - 2a + det P is
+    # just inside it and passes its check
+    a = 10**154
+    b = math.isqrt(2**1024 - 2**970 - a * a) + 1
+    exact = PrimeOrbit(length=1.0, poincare=np.array([[a, b], [-b, a]], dtype=object), rho=np.eye(1))
     benign = random_spectrum(np.random.default_rng(7), 1, 6)
-    for orbits in ([huge], benign + [huge], [huge, flat]):
+    for orbits in ([huge], benign + [huge], [exact], benign + [exact], [huge, flat]):
         raised = []
         for build in (reference_atom_table, atom_table):
             with pytest.raises(ArithmeticError) as exc:
