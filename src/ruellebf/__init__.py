@@ -11,10 +11,6 @@ from .bf_engine import (
     regularized_propagator,
     zeta_expectation_bridge_grid,
 )
-from .flat_zeta import (
-    AtomicDistribution,
-    flat_trace_evolution,
-)
 from .graded_core import (
     SingularBlockError,
     ToyBFComplex,

@@ -22,10 +22,8 @@ Sign table (single source of truth for the graded exponents):
     against the form degree;
   * determinant ratios assemble with exponents (-1)**k over form degrees;
   * the full zeta function carries the outer exponent (-1)**m.
-The doubled (A, B) field content is realized by the doubled vertex tensor
-and propagator of doubled_field_tensors, whose loop contraction doubles; no
-explicit factor of two appears anywhere in this module. A propagator is its
-complex matrix.
+No explicit factor of two for the doubled (A, B) field content appears
+anywhere in this module. A propagator is its complex matrix.
 """
 
 from __future__ import annotations
@@ -119,12 +117,6 @@ def regularized_propagator(
     return matrix
 
 
-def chain_contraction_matrix(model: MatrixBFModel, propagator: np.ndarray) -> np.ndarray:
-    """One chain link: the windowed heat integral times L^{-1} iota d on V0."""
-    cx = model.complex
-    return propagator @ (cx.L1_inv @ cx.d)
-
-
 def gamma_int(
     model: MatrixBFModel,
     propagator: np.ndarray,
@@ -133,14 +125,16 @@ def gamma_int(
     K: int,
 ) -> HbarSeries:
     """Chain-diagram series; the order-N coefficient is
-    (-1)**(N-1) i <W* B, M^(N-1) A> with M the chain link matrix."""
+    (-1)**(N-1) i <W* B, M^(N-1) A> with W = L1^{-1} d and M = propagator W, the chain link:
+    the windowed heat integral times L^{-1} iota d on V0."""
     if K < 1:
         raise ValueError("K must be >= 1")
     cx = model.complex
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
-    w_adj_b = (cx.L1_inv @ cx.d).T @ B
-    link = chain_contraction_matrix(model, propagator)
+    w = cx.L1_inv @ cx.d
+    w_adj_b = w.T @ B
+    link = propagator @ w
     coeffs = [0j] * (K + 1)
     vec = A
     # high powers of a link of norm above 1 overflow: those coefficients read inf or nan
@@ -334,26 +328,6 @@ def partition_grid(model: MatrixBFModel, hbars) -> np.ndarray:
         raise ArithmeticError(f"gauge-fixed and direct determinants disagree at hbar = {complex(hbars[i])!r}: "
                               f"{gauge[i].item()!r} vs {direct[i].item()!r}")
     return direct
-
-
-def doubled_field_tensors(model: MatrixBFModel, propagator: np.ndarray):
-    """Vertex tensor and edge matrix on the doubled field space V0 (A) + V1 (B).
-
-    Fed to feynman.gamma_sum, or to the graph weights of the tests, these
-    reproduce the chain and loop coefficients including the doubling that
-    cancels the 1/2 of the loop symmetry factor; tests pin this equivalence
-    order by order.
-    """
-    cx = model.complex
-    n = cx.n
-    w = cx.L1_inv @ cx.d
-    vertex = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    vertex[:n, n:] = w.T
-    vertex[n:, :n] = w
-    edge = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    edge[:n, n:] = propagator
-    edge[n:, :n] = propagator.T
-    return vertex, edge
 
 
 def _loop_series(table: flat_zeta.AtomTable, lambda0: complex, K: int) -> HbarSeries:

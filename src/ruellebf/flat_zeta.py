@@ -1,21 +1,21 @@
-"""Orbit sums: the atom table, its log zeta columns and flat traces as atomic distributions.
+"""Orbit sums: the atom table and its log zeta columns.
 
 Evolution semigroups of the orbit models have flat traces supported on the
-closed-orbit lengths; truncating those atom sums gives the per-degree log
-zeta factors, the Euler product, and the alternating assembly. All of them
-are columns of AtomTable.log_zeta: a caller builds one AtomTable per
-(orbits, m, L_max), every atom transversality-checked, and reads its columns
-over a whole lambda grid. atom_table owns the return-map arithmetic: it takes
-plain PrimeOrbits and computes and checks every atom itself. An atom's
-exterior traces tr(wedge^k P^j) and det(I - P^j) come from one
-characteristic polynomial of P^j: in exact integers for integer-valued
-return maps, formed once per distinct power and shared by the atoms that
-equal it (a cat-map census repeats A^N once per divisor of N), from the
-eigenvalues for the maps of the float route (_float_route, which the orbits
-table reads too), in stacked arrays independent of the BLAS build. Either
-route only produces traces: one stacked pass over the whole table then
-checks transversality, divides the weights and raises at the first atom
-that fails. A lambda grid is
+closed-orbit lengths, read atom by atom from AtomTable.flat_weights;
+truncating those atom sums gives the per-degree log zeta factors, the Euler
+product, and the alternating assembly. All of them are columns of
+AtomTable.log_zeta: a caller builds one AtomTable per (orbits, m, L_max),
+every atom transversality-checked, and reads its columns over a whole lambda
+grid. atom_table owns the return-map arithmetic: it takes plain PrimeOrbits
+and computes and checks every atom itself. An atom's exterior traces
+tr(wedge^k P^j) and det(I - P^j) come from one characteristic polynomial of
+P^j: in exact integers for integer-valued return maps (_exact_traces), formed
+once per distinct power and shared by the atoms that equal it (a cat-map
+census repeats A^N once per divisor of N), from the eigenvalues for the maps
+of the float route (_float_route), in stacked arrays independent of the BLAS
+build; the orbits table reads both routes too. Either route only produces
+traces: one stacked pass over the whole table then checks transversality,
+divides the weights and raises at the first atom that fails. A lambda grid is
 evaluated once per distinct column, in blocks of a fixed element budget, so
 temporaries stay small, and summed in the fixed atom order (ascending time,
 then input order, then repetition), time groups by np.bincount, so values are
@@ -112,24 +112,6 @@ def _char_poly(P) -> list:
             m_next = [[x + shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(am)]
             am = _int_product(a, m_next)
     return e
-
-
-@dataclass(frozen=True)
-class AtomicDistribution:
-    """Finite sum of Dirac atoms on the positive half-line."""
-
-    atoms: tuple[tuple[float, complex], ...]
-    t_min: float
-
-    def __post_init__(self):
-        atoms = tuple((float(t), complex(w)) for t, w in self.atoms)
-        if any(t < self.t_min or t <= 0 for t, _ in atoms):
-            raise ValueError("atom times must be >= t_min > 0")
-        if any(not (math.isfinite(w.real) and math.isfinite(w.imag)) for _, w in atoms):
-            raise ValueError("atom weights must be finite")
-        if list(atoms) != sorted(atoms, key=lambda a: a[0]):
-            raise ValueError("atoms must be sorted by time")
-        object.__setattr__(self, "atoms", atoms)
 
 
 def _float_or_inf(x) -> float:
@@ -452,24 +434,6 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     group_times, group = np.unique(t, return_inverse=True)
     return AtomTable(m, t, euler, weights, (-1.0) ** m * np.copysign(1.0, det), group, group_times,
                      min(lengths.tolist(), default=math.inf))
-
-
-def flat_trace_evolution(orbits, k: int, t_max: float) -> AtomicDistribution:
-    """Atoms of the flat trace of the degree-k evolution semigroup up to t_max.
-
-    Each (orbit, repetition) pair contributes the atom at t = j * length with
-    weight length * tr(rho^j) * tr(wedge^k P^j) / |det(I - P^j)|.
-    """
-    if not orbits:
-        return AtomicDistribution((), math.inf)
-    if not 0 <= k <= 2 * orbits[0].m:
-        raise ValueError(f"k = {k} outside 0..{2 * orbits[0].m}")
-    table = atom_table(orbits, orbits[0].m, t_max)
-    weights, merged = table.flat_weights()[:, k], np.zeros(table.group_times.size, dtype=complex)
-    # each time group's weights summed in table order from 0.0, real and imaginary parts apart
-    merged.real = np.bincount(table.group, weights.real, merged.size)
-    merged.imag = np.bincount(table.group, weights.imag, merged.size)
-    return AtomicDistribution(tuple(zip(table.group_times.tolist(), merged.tolist())), table.t_min)
 
 
 def zeta_grid_rows(orbits, m: int, lambdas, L_max: float) -> dict[str, list]:

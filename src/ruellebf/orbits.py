@@ -343,7 +343,9 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     multiplicities; output is sorted by ascending length. Reading stops at
     the first format error, which is raised unless an earlier row fails
     validation. Rows are read as csv.reader reads them (see _read_rows) and
-    numbered by the physical line they start on.
+    numbered by the physical line they start on. Once every row passes, a
+    class whose summed multiplicity is past the float range is refused at
+    the line that opens it.
     """
     columns = tuple([] for _ in range(7))
     lines, lengths, multiplicities, ms, p_ids, rho_re, rho_im = columns
@@ -433,6 +435,10 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     starts = np.flatnonzero(_class_starts(lengths[order], record_starts))
     multiplicity = np.add.reduceat(np.array(multiplicities, dtype=object)[order], starts)
     first = order[starts]  # each class's first row in (length, file) order
+    # float() overflows from 2**1024 - 2**970 on (it rounds to 2**1024): the earliest line opening such a class fails
+    past = [row for row, total in zip(first.tolist(), multiplicity.tolist()) if total >= 2 ** 1024 - 2 ** 970]
+    if past:
+        raise SpectrumFormatError("class multiplicity is past the float range", lines[min(past)])
     by_length = np.lexsort((first, lengths[first]))
     first, multiplicity = first[by_length], multiplicity[by_length].tolist()
     # each class's P is a read-only row of its size's stack, its rho a view of one stack

@@ -38,6 +38,3 @@ class HbarSeries:
         for c in reversed(self.coeffs):
             acc = acc * hbar + c
         return acc
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)

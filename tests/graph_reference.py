@@ -9,7 +9,10 @@ tensor. No route of the library builds a graph; gamma_sum, gamma_int and
 gamma_tr sum chains and cycles in closed form, and the tests compare them
 with these weights divided by the automorphism counts.
 
-embed_doubled places the external vectors on the doubled field space, and
+The doubled (A, B) field content of the BF model is realized by the doubled
+vertex tensor and propagator of doubled_field_tensors, whose loop contraction
+doubles, so that no route of the library carries an explicit factor of two;
+embed_doubled places the external vectors on the same doubled field space, and
 toy_bf_partition is the per-point LU reference for bf_engine.partition_grid.
 """
 
@@ -309,6 +312,25 @@ def embed_doubled(model, A=None, B=None) -> dict:
     if B is not None:
         b_vec[n:] = np.asarray(B, dtype=np.complex128)
     return {"A": a_vec, "B": b_vec}
+
+
+def doubled_field_tensors(model, propagator: np.ndarray):
+    """Vertex tensor and edge matrix on the doubled field space V0 (A) + V1 (B) of a MatrixBFModel.
+
+    Fed to feynman.gamma_sum, or to graph_weight, these reproduce the chain and loop coefficients of
+    gamma_int and gamma_tr including the doubling that cancels the 1/2 of the loop symmetry factor;
+    the tests pin this equivalence order by order.
+    """
+    cx = model.complex
+    n = cx.n
+    w = cx.L1_inv @ cx.d
+    vertex = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    vertex[:n, n:] = w.T
+    vertex[n:, :n] = w
+    edge = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    edge[:n, n:] = propagator
+    edge[n:, :n] = propagator.T
+    return vertex, edge
 
 
 def graph_weight(graph: FeynmanGraph, propagator: np.ndarray, interaction: Interaction, external) -> complex:

@@ -1,7 +1,8 @@
 """The row-by-row length-spectrum loader that the column reader of ruellebf.orbits replaced, kept as
 the reference the loader is compared with: every row through csv.reader and parsed on its own, one
 value id per parsed P tuple, each distinct (P, rho) record validated once, and the rows merged over
-one sort of the record and length keys. A row is numbered by the physical line it starts on.
+one sort of the record and length keys; a class whose summed multiplicity float() refuses fails at
+the earliest line that opens one. A row is numbered by the physical line it starts on.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ def _parse_row(row: list[str], line: int, parsed: dict[str, tuple]) -> tuple:
     if len(p[1]) != side * side:
         raise SpectrumFormatError(f"P_entries has {len(p[1])} values, expected {side * side}", line)
     return line, length, multiplicity, p[0], rho
+
+
+def _overflows_float(n: int) -> bool:
+    try:
+        float(n)
+    except OverflowError:
+        return True
+    return False
 
 
 def _record_errors(records: list[tuple]) -> list[str | None]:
@@ -120,6 +129,9 @@ def reference_load_length_spectrum(path) -> list[PrimeOrbit]:
     starts = np.flatnonzero(_class_starts(lengths[order], record_starts))
     multiplicity = np.add.reduceat(np.array(multiplicities, dtype=object)[order], starts)
     first = order[starts]
+    past = [lines[i] for i, total in zip(first.tolist(), multiplicity.tolist()) if _overflows_float(total)]
+    if past:
+        raise SpectrumFormatError("class multiplicity is past the float range", min(past))
     by_length = np.lexsort((first, lengths[first]))
     first, multiplicity = first[by_length], multiplicity[by_length].tolist()
     text_of = texts[first]

@@ -21,15 +21,22 @@ from ruellebf.bf_engine import (
     gamma_int,
     gamma_tr,
     loop_sign,
+    partition_grid,
     regularized_propagator,
 )
 from ruellebf.feynman import EffectiveQuadraticInteraction, Interaction, rge_evolve
-from ruellebf.flat_zeta import _char_poly, atom_table
-from ruellebf.bf_engine import doubled_field_tensors
+from ruellebf.flat_zeta import _char_poly, _float_traces, atom_table
 from ruellebf.graded_core import ToyBFComplex
 from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, enumerate_prime_orbits
 
-from graph_reference import automorphism_order, chain_graph, cycle_graph, embed_doubled, graph_weight
+from graph_reference import (
+    automorphism_order,
+    chain_graph,
+    cycle_graph,
+    doubled_field_tensors,
+    embed_doubled,
+    graph_weight,
+)
 from math_reference import fixed_point_count, flat_det_via_F, power, prime_orbit_counts, simplex_volume_quadrature
 
 
@@ -57,6 +64,10 @@ def test_criterion_1_alternating_minors_flat_trace_identity():
             alternating = sum((-1) ** k * e[k] for k in range(d + 1))
             det = np.linalg.det(np.eye(d) - p)
             assert abs(alternating - det) <= 1e-9 * max(1.0, abs(det))
+            # the stacked kernel of atom_table's float route: the same e bit for bit, its own alternating sum
+            (stacked_e,), (stacked_det,) = _float_traces(p[None])
+            assert stacked_e.tobytes() == np.array(e).tobytes()
+            assert abs(stacked_det - det) <= 1e-9 * max(1.0, abs(det))
 
 
 def _lattice_fixed_points(a, n):
@@ -152,6 +163,10 @@ def test_criterion_5_partition_function_identity():
             gauge = abs(np.linalg.det(cx.iota @ inner @ cx.d))
             direct = abs(np.linalg.det(cx.L0 + hbar * np.eye(n)))
             assert abs(gauge - direct) <= 1e-9 * max(1.0, direct)
+            # the partition command's route, from the block spectra, against both LU determinants
+            (route,) = partition_grid(MatrixBFModel(cx), [hbar])
+            assert abs(route - gauge) <= 1e-9 * max(1.0, direct)
+            assert abs(route - direct) <= 1e-9 * max(1.0, direct)
 
         # zero locus: Newton on the gauge-route determinant lands on -spec(L)
         def gauge_det(cx, hbar):

@@ -986,14 +986,19 @@ def test_overflowing_orbit_loop_series_is_quiet(tmp_path, capsys):
     assert out.count(",radius_violation,nan,nan,") == 2
 
 
-@pytest.mark.parametrize("command", ["zeta", "bridge"])
-def test_multiplicity_past_the_float_range_exits_3(tmp_path, capsys, command):
-    # the Euler coefficient -mult tr(rho^j) / j of a multiplicity of 10**400 is past the float range
+@pytest.mark.parametrize("command", ["orbits", "zeta", "bridge", "diagrams"])
+@pytest.mark.parametrize("rows, line", [([f"1.0,{10**400}"], 2), (["0.5,1", f"1.0,{10**308}", f"1.0,{10**308}"], 3)],
+                         ids=["one-row", "merged"])
+def test_multiplicity_past_the_float_range_exits_2(tmp_path, capsys, command, rows, line):
+    # no orbit sum can read a class multiplicity past the float range: the loader refuses it at the
+    # line that opens the class, a single row of 10**400 or two rows of 10**308 that merge past the range
     spectrum = tmp_path / "spectrum.csv"
-    spectrum.write_text(f"length,multiplicity,m,P_entries,rho_re,rho_im\n1.0,{10**400},1,2;0;0;0.5,1.0,0.0\n")
+    spectrum.write_text("length,multiplicity,m,P_entries,rho_re,rho_im\n"
+                        + "".join(f"{row},1,2;0;0;0.5,1.0,0.0\n" for row in rows))
     payload = {"model": {"spectrum_file": str(spectrum)}, "truncation": {"L_max": 3.0}, "grid": [[3.0, 0.0]]}
     code, out, err = _run_quietly(capsys, [command, "--config", write_config(tmp_path, payload)])
-    assert (code, out, err) == (3, "", "non-convergent: OverflowError: int too large to convert to float\n")
+    assert (code, out) == (2, "")
+    assert err == f"model invalid: SpectrumFormatError: line {line}: class multiplicity is past the float range\n"
 
 
 def test_orbit_bridge_past_the_float_factorial_is_finite(tmp_path, capsys):

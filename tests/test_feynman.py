@@ -164,7 +164,7 @@ def _real_gaussian_coefficients(propagator, interaction, external, max_order):
 def test_gamma_sum_zero_interaction():
     pk = np.array([[1.0]])
     inter = Interaction({2: np.zeros((1, 1))})
-    assert gamma_sum(pk, inter, None, 4).hbar_series().is_zero()
+    assert not any(gamma_sum(pk, inter, None, 4).hbar_series().coeffs)
 
 
 def test_gamma_sum_matches_exact_gaussian_log():

@@ -7,11 +7,9 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from ruellebf.flat_zeta import (
-    AtomicDistribution,
     NonTransverseOrbitError,
     _char_poly,
     atom_table,
-    flat_trace_evolution,
     zeta_grid_rows,
 )
 from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, Representation, enumerate_prime_orbits
@@ -70,25 +68,24 @@ def test_alternating_minors_identity():
 # --------------------------------------------------------------- flat traces
 
 def test_flat_trace_empty_orbits():
-    dist = flat_trace_evolution([], 0, 10.0)
-    assert dist.atoms == ()
+    table = atom_table([], 1, 10.0)
+    assert table.t.size == 0 and table.flat_weights().shape == (0, 3)
 
 
 def test_flat_trace_cat_first_atom():
-    dist = flat_trace_evolution(enumerate_prime_orbits(CAT, 1), 0, 1.0)
-    assert len(dist.atoms) == 1
-    t, w = dist.atoms[0]
-    assert t == 1.0
-    assert w == pytest.approx(1.0)  # l * tr(rho) * 1 / |det(I - A)| = 1/1
+    table = atom_table(enumerate_prime_orbits(CAT, 1), 1, 1.0)
+    assert table.t.tolist() == [1.0]
+    # l * tr(rho) * 1 / |det(I - A)| = 1/1
+    assert table.flat_weights()[0, 0] == pytest.approx(1.0)
 
 
 def test_flat_trace_signed_degree_sum_identity():
     # sum_k (-1)^k weight_k = l * tr(rho^j) * det/|det| = +- l * tr(rho^j)
     orbits = enumerate_prime_orbits(CAT, 4)
-    dists = [flat_trace_evolution(orbits, k, 4.0) for k in range(3)]
-    times = [t for t, _ in dists[0].atoms]
-    for i, t in enumerate(times):
-        signed = sum((-1) ** k * dists[k].atoms[i][1] for k in range(3))
+    table = atom_table(orbits, 1, 4.0)
+    signed = np.zeros(table.group_times.size, dtype=complex)
+    np.add.at(signed, table.group, table.flat_weights() @ [1, -1, 1])
+    for t, value in zip(table.group_times.tolist(), signed):
         # budget the total length-weighted multiplicity at this atom time
         expected = -sum(
             o.multiplicity * o.length
@@ -96,14 +93,13 @@ def test_flat_trace_signed_degree_sum_identity():
             for j in range(1, 5)
             if j * o.length == t
         )
-        assert signed == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_flat_trace_atoms_sorted_with_t_min():
-    dist = flat_trace_evolution(CAT_ORBITS, 1, 9.0)
-    times = [t for t, _ in dist.atoms]
-    assert times == sorted(times)
-    assert dist.t_min == 1.0
+    table = atom_table(CAT_ORBITS, 1, 9.0)
+    assert table.t.tolist() == sorted(table.t.tolist())
+    assert table.t_min == 1.0
 
 
 def test_non_transverse_guard():
@@ -307,8 +303,7 @@ def test_mellin_normalized_atom_determinant():
     derivative = (4 * d2 - d1) / 3  # Richardson, O(h^4)
     direct = sum(w / t * cmath.exp(-lam * t) for t, w in atoms)
     assert abs(derivative - direct) < 1e-12
-    dist = AtomicDistribution(atoms, 0.7)
-    log_det = -sum(w / t * cmath.exp(-lam * t) for t, w in dist.atoms)
+    log_det = -sum(w / t * cmath.exp(-lam * t) for t, w in atoms)
     assert cmath.exp(-derivative) == pytest.approx(cmath.exp(log_det), rel=1e-11)
 
 

@@ -429,19 +429,3 @@ def test_the_euler_tail_is_inf_off_region_and_the_assembly_tail_it_shares_stays_
     assert values[:, 3].tobytes() == values[:, 4].tobytes()
     assert np.isinf(tails[:4, 3]).all() and np.isfinite(tails[:, 4]).all()
     assert tails[4:, 3].tobytes() == tails[4:, 4].tobytes()
-
-
-def test_flat_trace_atoms_merge_as_np_add_at_merges_them(tmp_path):
-    from ruellebf.flat_zeta import atom_table, flat_trace_evolution
-    from ruellebf.orbits import HyperbolicToralModel, Representation, enumerate_prime_orbits, load_length_spectrum
-
-    write_pin_spectrum(tmp_path / "pin.csv")
-    cat = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1)), 1.0, Representation("character", 0.7)), 12)
-    for orbits, t_max in ((cat, 12.0), (load_length_spectrum(tmp_path / "pin.csv"), 4.0)):
-        table = atom_table(orbits, orbits[0].m, t_max)
-        assert table.group_times.size < table.t.size  # some time groups merge several atoms
-        for k in range(2 * table.m + 1):
-            want = np.zeros(table.group_times.size, dtype=complex)
-            np.add.at(want, table.group, table.flat_weights()[:, k])
-            got = np.array([w for _, w in flat_trace_evolution(orbits, k, t_max).atoms], dtype=complex)
-            assert got.tobytes() == want.tobytes()

@@ -46,6 +46,25 @@ def test_a_csv_error_after_the_plain_lines_names_the_line_where_the_reader_stopp
     assert outcome(load_length_spectrum, path) == outcome(reference_load_length_spectrum, path)
 
 
+@pytest.mark.parametrize("rows, error", [
+    (["1.0,HUGE0"], "line 2: class multiplicity is past the float range"),
+    (["0.5,1", "1.0,HUGE1", "2.0,1", "1.0,HUGE1"], "line 3: class multiplicity is past the float range"),
+    ([f"{1.0 + 5e-13!r},HUGE2", "1.0,HUGE2", "1.0,HUGE0"], "line 3: class multiplicity is past the float range"),
+    (["1.0,HUGE0", "2.0,1", "abc,1"], "line 4: could not convert string to float: 'abc'"),
+    (["1.0,HUGE0", "2.0,0"], "line 3: multiplicity must be a positive integer"),
+], ids=["one-row", "merged", "opened-by-the-shortest-length", "format-error-first", "bad-row-first"])
+def test_a_class_multiplicity_past_the_float_range_fails_after_every_row_check(tmp_path, rows, error):
+    # the earliest line that opens a class past the range, once every row has passed
+    for i, huge in enumerate(HUGE):
+        rows = [row.replace(f"HUGE{i}", huge) for row in rows]
+    path = tmp_path / "huge.csv"
+    path.write_text(",".join(HEADER) + "\n" + "".join(f"{row},1,2;0;0;0.5,1.0,0.0\n" for row in rows))
+    for load in (load_length_spectrum, reference_load_length_spectrum):
+        with pytest.raises(SpectrumFormatError) as info:
+            load(path)
+        assert str(info.value) == error
+
+
 # return maps: m = 1 and m = 2, each zero entry written as 0.0 or -0.0; the unit-circle and
 # non-finite ones fail validation
 GOOD_MAPS = [["3.0", "0", "0", "0.25"], ["2", "1", "1", "1"], ["0.25", "0", "0", "3.0"],
@@ -54,6 +73,9 @@ BAD_MAPS = [["1.0", "0", "0", "1.0"], ["nan", "0", "0", "1.0"], ["inf", "0", "0"
 LENGTHS = ["1.0", repr(1.0 + 5e-13), repr(1.0 + 1e-12), repr(1.0 - 5e-13), "2.0", repr(2.0 + 5e-13), "0.5"]
 RHOS = [("1.0", "0.0"), ("1.0", "-0.0"), ("-0.0", "1.0"), ("0.6", "0.8")]
 # one bad field value per column, each failing a format or a validation check
+# multiplicities at the top of the float range: one row of the first, or two merged rows of the others,
+# are past it
+HUGE = [str(2 ** 1024 - 2 ** 970), str(2 ** 1024 - 2 ** 970 - 1), str(10 ** 308)]
 BAD_FIELDS = {0: ["abc", "-1.0", "0", "inf", "nan", ""], 1: ["0", "-1", "1.5", "x"], 2: ["0", "-1", "x", "3"],
               3: ["1;2;3", "2;1;1;x", "2;1;1;1;"], 4: ["0.5", "nan", "x"], 5: ["0.5", "inf", ""]}
 
@@ -68,7 +90,7 @@ def fields(draw):
     """The six fields of a data row, one of them bad now and then."""
     entries = draw(st.sampled_from(GOOD_MAPS + BAD_MAPS if rarely(draw, 10) else GOOD_MAPS))
     entries = [draw(st.sampled_from(["0.0", "-0.0"])) if x == "0" else x for x in entries]
-    row = [draw(st.sampled_from(LENGTHS)), draw(st.sampled_from(["1", "2", "3"])),
+    row = [draw(st.sampled_from(LENGTHS)), draw(st.sampled_from(HUGE if rarely(draw, 20) else ["1", "2", "3"])),
            "2" if len(entries) == 16 else "1", ";".join(entries), *draw(st.sampled_from(RHOS))]
     if rarely(draw, 15):
         bad = draw(st.integers(0, 5))
