@@ -74,7 +74,7 @@ def _finite(value) -> bool:
 
 def _load_config(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read config file {path}: {exc.strerror}")
@@ -245,8 +245,6 @@ def _orbit_data(kind, model, n_max, l_max):
         except OSError as exc:
             raise ConfigError("model.spectrum_file", f"cannot read {model}: {exc.strerror}")
         m = orbs[0].m if orbs else 1
-        if any(o.m != m for o in orbs):
-            raise ModelError(f"spectrum {model} mixes return maps of different m")
         model_id, reach = f"spectrum:{model}", l_max
     else:
         raise ConfigError("model", "this command needs an orbit model (catmap or spectrum_file)")

@@ -6,21 +6,23 @@ truncating those atom sums gives the per-degree log zeta factors, the Euler
 product, and the alternating assembly. All of them are columns of
 AtomTable.log_zeta: a caller builds one AtomTable per (orbits, m, L_max),
 every atom transversality-checked, and reads its columns over a whole lambda
-grid. atom_table owns the return-map arithmetic: it takes plain PrimeOrbits
-and computes and checks every atom itself. An atom's exterior traces
-tr(wedge^k P^j) and det(I - P^j) come from one characteristic polynomial of
-P^j: in exact integers for integer-valued return maps (_exact_traces), formed
-once per distinct power and shared by the atoms that equal it (a cat-map
-census repeats A^N once per divisor of N), from the eigenvalues for the maps
-of the float route (_float_route), in stacked arrays independent of the BLAS
-build; the orbits table reads both routes too. Either route only produces
-traces: one stacked pass over the whole table then checks transversality,
-divides the weights and raises at the first atom that fails. A lambda grid is
-evaluated once per distinct column, in blocks of a fixed element budget, so
-temporaries stay small, and summed in the fixed atom order (ascending time,
-then input order, then repetition), time groups by np.bincount, so values are
-bit-stable, the same for a lambda alone as inside any grid, and each carries a
-geometric tail estimate. The zeta table leaves as columns.
+grid. atom_table owns the return-map arithmetic: it takes plain PrimeOrbits,
+of one map size 2m and one twist rank r (a flow and one representation), and
+computes and checks every atom itself; the twist powers rho^j come from one
+(n, r, r) stack. An atom's exterior traces tr(wedge^k P^j) and det(I - P^j)
+come from one characteristic polynomial of P^j: in exact integers for
+integer-valued return maps (_exact_traces), formed once per distinct power
+and shared by the atoms that equal it (a cat-map census repeats A^N once per
+divisor of N), from the eigenvalues for the maps of the float route
+(_float_route), in stacked arrays independent of the BLAS build; the orbits
+table reads both routes too. Either route only produces traces: one stacked
+pass over the whole table then checks transversality, divides the weights
+and raises at the first atom that fails. A lambda grid is evaluated once per
+distinct column, in blocks of a fixed element budget, so temporaries stay
+small, and summed in the fixed atom order (ascending time, then input order,
+then repetition), time groups by np.bincount, so values are bit-stable, the
+same for a lambda alone as inside any grid, and each carries a geometric
+tail estimate. The zeta table leaves as columns.
 
 Branch convention: principal logarithms everywhere, with log zeta built
 additively from per-orbit terms so no product-branch ambiguity arises.
@@ -328,19 +330,11 @@ def _matrix_powers(base: np.ndarray, which: np.ndarray, j: np.ndarray) -> np.nda
 
 def _euler_coefficients(orbits, pos: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(-mult * complex(tr rho^j) / j per atom, with the steps of Python's complex product and
-    quotient on real parts, and whether mult is past the float range), the powers rho^j from one
-    _matrix_powers pass per rho shape."""
-    traces = np.zeros(pos.size, dtype=complex)
-    by_shape: dict[tuple, list[int]] = {}
-    for p, orbit in enumerate(orbits):
-        by_shape.setdefault(orbit.rho.shape, []).append(p)
-    slot, shape_of = np.zeros(len(orbits), dtype=int), np.zeros(len(orbits), dtype=int)
-    for shape, members in enumerate(by_shape.values()):
-        slot[members], shape_of[members] = np.arange(len(members)), shape
-    for shape, members in enumerate(by_shape.values()):
-        at = np.flatnonzero(shape_of[pos] == shape)
-        rhos = np.array([orbits[p].rho for p in members])
-        traces[at] = np.trace(_matrix_powers(rhos, slot[pos[at]], j[at]), axis1=1, axis2=2)
+    quotient on real parts, and whether mult is past the float range), the powers rho^j of the orbit
+    set's r x r twists from one _matrix_powers pass."""
+    shape = orbits[0].rho.shape if orbits else (0, 0)
+    rhos = np.array([orbit.rho for orbit in orbits], dtype=complex).reshape(len(orbits), *shape)
+    traces = np.trace(_matrix_powers(rhos, pos, j), axis1=1, axis2=2)
     mult = np.array([_float_or_inf(-orbit.multiplicity) for orbit in orbits])[pos]
     euler = np.zeros(pos.size, dtype=complex)
     with np.errstate(invalid="ignore"):
@@ -366,7 +360,7 @@ def _float_traces(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     """The atom table of orbits up to L_max; every return map must be 2m x 2m, a PrimeOrbit's float,
-    integer or Python-int matrix.
+    integer or Python-int matrix, and every twist rho r x r, the r of the first orbit.
 
     Each orbit's powers stop at the first P^j whose _transversality_scale is inf; that atom, like any
     non-finite P^j, fails its check. The maps that _float_route leaves out are raised to powers on rows
@@ -378,11 +372,13 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     the scale and divides the weights; the first atom that fails, or whose exact trace or multiplicity
     is past the float range, raises NonTransverseOrbitError or OverflowError.
     """
-    d = 2 * m
+    d, r = 2 * m, orbits[0].rho.shape[0] if orbits else 0
     for orbit in orbits:
-        if orbit.poincare.shape[0] != d:
-            size = orbit.poincare.shape[0]
+        size, rank = orbit.poincare.shape[0], orbit.rho.shape[0]
+        if size != d:
             raise ValueError(f"orbit carries a {size}x{size} return map, expected 2m = {d}")
+        if rank != r:
+            raise ValueError(f"orbit carries a {rank}x{rank} twist, expected the {r}x{r} of the first orbit")
     reach = L_max * REACH_FACTOR
     lengths = np.array([orbit.length for orbit in orbits], dtype=float)
     float_pos, floats = _float_route(orbits, d)

@@ -16,15 +16,16 @@ consumes only (length, P, rho, m).
 The loader streams a spectrum file line by line: a plain line (no quote,
 carriage return or NUL, and within csv.field_size_limit()) is split at its
 commas, and from the first line that is not, csv.reader reads the rest; a
-row is numbered by the physical line it starts on. The rows go into
-columns, converted one column at a time, and each distinct P_entries text
-is parsed once, into one float stack per map size. The (P, rho) records are
-keyed by np.unique over the sign-normalised stack rows and each is validated
-once (one stacked eigvals call per map size for the unit-circle check, one
-stacked svd for the representation values); the rows then merge into
-classes over one sort of the record and length keys, and each class's
-PrimeOrbit is built once, its P a read-only row of its size's stack. A
-loaded orbit carries its fields and nothing else: the traces and
+row is numbered by the physical line it starts on. Every data row has the
+m of the first one: a flow has one stable rank, and a row of another m is a
+format error at its line. The rows go into columns, converted one column at
+a time, and each distinct P_entries text is parsed once, into one float
+stack. The (P, rho) records are keyed by np.unique over the sign-normalised
+stack rows and each is validated once (one stacked eigvals call for the
+unit-circle check, one stacked svd for the representation values); the rows
+then merge into classes over one sort of the record and length keys, and
+each class's PrimeOrbit is built once, its P a read-only row of the stack.
+A loaded orbit carries its fields and nothing else: the traces and
 determinants of its return map are flat_zeta's. Errors are those of
 row-by-row reading: when the column pass fails, the rows are walked to find
 the first format error, and the first bad line in file order wins.
@@ -233,10 +234,10 @@ def enumerate_prime_orbits(model: HyperbolicToralModel, n_max: int) -> list[Prim
 SPECTRUM_HEADER = ["length", "multiplicity", "m", "P_entries", "rho_re", "rho_im"]
 
 
-def _parse_row(row: list[str], line: int) -> None:
-    """Raise the SpectrumFormatError of the first format error of one six-field data row, if it has
-    one, in the order the fields are read; the column pass of the loader calls it only to locate a
-    failure."""
+def _parse_row(row: list[str], line: int, m_first: int | None) -> int:
+    """The m of one six-field data row; raises the SpectrumFormatError of its first format error, in
+    the order the fields are read, m_first the m of the first data row (None for that row). The column
+    pass of the loader calls it only to locate a failure."""
     try:
         float(row[0])
         int(row[1])
@@ -247,8 +248,11 @@ def _parse_row(row: list[str], line: int) -> None:
         raise SpectrumFormatError(str(exc), line) from None
     if m < 1:
         raise SpectrumFormatError(f"m must be a positive integer, found {m}", line)
+    if m_first not in (None, m):
+        raise SpectrumFormatError(f"m = {m} mixes return maps with the m = {m_first} of the first row", line)
     if entries != 4 * m * m:
         raise SpectrumFormatError(f"P_entries has {entries} values, expected {4 * m * m}", line)
+    return m
 
 
 def _read_rows(fh):
@@ -279,38 +283,32 @@ def _read_rows(fh):
 
 
 def _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts):
-    """(lengths, multiplicities, rho, stacks, stack_of, row_of) of the data rows held in columns, or
-    None if some row has a format error. Each distinct P text (texts, indexed by p_ids) is parsed
-    once, into one read-only (n, 2m, 2m) float stack per map size: text k is row row_of[k] of
-    stacks[stack_of[k]]."""
+    """(lengths, multiplicities, rho, stack) of the data rows held in columns, or None if some row has
+    a format error or the rows' m values differ. Each distinct P text (texts, indexed by p_ids; each
+    text is some row's) is parsed once, into one read-only (len(texts), 2m, 2m) float stack: text k
+    is row k."""
     n = len(lengths)
     try:
         length = np.fromiter(map(float, lengths), float, n)
         multiplicity = list(map(int, multiplicities))
-        m = list(map(int, ms))
+        m = set(map(int, ms))
         rho = np.empty(n, dtype=complex)
         rho.real, rho.imag = np.fromiter(map(float, rho_re), float, n), np.fromiter(map(float, rho_im), float, n)
     except ValueError:
         return None
-    if n and (min(m) < 1 or max(m) > 2**20):  # no text in memory holds 4 m^2 entries at m = 2**20
+    if len(m) > 1 or n and not 1 <= min(m) <= 2**20:  # no text in memory holds 4 m^2 entries at m = 2**20
         return None
-    counts = np.array([t.count(";") + 1 for t in texts], dtype=int)
-    if np.any(4 * np.array(m, dtype=int) ** 2 != counts[p_ids]):
+    side = 2 * max(m, default=0)  # no rows: a (0, 0, 0) stack
+    if any(t.count(";") + 1 != side * side for t in texts):
         return None
-    stacks, stack_of, row_of = [], np.empty(len(texts), dtype=int), np.empty(len(texts), dtype=int)
-    for size in np.unique(counts).tolist():
-        members = np.flatnonzero(counts == size)
-        floats = map(float, itertools.chain.from_iterable(texts[k].split(";") for k in members.tolist()))
-        try:
-            stack = np.fromiter(floats, float, members.size * size)
-        except ValueError:
-            return None
-        side = math.isqrt(size)
-        stack = stack.reshape(-1, side, side)
-        stack.flags.writeable = False  # each orbit's P is a row of it: a checked map of a frozen orbit
-        stack_of[members], row_of[members] = len(stacks), np.arange(members.size)
-        stacks.append(stack)
-    return length, multiplicity, rho, stacks, stack_of, row_of
+    try:
+        stack = np.fromiter(map(float, itertools.chain.from_iterable(t.split(";") for t in texts)), float,
+                            len(texts) * side * side)
+    except ValueError:
+        return None
+    stack = stack.reshape(len(texts), side, side)
+    stack.flags.writeable = False  # each orbit's P is a row of it: a checked map of a frozen orbit
+    return length, multiplicity, rho, stack
 
 
 def _class_starts(lengths: np.ndarray, record_starts: np.ndarray) -> np.ndarray:
@@ -352,7 +350,7 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     texts: dict[str, int] = {}  # each distinct P_entries text, in order of first appearance
     stop = None
     header = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             for line_no, row in _read_rows(fh):
                 if row[0].startswith("#"):
@@ -379,9 +377,10 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     texts = list(texts)
     parsed = _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts)
     if parsed is None:  # some row has a format error: the first one stops the rows, as if read one by one
+        m_first = None
         try:
             for i, fields in enumerate(zip(lengths, multiplicities, ms, map(texts.__getitem__, p_ids), rho_re, rho_im)):
-                _parse_row(fields, lines[i])
+                m_first = _parse_row(fields, lines[i], m_first)
         except SpectrumFormatError as exc:
             stop = exc
         for column in columns:
@@ -390,17 +389,13 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
         p_ids[:] = [kept.setdefault(texts[k], len(kept)) for k in p_ids]
         texts = list(kept)
         parsed = _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts)
-    lengths, multiplicities, rho, stacks, stack_of, row_of = parsed
-    p_ids = np.array(p_ids, dtype=int)
+    lengths, multiplicities, rho, stack = parsed
+    p_ids = value_of = np.array(p_ids, dtype=int)
     # one value id per P text, shared by texts of equal floats (-0.0 == 0.0, as the merge requires):
-    # np.unique over the bytes of each stack's sign-normalised rows
-    value_of_text, offset = np.empty(len(texts), dtype=int), 0
-    for s, stack in enumerate(stacks):
+    # np.unique over the bytes of the stack's sign-normalised rows; a (0, 0, 0) stack has no rows to key
+    if len(stack):
         keys = (stack.reshape(len(stack), -1) + 0.0).view(np.dtype((np.void, stack[0].nbytes)))
-        _, ids = np.unique(keys.ravel(), return_inverse=True)
-        value_of_text[stack_of == s] = offset + ids.ravel()
-        offset += len(stack)
-    value_of = value_of_text[p_ids]
+        value_of = np.unique(keys.ravel(), return_inverse=True)[1].ravel()[p_ids]
     # rows by record (P value, then rho: == also holds -0.0 == 0.0, and never for NaN), then by
     # length, then in file order
     order = np.lexsort((lengths, rho.imag, rho.real, value_of))
@@ -409,15 +404,11 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     record_starts[1:] = (value[1:] != value[:-1]) | (re[1:] != re[:-1]) | (im[1:] != im[:-1])
     record_of = np.empty(order.size, dtype=int)
     record_of[order] = np.cumsum(record_starts) - 1
-    # each record is checked with the P and rho of its first row in the file: one eigvals call per
-    # map size, one svd call
+    # each record is checked with the P and rho of its first row in the file: one eigvals call, one
+    # svd call
     firsts = np.minimum.reduceat(order, np.flatnonzero(record_starts)) if order.size else order
-    first_text = p_ids[firsts]
-    record_errors = _rho_errors(rho[firsts].reshape(-1, 1, 1))
-    for s, stack in enumerate(stacks):
-        checked = np.flatnonzero(stack_of[first_text] == s)
-        for i, error in zip(checked.tolist(), _map_errors(stack[row_of[first_text[checked]]])):
-            record_errors[i] = error or record_errors[i]
+    record_errors = [map_error or rho_error for map_error, rho_error
+                     in zip(_map_errors(stack[p_ids[firsts]]), _rho_errors(rho[firsts].reshape(-1, 1, 1)))]
     bad = np.array([e is not None for e in record_errors], dtype=bool)[record_of]
     bad |= ~(np.isfinite(lengths) & (lengths > 0.0))
     if min(multiplicities, default=1) < 1:
@@ -441,8 +432,7 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
         raise SpectrumFormatError("class multiplicity is past the float range", lines[min(past)])
     by_length = np.lexsort((first, lengths[first]))
     first, multiplicity = first[by_length], multiplicity[by_length].tolist()
-    # each class's P is a read-only row of its size's stack, its rho a view of one stack
-    text_of = p_ids[first]
-    maps = [stacks[s][r] for s, r in zip(stack_of[text_of].tolist(), row_of[text_of].tolist())]
+    # each class's P is a read-only row of the map stack, its rho a view of one stack
+    maps = [stack[k] for k in p_ids[first].tolist()]
     return [PrimeOrbit._from_checked(length, p, r, mult)
             for length, p, r, mult in zip(lengths[first].tolist(), maps, rho[first].reshape(-1, 1, 1), multiplicity)]

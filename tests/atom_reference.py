@@ -46,6 +46,9 @@ def reference_atom_table(orbits, m: int, L_max: float) -> AtomTable:
         if orbit.poincare.shape[0] != 2 * m:
             d = orbit.poincare.shape[0]
             raise ValueError(f"orbit carries a {d}x{d} return map, expected 2m = {2 * m}")
+        if orbit.rho.shape != orbits[0].rho.shape:
+            r, s = orbits[0].rho.shape[0], orbit.rho.shape[0]
+            raise ValueError(f"orbit carries a {s}x{s} twist, expected the {r}x{r} of the first orbit")
         exact = _integer_entries(orbit.poincare)
         base = orbit.poincare if exact is None else np.array(exact, dtype=object).reshape(orbit.poincare.shape)
         j, p_power, scale = 1, base, 0.0

@@ -1,14 +1,14 @@
 """The row-by-row length-spectrum loader that the column reader of ruellebf.orbits replaced, kept as
-the reference the loader is compared with: every row through csv.reader and parsed on its own, one
-value id per parsed P tuple, each distinct (P, rho) record validated once, and the rows merged over
-one sort of the record and length keys; a class whose summed multiplicity float() refuses fails at
-the earliest line that opens one. A row is numbered by the physical line it starts on.
+the reference the loader is compared with: every row through csv.reader and parsed on its own, a
+row whose m differs from the first row's refused at its line, one value id per parsed P tuple, each
+distinct (P, rho) record validated once, and the rows merged over one sort of the record and length
+keys; a class whose summed multiplicity float() refuses fails at the earliest line that opens one. A
+row is numbered by the physical line it starts on.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from ruellebf.orbits import (
 )
 
 
-def _parse_row(row: list[str], line: int, parsed: dict[str, tuple]) -> tuple:
-    """(line, length, multiplicity, P index, rho) of one data row; raises on a format error.
+def _parse_row(row: list[str], line: int, parsed: dict[str, tuple], m_first: int | None) -> tuple:
+    """(line, length, multiplicity, P index, rho, m) of one data row; raises on a format error, m_first
+    the m of the first data row (None for that row).
 
     parsed maps each P_entries text already read to (its P index, its floats), indices in order of
     first appearance: rows repeating a text share one parse and one tuple.
@@ -43,10 +44,12 @@ def _parse_row(row: list[str], line: int, parsed: dict[str, tuple]) -> tuple:
         raise SpectrumFormatError(str(exc), line) from None
     if m < 1:
         raise SpectrumFormatError(f"m must be a positive integer, found {m}", line)
+    if m_first is not None and m != m_first:
+        raise SpectrumFormatError(f"m = {m} mixes return maps with the m = {m_first} of the first row", line)
     side = 2 * m
     if len(p[1]) != side * side:
         raise SpectrumFormatError(f"P_entries has {len(p[1])} values, expected {side * side}", line)
-    return line, length, multiplicity, p[0], rho
+    return line, length, multiplicity, p[0], rho, m
 
 
 def _overflows_float(n: int) -> bool:
@@ -57,18 +60,11 @@ def _overflows_float(n: int) -> bool:
     return False
 
 
-def _record_errors(records: list[tuple]) -> list[str | None]:
-    """PrimeOrbit's map and rho checks of each distinct (P entries, rho) record, stacked: one
-    eigvals call per map size and one svd call."""
-    map_errors = [None] * len(records)
-    by_size: dict[int, list[int]] = {}
-    for i, (entries, _) in enumerate(records):
-        by_size.setdefault(len(entries), []).append(i)
-    for size, idx in by_size.items():
-        side = math.isqrt(size)
-        maps = np.array([records[i][0] for i in idx], dtype=float).reshape(-1, side, side)
-        for i, error in zip(idx, _map_errors(maps)):
-            map_errors[i] = error
+def _record_errors(records: list[tuple], side: int) -> list[str | None]:
+    """PrimeOrbit's map and rho checks of each distinct (P entries, rho) record, its P side x side,
+    stacked: one eigvals call and one svd call."""
+    maps = np.array([entries for entries, _ in records], dtype=float).reshape(len(records), side, side)
+    map_errors = _map_errors(maps)
     rho_errors = _rho_errors(np.array([rho for _, rho in records], dtype=complex).reshape(-1, 1, 1))
     return [a or b for a, b in zip(map_errors, rho_errors)]
 
@@ -79,7 +75,7 @@ def reference_load_length_spectrum(path) -> list[PrimeOrbit]:
     parsed: dict[str, tuple] = {}
     stop = None
     header = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             line_no = 1  # the line the next row starts on: a quoted field may span lines
@@ -92,14 +88,15 @@ def reference_load_length_spectrum(path) -> list[PrimeOrbit]:
                     if header != SPECTRUM_HEADER:
                         raise SpectrumFormatError(f"bad header {header}, expected {SPECTRUM_HEADER}", start)
                     continue
-                rows.append(_parse_row(row, start, parsed))
+                rows.append(_parse_row(row, start, parsed, rows[0][-1] if rows else None))
         except SpectrumFormatError as exc:
             stop = exc
         except UnicodeDecodeError as exc:
             stop = SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}")
         except csv.Error as exc:
             stop = SpectrumFormatError(str(exc), reader.line_num)
-    lines, lengths, multiplicities, texts, rhos = zip(*rows) if rows else ((),) * 5
+    lines, lengths, multiplicities, texts, rhos, ms = zip(*rows) if rows else ((),) * 6
+    side = 2 * ms[0] if rows else 0
     lengths, rho, texts = np.array(lengths, dtype=float), np.array(rhos, dtype=complex), np.array(texts, dtype=int)
     entries = [floats for _, floats in parsed.values()]
     # one value id per parsed P tuple; tuples of floats compare -0.0 == 0.0, as the merge requires
@@ -112,7 +109,7 @@ def reference_load_length_spectrum(path) -> list[PrimeOrbit]:
     record_of = np.empty(order.size, dtype=int)
     record_of[order] = np.cumsum(record_starts) - 1
     firsts = np.minimum.reduceat(order, np.flatnonzero(record_starts)).tolist() if order.size else []
-    record_errors = _record_errors([(entries[texts[i]], rhos[i]) for i in firsts])
+    record_errors = _record_errors([(entries[texts[i]], rhos[i]) for i in firsts], side)
     bad = np.array([e is not None for e in record_errors], dtype=bool)[record_of]
     bad |= ~(np.isfinite(lengths) & (lengths > 0.0))
     if min(multiplicities, default=1) < 1:
@@ -134,14 +131,7 @@ def reference_load_length_spectrum(path) -> list[PrimeOrbit]:
         raise SpectrumFormatError("class multiplicity is past the float range", min(past))
     by_length = np.lexsort((first, lengths[first]))
     first, multiplicity = first[by_length], multiplicity[by_length].tolist()
-    text_of = texts[first]
-    side_of = np.array([math.isqrt(len(floats)) for floats in entries])[text_of]
-    maps = [None] * first.size
-    for side in np.unique(side_of).tolist():
-        members = np.flatnonzero(side_of == side).tolist()
-        stack = np.array([entries[k] for k in text_of[members].tolist()], dtype=float).reshape(-1, side, side)
-        stack.flags.writeable = False
-        for i, p in zip(members, stack):
-            maps[i] = p
+    maps = np.array([entries[k] for k in texts[first].tolist()], dtype=float).reshape(first.size, side, side)
+    maps.flags.writeable = False
     return [PrimeOrbit._from_checked(length, p, r, mult)
             for length, p, r, mult in zip(lengths[first].tolist(), maps, rho[first].reshape(-1, 1, 1), multiplicity)]

@@ -390,6 +390,16 @@ def test_unreadable_files_exit_with_one_line(tmp_path, capsys, case):
     _assert_one_line_error(capsys, fragment)
 
 
+def test_a_config_with_a_utf8_byte_order_mark_runs_as_without_it(tmp_path, capsys):
+    # some editors save JSON with a BOM: the same exit code and bytes as the file without it
+    marked = tmp_path / "marked.json"
+    marked.write_text(json.dumps(CAT_CONFIG), encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    plain = _run_quietly(capsys, ["zeta", "--config", write_config(tmp_path, CAT_CONFIG)])
+    assert plain[0] == 0 and plain[1]
+    assert _run_quietly(capsys, ["zeta", "--config", str(marked)]) == plain
+
+
 def test_malformed_spectrum_exits_2(tmp_path, capsys):
     spectrum = tmp_path / "bad.csv"
     spectrum.write_text("length,multiplicity,m,P_entries,rho_re,rho_im\nx,1,1,1;0;0;1,1,0\n")

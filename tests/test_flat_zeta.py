@@ -521,14 +521,13 @@ def test_euler_coefficients_match_matrix_power_on_matrix_twists():
     from atom_reference import assert_same_table, reference_atom_table
     from ruellebf.flat_zeta import _euler_coefficients
 
-    # 2 x 2 unitary twists, where the product order of rho^j shows in the last bits, and a 1 x 1 one
+    # 2 x 2 unitary twists, where the product order of rho^j shows in the last bits
     rng = np.random.default_rng(17)
     orbits = []
     for i, length in enumerate([0.3, 0.45, 0.6, 1.0, 1.3]):
         q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         orbits.append(PrimeOrbit(length=length, poincare=np.array([[2, 1], [1, 1]]),
                                  rho=q * (np.diag(r) / np.abs(np.diag(r))), multiplicity=i + 1))
-    orbits.insert(2, PrimeOrbit(length=0.5, poincare=np.array([[2, 1], [1, 1]]), rho=np.array([[1j]])))
     atoms = [(p, j) for p, orbit in enumerate(orbits) for j in range(1, 10) if j * orbit.length <= 2.9]
     pos, j = (np.array(column) for column in zip(*atoms))
     assert j.max() == 9
@@ -538,6 +537,11 @@ def test_euler_coefficients_match_matrix_power_on_matrix_twists():
     assert euler.tobytes() == np.array(want).tobytes()
     assert not overflow.any()
     assert_same_table(atom_table(orbits, 1, 2.9), reference_atom_table(orbits, 1, 2.9))
+    # an orbit set has one twist rank: a 1 x 1 twist after 2 x 2 ones is refused
+    orbits.insert(2, PrimeOrbit(length=0.5, poincare=np.array([[2, 1], [1, 1]]), rho=np.array([[1j]])))
+    for build in (atom_table, reference_atom_table):
+        with pytest.raises(ValueError, match=r"^orbit carries a 1x1 twist, expected the 2x2 of the first orbit$"):
+            build(orbits, 1, 2.9)
 
 
 def float_spectrum(n_orbits=40, seed=3):

@@ -2,6 +2,7 @@
 against the files in tests/data/golden byte for byte; a command that refuses a config gives its
 recorded exit code and stderr (exits.json). spectrum-quoted.csv is spectrum.csv with CRLF line ends,
 every field quoted and a comment line: csv.reader reads it, where spectrum.csv is split line by line.
+spectrum-mixed.csv has an m = 1 row, then an m = 2 row, which every orbit command refuses at its line.
 The CSV outputs hold with scipy unimportable too."""
 
 import contextlib
@@ -19,7 +20,7 @@ EXITS = json.loads((GOLDEN / "exits.json").read_text(encoding="utf-8"))
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["orbits", "zeta", "bridge", "partition", "diagrams"])
-@pytest.mark.parametrize("config", ["catmap", "spectrum", "spectrum-quoted", "matrix"])
+@pytest.mark.parametrize("config", ["catmap", "spectrum", "spectrum-quoted", "spectrum-mixed", "matrix"])
 def test_cli_reproduces_the_golden_bytes(monkeypatch, config, command, fmt):
     monkeypatch.chdir(GOLDEN)  # the spectrum config names its CSV by a relative path
     out, err = io.StringIO(), io.StringIO()
@@ -54,7 +55,7 @@ def test_every_command_runs_with_scipy_unimportable():
 
     import ruellebf
 
-    runs = [[config, command] for config in ("catmap", "spectrum", "spectrum-quoted", "matrix")
+    runs = [[config, command] for config in ("catmap", "spectrum", "spectrum-quoted", "spectrum-mixed", "matrix")
             for command in ("orbits", "zeta", "bridge", "partition", "diagrams")]
     env = {"PYTHONPATH": str(Path(ruellebf.__file__).resolve().parent.parent)}
     proc = subprocess.run([sys.executable, "-c", RUN_WITHOUT_SCIPY, json.dumps(runs)], cwd=GOLDEN, env=env,

@@ -410,15 +410,13 @@ def _orbit_key(orbit):
 
 def test_loader_merge_matches_reference_on_shuffled_duplicates(tmp_path):
     rng = np.random.default_rng(5)
-    maps = ["3.0;0.0;0.0;0.25", "3.0;-0.0;0.0;0.25", "3.0;0.1;0.0;0.25", "0.25;0.0;0.0;3.0",
-            "4.0;0.0;0.0;0.25;0.0;2.0;0.0;0.0;0.0;0.0;0.5;0.0;0.0;0.0;0.0;5.0"]
+    maps = ["3.0;0.0;0.0;0.25", "3.0;-0.0;0.0;0.25", "3.0;0.1;0.0;0.25", "0.25;0.0;0.0;3.0"]
     rows = []
     for _ in range(300):
         entries = maps[int(rng.integers(len(maps)))]
-        m = 2 if entries.count(";") == 15 else 1
         length = [1.0, 1.0 + 5e-13, 1.0 + 1e-12, 1.0 - 5e-13, 2.0, 2.0 + 5e-13][int(rng.integers(6))]
         rho = ["1.0,0.0", "1.0,-0.0", "-0.0,1.0", "0.0,1.0"][int(rng.integers(4))]
-        rows.append(f"{length!r},{int(rng.integers(1, 4))},{m},{entries},{rho}\n")
+        rows.append(f"{length!r},{int(rng.integers(1, 4))},1,{entries},{rho}\n")
     path = tmp_path / "shuffled.csv"
     path.write_text(HEADER + "".join(rows))
     raw = tmp_path / "raw.csv"

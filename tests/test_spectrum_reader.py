@@ -65,11 +65,12 @@ def test_a_class_multiplicity_past_the_float_range_fails_after_every_row_check(t
         assert str(info.value) == error
 
 
-# return maps: m = 1 and m = 2, each zero entry written as 0.0 or -0.0; the unit-circle and
-# non-finite ones fail validation
-GOOD_MAPS = [["3.0", "0", "0", "0.25"], ["2", "1", "1", "1"], ["0.25", "0", "0", "3.0"],
-             ["4.0", "0", "0", "0", "0", "2.0", "0", "0", "0", "0", "0.5", "0", "0", "0", "0", "5.0"]]
-BAD_MAPS = [["1.0", "0", "0", "1.0"], ["nan", "0", "0", "1.0"], ["inf", "0", "0", "0.25"]]
+# return maps by m, each zero entry written as 0.0 or -0.0; the unit-circle and non-finite ones fail
+# validation
+GOOD_MAPS = {1: [["3.0", "0", "0", "0.25"], ["2", "1", "1", "1"], ["0.25", "0", "0", "3.0"]],
+             2: [["4.0", "0", "0", "0", "0", "2.0", "0", "0", "0", "0", "0.5", "0", "0", "0", "0", "5.0"]]}
+BAD_MAPS = {1: [["1.0", "0", "0", "1.0"], ["nan", "0", "0", "1.0"], ["inf", "0", "0", "0.25"]],
+            2: [["1.0", "0", "0", "0", "0", "2.0", "0", "0", "0", "0", "0.5", "0", "0", "0", "0", "3.0"]]}
 LENGTHS = ["1.0", repr(1.0 + 5e-13), repr(1.0 + 1e-12), repr(1.0 - 5e-13), "2.0", repr(2.0 + 5e-13), "0.5"]
 RHOS = [("1.0", "0.0"), ("1.0", "-0.0"), ("-0.0", "1.0"), ("0.6", "0.8")]
 # one bad field value per column, each failing a format or a validation check
@@ -86,9 +87,11 @@ def rarely(draw, odds):
 
 
 @st.composite
-def fields(draw):
-    """The six fields of a data row, one of them bad now and then."""
-    entries = draw(st.sampled_from(GOOD_MAPS + BAD_MAPS if rarely(draw, 10) else GOOD_MAPS))
+def fields(draw, m):
+    """The six fields of a data row of a file of one m, one of them bad now and then; a bad map may be
+    a good one of the other m, which mixes return maps."""
+    maps = GOOD_MAPS[m] + BAD_MAPS[m] + GOOD_MAPS[3 - m] if rarely(draw, 10) else GOOD_MAPS[m]
+    entries = draw(st.sampled_from(maps))
     entries = [draw(st.sampled_from(["0.0", "-0.0"])) if x == "0" else x for x in entries]
     row = [draw(st.sampled_from(LENGTHS)), draw(st.sampled_from(HUGE if rarely(draw, 20) else ["1", "2", "3"])),
            "2" if len(entries) == 16 else "1", ";".join(entries), *draw(st.sampled_from(RHOS))]
@@ -103,15 +106,15 @@ def quote(field):
 
 
 @st.composite
-def lines(draw, kinds, ends):
-    """One physical line or more of a spectrum file, its line ends included."""
+def lines(draw, kinds, ends, m):
+    """One physical line or more of a spectrum file of one m, its line ends included."""
     kind = draw(st.sampled_from(kinds))
     end = draw(st.sampled_from(ends))
     if kind == "comment":  # with a space first it is a row, of one field
         return draw(st.sampled_from(["", " "])) + "# a comment, with a comma" + end
     if kind == "blank":
         return end
-    row = draw(fields())
+    row = draw(fields(m))
     if kind == "short":
         row = row[:draw(st.integers(1, 5))] if draw(st.booleans()) else row + ["1"]
     elif kind == "long":
@@ -133,15 +136,15 @@ def lines(draw, kinds, ends):
 @st.composite
 def spectrum_files(draw):
     """A plain file, split line by line throughout, or one that csv.reader reads from its first line
-    with a quote, carriage return or NUL, or one past the field size limit."""
-    plain = draw(st.sampled_from([True, True, False]))
+    with a quote, carriage return or NUL, or one past the field size limit; its rows draw one m."""
+    plain, m = draw(st.sampled_from([True, True, False])), draw(st.sampled_from([1, 2]))
     header = ",".join(HEADER if plain or draw(st.booleans()) else map(quote, HEADER))
     if rarely(draw, 20):
         header = draw(st.sampled_from(["length,mult", "# only a comment", ",".join(HEADER[:5])]))
     text = draw(st.sampled_from(["", "# preamble\n", "\n"])) + header
     kinds = ["row"] * 16 + ["comment", "blank", "short", "spaced"] + ([] if plain else ["long", "nul", "quoted"])
     ends = ["\n"] if plain else draw(st.sampled_from([["\n"], ["\n", "\n", "\n", "\r\n"], ["\r\n"]]))
-    text += draw(st.sampled_from(ends)) + "".join(draw(st.lists(lines(kinds, ends), max_size=25)))
+    text += draw(st.sampled_from(ends)) + "".join(draw(st.lists(lines(kinds, ends, m), max_size=25)))
     data = text.encode("utf-8")
     if rarely(draw, 30):  # a byte that is not UTF-8
         at = draw(st.integers(0, len(data)))
@@ -166,15 +169,51 @@ def test_the_column_reader_matches_the_row_by_row_reference(tmp_path_factory, da
 def test_duplicates_merge_as_in_the_reference_in_both_readers(tmp_path):
     # the same rows, plain and every field quoted: the plain file is split, the quoted one read by csv
     rng = np.random.default_rng(7)
-    rows = []
-    for _ in range(200):
-        entries = GOOD_MAPS[int(rng.integers(len(GOOD_MAPS)))]
-        entries = ["-0.0" if x == "0" and rng.integers(2) else "0.0" if x == "0" else x for x in entries]
-        rows.append([LENGTHS[int(rng.integers(len(LENGTHS)))], str(int(rng.integers(1, 4))),
-                     "2" if len(entries) == 16 else "1", ";".join(entries), *RHOS[int(rng.integers(len(RHOS)))]])
-    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
-    plain.write_text("\n".join(",".join(row) for row in [HEADER] + rows) + "\n")
-    quoted.write_text("\r\n".join(",".join(map(quote, row)) for row in [HEADER] + rows) + "\r\n")
+    for m in (1, 2):
+        rows = []
+        for _ in range(200):
+            entries = GOOD_MAPS[m][int(rng.integers(len(GOOD_MAPS[m])))]
+            entries = ["-0.0" if x == "0" and rng.integers(2) else "0.0" if x == "0" else x for x in entries]
+            rows.append([LENGTHS[int(rng.integers(len(LENGTHS)))], str(int(rng.integers(1, 4))), str(m),
+                         ";".join(entries), *RHOS[int(rng.integers(len(RHOS)))]])
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("\n".join(",".join(row) for row in [HEADER] + rows) + "\n")
+        quoted.write_text("\r\n".join(",".join(map(quote, row)) for row in [HEADER] + rows) + "\r\n")
+        want = outcome(reference_load_length_spectrum, plain)
+        assert want[0][4] == (2 * m, 2 * m) and len(want) < len(rows)
+        assert outcome(load_length_spectrum, plain) == want == outcome(load_length_spectrum, quoted)
+
+
+M1_ROW, M2_ROW = "1.0,1,1,2;0;0;0.5,1,0\n", "2.0,1,2,2;0;0;0;0;0.5;0;0;0;0;3;0;0;0;0;0.25,1,0\n"
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([M1_ROW, M2_ROW, "abc,1,1,2;0;0;0.5,1,0\n"], "line 3: m = 2 mixes return maps with the m = 1 of the first row"),
+    ([M1_ROW, M2_ROW, "abc,1,1\n"], "line 3: m = 2 mixes return maps with the m = 1 of the first row"),
+    ([M1_ROW, "1.5,1,1,1;0;0;1,1,0\n", M2_ROW], "line 3: Poincare map has an eigenvalue on the unit circle"),
+    ([M2_ROW, "1.5,1,2,1;2;3,1,0\n", M1_ROW], "line 3: P_entries has 3 values, expected 16"),
+], ids=["format-error-after", "short-row-after", "bad-map-before", "the-first-row-sets-m"])
+def test_a_row_of_another_m_is_a_format_error_at_its_line(tmp_path, rows, error):
+    # the first bad line wins: a row that fails validation before the mixing row, and no row after it
+    path = tmp_path / "mixed.csv"
+    path.write_text(",".join(HEADER) + "\n" + "".join(rows))
+    for load in (load_length_spectrum, reference_load_length_spectrum):
+        with pytest.raises(SpectrumFormatError) as info:
+            load(path)
+        assert (str(info.value), info.value.line) == (error, 3)
+
+
+@pytest.mark.parametrize("row3", ["1.5,2,1,3.0;0.0;0.0;0.25,0.6,0.8\n", "1.5,2,1,x,0.6,0.8\n"],
+                         ids=["good-row-3", "bad-row-3"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_a_utf8_byte_order_mark_is_read_past(tmp_path, quoted, row3):
+    # spreadsheet tools save CSV with a BOM: the orbits, or the error and its line, are those without it
+    text = ",".join(map(quote, HEADER) if quoted else HEADER) + "\n" + M1_ROW + row3
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
     want = outcome(reference_load_length_spectrum, plain)
-    assert len(want) < len(rows)
-    assert outcome(load_length_spectrum, plain) == want == outcome(load_length_spectrum, quoted)
+    assert (want[0], want[2]) == ("error", 3) if "x" in row3 else len(want) == 2
+    for load in (load_length_spectrum, reference_load_length_spectrum):
+        assert outcome(load, plain) == outcome(load, marked) == want
