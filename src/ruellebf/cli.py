@@ -18,9 +18,15 @@ one pass, its gauge cross-check from one operator spectrum per model. The
 diagrams table writes the chain and cycle of each order from their
 closed forms and builds no graph.
 
-Exit codes: 0 success, 1 config error (a run out of memory too), 2 model
-invalid, 3 numerical non-convergence; EXIT_CODES maps every library error to
-one of them.
+Exit codes: 0 success, 1 config error (a run out of memory, or a standard
+output that cannot be written, too), 2 model invalid, 3 numerical
+non-convergence; EXIT_CODES maps every library error to one of them.
+
+A command imports only what it runs: bf_engine with a matrix model or the
+bridge and partition commands, hashlib for a matrix model_id. run()
+is the process entry point: it freezes the import-time heap out of the
+collector (gc.freeze) and exits with main's code; main(argv) has no
+process-wide effect.
 """
 
 from __future__ import annotations
@@ -28,17 +34,18 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
+import gc
 import io
 import itertools
 import json
 import math
+import os
 import sys
 import types
 
 import numpy as np
 
-from . import bf_engine, flat_zeta, graded_core, orbits as orbits_mod
+from . import flat_zeta, graded_core, orbits as orbits_mod
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -194,6 +201,8 @@ def _parse_model(cfg, rep):
         _require(isinstance(body, str), "model.spectrum_file", "must be a path string")
         return "spectrum", body
     if kind == "matrix":
+        from . import bf_engine
+
         _require(isinstance(body, dict), "model.matrix", "must be an object")
         d = _parse_matrix(body.get("d"), "model.matrix.d")
         iota = body.get("iota")
@@ -257,6 +266,8 @@ def _orbit_data(kind, model, n_max, l_max):
 def _matrix_model_id(bf) -> str:
     """A hash of L0 and of the (degree, size) of each nonempty block; the unsplit default, one
     degree-0 block, adds nothing to the hash, so unsplit models keep the id of an L0-only hash."""
+    import hashlib
+
     digest = hashlib.sha256(np.ascontiguousarray(bf.complex.L0).tobytes())
     blocks = [(degree, size) for degree, size in bf.graded_split if size]
     if blocks != [(0, bf.complex.n)]:
@@ -284,14 +295,17 @@ def _emit(table, fmt, out_path, meta=None):
         if meta:
             doc["meta"] = {key: cell(value) for key, value in meta.items()}
         payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out_path:
-        try:
+    if not out_path and sys.stdout is None:  # the process started with its standard output closed
+        raise ConfigError("--out", "cannot write standard output: it is closed")
+    try:
+        if out_path:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(payload)
-        except OSError as exc:
-            raise ConfigError("--out", f"cannot write {out_path}: {exc.strerror}")
-    else:
-        sys.stdout.write(payload)
+        else:
+            sys.stdout.write(payload)
+            sys.stdout.flush()  # a full disk shows here, not at exit
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write {out_path or 'standard output'}: {exc.strerror}")
 
 
 def _csv_body(table) -> str:
@@ -339,11 +353,10 @@ def cmd_orbits(cfg, fmt, out_path):
     # the maps of the float route share one stacked trace and one stacked determinant; the others read
     # tr P = e_1 and det P = e_2m off the exact kernel of atom_table, one characteristic polynomial per
     # distinct map
-    floating, maps = flat_zeta._float_route(orbs, 2 * m)
+    floating, maps, exact = flat_zeta._float_route(orbs, 2 * m)
     trace_p, det_p = np.zeros(len(orbs)), np.zeros(len(orbs))
     trace_p[floating] = np.trace(maps, axis1=1, axis2=2)
     det_p[floating] = np.linalg.det(maps)
-    exact = np.setdiff1d(np.arange(len(orbs)), floating)
     e, _ = flat_zeta._exact_traces([flat_zeta._integer_entries(orbs[i].poincare) for i in exact.tolist()], 2 * m)
     trace_p[exact], det_p[exact] = e[:, 1], e[:, -1]
     rho = np.array([orbit.rho[0, 0] for orbit in orbs], dtype=complex)
@@ -386,6 +399,8 @@ def cmd_zeta(cfg, fmt, out_path):
 
 
 def cmd_bridge(cfg, fmt, out_path):
+    from . import bf_engine
+
     rep = _parse_rep(cfg)
     n_max, l_max, k_ord = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
@@ -414,6 +429,8 @@ def cmd_bridge(cfg, fmt, out_path):
 
 
 def cmd_partition(cfg, fmt, out_path):
+    from . import bf_engine
+
     rep = _parse_rep(cfg)
     kind, model = _parse_model(cfg, rep)
     _require(kind == "matrix", "model", "the partition command needs a matrix model")
@@ -439,6 +456,8 @@ def cmd_diagrams(cfg, fmt, out_path):
     lambda0 = _parse_complex(cfg.get("lambda0", 0.0), "lambda0")
     gi = gt = None
     if kind == "matrix":
+        from . import bf_engine
+
         a_vec, b_vec = _parse_external(cfg, model.complex.n)
         prop = bf_engine.regularized_propagator(model, 0.0, math.inf, lambda0)
         gi = bf_engine.gamma_int(model, prop, a_vec, b_vec, k_ord)
@@ -511,5 +530,23 @@ def main(argv=None) -> int:
         return code
 
 
+def run():
+    """The process entry point (`ruelle-bf`, `python -m ruellebf.cli`): main() on sys.argv, then exit.
+
+    The objects the imports made live until exit, so they leave the collector's generations first:
+    no collection walks them again, the ones at exit included.
+    """
+    gc.freeze()
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # main reported the failed write; what it left buffered would fail the exit flush again, so the
+        # descriptor goes to devnull, as the signal module's note on SIGPIPE does it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

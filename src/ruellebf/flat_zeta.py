@@ -263,13 +263,16 @@ def _integer_valued(maps: np.ndarray) -> np.ndarray:
     return np.all((np.abs(maps) < EXACT_INT_LIMIT) & (maps == np.floor(maps)), axis=(1, 2))
 
 
-def _float_route(orbits, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, (n, d, d) stack) of the orbits whose d x d return maps take the float route: float
-    maps that are not integer-valued. Every other map is read exactly, by _integer_entries."""
+def _float_route(orbits, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(float positions, their (n, d, d) stack, exact positions), positions ascending: the orbits whose
+    d x d return maps take the float route, float maps that are not integer-valued, and the others,
+    whose maps _integer_entries reads exactly."""
     is_float = [orbit.poincare.dtype.kind == "f" for orbit in orbits]
     maps = np.array([o.poincare for o, f in zip(orbits, is_float) if f], dtype=float).reshape(sum(is_float), d, d)
     keep = ~_integer_valued(maps)
-    return np.flatnonzero(is_float)[keep], maps[keep]
+    on_float = np.array(is_float, dtype=bool)
+    on_float[on_float] = keep
+    return np.flatnonzero(on_float), maps[keep], np.flatnonzero(~on_float)
 
 
 def _transversality_scales(maps: np.ndarray) -> np.ndarray:
@@ -381,10 +384,10 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
             raise ValueError(f"orbit carries a {rank}x{rank} twist, expected the {r}x{r} of the first orbit")
     reach = L_max * REACH_FACTOR
     lengths = np.array([orbit.length for orbit in orbits], dtype=float)
-    float_pos, floats = _float_route(orbits, d)
+    float_pos, floats, exact_pos = _float_route(orbits, d)
     exact = []  # (t, input position, j, P^j, scale) of the maps raised in Python ints
     scales = {}  # exact P^j -> its _transversality_scale
-    for pos in np.setdiff1d(np.arange(len(orbits)), float_pos).tolist():
+    for pos in exact_pos.tolist():
         length, base = orbits[pos].length, _integer_entries(orbits[pos].poincare)
         j, p_power, scale = 1, base, 0.0
         while j * length <= reach and scale < math.inf:
