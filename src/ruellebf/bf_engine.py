@@ -6,15 +6,14 @@ and loops (carrying a graded trace). Both series resum in closed form, and
 the loop series exponentiates to the alternating determinant ratio that the
 orbit-side zeta machinery reproduces independently. The matrix side reads
 the spectrum of each graded block (once per model) and the gauge-fixed
-inverse L1^{-1} (once per complex): the resolvent-power traces are sums of
-(mu + lam)**(-N), the determinant ratio is a product of 1 + hbar/mu, the
-partition value a product of |mu + hbar|, and a grid builds its loop series
-once. The traces need only mu + lam != 0; only the propagator checks damping.
-Both loop series, from spectra and from orbit atoms, share one coefficient
-rule, _loop_coefficients.
-Both bridge grids, matrix and orbit, compute their routes and loop series and
-share _bridge_grid for the exponential and the radius flag (one array pass);
-each returns one BridgeGrid of columns over its hbar grid.
+inverse L1^{-1} (once per complex): the determinant ratio is a product of
+1 + hbar/mu, the partition value a product of |mu + hbar|, and the
+resolvent-power traces, sums of (mu + lam)**(-N) that need only mu + lam != 0
+(only the propagator checks damping), one array from MatrixBFModel.loop_traces.
+flat_zeta.AtomTable.loop_traces gives the orbit side's; one rule, _loop_terms,
+turns the signed traces into every loop series, built once per grid. Both
+bridge grids share _bridge_grid for the exponential and the radius flag (one
+array pass); each returns one BridgeGrid of columns over its hbar grid.
 
 Sign table (single source of truth for the graded exponents):
   * a closed fermion-style loop in form degree k contributes
@@ -79,6 +78,16 @@ class MatrixBFModel:
         object.__setattr__(self, "graded_split", split)
         object.__setattr__(self, "spectra", tuple(
             (k, np.linalg.eigvals(l0[at:end, at:end])) for (k, _), at, end in zip(split, edges, edges[1:])))
+
+    def loop_traces(self, lam: complex, orders: int) -> np.ndarray:
+        """orders x blocks: row N - 1 holds np.sum((mu + lam)**(-N)) over each block spectrum, the trace of
+        the N-th resolvent power on its block; IRDivergenceError where mu + lam = 0."""
+        shifted = _shifted_spectra(self, lam)
+        rows = [None] * orders  # an order count too large to allocate fails here, before any trace
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, orders + 1):
+                rows[n - 1] = [np.sum(s ** -n) for _, s in shifted]
+        return np.array(rows, dtype=complex).reshape(orders, len(shifted))
 
     def min_spectrum_abs(self, lam: complex = 0.0) -> float:
         """min |mu + lam| over the block spectra."""
@@ -145,16 +154,9 @@ def gamma_int(
     return HbarSeries(tuple(coeffs))
 
 
-def _loop_coefficients(traces, K: int) -> HbarSeries:
-    """Loop series whose order-(N + 1) coefficient is (-1)**N / N * traces(N), N < K."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    coeffs = [0j] * (K + 1)
-    # a trace past the float range at high order leaves an inf or nan coefficient
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, K):
-            coeffs[n + 1] = (-1) ** n / n * traces(n)
-    return HbarSeries(tuple(coeffs))
+def _loop_terms(traces) -> list:
+    """The loop rule: term N is (-1)**N / N * T_N, over the signed traces T_1, T_2, ... of a 1-d array."""
+    return [(-1) ** n / n * t for n, t in enumerate(np.asarray(traces, dtype=complex).tolist(), 1)]
 
 
 def _shifted_spectra(model: MatrixBFModel, lam: complex) -> list:
@@ -167,16 +169,14 @@ def _shifted_spectra(model: MatrixBFModel, lam: complex) -> list:
 
 
 def gamma_tr(model: MatrixBFModel, lam: complex, K: int) -> HbarSeries:
-    """Loop-diagram series starting at second order.
-
-    The degree-signed trace of the N-th resolvent power on the image of the
-    contraction is sum loop_sign(k) (mu + lam)**(-N) over the block spectra; it
-    needs mu + lam != 0, not damping (an acyclic spectrum such as +-0.7i is fine).
-    """
-    shifted = _shifted_spectra(model, lam)
-    return _loop_coefficients(
-        lambda n: sum((loop_sign(degree) * complex(np.sum(s ** -n)) for degree, s in shifted), 0j), K
-    )
+    """Loop-diagram series starting at second order: the degree-signed trace of the N-th resolvent
+    power on the image of the contraction is sum loop_sign(k) (mu + lam)**(-N) over the blocks in
+    order; it needs mu + lam != 0, not damping (an acyclic spectrum such as +-0.7i is fine)."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    signs = [loop_sign(degree) for degree, _ in model.spectra]
+    traces = [sum((sign * t for sign, t in zip(signs, row)), 0j) for row in model.loop_traces(lam, K - 1).tolist()]
+    return HbarSeries((0j, 0j, *_loop_terms(traces)))
 
 
 @dataclass(frozen=True)
@@ -246,14 +246,13 @@ def _terms_grow(series: HbarSeries, hbars) -> np.ndarray:
         return overflow.any(axis=1) | ((positive.sum(axis=1) >= 2) & (last >= first))
 
 
-def _bridge_grid(hbars, routes: dict, tails: dict, loop_series, radius: float | None = None) -> BridgeGrid:
-    """The BridgeGrid of a grid, for both model kinds; routes and tails map each route to its
-    values and bounds over the grid. loop_series() builds the log-ratio series in hbar, only if
-    some point needs it. An exact Taylor radius leaves the series None outside it; without one,
-    the term-decay heuristic flags a point and its value is still given. A series value that is
-    not finite is flagged too."""
+def _bridge_grid(hbars, routes: dict, tails: dict, loop_terms, radius: float | None = None) -> BridgeGrid:
+    """The BridgeGrid of a grid, for both model kinds; routes and tails map each route to its values
+    and bounds over the grid. loop_terms() gives the loop terms of orders 1..K, the log-ratio series in
+    hbar, only if some point needs them. An exact Taylor radius leaves the series None outside it; without
+    one, the term-decay heuristic flags a point and its value is still given, as is a non-finite one."""
     inside = [radius is None or math.hypot(h.real, h.imag) < radius for h in hbars]  # abs(h), inf past the range
-    loop = loop_series() if any(inside) else None
+    loop = HbarSeries((0j, *loop_terms())) if any(inside) else None
     series = [_exp(loop.eval(h)) if ok else None for h, ok in zip(hbars, inside)]
     grows = _terms_grow(loop, hbars).tolist() if radius is None and hbars else [False] * len(hbars)
     diverges = [not ok or not cmath.isfinite(value) or g for ok, value, g in zip(inside, series, grows)]
@@ -280,11 +279,10 @@ def expectation_grid(model: MatrixBFModel, hbars, K: int, lambda0: complex = 0.0
     route det is the exact determinant ratio det(L + lambda0 + hbar) / det(L + lambda0) (tail 0.0),
     the series exp(Gamma_tr / hbar) at lambda0 with loop orders 1..K resummed, a defect of
     O(hbar**(K+1)), and None outside the exact Taylor radius min |spec L + lambda0|. A lambda0 on
-    the spectrum of -L raises IRDivergenceError. The hbar-independent loop series is built once, and
-    not at all for a grid wholly outside it."""
+    the spectrum of -L raises IRDivergenceError."""
     hbars = [complex(h) for h in hbars]
     return _bridge_grid(hbars, {"det": _closed_form_grid(model, hbars, lambda0)}, {"det": [0.0] * len(hbars)},
-                        lambda: gamma_tr(model, lambda0, K + 1).shift_down(), model.min_spectrum_abs(lambda0))
+                        lambda: gamma_tr(model, lambda0, K + 1).coeffs[2:], model.min_spectrum_abs(lambda0))
 
 
 def _abs_product(factors, size: int) -> np.ndarray:
@@ -330,19 +328,6 @@ def partition_grid(model: MatrixBFModel, hbars) -> np.ndarray:
     return direct
 
 
-def _loop_series(table: flat_zeta.AtomTable, lambda0: complex, K: int) -> HbarSeries:
-    """Loop series from an atom table: the degree-k flat trace of the N-th resolvent power at base
-    point lambda0 is the sum over its atoms of w * t**(N-1) e^{-lambda0 t} / (N-1)!."""
-    degree_signs = np.array([loop_sign(k) for k in range(2 * table.m + 1)])
-    with np.errstate(over="ignore", invalid="ignore"):  # far left of the axis: inf or nan, a radius violation
-        signed = (table.flat_weights() * degree_signs).sum(axis=1) * np.exp(-lambda0 * table.t)
-    # from n = 172 on, (n - 1)! is past the float range and t**(n - 1) / (n - 1)! goes through logarithms
-    return _loop_coefficients(
-        lambda n: complex(np.sum(signed * table.t ** (n - 1))) / math.factorial(n - 1) if n <= 171
-        else complex(np.sum(signed * np.exp((n - 1) * np.log(table.t) - math.lgamma(n)))), K
-    )
-
-
 def zeta_expectation_bridge_grid(
     orbits, m: int, hbars, L_max: float, lambda0: complex = 3.0, K: int = 8
 ) -> BridgeGrid:
@@ -362,4 +347,6 @@ def zeta_expectation_bridge_grid(
               "orbit": [_exp((-1) ** m * (v[euler] - base[euler])) for v in values]}
     route_tails = {"det": [sum((base_tail[k] + t[k] for k in degrees), 0.0) for t in tails],
                    "orbit": [base_tail[euler] + t[euler] for t in tails]}
-    return _bridge_grid(hbars, routes, route_tails, lambda: _loop_series(table, lambda0, K + 1).shift_down())
+    with np.errstate(over="ignore", invalid="ignore"):  # one degree-signed column, signed before the atom sum
+        signed = (table.flat_weights() * [loop_sign(k) for k in degrees]).sum(axis=1, keepdims=True)
+    return _bridge_grid(hbars, routes, route_tails, lambda: _loop_terms(table.loop_traces(lambda0, K, signed)[:, 0]))

@@ -19,7 +19,7 @@ diagrams table writes the chain and cycle of each order from their
 closed forms and builds no graph.
 
 Exit codes: 0 success, 1 config error (a run out of memory, or a standard
-output that cannot be written, too), 2 model invalid, 3 numerical
+output that cannot be written, by --help too), 2 model invalid, 3 numerical
 non-convergence; EXIT_CODES maps every library error to one of them.
 
 A command imports only what it runs: bf_engine with a matrix model or the
@@ -295,6 +295,11 @@ def _emit(table, fmt, out_path, meta=None):
         if meta:
             doc["meta"] = {key: cell(value) for key, value in meta.items()}
         payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write(payload, out_path)
+
+
+def _write(payload, out_path):
+    """payload to the file out_path, else to standard output and flushed; a failed write raises ConfigError."""
     if not out_path and sys.stdout is None:  # the process started with its standard output closed
         raise ConfigError("--out", "cannot write standard output: it is closed")
     try:
@@ -486,8 +491,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse passes over a failed write; the help is refused as a table is
+        _write(self.format_help(), None)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ruelle-bf",
         description="Ruelle zeta functions from orbit sums and BF-type diagram series",
     )
@@ -517,8 +527,8 @@ EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args.config)
         return COMMANDS[args.command](cfg, args.format, args.out)
     except tuple(cls for cls, _, _ in EXIT_CODES) as exc:

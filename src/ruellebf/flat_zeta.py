@@ -1,28 +1,23 @@
-"""Orbit sums: the atom table and its log zeta columns.
+"""Orbit sums: the atom table, its log zeta columns and its loop traces.
 
 Evolution semigroups of the orbit models have flat traces supported on the
-closed-orbit lengths, read atom by atom from AtomTable.flat_weights;
-truncating those atom sums gives the per-degree log zeta factors, the Euler
-product, and the alternating assembly. All of them are columns of
-AtomTable.log_zeta: a caller builds one AtomTable per (orbits, m, L_max),
-every atom transversality-checked, and reads its columns over a whole lambda
-grid. atom_table owns the return-map arithmetic: it takes plain PrimeOrbits,
-of one map size 2m and one twist rank r (a flow and one representation), and
-computes and checks every atom itself; the twist powers rho^j come from one
-(n, r, r) stack. An atom's exterior traces tr(wedge^k P^j) and det(I - P^j)
-come from one characteristic polynomial of P^j: in exact integers for
-integer-valued return maps (_exact_traces), formed once per distinct power
-and shared by the atoms that equal it (a cat-map census repeats A^N once per
-divisor of N), from the eigenvalues for the maps of the float route
-(_float_route), in stacked arrays independent of the BLAS build; the orbits
-table reads both routes too. Either route only produces traces: one stacked
-pass over the whole table then checks transversality, divides the weights
-and raises at the first atom that fails. A lambda grid is evaluated once per
-distinct column, in blocks of a fixed element budget, so temporaries stay
-small, and summed in the fixed atom order (ascending time, then input order,
-then repetition), time groups by np.bincount, so values are bit-stable, the
-same for a lambda alone as inside any grid, and each carries a geometric
-tail estimate. The zeta table leaves as columns.
+closed-orbit lengths, read atom by atom from AtomTable.flat_weights. A caller
+builds one AtomTable per (orbits, m, L_max) with atom_table, which computes
+and transversality-checks every atom of plain PrimeOrbits of one map size 2m
+and one twist rank r: an atom's exterior traces tr(wedge^k P^j) and
+det(I - P^j) come from one characteristic polynomial of P^j, in exact
+integers for integer-valued return maps (_exact_traces, once per distinct
+power), else from stacked eigenvalues (_float_route), independent of the
+BLAS build; the orbits table reads both routes too. The table has two
+kernels, each summed in the fixed atom order (ascending time, then input
+order, then repetition), so values are bit-stable:
+  * AtomTable.log_zeta, the per-degree log zeta factors, the Euler product
+    and the alternating assembly, columns over a whole lambda grid, each
+    with a geometric tail estimate and the same for a lambda alone as inside
+    any grid; zeta_grid_rows writes them as the zeta table's columns;
+  * AtomTable.loop_traces, the flat traces of the resolvent powers at a base
+    point, an orders x columns array over any weight columns, from which
+    bf_engine builds the orbit loop series.
 
 Branch convention: principal logarithms everywhere, with log zeta built
 additively from per-orbit terms so no product-branch ambiguity arises.
@@ -209,6 +204,19 @@ class AtomTable:
     def flat_weights(self) -> np.ndarray:
         """Atoms x degrees: mult * length * tr(rho^j) * weights."""
         return (-self.t * self.euler)[:, None] * self.weights
+
+    def loop_traces(self, lambda0: complex, orders: int, weights: np.ndarray) -> np.ndarray:
+        """orders x columns: row N - 1 holds sum_atoms w t**(N-1) e^{-lambda0 t} / (N-1)! for each column w of
+        an atoms x columns weight matrix, one np.sum along the atoms in table order; flat_weights() gives the
+        degree-k flat traces of the N-th resolvent power at lambda0. Far left of the axis: inf or nan."""
+        rows = [None] * orders  # an order count too large to allocate fails here, before any trace
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = np.ascontiguousarray(weights.T) * np.exp(-lambda0 * self.t)
+            for n in range(1, orders + 1):  # from N = 172 on, (N-1)! is past the float range: logarithms
+                power = self.t ** (n - 1) if n <= 171 else np.exp((n - 1) * np.log(self.t) - math.lgamma(n))
+                sums = [complex(np.sum(w * power)) for w in columns]
+                rows[n - 1] = [s / math.factorial(n - 1) for s in sums] if n <= 171 else sums
+        return np.array(rows, dtype=complex).reshape(orders, weights.shape[1])
 
     def log_zeta(self, lambdas) -> tuple[np.ndarray, np.ndarray]:
         """(values, tails), lambdas x (2m + 3): log zeta_k for k = 0..2m, the Euler sum, the assembly,

@@ -27,12 +27,6 @@ class HbarSeries:
             raise IndexError(f"power {power} outside truncation order {self.order}")
         return self.coeffs[power]
 
-    def shift_down(self) -> "HbarSeries":
-        """Divide by hbar; requires a vanishing constant term."""
-        if abs(self.coeffs[0]) != 0.0:
-            raise ValueError("constant term nonzero, cannot divide by hbar")
-        return HbarSeries(self.coeffs[1:])
-
     def eval(self, hbar: complex) -> complex:
         acc = 0j
         for c in reversed(self.coeffs):

@@ -16,7 +16,6 @@ from scipy.linalg import block_diag
 
 from ruellebf.bf_engine import (
     MatrixBFModel,
-    _loop_series,
     expectation_grid,
     gamma_int,
     gamma_tr,
@@ -268,11 +267,11 @@ def test_criterion_9_simplex_factor():
         rng = np.random.default_rng(109)
         for n in range(1, 6):
             for t in (1.0, float(rng.uniform(0.5, 2.5))):
-                # one atom at time t whose signed flat weight is t (det(I - P) = -1): at lambda0 = 0 the
-                # loop series' order-(N + 1) coefficient is (-1)^N / N * t * t^(N-1) / (N-1)!
+                # one atom at time t whose signed flat weight is t (det(I - P) = -1): at lambda0 = 0 its
+                # N-th signed loop trace is t * t^(N-1) / (N-1)!
                 table = atom_table([PrimeOrbit(t, np.array([[2, 1], [1, 1]]), np.eye(1))], 1, t)
-                series = _loop_series(table, 0.0, n + 1)
-                factor = (-1) ** n * n * series.coefficient(n + 1) / t
+                signed = (table.flat_weights() * [loop_sign(k) for k in range(3)]).sum(axis=1, keepdims=True)
+                factor = table.loop_traces(0.0, n, signed)[n - 1, 0] / t
                 numeric = simplex_volume_quadrature(n, t, 3001)
                 assert table.t.tolist() == [t]
                 assert abs(numeric - factor) <= 1e-3 * max(abs(factor), 1e-9)

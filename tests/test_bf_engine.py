@@ -9,7 +9,6 @@ from ruellebf.bf_engine import (
     IRDivergenceError,
     MatrixBFModel,
     _closed_form_grid,
-    _loop_series,
     expectation_grid,
     gamma_int,
     gamma_tr,
@@ -21,7 +20,7 @@ from ruellebf.bf_engine import (
 from ruellebf.feynman import Interaction, gamma_sum
 from ruellebf.flat_zeta import atom_table
 from ruellebf.graded_core import ToyBFComplex
-from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, enumerate_prime_orbits
+from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, Representation, enumerate_prime_orbits
 
 from graph_reference import (
     automorphism_order,
@@ -275,12 +274,17 @@ def test_gamma_tr_spectrum_violation():
 
 # --------------------------------------------------------------------- simplex
 
+def signed_column(table):
+    """The one degree-signed flat-weight column that the orbit bridge passes to AtomTable.loop_traces."""
+    return (table.flat_weights() * [loop_sign(k) for k in range(2 * table.m + 1)]).sum(axis=1, keepdims=True)
+
+
 @pytest.mark.parametrize("n,t", [(2, 1.0), (3, 2.0), (4, 1.0), (5, 1.5)])
 def test_simplex_vs_numerical_integration(n, t):
-    # one atom at time t whose signed flat weight is t (det(I - P) = -1): at lambda0 = 0 the loop
-    # series' order-(N + 1) coefficient is (-1)^N / N * t * t^(N-1) / (N-1)!
-    series = _loop_series(atom_table([PrimeOrbit(t, np.array([[2, 1], [1, 1]]), np.eye(1))], 1, t), 0.0, n + 1)
-    factor = (-1) ** n * n * series.coefficient(n + 1) / t
+    # one atom at time t whose signed flat weight is t (det(I - P) = -1): at lambda0 = 0 its N-th
+    # signed loop trace is t * t^(N-1) / (N-1)!
+    table = atom_table([PrimeOrbit(t, np.array([[2, 1], [1, 1]]), np.eye(1))], 1, t)
+    factor = table.loop_traces(0.0, n, signed_column(table))[n - 1, 0] / t
     numeric = simplex_volume_quadrature(n, t)
     assert abs(numeric - factor) <= 1e-3 * max(abs(factor), 1e-12)
 
@@ -612,6 +616,8 @@ def test_gamma_sum_matches_gamma_tr_order_two():
 # ---------------------------------------------------------------------- bridge
 
 CAT_ORBITS = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1))), 12)
+CHARACTER_ORBITS = enumerate_prime_orbits(
+    HyperbolicToralModel(((2, 1), (1, 1)), 1.0, Representation("character", 0.7)), 12)
 
 
 def test_bridge_at_zero():
@@ -642,12 +648,32 @@ def test_bridge_conjugation_symmetry():
 
 def test_orbit_loop_series_first_coefficient_from_atoms():
     table = atom_table(CAT_ORBITS, 1, 12.0)
-    series = _loop_series(table, 3.0, 6)
-    # N = 1 coefficient: sum_k (-1)^(k+1) sum_atoms w e^{-3 t}, times -1
+    # N = 1 signed trace: sum_k (-1)^(k+1) sum_atoms w e^{-3 t}
+    (trace,) = table.loop_traces(3.0, 1, signed_column(table))[0]
     signed = 0j
     for weights, t in zip(table.flat_weights().tolist(), table.t.tolist()):
         signed += sum((-1) ** (k + 1) * w * cmath.exp(-3.0 * t) for k, w in enumerate(weights))
-    assert series.coefficient(2) == pytest.approx(-signed, rel=1e-12)
+    assert trace == pytest.approx(signed, rel=1e-12)
+
+
+def test_signed_per_degree_traces_give_the_orbit_bridge_series(monkeypatch):
+    from ruellebf import bf_engine
+
+    built, bridge_grid = [], bf_engine._bridge_grid
+
+    def capturing(hbars, routes, tails, loop_terms):
+        built.append(loop_terms())
+        return bridge_grid(hbars, routes, tails, loop_terms)
+
+    monkeypatch.setattr(bf_engine, "_bridge_grid", capturing)
+    for orbits in (CAT_ORBITS, CHARACTER_ORBITS):
+        built.clear()
+        zeta_expectation_bridge_grid(orbits, 1, [0.1], 12.0, 3.0, 7)
+        table = atom_table(orbits, 1, 12.0)
+        signed = table.loop_traces(3.0, 7, table.flat_weights()) @ [loop_sign(k) for k in range(3)]
+        for n in range(1, 8):
+            want = built[0][n - 1]
+            assert abs((-1) ** n / n * signed[n - 1] - want) <= 1e-13 * abs(want)
 
 
 def test_orbit_loop_series_past_the_float_factorial_keeps_the_moment_formula():
@@ -656,11 +682,11 @@ def test_orbit_loop_series_past_the_float_factorial_keeps_the_moment_formula():
     # order N + 1 divides the N-th moment by (N - 1)!, which passes the float range from N = 172
     orbits = enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1))), 20)
     table = atom_table(orbits, 1, 20.0)
-    signed = (table.flat_weights() * [loop_sign(k) for k in range(3)]).sum(axis=1) * np.exp(-3.0 * table.t)
-    series = _loop_series(table, 3.0, 180)
+    signed = signed_column(table)[:, 0] * np.exp(-3.0 * table.t)
+    traces = table.loop_traces(3.0, 179, signed_column(table))
     for n in (171, 172, 179):
         moment = sum(w * float(Fraction(t) ** (n - 1) / math.factorial(n - 1)) for w, t in zip(signed, table.t))
-        assert series.coefficient(n + 1) == pytest.approx((-1) ** n / n * moment, rel=1e-12, abs=0.0)
+        assert traces[n - 1, 0] == pytest.approx(moment, rel=1e-12, abs=0.0)
 
 
 def test_spectral_kernel_on_non_normal_blocks():
@@ -682,8 +708,9 @@ def test_spectral_kernel_on_non_normal_blocks():
         want = ratios[0] / ratios[1]
         assert abs(got - want) <= 1e-8 * abs(want)
     for lam in (0.0, 0.3 + 0.1j):
-        series = gamma_tr(model, lam, 8)
+        series, rows = gamma_tr(model, lam, 8), model.loop_traces(lam, 7)
         for n in range(1, 8):
             traces = [np.trace(np.linalg.matrix_power(np.linalg.inv(b + lam * eye), n)) for b in blocks]
+            assert np.allclose(rows[n - 1], traces, rtol=1e-8, atol=0.0)
             want = (-1) ** n / n * (traces[1] - traces[0])  # loop signs -1 (degree 0), +1 (degree 1)
             assert abs(series.coefficient(n + 1) - want) <= 1e-8 * abs(want)

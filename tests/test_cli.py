@@ -621,11 +621,20 @@ def test_matrix_bridge_evaluates_at_lambda0(tmp_path, capsys):
     ("bridge", {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 10**15}, "grid": [0.1]}),
     ("diagrams", {"model": {"matrix": {"d": [[2.0, 0.0], [0.0, 3.0]]}}, "truncation": {"K": 10**15}}),
 ], ids=["orbits-n_max", "diagrams-n_max", "bridge-catmap-K", "bridge-matrix-K", "diagrams-matrix-K"])
-def test_a_truncation_too_large_to_allocate_exits_1_with_one_line(tmp_path, capsys, command, payload):
-    # the census sieve of n_max + 1 counts and the K + 1 series coefficients are Python lists: asking
-    # for 10**15 of them fails at once, before any memory is touched
-    code, out, err = _run_quietly(capsys, [command, "--config", write_config(tmp_path, payload)])
-    assert (code, out, err) == (1, "", "out of memory: MemoryError\n")
+def test_a_truncation_too_large_to_allocate_exits_1_with_one_line(tmp_path, command, payload):
+    # the census sieve of n_max + 1 counts, the K + 1 series coefficients and the K loop-trace rows are
+    # Python lists: asking for 10**15 of them fails at once, before any memory is touched or any trace
+    # formed; in a process of its own, so that a run that starts computing fails at the timeout, not hangs
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ruellebf
+
+    env = {"PYTHONPATH": str(Path(ruellebf.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "ruellebf.cli", command, "--config", write_config(tmp_path, payload)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "out of memory: MemoryError\n")
 
 
 def test_acyclic_matrix_bridge_needs_no_damping(tmp_path):

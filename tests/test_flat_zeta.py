@@ -626,3 +626,36 @@ def test_geometric_tails_match_polyfit_reference():
         else:
             assert tail == pytest.approx(want, rel=1e-12)
     assert _geometric_tails(np.array([]), np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("a, roof, n_max, lambda0", [((2, 1, 1, 1), 1.0, 29, 3.0), ((3, 1, 2, 1), 0.7, 20, 6.0)])
+def test_per_degree_loop_traces_match_the_closed_form(a, roof, n_max, lambda0):
+    # the degree-k flat traces sum over periods n of r sum_nu (chi nu)^n at t = n r, nu in spec wedge^k A:
+    # the second trace is sum_nu r^2 sum_n n q^n = sum_nu (r/2)^2 / sinh^2(z_nu r/2), q = e^{-z_nu r}
+    chi = cmath.exp(0.7j)
+    model = HyperbolicToralModel((a[:2], a[2:]), roof, Representation("character", 0.7))
+    table = atom_table(enumerate_prime_orbits(model, n_max), 1, n_max * roof)
+    traces = table.loop_traces(lambda0, 3, table.flat_weights())
+    mat = np.array([a[:2], a[2:]], dtype=float)
+    for k, spectrum in enumerate([[1.0], np.linalg.eigvals(mat), [np.linalg.det(mat)]]):
+        z = [lambda0 - cmath.log(chi * nu) / roof for nu in spectrum]
+        want = sum((roof / 2) ** 2 / cmath.sinh(zn * roof / 2) ** 2 for zn in z)
+        assert abs(traces[1, k] - want) <= 1e-13 * abs(want)
+
+
+def test_loop_traces_load_no_matrix_module():
+    # an orbit-side trace needs neither the matrix half of the package nor the series type, nor scipy
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ruellebf
+
+    code = ("import sys; from ruellebf import flat_zeta, orbits; "
+            "table = flat_zeta.atom_table(orbits.enumerate_prime_orbits(orbits.HyperbolicToralModel("
+            "((2, 1), (1, 1))), 8), 1, 8.0); table.loop_traces(3.0, 4, table.flat_weights()); "
+            "print(sorted(m for m in sys.modules if m in ('ruellebf.bf_engine', 'ruellebf.series') "
+            "or m.split('.')[0] == 'scipy'))")
+    env = {"PYTHONPATH": str(Path(ruellebf.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -114,9 +114,10 @@ def test_the_process_entry_point_gives_the_golden_bytes_and_exits(config, comman
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, whose every write fails with ENOSPC")
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("command", ["zeta", "diagrams"])
+@pytest.mark.parametrize("command", ["zeta", "diagrams", "--help"])
 def test_a_full_standard_output_exits_1_with_one_line(command, unbuffered):
-    # buffered, the diagrams table fits the buffer and fails only at the flush; unbuffered, every write fails
+    # buffered, the diagrams table fits the buffer and fails only at the flush; unbuffered, every write fails;
+    # argparse alone would pass over the failed write of the help and exit 0
     env = dict(ENV, PYTHONUNBUFFERED="1") if unbuffered else ENV
     with open("/dev/full", "wb") as full:
         proc = entry_point(command, "--config", "catmap.json", env=env, stdout=full, stderr=subprocess.PIPE)
