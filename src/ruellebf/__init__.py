@@ -13,7 +13,6 @@ _HOMES = {
     "graded_core": ("SingularBlockError", "ToyBFComplex"),
     "orbits": ("HyperbolicToralModel", "PrimeOrbit", "Representation", "anosov_check", "enumerate_prime_orbits",
                "load_length_spectrum"),
-    "series": ("HbarSeries",),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

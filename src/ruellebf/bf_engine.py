@@ -10,17 +10,12 @@ inverse L1^{-1} (once per complex): the determinant ratio is a product of
 1 + hbar/mu, the partition value a product of |mu + hbar|, and the
 resolvent-power traces, sums of (mu + lam)**(-N) that need only mu + lam != 0
 (only the propagator checks damping), one array from MatrixBFModel.loop_traces.
-flat_zeta.AtomTable.loop_traces gives the orbit side's; one rule, _loop_terms,
-turns the signed traces into every loop series, built once per grid. Both
+flat_zeta.AtomTable.loop_traces gives the orbit side's. flat_zeta's loop_sign
+and loop rule, _loop_terms, turn the traces into every loop series, built
+once per grid (the sign table is flat_zeta's). An hbar series is a tuple of
+Python complex numbers, index p holding the coefficient of hbar**p. Both
 bridge grids share _bridge_grid for the exponential and the radius flag (one
 array pass); each returns one BridgeGrid of columns over its hbar grid.
-
-Sign table (single source of truth for the graded exponents):
-  * a closed fermion-style loop in form degree k contributes
-    loop_sign(k) = (-1)**(k + 1), the field grading being shifted by one
-    against the form degree;
-  * determinant ratios assemble with exponents (-1)**k over form degrees;
-  * the full zeta function carries the outer exponent (-1)**m.
 No explicit factor of two for the doubled (A, B) field content appears
 anywhere in this module. A propagator is its complex matrix.
 """
@@ -28,6 +23,7 @@ anywhere in this module. A propagator is its complex matrix.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,17 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flat_zeta
+from .flat_zeta import _loop_terms, loop_sign
 from .graded_core import ToyBFComplex
-from .series import HbarSeries
 
 
 class IRDivergenceError(ArithmeticError):
     """Scale-infinity propagator with Re(mu + lambda) <= 0 on some mode, or a trace at mu + lambda = 0."""
-
-
-def loop_sign(degree: int) -> int:
-    """Sign of a closed loop in form degree k (see the sign table)."""
-    return (-1) ** (degree + 1)
 
 
 @dataclass(frozen=True)
@@ -89,9 +80,11 @@ class MatrixBFModel:
                 rows[n - 1] = [np.sum(s ** -n) for _, s in shifted]
         return np.array(rows, dtype=complex).reshape(orders, len(shifted))
 
-    def min_spectrum_abs(self, lam: complex = 0.0) -> float:
-        """min |mu + lam| over the block spectra."""
-        return float(np.min(np.abs(np.concatenate([mu + lam for _, mu in self.spectra]))))
+    def min_spectrum_abs(self, lam=0.0):
+        """min |mu + lam| over the block spectra: a float for one lam, an array for a grid of them, folded
+        one eigenvalue at a time so that every temporary has the size of the grid."""
+        nearest = functools.reduce(np.minimum, (np.abs(mu + lam) for _, spectrum in self.spectra for mu in spectrum))
+        return float(nearest) if np.ndim(nearest) == 0 else nearest
 
 
 def regularized_propagator(
@@ -132,7 +125,7 @@ def gamma_int(
     A: np.ndarray,
     B: np.ndarray,
     K: int,
-) -> HbarSeries:
+) -> tuple[complex, ...]:
     """Chain-diagram series; the order-N coefficient is
     (-1)**(N-1) i <W* B, M^(N-1) A> with W = L1^{-1} d and M = propagator W, the chain link:
     the windowed heat integral times L^{-1} iota d on V0."""
@@ -151,12 +144,7 @@ def gamma_int(
         for n in range(1, K + 1):
             coeffs[n] = (-1) ** (n - 1) * 1j * complex(w_adj_b @ vec)
             vec = link @ vec
-    return HbarSeries(tuple(coeffs))
-
-
-def _loop_terms(traces) -> list:
-    """The loop rule: term N is (-1)**N / N * T_N, over the signed traces T_1, T_2, ... of a 1-d array."""
-    return [(-1) ** n / n * t for n, t in enumerate(np.asarray(traces, dtype=complex).tolist(), 1)]
+    return tuple(coeffs)
 
 
 def _shifted_spectra(model: MatrixBFModel, lam: complex) -> list:
@@ -168,7 +156,7 @@ def _shifted_spectra(model: MatrixBFModel, lam: complex) -> list:
     return shifted
 
 
-def gamma_tr(model: MatrixBFModel, lam: complex, K: int) -> HbarSeries:
+def gamma_tr(model: MatrixBFModel, lam: complex, K: int) -> tuple[complex, ...]:
     """Loop-diagram series starting at second order: the degree-signed trace of the N-th resolvent
     power on the image of the contraction is sum loop_sign(k) (mu + lam)**(-N) over the blocks in
     order; it needs mu + lam != 0, not damping (an acyclic spectrum such as +-0.7i is fine)."""
@@ -176,7 +164,7 @@ def gamma_tr(model: MatrixBFModel, lam: complex, K: int) -> HbarSeries:
         raise ValueError("K must be >= 1")
     signs = [loop_sign(degree) for degree, _ in model.spectra]
     traces = [sum((sign * t for sign, t in zip(signs, row)), 0j) for row in model.loop_traces(lam, K - 1).tolist()]
-    return HbarSeries((0j, 0j, *_loop_terms(traces)))
+    return (0j, 0j, *_loop_terms(traces))
 
 
 @dataclass(frozen=True)
@@ -216,18 +204,19 @@ def _pow_or_inf(z: complex, n: int) -> complex:
         return complex(math.inf, math.inf)
 
 
-def _terms_grow(series: HbarSeries, hbars) -> np.ndarray:
-    """Term-decay heuristic for the Taylor radius at each point of a grid, in one (grid x order) pass: the
-    last nonzero |c_n hbar**n| is no smaller than the first, or a term is past the float range (Python
-    raises OverflowError). Python's complex products are spelled out on real parts, abs is np.hypot, and
-    hbar**n is formed as CPython forms it: binary powers (c_powu) up to n = 100, a polar form past it."""
-    hbars, n = np.asarray(hbars, dtype=complex), np.arange(1, series.order + 1)
+def _terms_grow(terms, hbars) -> np.ndarray:
+    """Term-decay heuristic for the Taylor radius at each point of a grid, from the loop terms c_1..c_K in
+    one (grid x order) pass: the last nonzero |c_n hbar**n| is no smaller than the first, or a term is past
+    the float range (Python raises OverflowError). Python's complex products are spelled out on real parts,
+    abs is np.hypot, and hbar**n is formed as CPython forms it: binary powers (c_powu) up to n = 100, a polar
+    form past it."""
+    hbars, n = np.asarray(hbars, dtype=complex), np.arange(1, len(terms) + 1)
     if not n.size:
         return np.zeros(hbars.size, dtype=bool)
     re, im = np.ones((hbars.size, n.size)), np.zeros((hbars.size, n.size))
     p_re, p_im = hbars.real[:, None], hbars.imag[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for bit in range(min(series.order, 100).bit_length()):  # r = r * p at each set bit, then p = p * p
+        for bit in range(min(n.size, 100).bit_length()):  # r = r * p at each set bit, then p = p * p
             take = (n <= 100) & ((n >> bit) & 1 == 1)
             r_re, r_im = re[:, take], im[:, take]
             re[:, take], im[:, take] = r_re * p_re - r_im * p_im, r_re * p_im + r_im * p_re
@@ -235,7 +224,7 @@ def _terms_grow(series: HbarSeries, hbars) -> np.ndarray:
         for k in range(100, n.size):  # n = k + 1 > 100
             powers = np.array([_pow_or_inf(h, k + 1) for h in hbars.tolist()], dtype=complex)
             re[:, k], im[:, k] = powers.real, powers.imag
-        c = np.array(series.coeffs[1:])
+        c = np.array(terms, dtype=complex)
         t_re, t_im = c.real * re - c.imag * im, c.real * im + c.imag * re
         mags = np.hypot(t_re, t_im)
         # Python raises for a power with an inf part, and for an inf modulus of finite parts
@@ -246,15 +235,24 @@ def _terms_grow(series: HbarSeries, hbars) -> np.ndarray:
         return overflow.any(axis=1) | ((positive.sum(axis=1) >= 2) & (last >= first))
 
 
+def _horner(coeffs, hbar: complex) -> complex:
+    """sum_p coeffs[p] hbar**p by Horner's rule; each step ends in + coeffs[p], so a real series at a real
+    hbar keeps the +0.0 imaginary part that its order-0 zero gives."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * hbar + c
+    return acc
+
+
 def _bridge_grid(hbars, routes: dict, tails: dict, loop_terms, radius: float | None = None) -> BridgeGrid:
     """The BridgeGrid of a grid, for both model kinds; routes and tails map each route to its values
     and bounds over the grid. loop_terms() gives the loop terms of orders 1..K, the log-ratio series in
     hbar, only if some point needs them. An exact Taylor radius leaves the series None outside it; without
     one, the term-decay heuristic flags a point and its value is still given, as is a non-finite one."""
     inside = [radius is None or math.hypot(h.real, h.imag) < radius for h in hbars]  # abs(h), inf past the range
-    loop = HbarSeries((0j, *loop_terms())) if any(inside) else None
-    series = [_exp(loop.eval(h)) if ok else None for h, ok in zip(hbars, inside)]
-    grows = _terms_grow(loop, hbars).tolist() if radius is None and hbars else [False] * len(hbars)
+    loop = (0j, *loop_terms()) if any(inside) else None
+    series = [_exp(_horner(loop, h)) if ok else None for h, ok in zip(hbars, inside)]
+    grows = _terms_grow(loop[1:], hbars).tolist() if radius is None and hbars else [False] * len(hbars)
     diverges = [not ok or not cmath.isfinite(value) or g for ok, value, g in zip(inside, series, grows)]
     return BridgeGrid(hbars, routes, tails, series, diverges)
 
@@ -282,7 +280,7 @@ def expectation_grid(model: MatrixBFModel, hbars, K: int, lambda0: complex = 0.0
     the spectrum of -L raises IRDivergenceError."""
     hbars = [complex(h) for h in hbars]
     return _bridge_grid(hbars, {"det": _closed_form_grid(model, hbars, lambda0)}, {"det": [0.0] * len(hbars)},
-                        lambda: gamma_tr(model, lambda0, K + 1).coeffs[2:], model.min_spectrum_abs(lambda0))
+                        lambda: gamma_tr(model, lambda0, K + 1)[2:], model.min_spectrum_abs(lambda0))
 
 
 def _abs_product(factors, size: int) -> np.ndarray:

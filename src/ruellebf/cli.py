@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import gc
 import io
 import itertools
@@ -446,9 +445,9 @@ def cmd_partition(cfg, fmt, out_path):
     # a resonance is a zero of det(L + hbar): hbar within 1e-9 (relative) of some -mu
     mu = np.concatenate([spectrum for _, spectrum in model.spectra])
     tol = 1e-9 * max(1.0, float(np.max(np.abs(mu))))
-    nearest = functools.reduce(np.minimum, (np.abs(m + hbars) for m in mu))
-    _emit({"hbar_re": hbars.real.tolist(), "hbar_im": hbars.imag.tolist(), "partition": values,
-           "resonance_hit": (nearest < tol).tolist()}, fmt, out_path, {"model_id": _matrix_model_id(model)})
+    hit = (model.min_spectrum_abs(hbars) < tol).tolist()
+    _emit({"hbar_re": hbars.real.tolist(), "hbar_im": hbars.imag.tolist(), "partition": values, "resonance_hit": hit},
+          fmt, out_path, {"model_id": _matrix_model_id(model)})
     return EXIT_OK
 
 
@@ -473,7 +472,7 @@ def cmd_diagrams(cfg, fmt, out_path):
         # order 2 the cycle, with its dihedral symmetry and one more hbar for its loop
         shapes = (("chain", order - 1, 2, 2, order, gi), ("cycle", order, 0, 2 * order, order + 1, gt))
         for shape, n_edges, n_tails, aut_order, power, series in shapes[:min(order, 2)]:
-            c = series.coefficient(power) if series is not None and power <= series.order else None
+            c = series[power] if series is not None and power < len(series) else None
             rows.append((order, shape, order, n_edges, n_tails, aut_order, power,
                          math.nan if c is None else c.real, math.nan if c is None else c.imag))
     columns = ["order", "kind", "n_vertices", "n_edges", "n_tails", "aut_order",

@@ -23,8 +23,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .series import HbarSeries
-
 
 class ConvergenceError(ArithmeticError):
     """A resummed series was requested outside its convergence region."""
@@ -69,17 +67,18 @@ class GammaExpansion:
     """Connected-diagram sum bucketed by (vertex count, loop count).
 
     The vertices are first order in hbar, so a term counts one hbar per vertex
-    and one per loop; hbar_series collects the terms by that power.
+    and one per loop; hbar_series collects the terms by that power, index p
+    holding the coefficient of hbar**p.
     """
 
     terms: Mapping[tuple[int, int], complex]
     max_order: int
 
-    def hbar_series(self) -> HbarSeries:
+    def hbar_series(self) -> tuple[complex, ...]:
         coeffs = [0j] * (max([self.max_order] + [n + l for n, l in self.terms]) + 1)
         for (n, l), value in sorted(self.terms.items()):
             coeffs[n + l] += value
-        return HbarSeries(tuple(coeffs))
+        return tuple(coeffs)
 
 
 def _poly_mul(p: dict, q: dict) -> dict:

@@ -16,8 +16,17 @@ order, then repetition), so values are bit-stable:
     with a geometric tail estimate and the same for a lambda alone as inside
     any grid; zeta_grid_rows writes them as the zeta table's columns;
   * AtomTable.loop_traces, the flat traces of the resolvent powers at a base
-    point, an orders x columns array over any weight columns, from which
-    bf_engine builds the orbit loop series.
+    point, an orders x columns array over any weight columns. Signed by
+    loop_sign, traces become loop terms by the one loop rule, _loop_terms,
+    which bf_engine applies to a matrix model's block traces too.
+
+Sign table (single source of truth for the graded exponents):
+  * a closed fermion-style loop in form degree k contributes
+    loop_sign(k) = (-1)**(k + 1), the field grading being shifted by one
+    against the form degree;
+  * determinant ratios assemble with exponents (-1)**k over form degrees;
+  * the full zeta function carries the outer exponent (-1)**m.
+AtomTable.sign applies the last two rows, loop_sign the first.
 
 Branch convention: principal logarithms everywhere, with log zeta built
 additively from per-orbit terms so no product-branch ambiguity arises.
@@ -179,6 +188,16 @@ def _geometric_tails(times: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return np.where((n >= 2) & (slope < 0.0) & (ratio < 1.0), tails, math.inf)
 
 
+def loop_sign(degree: int) -> int:
+    """Sign of a closed loop in form degree k (see the sign table)."""
+    return (-1) ** (degree + 1)
+
+
+def _loop_terms(traces) -> list:
+    """The loop rule: term N is (-1)**N / N * T_N, over the signed traces T_1, T_2, ... of a 1-d array."""
+    return [(-1) ** n / n * t for n, t in enumerate(np.asarray(traces, dtype=complex).tolist(), 1)]
+
+
 @dataclass(frozen=True)
 class AtomTable:
     """Per-atom columns of an orbit set up to L_max, in the fixed summation order.
@@ -232,7 +251,9 @@ class AtomTable:
         np.bincount, both as a running sum from 0.0 adds them, so no lambda's result depends on the
         rest of the grid or on the block it falls in."""
         lambdas = np.asarray(lambdas, dtype=complex).reshape(-1)
-        columns = np.column_stack([self.weights * self.euler[:, None], self.euler, self.sign * self.euler]).T
+        # a weight times an Euler weight past the float range reads inf, and so do the sums it enters
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = np.column_stack([self.weights * self.euler[:, None], self.euler, self.sign * self.euler]).T
         keys = [column.tobytes() for column in columns]
         distinct = list(dict.fromkeys(keys))
         # distinct columns x atoms, so that the sums run along the last axis

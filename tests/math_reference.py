@@ -22,7 +22,6 @@ import numpy as np
 from ruellebf.bf_engine import MatrixBFModel
 from ruellebf.graded_core import _check_nonsingular
 from ruellebf.orbits import HyperbolicToralModel, _census, anosov_check
-from ruellebf.series import HbarSeries
 
 
 # ------------------------------------------------------------------ graded algebra
@@ -240,11 +239,11 @@ def simplex_volume_quadrature(n: int, t: float, nodes: int = 2001) -> float:
 
 # ------------------------------------------------------- the bridge's radius heuristic
 
-def terms_grow(series: HbarSeries, hbar: complex) -> bool:
-    """Term-decay heuristic for the Taylor radius at one point: the last nonzero |c_n hbar**n| is
-    no smaller than the first, or a term is past the float range."""
+def terms_grow(terms, hbar: complex) -> bool:
+    """Term-decay heuristic for the Taylor radius at one point, over the loop terms c_1..c_K: the last
+    nonzero |c_n hbar**n| is no smaller than the first, or a term is past the float range."""
     try:
-        magnitudes = [abs(series.coefficient(n) * hbar ** n) for n in range(1, series.order + 1)]
+        magnitudes = [abs(complex(c) * hbar ** n) for n, c in enumerate(terms, 1)]
     except OverflowError:
         return True
     magnitudes = [v for v in magnitudes if v > 0]

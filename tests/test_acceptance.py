@@ -211,10 +211,10 @@ def test_criterion_6_feynman_rules_consistency():
                 assert automorphism_order(chain.without_tail_labels()) == 2
                 assert automorphism_order(cycle) == 2 * n
                 w_chain = graph_weight(chain, edge, interaction, ext) / automorphism_order(chain)
-                ref = chain_closed.coefficient(n)
+                ref = chain_closed[n]
                 assert abs(w_chain - ref) <= 1e-10 * max(1.0, abs(ref))
                 w_cycle = graph_weight(cycle, edge, interaction, {}) / automorphism_order(cycle)
-                ref = loop_closed.coefficient(n + 1)
+                ref = loop_closed[n + 1]
                 assert abs(loop_sign(0) * w_cycle - ref) <= 1e-10 * max(1.0, abs(ref))
 
 

@@ -637,6 +637,37 @@ def test_a_truncation_too_large_to_allocate_exits_1_with_one_line(tmp_path, comm
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "out of memory: MemoryError\n")
 
 
+def test_a_multiplicity_near_the_float_limit_runs_with_an_empty_stderr(tmp_path):
+    # mult = 10**308 fits a float, but its Euler weight times tr P = 3 does not: the k = 1 column reads inf
+    # and nan, as any value past the float range does, and no numpy warning reaches stderr
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ruellebf
+
+    row = f"2.0,{10 ** 308},1,2;1;1;1,1.0,0.0"
+    (tmp_path / "s.csv").write_text(f"length,multiplicity,m,P_entries,rho_re,rho_im\n{row}\n")
+    cfg = write_config(tmp_path, {"model": {"spectrum_file": "s.csv"}, "truncation": {"L_max": 4.0}, "grid": [3.0]})
+    env = {"PYTHONPATH": str(Path(ruellebf.__file__).resolve().parent.parent)}
+    for command in ("zeta", "bridge"):
+        proc = subprocess.run([sys.executable, "-m", "ruellebf.cli", command, "--config", cfg], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "nan" in proc.stdout
+
+
+def test_a_real_series_at_a_real_hbar_keeps_a_positive_zero_imaginary_part(tmp_path):
+    # the loop series starts at its order-0 zero, so each Horner step ends in + c and the last in + 0j: at a
+    # negative hbar a step that ended in a product would leave -0.0
+    payload = {"model": {"matrix": {"d": [[2, 0, 0], [0, 3, 0], [0, 0, 5]], "graded_split": [[0, 1], [1, 2]]}},
+               "truncation": {"K": 8}, "grid": [-0.5]}
+    out = tmp_path / "bridge.csv"
+    assert main(["bridge", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    (row,) = read_csv_rows(out)
+    assert (row["series_value_re"], row["series_value_im"]) == ("1.0000005342605478e+00", "0.0000000000000000e+00")
+
+
 def test_acyclic_matrix_bridge_needs_no_damping(tmp_path):
     # spectrum +-0.7i: not damped, but mu != 0, so the loop series exists with Taylor radius 0.7
     payload = {"model": {"matrix": {"d": [[0.0, -0.7], [0.7, 0.0]]}}, "truncation": {"K": 8},

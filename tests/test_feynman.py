@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import quad
 
 from ruellebf.feynman import ConvergenceError, EffectiveQuadraticInteraction, Interaction, gamma_sum, rge_evolve
-from ruellebf.series import HbarSeries
 
 from graph_reference import (FeynmanGraph, automorphism_order, chain_graph, cycle_graph, graph_weight, is_connected,
                              is_isomorphic, loop_count)
@@ -91,7 +90,7 @@ def test_hbar_grading_chain_and_cycle(order):
     # vertices carry one power each, the loop one more
     assert (order, 0) in expansion.terms
     assert (order, 1) in expansion.terms
-    assert series.order >= order + 1
+    assert len(series) >= order + 2
 
 
 # ------------------------------------------------------------------- weights
@@ -158,13 +157,13 @@ def _real_gaussian_coefficients(propagator, interaction, external, max_order):
     coeffs = [0j] * (max_order + 1)
     for (n, _), value in expansion.terms.items():
         coeffs[n] += value
-    return HbarSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def test_gamma_sum_zero_interaction():
     pk = np.array([[1.0]])
     inter = Interaction({2: np.zeros((1, 1))})
-    assert not any(gamma_sum(pk, inter, None, 4).hbar_series().coeffs)
+    assert not any(gamma_sum(pk, inter, None, 4).hbar_series())
 
 
 def test_gamma_sum_matches_exact_gaussian_log():
@@ -175,7 +174,7 @@ def test_gamma_sum_matches_exact_gaussian_log():
     got = _real_gaussian_coefficients(pk, inter, None, 6)
     for n in range(1, 7):
         exact = (-1) ** n / (q ** n * 2 * n)
-        assert got.coefficient(n) == pytest.approx(exact, rel=1e-12)
+        assert got[n] == pytest.approx(exact, rel=1e-12)
 
 
 def _gaussian_moment(power, q):
@@ -219,7 +218,7 @@ def test_gamma_sum_quartic_vertex_moment_oracle():
         a.append((-1) ** n * moment / (math.factorial(4) ** n * math.factorial(n)))
     oracle = _log_series(a, 3)
     for n in range(1, 4):
-        assert got.coefficient(n) == pytest.approx(oracle[n], rel=1e-10)
+        assert got[n] == pytest.approx(oracle[n], rel=1e-10)
 
 
 def test_gamma_sum_cubic_vertex_two_dim_moment_oracle():
@@ -239,7 +238,7 @@ def test_gamma_sum_cubic_vertex_two_dim_moment_oracle():
         a.append((-1) ** n * moment / math.factorial(n))
     oracle = _log_series(a, 4)
     for n in range(1, 5):
-        assert got.coefficient(n) == pytest.approx(oracle[n], rel=1e-9, abs=1e-12)
+        assert got[n] == pytest.approx(oracle[n], rel=1e-9, abs=1e-12)
 
 
 def test_gamma_sum_cubic_quartic_with_tails_shifted_moment_oracle():
@@ -265,7 +264,7 @@ def test_gamma_sum_cubic_quartic_with_tails_shifted_moment_oracle():
         coeffs.append((-1) ** n * moment / math.factorial(n))
     oracle = _log_series(coeffs, order)
     for n in range(1, order + 1):
-        assert got.coefficient(n) == pytest.approx(oracle[n], rel=1e-12)
+        assert got[n] == pytest.approx(oracle[n], rel=1e-12)
 
 
 def _symmetric(rng, degree, dim):
@@ -354,7 +353,7 @@ def test_gamma_sum_quadrature_oracle_one_dim():
 
     oracle = _taylor_from_quadrature(log_ratio, radius=0.4 * q / c, order=4)
     for n in range(1, 5):
-        assert abs(got.coefficient(n) - oracle[n]) < 1e-6
+        assert abs(got[n] - oracle[n]) < 1e-6
 
 
 def test_gamma_sum_quadrature_oracle_two_dim():
@@ -382,7 +381,7 @@ def test_gamma_sum_quadrature_oracle_two_dim():
         lambda g: complex(np.log(z_value(g) / z0)), radius=0.35, order=3, samples=16
     )
     for n in range(1, 4):
-        assert abs(got.coefficient(n) - oracle[n]) < 1e-6
+        assert abs(got[n] - oracle[n]) < 1e-6
 
 
 # ----------------------------------------------------------------------- RGE

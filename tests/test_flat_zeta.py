@@ -643,19 +643,39 @@ def test_per_degree_loop_traces_match_the_closed_form(a, roof, n_max, lambda0):
         assert abs(traces[1, k] - want) <= 1e-13 * abs(want)
 
 
+def test_log_zeta_past_the_float_range_warns_nothing():
+    # mult = 10**308 is a float, its Euler weight times tr P = 3 is not: the k = 1 column reads -inf and
+    # nan without a numpy warning (an error under this suite's filterwarnings), the other columns finite
+    orbit = PrimeOrbit(2.0, np.array([[2, 1], [1, 1]]), np.eye(1), 10 ** 308)
+    values, tails = atom_table([orbit], 1, 4.0).log_zeta([3.0])
+    assert values[0, 1].real == -math.inf and math.isnan(values[0, 1].imag) and tails[0, 1] == math.inf
+    assert np.isfinite(np.delete(values[0], 1)).all()
+
+
 def test_loop_traces_load_no_matrix_module():
-    # an orbit-side trace needs neither the matrix half of the package nor the series type, nor scipy
+    # an orbit-side trace and its loop terms need neither the matrix half of the package nor scipy: the loop
+    # sign and the loop rule sit beside the orbit traces, so a cat-map table, from the prime orbits of periods
+    # 1..4 of [[2, 1], [1, 1]] (A**n, 1, 2, 5 and 10 of them), gives its loop terms with no module of the
+    # package loaded but flat_zeta, the same terms as the enumerated orbits give
+    import json
     import subprocess
     import sys
     from pathlib import Path
 
     import ruellebf
+    from ruellebf.flat_zeta import _loop_terms, loop_sign
 
-    code = ("import sys; from ruellebf import flat_zeta, orbits; "
-            "table = flat_zeta.atom_table(orbits.enumerate_prime_orbits(orbits.HyperbolicToralModel("
-            "((2, 1), (1, 1))), 8), 1, 8.0); table.loop_traces(3.0, 4, table.flat_weights()); "
-            "print(sorted(m for m in sys.modules if m in ('ruellebf.bf_engine', 'ruellebf.series') "
-            "or m.split('.')[0] == 'scipy'))")
+    code = ("import json, sys, types, numpy as np; from ruellebf import flat_zeta; a = np.array([[2, 1], [1, 1]]); "
+            "orbits = [types.SimpleNamespace(length=float(n), poincare=np.linalg.matrix_power(a, n), "
+            "rho=np.eye(1, dtype=complex), multiplicity=count) for n, count in ((1, 1), (2, 2), (3, 5), (4, 10))]; "
+            "table = flat_zeta.atom_table(orbits, 1, 4.0); signed = (table.flat_weights() "
+            "* [flat_zeta.loop_sign(k) for k in range(3)]).sum(axis=1, keepdims=True); "
+            "terms = flat_zeta._loop_terms(table.loop_traces(3.0, 6, signed)[:, 0]); print(json.dumps("
+            "[repr(terms), sorted(m for m in sys.modules if m.split('.')[0] in ('ruellebf', 'scipy'))]))")
     env = {"PYTHONPATH": str(Path(ruellebf.__file__).resolve().parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    got, modules = json.loads(out.stdout)
+    assert modules == ["ruellebf", "ruellebf.flat_zeta"]
+    table = atom_table(enumerate_prime_orbits(HyperbolicToralModel(((2, 1), (1, 1))), 4), 1, 4.0)
+    signed = (table.flat_weights() * [loop_sign(k) for k in range(3)]).sum(axis=1, keepdims=True)
+    assert got == repr(_loop_terms(table.loop_traces(3.0, 6, signed)[:, 0]))

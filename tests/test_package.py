@@ -10,7 +10,7 @@ import pytest
 import ruellebf
 
 # the names `from ruellebf import X` has served since the package was first laid out
-EXPORTED = ["BridgeGrid", "HbarSeries", "HyperbolicToralModel", "MatrixBFModel", "PrimeOrbit", "Representation",
+EXPORTED = ["BridgeGrid", "HyperbolicToralModel", "MatrixBFModel", "PrimeOrbit", "Representation",
             "SingularBlockError", "ToyBFComplex", "anosov_check", "enumerate_prime_orbits", "expectation_grid",
             "gamma_int", "gamma_tr", "load_length_spectrum", "partition_grid", "regularized_propagator",
             "zeta_expectation_bridge_grid"]
@@ -43,7 +43,7 @@ def test_an_unknown_name_raises_the_standard_attribute_error():
 
 def test_a_name_loads_only_its_home_module():
     code = ("import json, sys, ruellebf; before = sorted(m for m in sys.modules if m.startswith(('ruellebf', 'numpy')));"
-            " ruellebf.HbarSeries; print(json.dumps([before, sorted(m for m in sys.modules if m.startswith('ruellebf'))]))")
+            " ruellebf.ToyBFComplex; print(json.dumps([before, sorted(m for m in sys.modules if m.startswith('ruellebf'))]))")
     env = {"PYTHONPATH": str(Path(ruellebf.__file__).resolve().parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert json.loads(out.stdout) == [["ruellebf"], ["ruellebf", "ruellebf.series"]]
+    assert json.loads(out.stdout) == [["ruellebf"], ["ruellebf", "ruellebf.graded_core"]]
