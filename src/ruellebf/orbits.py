@@ -13,28 +13,28 @@ circle is n, which is what a character representation is evaluated on.
 Contact-ness of the suspension is not certified; every downstream formula
 consumes only (length, P, rho, m).
 
-The loader streams a spectrum file line by line: a plain line (no quote,
-carriage return or NUL, and within csv.field_size_limit()) is split at its
-commas, and from the first line that is not, csv.reader reads the rest; a
-row is numbered by the physical line it starts on. Every data row has the
-m of the first one: a flow has one stable rank, and a row of another m is a
-format error at its line. The rows go into columns, converted one column at
-a time, and each distinct P_entries text is parsed once, into one float
-stack. The (P, rho) records are keyed by np.unique over the sign-normalised
-stack rows and each is validated once (one stacked eigvals call for the
-unit-circle check, one stacked svd for the representation values); the rows
-then merge into classes over one sort of the record and length keys, and
-each class's PrimeOrbit is built once, its P a read-only row of the stack.
-A loaded orbit carries its fields and nothing else: the traces and
-determinants of its return map are flat_zeta's. Errors are those of
-row-by-row reading: when the column pass fails, the rows are walked to find
-the first format error, and the first bad line in file order wins.
+The loader reads a spectrum file in one piece, one reader for the whole
+file (see _read_rows); a row is numbered by the physical line it starts on.
+Every data row has the m of the first one: a flow has one stable rank, and
+a row of another m is a format error at its line. The rows are kept in one
+list, transposed once into columns and converted one column at a time, and
+each distinct P_entries text is parsed once, into one float stack. The (P,
+rho) records are keyed by np.unique over the sign-normalised stack rows and
+each is validated once (one stacked eigvals call for the unit-circle check,
+one stacked svd for the representation values); the rows then merge into
+classes over one sort of the record and length keys, and each class's
+PrimeOrbit is built once, its P a read-only row of the stack. A loaded
+orbit carries its fields and nothing else: the traces and determinants of
+its return map are flat_zeta's. Errors are those of row-by-row reading:
+when the column pass fails, the rows are walked to find the first format
+error, and the first bad line in file order wins.
 """
 
 from __future__ import annotations
 
 import cmath
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -232,6 +232,8 @@ def enumerate_prime_orbits(model: HyperbolicToralModel, n_max: int) -> list[Prim
 
 
 SPECTRUM_HEADER = ["length", "multiplicity", "m", "P_entries", "rho_re", "rho_im"]
+# the least int that float() overflows on: from 2**1024 - 2**970 on it rounds to 2**1024
+FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 
 
 def _parse_row(row: list[str], line: int, m_first: int | None) -> int:
@@ -255,39 +257,48 @@ def _parse_row(row: list[str], line: int, m_first: int | None) -> int:
     return m
 
 
-def _read_rows(fh):
-    """(line, fields) of each nonempty row of an open spectrum file, as csv.reader reads it, line the
-    physical line the row starts on. A line holding no '"', carriage return or NUL, and no longer than
-    csv.field_size_limit(), is split at its commas; from the first line that is not, csv.reader reads
-    the rest of the file (a quoted field may span lines), its csv.Error a SpectrumFormatError at the
-    line where the reader stopped."""
-    limit, line_no = csv.field_size_limit(), 0
-    for line in fh:
-        line_no += 1
-        if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
-            break
-        line = line[:-1] if line[-1:] == "\n" else line
-        if line:
-            yield line_no, line.split(",")
+def _read_rows(path):
+    """(line, fields) of each nonempty row of a spectrum file, as csv.reader reads it from
+    open(path, newline="", encoding="utf-8-sig"), line the physical line the row starts on. The file
+    is decoded in one piece and one reader reads it all: a text with no '"', carriage return or NUL,
+    and no line longer than csv.field_size_limit(), is split at its line feeds and commas, which gives
+    csv.reader's rows; any other goes through csv.reader, its csv.Error a SpectrumFormatError at the
+    line where it stopped. At a byte that is not UTF-8 the rows end before the line that holds it, and
+    the byte's SpectrumFormatError is raised after them."""
+    with open(path, "rb") as fh:
+        try:
+            text, stop = fh.read().decode("utf-8-sig"), None
+        except UnicodeDecodeError as exc:
+            head = exc.object[:exc.start]  # the bytes past a byte-order mark, up to the byte
+            text = head[:max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode("utf-8")
+            stop = SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}")
+    lines = text.split("\n")
+    if not ('"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit()):
+        del text  # the lines hold it: the rows do not keep a second copy alive
+        for line_no, line in enumerate(lines, 1):
+            if line:
+                yield line_no, line.split(",")
     else:
-        return
-    reader = csv.reader(itertools.chain([line], fh))
-    start = line_no
-    try:
-        for row in reader:
-            if row:
-                yield start, row
-            start = line_no + reader.line_num
-    except csv.Error as exc:  # a field past csv.field_size_limit(), or a NUL byte before Python 3.11
-        raise SpectrumFormatError(str(exc), line_no - 1 + reader.line_num) from None
+        reader = csv.reader(io.StringIO(text, newline=""))  # the lines of open(path, newline="")
+        start = 1
+        try:
+            for row in reader:
+                if row:
+                    yield start, row
+                start = reader.line_num + 1
+        except csv.Error as exc:  # a field past csv.field_size_limit(), or a NUL byte before Python 3.11
+            raise SpectrumFormatError(str(exc), reader.line_num) from None
+    if stop is not None:
+        raise stop
 
 
-def _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts):
-    """(lengths, multiplicities, rho, stack) of the data rows held in columns, or None if some row has
-    a format error or the rows' m values differ. Each distinct P text (texts, indexed by p_ids; each
-    text is some row's) is parsed once, into one read-only (len(texts), 2m, 2m) float stack: text k
-    is row k."""
-    n = len(lengths)
+def _parse_columns(rows):
+    """(lengths, multiplicities, rho, p_ids, stack) of the data rows, each (line, length, multiplicity,
+    m, P_entries, rho_re, rho_im) as read, or None if some row has a format error or the rows' m values
+    differ. Each distinct P text is parsed once, in order of first appearance, into one read-only
+    (texts, 2m, 2m) float stack: row i's P is stack[p_ids[i]]."""
+    n = len(rows)
+    _, lengths, multiplicities, ms, ps, rho_re, rho_im = zip(*rows) if rows else ((),) * 7
     try:
         length = np.fromiter(map(float, lengths), float, n)
         multiplicity = list(map(int, multiplicities))
@@ -299,6 +310,7 @@ def _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts):
     if len(m) > 1 or n and not 1 <= min(m) <= 2**20:  # no text in memory holds 4 m^2 entries at m = 2**20
         return None
     side = 2 * max(m, default=0)  # no rows: a (0, 0, 0) stack
+    texts = dict(zip(dict.fromkeys(ps), itertools.count()))  # each distinct text to its stack row
     if any(t.count(";") + 1 != side * side for t in texts):
         return None
     try:
@@ -308,7 +320,7 @@ def _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts):
         return None
     stack = stack.reshape(len(texts), side, side)
     stack.flags.writeable = False  # each orbit's P is a row of it: a checked map of a frozen orbit
-    return length, multiplicity, rho, stack
+    return length, multiplicity, rho, np.fromiter(map(texts.__getitem__, ps), int, n), stack
 
 
 def _class_starts(lengths: np.ndarray, record_starts: np.ndarray) -> np.ndarray:
@@ -341,58 +353,41 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     multiplicities; output is sorted by ascending length. Reading stops at
     the first format error, which is raised unless an earlier row fails
     validation. Rows are read as csv.reader reads them (see _read_rows) and
-    numbered by the physical line they start on. Once every row passes, a
-    class whose summed multiplicity is past the float range is refused at
-    the line that opens it.
+    numbered by the physical line they start on; a byte that is not UTF-8
+    ends them before its line and is the format error that stops them. Once
+    every row passes, a class whose summed multiplicity is past the float
+    range is refused at the line that opens it.
     """
-    columns = tuple([] for _ in range(7))
-    lines, lengths, multiplicities, ms, p_ids, rho_re, rho_im = columns
-    texts: dict[str, int] = {}  # each distinct P_entries text, in order of first appearance
-    stop = None
-    header = None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            for line_no, row in _read_rows(fh):
-                if row[0].startswith("#"):
-                    continue
-                if header is None:
-                    header = [c.strip() for c in row]
-                    if header != SPECTRUM_HEADER:
-                        raise SpectrumFormatError(f"bad header {header}, expected {SPECTRUM_HEADER}", line_no)
-                    continue
-                if len(row) != len(SPECTRUM_HEADER):
-                    raise SpectrumFormatError(f"expected {len(SPECTRUM_HEADER)} fields, found {len(row)}", line_no)
-                length, multiplicity, m, p, re, im = row
-                lines.append(line_no)
-                lengths.append(length)
-                multiplicities.append(multiplicity)
-                ms.append(m)
-                p_ids.append(texts.setdefault(p, len(texts)))
-                rho_re.append(re)
-                rho_im.append(im)
-        except SpectrumFormatError as exc:
-            stop = exc
-        except UnicodeDecodeError as exc:
-            stop = SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}")
-    texts = list(texts)
-    parsed = _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts)
+    rows = []  # (line, length, multiplicity, m, P_entries, rho_re, rho_im) of each data row
+    header = stop = None
+    try:
+        for line_no, row in _read_rows(path):
+            if row[0].startswith("#"):
+                continue
+            if header is None:
+                header = [c.strip() for c in row]
+                if header != SPECTRUM_HEADER:
+                    raise SpectrumFormatError(f"bad header {header}, expected {SPECTRUM_HEADER}", line_no)
+                continue
+            if len(row) != len(SPECTRUM_HEADER):
+                raise SpectrumFormatError(f"expected {len(SPECTRUM_HEADER)} fields, found {len(row)}", line_no)
+            rows.append((line_no, *row))
+    except SpectrumFormatError as exc:
+        stop = exc
+    parsed = _parse_columns(rows)
     if parsed is None:  # some row has a format error: the first one stops the rows, as if read one by one
         m_first = None
         try:
-            for i, fields in enumerate(zip(lengths, multiplicities, ms, map(texts.__getitem__, p_ids), rho_re, rho_im)):
-                m_first = _parse_row(fields, lines[i], m_first)
+            for i, (line_no, *fields) in enumerate(rows):
+                m_first = _parse_row(fields, line_no, m_first)
         except SpectrumFormatError as exc:
             stop = exc
-        for column in columns:
-            del column[i:]
-        kept: dict[str, int] = {}
-        p_ids[:] = [kept.setdefault(texts[k], len(kept)) for k in p_ids]
-        texts = list(kept)
-        parsed = _parse_columns(lengths, multiplicities, ms, p_ids, rho_re, rho_im, texts)
-    lengths, multiplicities, rho, stack = parsed
-    p_ids = value_of = np.array(p_ids, dtype=int)
+        del rows[i:]
+        parsed = _parse_columns(rows)
+    lengths, multiplicities, rho, p_ids, stack = parsed
     # one value id per P text, shared by texts of equal floats (-0.0 == 0.0, as the merge requires):
     # np.unique over the bytes of the stack's sign-normalised rows; a (0, 0, 0) stack has no rows to key
+    value_of = p_ids
     if len(stack):
         keys = (stack.reshape(len(stack), -1) + 0.0).view(np.dtype((np.void, stack[0].nbytes)))
         value_of = np.unique(keys.ravel(), return_inverse=True)[1].ravel()[p_ids]
@@ -415,7 +410,8 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
         bad |= np.array([x < 1 for x in multiplicities], dtype=bool)
     if bad.any():
         i = int(np.argmax(bad))
-        raise SpectrumFormatError(_scalar_error(lengths[i], multiplicities[i]) or record_errors[record_of[i]], lines[i])
+        error = _scalar_error(lengths[i], multiplicities[i]) or record_errors[record_of[i]]
+        raise SpectrumFormatError(error, rows[i][0])
     if stop is not None:
         raise stop
     if header is None:
@@ -426,10 +422,10 @@ def load_length_spectrum(path) -> list[PrimeOrbit]:
     starts = np.flatnonzero(_class_starts(lengths[order], record_starts))
     multiplicity = np.add.reduceat(np.array(multiplicities, dtype=object)[order], starts)
     first = order[starts]  # each class's first row in (length, file) order
-    # float() overflows from 2**1024 - 2**970 on (it rounds to 2**1024): the earliest line opening such a class fails
-    past = [row for row, total in zip(first.tolist(), multiplicity.tolist()) if total >= 2 ** 1024 - 2 ** 970]
+    # the earliest line opening a class whose multiplicity float() refuses fails
+    past = [row for row, total in zip(first.tolist(), multiplicity.tolist()) if total >= FLOAT_OVERFLOW]
     if past:
-        raise SpectrumFormatError("class multiplicity is past the float range", lines[min(past)])
+        raise SpectrumFormatError("class multiplicity is past the float range", rows[min(past)][0])
     by_length = np.lexsort((first, lengths[first]))
     first, multiplicity = first[by_length], multiplicity[by_length].tolist()
     # each class's P is a read-only row of the map stack, its rho a view of one stack

@@ -3,12 +3,14 @@ the reference the loader is compared with: every row through csv.reader and pars
 row whose m differs from the first row's refused at its line, one value id per parsed P tuple, each
 distinct (P, rho) record validated once, and the rows merged over one sort of the record and length
 keys; a class whose summed multiplicity float() refuses fails at the earliest line that opens one. A
-row is numbered by the physical line it starts on.
+row is numbered by the physical line it starts on. The file is decoded line by line: the first line
+holding a byte that is not UTF-8 ends the text, and that byte is the error that stops the rows.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
@@ -75,26 +77,32 @@ def reference_load_length_spectrum(path) -> list[PrimeOrbit]:
     parsed: dict[str, tuple] = {}
     stop = None
     header = None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines(keepends=True)  # at b"\n", b"\r" and b"\r\n", as open(newline="")
+    decoded = []
+    for number, raw in enumerate(raw_lines):
         try:
-            line_no = 1  # the line the next row starts on: a quoted field may span lines
-            for row in reader:
-                start, line_no = line_no, reader.line_num + 1
-                if not row or (row[0].startswith("#")):
-                    continue
-                if header is None:
-                    header = [c.strip() for c in row]
-                    if header != SPECTRUM_HEADER:
-                        raise SpectrumFormatError(f"bad header {header}, expected {SPECTRUM_HEADER}", start)
-                    continue
-                rows.append(_parse_row(row, start, parsed, rows[0][-1] if rows else None))
-        except SpectrumFormatError as exc:
-            stop = exc
+            decoded.append(raw.decode("utf-8-sig" if number == 0 else "utf-8"))
         except UnicodeDecodeError as exc:
             stop = SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}")
-        except csv.Error as exc:
-            stop = SpectrumFormatError(str(exc), reader.line_num)
+            break
+    reader = csv.reader(io.StringIO("".join(decoded), newline=""))
+    try:
+        line_no = 1  # the line the next row starts on: a quoted field may span lines
+        for row in reader:
+            start, line_no = line_no, reader.line_num + 1
+            if not row or (row[0].startswith("#")):
+                continue
+            if header is None:
+                header = [c.strip() for c in row]
+                if header != SPECTRUM_HEADER:
+                    raise SpectrumFormatError(f"bad header {header}, expected {SPECTRUM_HEADER}", start)
+                continue
+            rows.append(_parse_row(row, start, parsed, rows[0][-1] if rows else None))
+    except SpectrumFormatError as exc:
+        stop = exc
+    except csv.Error as exc:
+        stop = SpectrumFormatError(str(exc), reader.line_num)
     lines, lengths, multiplicities, texts, rhos, ms = zip(*rows) if rows else ((),) * 6
     side = 2 * ms[0] if rows else 0
     lengths, rho, texts = np.array(lengths, dtype=float), np.array(rhos, dtype=complex), np.array(texts, dtype=int)

@@ -371,6 +371,10 @@ def _unreadable_file_args(tmp_path, case):
     if case == "spectrum not UTF-8":
         latin1.write_bytes(b"length,multiplicity,m,P_entries,rho_re,rho_im\n1.0,1,1,2;0;0;0.5,1,0\n# caf\xe9\n")
         return ["--config", write_config(tmp_path, dict(CAT_CONFIG, model={"spectrum_file": str(latin1)}))]
+    if case == "spectrum not UTF-8 past 8 KB":  # past the first chunk of a streaming decoder
+        latin1.write_bytes(b"length,multiplicity,m,P_entries,rho_re,rho_im\n" + b"1.0,1,1,2;0;0;0.5,1,0\n" * 400
+                           + b"# caf\xe9\n")
+        return ["--config", write_config(tmp_path, dict(CAT_CONFIG, model={"spectrum_file": str(latin1)}))]
     return ["--config", write_config(tmp_path, CAT_CONFIG), "--out", str(tmp_path / "no" / "dir" / "x.csv")]
 
 
@@ -379,6 +383,7 @@ UNREADABLE_FILES = {  # case -> (exit code, stderr fragment)
     "config not UTF-8": (1, "config error at <file>: config file is not UTF-8"),
     "spectrum is a directory": (1, "config error at model.spectrum_file: cannot read"),
     "spectrum not UTF-8": (2, "model invalid: SpectrumFormatError: file is not UTF-8"),
+    "spectrum not UTF-8 past 8 KB": (2, "model invalid: SpectrumFormatError: file is not UTF-8"),
     "out in a missing directory": (1, "config error at --out: cannot write"),
 }
 

@@ -2,7 +2,8 @@
 against the files in tests/data/golden byte for byte; a command that refuses a config gives its
 recorded exit code and stderr (exits.json). spectrum-quoted.csv is spectrum.csv with CRLF line ends,
 every field quoted and a comment line: csv.reader reads it, where spectrum.csv is split line by line.
-spectrum-mixed.csv has an m = 1 row, then an m = 2 row, which every orbit command refuses at its line.
+spectrum-mixed.csv has an m = 1 row, then an m = 2 row, which every orbit command refuses at its line;
+spectrum-undecodable.csv has a bad row, then a latin-1 byte on the next line: the bad row's line is reported.
 The CSV outputs hold with scipy unimportable too, and through the process entry point
 (python -m ruellebf.cli), the path of the console script and of the benchmark's cold runs."""
 
@@ -26,7 +27,8 @@ ENV = {"PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}  # a fresh
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["orbits", "zeta", "bridge", "partition", "diagrams"])
-@pytest.mark.parametrize("config", ["catmap", "spectrum", "spectrum-quoted", "spectrum-mixed", "matrix"])
+@pytest.mark.parametrize("config", ["catmap", "spectrum", "spectrum-quoted", "spectrum-mixed", "spectrum-undecodable",
+                                    "matrix"])
 def test_cli_reproduces_the_golden_bytes(monkeypatch, config, command, fmt):
     monkeypatch.chdir(GOLDEN)  # the spectrum config names its CSV by a relative path
     out, err = io.StringIO(), io.StringIO()
@@ -74,7 +76,8 @@ def assert_golden(results):
 
 def test_every_command_runs_with_scipy_unimportable():
     # one interpreter runs every command on every golden config: none of them reaches for scipy
-    runs = [[config, command] for config in ("catmap", "spectrum", "spectrum-quoted", "spectrum-mixed", "matrix")
+    runs = [[config, command]
+            for config in ("catmap", "spectrum", "spectrum-quoted", "spectrum-mixed", "spectrum-undecodable", "matrix")
             for command in ("orbits", "zeta", "bridge", "partition", "diagrams")]
     results, _ = run_without_scipy(runs)
     assert len(results) == len(runs)

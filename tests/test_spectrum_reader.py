@@ -217,3 +217,25 @@ def test_a_utf8_byte_order_mark_is_read_past(tmp_path, quoted, row3):
     assert (want[0], want[2]) == ("error", 3) if "x" in row3 else len(want) == 2
     for load in (load_length_spectrum, reference_load_length_spectrum):
         assert outcome(load, plain) == outcome(load, marked) == want
+
+
+@pytest.mark.parametrize("rows_before, bad_row, end, error", [
+    (10, True, "\n", "line 12: could not convert string to float: 'oops'"),
+    (400, True, "\n", "line 402: could not convert string to float: 'oops'"),
+    (400, False, "\n", "file is not UTF-8 text: invalid start byte"),
+    (10, True, "\r", "line 12: could not convert string to float: 'oops'"),
+], ids=["under-8-KB", "over-8-KB", "late-byte-only", "carriage-returns"])
+def test_a_bad_row_before_an_undecodable_byte_wins(tmp_path, rows_before, bad_row, end, error):
+    # the rows end before the line that holds the byte, and the first bad line in file order is
+    # reported, wherever the file's bytes would fall in the chunks of a streaming decoder (8 KB); a
+    # carriage return ends a line, as in open(newline="")
+    rows = [M1_ROW] * rows_before + ["oops,1,1,2;0;0;0.5,1,0\n" if bad_row else M1_ROW, M1_ROW, M1_ROW]
+    text = ",".join(HEADER) + "\n" + "".join(rows)
+    data = (text + "# caf").replace("\n", end).encode() + b"\xff" + (end + M1_ROW).encode()
+    assert (len(data) > 8192) == (rows_before > 100)
+    path = tmp_path / "undecodable.csv"
+    path.write_bytes(data)
+    for load in (load_length_spectrum, reference_load_length_spectrum):
+        with pytest.raises(SpectrumFormatError) as info:
+            load(path)
+        assert (str(info.value), info.value.line) == (error, rows_before + 2 if bad_row else None)
