@@ -14,8 +14,9 @@ flat_zeta.AtomTable.loop_traces gives the orbit side's. flat_zeta's loop_sign
 and loop rule, _loop_terms, turn the traces into every loop series, built
 once per grid (the sign table is flat_zeta's). An hbar series is a tuple of
 Python complex numbers, index p holding the coefficient of hbar**p. Both
-bridge grids share _bridge_grid for the exponential and the radius flag (one
-array pass); each returns one BridgeGrid of columns over its hbar grid.
+bridge grids share _bridge_grid for the exponential and the radius flag (the
+per-point rule of _terms_grow); each returns one BridgeGrid of columns over its
+hbar grid.
 No explicit factor of two for the doubled (A, B) field content appears
 anywhere in this module. A propagator is its complex matrix.
 """
@@ -196,43 +197,21 @@ def _exp(z: complex) -> complex:
         return complex(math.nan, math.nan)
 
 
-def _pow_or_inf(z: complex, n: int) -> complex:
-    """z ** n, or inf + inf j where Python raises OverflowError for it."""
-    try:
-        return z ** n
-    except OverflowError:
-        return complex(math.inf, math.inf)
-
-
 def _terms_grow(terms, hbars) -> np.ndarray:
-    """Term-decay heuristic for the Taylor radius at each point of a grid, from the loop terms c_1..c_K in
-    one (grid x order) pass: the last nonzero |c_n hbar**n| is no smaller than the first, or a term is past
-    the float range (Python raises OverflowError). Python's complex products are spelled out on real parts,
-    abs is np.hypot, and hbar**n is formed as CPython forms it: binary powers (c_powu) up to n = 100, a polar
-    form past it."""
-    hbars, n = np.asarray(hbars, dtype=complex), np.arange(1, len(terms) + 1)
-    if not n.size:
-        return np.zeros(hbars.size, dtype=bool)
-    re, im = np.ones((hbars.size, n.size)), np.zeros((hbars.size, n.size))
-    p_re, p_im = hbars.real[:, None], hbars.imag[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for bit in range(min(n.size, 100).bit_length()):  # r = r * p at each set bit, then p = p * p
-            take = (n <= 100) & ((n >> bit) & 1 == 1)
-            r_re, r_im = re[:, take], im[:, take]
-            re[:, take], im[:, take] = r_re * p_re - r_im * p_im, r_re * p_im + r_im * p_re
-            p_re, p_im = p_re * p_re - p_im * p_im, p_re * p_im + p_im * p_re
-        for k in range(100, n.size):  # n = k + 1 > 100
-            powers = np.array([_pow_or_inf(h, k + 1) for h in hbars.tolist()], dtype=complex)
-            re[:, k], im[:, k] = powers.real, powers.imag
-        c = np.array(terms, dtype=complex)
-        t_re, t_im = c.real * re - c.imag * im, c.real * im + c.imag * re
-        mags = np.hypot(t_re, t_im)
-        # Python raises for a power with an inf part, and for an inf modulus of finite parts
-        overflow = np.isinf(re) | np.isinf(im) | (np.isfinite(t_re) & np.isfinite(t_im) & np.isinf(mags))
-        positive, rows = mags > 0, np.arange(hbars.size)
-        first = mags[rows, np.argmax(positive, axis=1)]
-        last = mags[rows, n.size - 1 - np.argmax(positive[:, ::-1], axis=1)]
-        return overflow.any(axis=1) | ((positive.sum(axis=1) >= 2) & (last >= first))
+    """Term-decay heuristic for the Taylor radius at each point of a grid, from the loop terms c_1..c_K,
+    one point at a time: the last nonzero |c_n hbar**n| is no smaller than the first, or a term is past
+    the float range (Python raises OverflowError)."""
+    terms = [complex(c) for c in terms]
+
+    def grows(hbar) -> bool:
+        try:
+            magnitudes = [abs(c * hbar ** n) for n, c in enumerate(terms, 1)]
+        except OverflowError:
+            return True
+        magnitudes = [v for v in magnitudes if v > 0]
+        return len(magnitudes) >= 2 and magnitudes[-1] >= magnitudes[0]
+
+    return np.array([grows(h) for h in hbars], dtype=bool)
 
 
 def _horner(coeffs, hbar: complex) -> complex:

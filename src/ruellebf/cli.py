@@ -18,9 +18,10 @@ one pass, its gauge cross-check from one operator spectrum per model. The
 diagrams table writes the chain and cycle of each order from their
 closed forms and builds no graph.
 
-Exit codes: 0 success, 1 config error (a run out of memory, or a standard
-output that cannot be written, by --help too), 2 model invalid, 3 numerical
-non-convergence; EXIT_CODES maps every library error to one of them.
+Exit codes: 0 success, 1 config error (a usage error on the command line, a
+run out of memory, or a standard output that cannot be written, by --help too),
+2 model invalid, 3 numerical non-convergence; EXIT_CODES maps every library
+error to one of them.
 
 A command imports only what it runs: bf_engine with a matrix model or the
 bridge and partition commands, hashlib for a matrix model_id. run()
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import io
 import itertools
@@ -494,8 +496,13 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):  # argparse passes over a failed write; the help is refused as a table is
         _write(self.format_help(), None)
 
+    def error(self, message):  # a usage error is a config error: exit 1 and one stderr line, not argparse's exit 2
+        raise ConfigError("<command line>", message)
 
+
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     parser = _Parser(
         prog="ruelle-bf",
         description="Ruelle zeta functions from orbit sums and BF-type diagram series",

@@ -129,11 +129,14 @@ def _float_or_inf(x) -> float:
 
 
 def _abs_or_inf(z: complex) -> float:
-    """abs(z), or inf where both parts are finite but the modulus is past the float range."""
+    """abs(z), or inf where both parts are finite but the modulus is past the float range.
+
+    CPython's abs of a complex with a nan part leaves C's errno as it was, so after an earlier
+    OverflowError (a complex power past the range, say) it raises too; math.hypot reads nan there."""
     try:
         return abs(z)
     except OverflowError:
-        return math.inf
+        return math.hypot(z.real, z.imag)
 
 
 def _transversality_scale(p_power) -> float:

@@ -279,6 +279,7 @@ def _read_rows(path):
             if line:
                 yield line_no, line.split(",")
     else:
+        del lines  # csv.reader splits the text itself
         reader = csv.reader(io.StringIO(text, newline=""))  # the lines of open(path, newline="")
         start = 1
         try:

@@ -18,7 +18,7 @@ from ruellebf.bf_engine import (
     zeta_expectation_bridge_grid,
 )
 from ruellebf.feynman import Interaction, gamma_sum
-from ruellebf.flat_zeta import atom_table
+from ruellebf.flat_zeta import _abs_or_inf, atom_table
 from ruellebf.graded_core import ToyBFComplex
 from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, Representation, enumerate_prime_orbits
 
@@ -429,6 +429,21 @@ def test_bridge_grid_points_do_not_depend_on_the_grid(kind):
         assert [s is None for s in whole.series] == [abs(h) >= radius for h in hbars]
     for i, hbar in enumerate(hbars):
         assert _grid_points(grid([hbar]), 0) == _grid_points(whole, i)
+
+
+def test_a_nan_defect_reads_nan_after_a_flag_whose_power_overflowed():
+    # the radius flag at hbar = 1e155j raises OverflowError for hbar**2, which leaves C's errno set; abs of
+    # the nan - 0j defect at -145 would then raise too, and read inf in the grid but nan alone
+    hbars = [-145 + 0j, 1e155j]
+    whole = zeta_expectation_bridge_grid(CAT_ORBITS, 1, hbars, 5.0, 3.0, 8)
+    assert whole.diverges == [True, True]
+    assert repr(whole.defects("det")) == "[nan, nan]"
+    assert _grid_points(zeta_expectation_bridge_grid(CAT_ORBITS, 1, hbars[:1], 5.0, 3.0, 8), 0) == \
+        _grid_points(whole, 0)
+    with pytest.raises(OverflowError):
+        hbars[1] ** 2
+    assert math.isnan(_abs_or_inf(complex(math.nan, 0.0)))
+    assert _abs_or_inf(complex(1.5e308, 1.5e308)) == math.inf
 
 
 def test_expectation_grid_builds_one_loop_series(monkeypatch):

@@ -395,6 +395,52 @@ def test_unreadable_files_exit_with_one_line(tmp_path, capsys, case):
     _assert_one_line_error(capsys, fragment)
 
 
+USAGE_ERRORS = {  # argv after the command name -> stderr line
+    ("zeta",): "config error at <command line>: the following arguments are required: --config\n",
+    ("frob", "--config", "c.json"): "config error at <command line>: argument command: invalid choice: 'frob'",
+    ("zeta", "--config", "c.json", "--threads", "x"):
+        "config error at <command line>: argument --threads: invalid int value: 'x'\n",
+    ("zeta", "--config", "c.json", "--format", "xml"):
+        "config error at <command line>: argument --format: invalid choice: 'xml'",
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_a_usage_error_exits_1_with_one_line(capsys, argv):
+    # argparse alone would exit 2, the code of an invalid model, after a usage block
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith(USAGE_ERRORS[argv])
+
+
+def test_a_usage_error_of_the_process_exits_1_with_one_line(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ruellebf
+
+    env = {"PYTHONPATH": str(Path(ruellebf.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "ruellebf.cli", "zeta"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", USAGE_ERRORS[("zeta",)])
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: ruelle-bf") and err == ""
+
+
+def test_one_parser_per_process():
+    from ruellebf import cli
+
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_a_config_with_a_utf8_byte_order_mark_runs_as_without_it(tmp_path, capsys):
     # some editors save JSON with a BOM: the same exit code and bytes as the file without it
     marked = tmp_path / "marked.json"
