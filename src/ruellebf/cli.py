@@ -88,9 +88,7 @@ def _load_config(path):
         raise ConfigError("<file>", f"cannot read config file {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise ConfigError("<file>", f"config file is not UTF-8: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<file>", f"invalid JSON: {exc}")
-    except RecursionError as exc:  # arrays or objects nested past the interpreter's recursion limit
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the recursion limit
         raise ConfigError("<file>", f"invalid JSON: {exc}")
     _require(isinstance(cfg, dict), "<root>", "config must be a JSON object")
     return cfg

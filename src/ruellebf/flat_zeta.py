@@ -339,37 +339,17 @@ def _float_powers(base: np.ndarray, lengths: np.ndarray, reach: float) -> tuple:
     return tuple(np.concatenate(c) for c in (index, js, powers, scales))
 
 
-def _matrix_powers(base: np.ndarray, which: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """base[which[a]] ** j[a] for each atom a, j >= 1, each formed as np.linalg.matrix_power forms it:
-    a, a @ a and (a @ a) @ a for j <= 3, else the binary powers a^(2^b) multiplied into the result from
-    the lowest set bit up. One pass over the bits of j serves every atom; the squarings run once per
-    base matrix."""
-    out = np.empty((which.size,) + base.shape[1:], dtype=base.dtype)
-    three = j == 3
-    square = base @ base
-    out[three] = square[which[three]] @ base[which[three]]
-    bits = np.where(three, 0, j)
-    started = np.zeros(which.size, dtype=bool)
-    z = base
-    while True:
-        take = (bits & 1).astype(bool)
-        first, rest = take & ~started, take & started
-        out[first] = z[which[first]]
-        out[rest] = out[rest] @ z[which[rest]]
-        started |= take
-        bits >>= 1
-        if not bits.any():
-            return out
-        z = square if z is base else z @ z
-
-
 def _euler_coefficients(orbits, pos: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(-mult * complex(tr rho^j) / j per atom, with the steps of Python's complex product and
     quotient on real parts, and whether mult is past the float range), the powers rho^j of the orbit
-    set's r x r twists from one _matrix_powers pass."""
+    set's r x r twists from one np.linalg.matrix_power call per distinct j (a set, not np.unique, which
+    imports numpy.ma)."""
     shape = orbits[0].rho.shape if orbits else (0, 0)
     rhos = np.array([orbit.rho for orbit in orbits], dtype=complex).reshape(len(orbits), *shape)
-    traces = np.trace(_matrix_powers(rhos, pos, j), axis1=1, axis2=2)
+    traces = np.zeros(pos.size, dtype=complex)
+    for k in set(j.tolist()):
+        at = j == k
+        traces[at] = np.trace(np.linalg.matrix_power(rhos[pos[at]], k), axis1=1, axis2=2)
     mult = np.array([_float_or_inf(-orbit.multiplicity) for orbit in orbits])[pos]
     euler = np.zeros(pos.size, dtype=complex)
     with np.errstate(invalid="ignore"):

@@ -9,6 +9,7 @@ from ruellebf.bf_engine import (
     IRDivergenceError,
     MatrixBFModel,
     _closed_form_grid,
+    _exp,
     expectation_grid,
     gamma_int,
     gamma_tr,
@@ -444,6 +445,14 @@ def test_a_nan_defect_reads_nan_after_a_flag_whose_power_overflowed():
         hbars[1] ** 2
     assert math.isnan(_abs_or_inf(complex(math.nan, 0.0)))
     assert _abs_or_inf(complex(1.5e308, 1.5e308)) == math.inf
+
+
+def test_exp_reads_nan_where_cmath_exp_is_undefined():
+    # cmath.exp raises ValueError on an infinite imaginary part beside a finite or +inf real part
+    for z in (complex(1, math.inf), complex(math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            cmath.exp(z)
+        assert repr(_exp(z)) == "(nan+nanj)"
 
 
 def test_expectation_grid_builds_one_loop_series(monkeypatch):

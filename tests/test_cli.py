@@ -637,7 +637,8 @@ def test_ir_divergence_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("catmap, message", [
     ({"A": [0, -1, 1, 0]}, "not Anosov: an eigenvalue lies on the unit circle"),
     ({"A": [2, 1, 1, 1], "roof": 1e308}, "orbit length must be positive and finite"),  # 2 * roof is inf
-], ids=["rotation", "huge-roof"])
+    ({"A": [2, 0, 0, 2]}, "A must be unimodular, got det = 4"),
+], ids=["rotation", "huge-roof", "not-unimodular"])
 @pytest.mark.parametrize("command", ["orbits", "zeta", "bridge"])
 def test_invalid_catmap_exits_2_with_one_line(tmp_path, capsys, command, catmap, message):
     cfg = write_config(tmp_path, dict(CAT_CONFIG, model={"catmap": catmap}))

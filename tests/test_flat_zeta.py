@@ -517,30 +517,35 @@ def test_cat_map_atom_table_skips_the_float_route(monkeypatch):
     assert_same_table(flat_zeta.atom_table(orbits, 1, 20.0), want)
 
 
-def test_euler_coefficients_match_matrix_power_on_matrix_twists():
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_euler_coefficients_match_matrix_power_on_matrix_twists(r):
     from atom_reference import assert_same_table, reference_atom_table
     from ruellebf.flat_zeta import _euler_coefficients
 
-    # 2 x 2 unitary twists, where the product order of rho^j shows in the last bits
+    # r x r unitary twists, where the product order of rho^j shows in the last bits; j reaches 32, so
+    # the binary powers of j = 31 multiply five factors; P = [[1, 1], [1, 0]] stays transverse there, where
+    # the cat map's A^30 fails the 1e-12 threshold (ROADMAP item 4)
     rng = np.random.default_rng(17)
     orbits = []
-    for i, length in enumerate([0.3, 0.45, 0.6, 1.0, 1.3]):
-        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        orbits.append(PrimeOrbit(length=length, poincare=np.array([[2, 1], [1, 1]]),
-                                 rho=q * (np.diag(r) / np.abs(np.diag(r))), multiplicity=i + 1))
-    atoms = [(p, j) for p, orbit in enumerate(orbits) for j in range(1, 10) if j * orbit.length <= 2.9]
+    for i, length in enumerate([0.09, 0.2, 0.3, 0.45, 1.0]):
+        q, u = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+        orbits.append(PrimeOrbit(length=length, poincare=np.array([[1, 1], [1, 0]]),
+                                 rho=q * (np.diag(u) / np.abs(np.diag(u))), multiplicity=i + 1))
+    atoms = [(p, j) for p, orbit in enumerate(orbits) for j in range(1, 40) if j * orbit.length <= 2.9]
     pos, j = (np.array(column) for column in zip(*atoms))
-    assert j.max() == 9
+    assert j.max() == 32
     euler, overflow = _euler_coefficients(orbits, pos, j)
     want = [-orbits[p].multiplicity * complex(np.trace(np.linalg.matrix_power(orbits[p].rho, k))) / k
             for p, k in atoms]
     assert euler.tobytes() == np.array(want).tobytes()
     assert not overflow.any()
     assert_same_table(atom_table(orbits, 1, 2.9), reference_atom_table(orbits, 1, 2.9))
-    # an orbit set has one twist rank: a 1 x 1 twist after 2 x 2 ones is refused
-    orbits.insert(2, PrimeOrbit(length=0.5, poincare=np.array([[2, 1], [1, 1]]), rho=np.array([[1j]])))
+    # an orbit set has one twist rank: a twist of another rank after r x r ones is refused
+    other = 2 if r == 1 else 1
+    orbits.insert(2, PrimeOrbit(length=0.5, poincare=np.array([[2, 1], [1, 1]]), rho=1j * np.eye(other)))
     for build in (atom_table, reference_atom_table):
-        with pytest.raises(ValueError, match=r"^orbit carries a 1x1 twist, expected the 2x2 of the first orbit$"):
+        with pytest.raises(ValueError, match=rf"^orbit carries a {other}x{other} twist, expected the {r}x{r} of "
+                                             r"the first orbit$"):
             build(orbits, 1, 2.9)
 
 
