@@ -93,23 +93,11 @@ def _float_char_polys(maps: np.ndarray) -> np.ndarray:
     return (re + 1j * im if np.iscomplexobj(maps) else re) * (-1.0) ** np.arange(d + 1)
 
 
-def _char_poly(P) -> list:
-    """[e_0, ..., e_d], e_k = tr(wedge^k P), the sum of all k x k principal minors, of an array P or of
-    an integer matrix given as a tuple of rows of Python ints.
-
-    Integer-valued P: Faddeev-LeVerrier in exact integers, A M_1 = A,
-    e_k = (-1)^(k+1) tr(A M_k) / k (an exact division), M_{k+1} = A M_k + (-1)^k e_k I.
-    Otherwise the elementary symmetric functions of the eigenvalues, as
-    _float_char_polys computes them for a stack.
-    """
-    a = P
-    if not isinstance(P, tuple):
-        P = np.asarray(P)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("P must be square")
-        a = _integer_entries(P)
-        if a is None:
-            return _float_char_polys(P[None])[0].tolist()
+def _char_poly(a: tuple) -> list:
+    """[e_0, ..., e_d], e_k = tr(wedge^k P), the sum of all k x k principal minors, of an integer matrix
+    P given as a tuple of rows of Python ints, the exact route's key: Faddeev-LeVerrier in exact
+    integers, A M_1 = A, e_k = (-1)^(k+1) tr(A M_k) / k (an exact division),
+    M_{k+1} = A M_k + (-1)^k e_k I. A float map takes _float_char_polys."""
     e, am = [1], a
     for k in range(1, len(a) + 1):
         e.append((-1) ** (k + 1) * sum(row[i] for i, row in enumerate(am)) // k)

@@ -20,14 +20,15 @@ a row of another m is a format error at its line. The rows are kept in one
 list, transposed once into columns and converted one column at a time, and
 each distinct P_entries text is parsed once, into one float stack. The (P,
 rho) records are keyed by np.unique over the sign-normalised stack rows and
-each is validated once (one stacked eigvals call for the unit-circle check,
-one stacked svd for the representation values); the rows then merge into
-classes over one sort of the record and length keys, and each class's
-PrimeOrbit is built once, its P a read-only row of the stack. A loaded
-orbit carries its fields and nothing else: the traces and determinants of
-its return map are flat_zeta's. Errors are those of row-by-row reading:
-when the column pass fails, the rows are walked to find the first format
-error, and the first bad line in file order wins.
+each is validated once (the unit-circle check exact for integer 2 x 2 maps,
+one stacked eigvals call for the others, one stacked svd for the rho
+values); the rows then merge into classes over one sort of the record and
+length keys, and each class's PrimeOrbit is built once, its P a read-only
+row of the stack. A loaded orbit carries its fields and nothing else: the
+traces and determinants of its return map are flat_zeta's. Errors are
+those of row-by-row reading: when the column pass fails, the rows are
+walked to find the first format error, and the first bad line in file
+order wins.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .flat_zeta import _integer_valued
 
 UNIT_CIRCLE_TOL = 1e-9
 
@@ -80,12 +83,22 @@ def _scalar_error(length: float, multiplicity: int) -> str | None:
     return None
 
 
+def _on_unit_circle(t: int, det: int) -> bool:
+    """Whether a root of x^2 - t x + det, for integers t and det, lies on the unit circle: a real root
+    1 or -1, or a complex pair of modulus sqrt(det) = 1."""
+    return (det == 1 and abs(t) < 2) or 1 - t + det == 0 or 1 + t + det == 0
+
+
 def _map_errors(maps: np.ndarray) -> list[str | None]:
-    """Why PrimeOrbit rejects each map of an (n, 2m, 2m) float stack, None where it passes; the finite
-    maps share one stacked eigvals call."""
+    """Why PrimeOrbit rejects each map of an (n, 2m, 2m) float stack, None where it passes. A 2 x 2 map
+    that _integer_valued reads as integers meets the unit circle by the exact rule of _on_unit_circle;
+    the other finite maps, float or 4 x 4 and up, share one stacked eigvals call and the
+    UNIT_CIRCLE_TOL test."""
     finite = np.all(np.isfinite(maps), axis=(1, 2))
-    on_circle = np.zeros(len(maps), dtype=bool)
-    on_circle[finite] = np.any(np.abs(np.abs(np.linalg.eigvals(maps[finite])) - 1.0) <= UNIT_CIRCLE_TOL, axis=-1)
+    exact = _integer_valued(maps) & (maps.shape[1:] == (2, 2))
+    on_circle, on_float = np.zeros(len(maps), dtype=bool), finite & ~exact
+    on_circle[on_float] = np.any(np.abs(np.abs(np.linalg.eigvals(maps[on_float])) - 1.0) <= UNIT_CIRCLE_TOL, axis=-1)
+    on_circle[exact] = [_on_unit_circle(a + d, a * d - b * c) for (a, b), (c, d) in maps[exact].astype(int).tolist()]
     return ["Poincare map entries must be finite" if not fin
             else "Poincare map has an eigenvalue on the unit circle" if hit else None
             for fin, hit in zip(finite.tolist(), on_circle.tolist())]
@@ -173,24 +186,18 @@ class HyperbolicToralModel:
         if det not in (1, -1):
             raise ValueError(f"A must be unimodular, got det = {det}")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(self.A, dtype=float)
-
 
 def anosov_check(model: HyperbolicToralModel) -> tuple[bool, float]:
-    """Whether the suspension is Anosov, and its contraction rate theta.
-
-    theta is log of the smallest eigenvalue modulus above 1, divided by the
-    roof; it is 0.0 when the model fails the check.
-    """
-    moduli = np.abs(np.linalg.eigvals(model.matrix()))
-    if np.any(np.abs(moduli - 1.0) <= UNIT_CIRCLE_TOL):
+    """Whether the suspension is Anosov, and its contraction rate theta (0.0 if not), from the exact
+    integers t = tr A and delta = det A = +-1. A is hyperbolic iff no root of x^2 - t x + delta is on the
+    unit circle (_on_unit_circle): iff |t| > 2 for delta = 1, iff t != 0 for delta = -1. theta is the log
+    of the expanding eigenvalue (|t| + sqrt(t^2 - 4 delta)) / 2 over the roof, log |t| taken apart so
+    that no large t overflows; a roof below the reciprocal of the float range gives theta = inf."""
+    (a, b), (c, d) = model.A
+    t, delta = a + d, a * d - b * c
+    if _on_unit_circle(t, delta):
         return False, 0.0
-    expanding = moduli[moduli > 1.0]
-    if expanding.size == 0:
-        return False, 0.0
-    with np.errstate(over="ignore"):  # a roof below the float range's reciprocal gives theta = inf
-        return True, float(np.log(np.min(expanding)) / model.roof)
+    return True, (math.log(abs(t)) + math.log((1 + math.sqrt(1 - 4 * delta / t**2)) / 2)) / model.roof
 
 
 def _census(model: HyperbolicToralModel, n_max: int) -> list[tuple[int, tuple, int]]:
@@ -260,27 +267,30 @@ def _parse_row(row: list[str], line: int, m_first: int | None) -> int:
 def _read_rows(path):
     """(line, fields) of each nonempty row of a spectrum file, as csv.reader reads it from
     open(path, newline="", encoding="utf-8-sig"), line the physical line the row starts on. The file
-    is decoded in one piece and one reader reads it all: a text with no '"', carriage return or NUL,
-    and no line longer than csv.field_size_limit(), is split at its line feeds and commas, which gives
-    csv.reader's rows; any other goes through csv.reader, its csv.Error a SpectrumFormatError at the
-    line where it stopped. At a byte that is not UTF-8 the rows end before the line that holds it, and
-    the byte's SpectrumFormatError is raised after them."""
+    is read in one piece and one reader reads it all. Bytes with no '"', carriage return or NUL, whose
+    text has no line longer than csv.field_size_limit(), are split at their line feeds and commas,
+    which gives csv.reader's rows. csv.reader reads any other file's bytes through a TextIOWrapper,
+    which decodes them as it goes, and its csv.Error is a SpectrumFormatError at the line where it
+    stopped. At a byte that is not UTF-8 the bytes are cut before the line that holds it, and the
+    byte's SpectrumFormatError is raised after their rows."""
     with open(path, "rb") as fh:
-        try:
-            text, stop = fh.read().decode("utf-8-sig"), None
-        except UnicodeDecodeError as exc:
-            head = exc.object[:exc.start]  # the bytes past a byte-order mark, up to the byte
-            text = head[:max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode("utf-8")
-            stop = SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}")
-    lines = text.split("\n")
-    if not ('"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit()):
-        del text  # the lines hold it: the rows do not keep a second copy alive
+        data = fh.read()
+    try:
+        text, stop = data.decode("utf-8-sig"), None
+    except UnicodeDecodeError as exc:
+        head = data[:len(data) - len(exc.object) + exc.start]  # up to the byte: exc.object starts past a BOM
+        data = head[:max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
+        text, stop = data.decode("utf-8-sig"), SpectrumFormatError(f"file is not UTF-8 text: {exc.reason}")
+    lines = None if b'"' in data or b"\r" in data or b"\0" in data else text.split("\n")
+    del text  # the lines hold it, or csv.reader decodes the bytes again: the rows keep no second copy
+    if lines is not None and max(map(len, lines)) <= csv.field_size_limit():
+        del data
         for line_no, line in enumerate(lines, 1):
             if line:
                 yield line_no, line.split(",")
     else:
-        del lines  # csv.reader splits the text itself
-        reader = csv.reader(io.StringIO(text, newline=""))  # the lines of open(path, newline="")
+        del lines
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
         start = 1
         try:
             for row in reader:

@@ -66,7 +66,7 @@ def reference_atom_table(orbits, m: int, L_max: float) -> AtomTable:
     polys.update(zip(np.compress(finite, floating).tolist(), _float_char_polys(maps[finite]).tolist()))
     t, euler, weights, sign = [], [], [], []
     for a, (time, pos, j, p_power, scale) in enumerate(atoms):
-        e = polys[a] if a in polys else _char_poly(p_power)
+        e = polys[a] if a in polys else _char_poly(_integer_entries(p_power))
         det = _transversality_denominator(e, scale)
         t.append(time)
         euler.append(-orbits[pos].multiplicity * complex(np.trace(np.linalg.matrix_power(orbits[pos].rho, j))) / j)

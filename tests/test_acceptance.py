@@ -53,20 +53,41 @@ def criterion(number, description, max_seconds=None):
     print(f"[PASS] criterion {number}: {description} [{elapsed:.2f}s]")
 
 
+def _fraction_free_det(rows: list) -> int:
+    """det of a square integer matrix by Bareiss elimination: every division is exact."""
+    a, sign, previous = [list(row) for row in rows], 1, 1
+    for k in range(len(a) - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if a else 1
+
+
 def test_criterion_1_alternating_minors_flat_trace_identity():
-    with criterion(1, "sum_k (-1)^k tr(wedge^k P) = det(I - P), 200 random, d <= 6", 1.0):
+    with criterion(1, "sum_k (-1)^k tr(wedge^k P) = det(I - P), 200 random float + 200 integer, d <= 6", 1.0):
         rng = np.random.default_rng(101)
         for _ in range(200):
+            # the stacked kernel of atom_table's float route: its e and its own alternating sum
             d = int(rng.integers(1, 7))
             p = rng.normal(size=(d, d))
-            e = _char_poly(p)
+            (e,), (stacked_det,) = _float_traces(p[None])
             alternating = sum((-1) ** k * e[k] for k in range(d + 1))
             det = np.linalg.det(np.eye(d) - p)
             assert abs(alternating - det) <= 1e-9 * max(1.0, abs(det))
-            # the stacked kernel of atom_table's float route: the same e bit for bit, its own alternating sum
-            (stacked_e,), (stacked_det,) = _float_traces(p[None])
-            assert stacked_e.tobytes() == np.array(e).tobytes()
             assert abs(stacked_det - det) <= 1e-9 * max(1.0, abs(det))
+        for _ in range(200):
+            # the exact kernel of atom_table's integer route, against fraction-free elimination
+            d = int(rng.integers(1, 7))
+            p = rng.integers(-9, 10, size=(d, d)).tolist()
+            e = _char_poly(tuple(map(tuple, p)))
+            i_minus_p = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(p)]
+            assert sum((-1) ** k * e[k] for k in range(d + 1)) == _fraction_free_det(i_minus_p)
 
 
 def _lattice_fixed_points(a, n):

@@ -536,12 +536,13 @@ def _count_linalg_calls_from_orbits(monkeypatch):
 
 
 def test_one_anosov_check_and_no_power_or_det_per_period_in_orbits(tmp_path, monkeypatch):
-    # the census checks A once and forms each A^n by one product; per period, an older census ran an
-    # Anosov check (eigvals), a binary power twice (matrix_power) and the orbit's own checks (eigvals, det)
+    # the census checks A once, on its exact trace and determinant, and forms each A^n by one product;
+    # per period, an older census ran an Anosov check (eigvals), a binary power twice (matrix_power) and
+    # the orbit's own checks (eigvals, det)
     calls = _count_linalg_calls_from_orbits(monkeypatch)
     payload = dict(CAT_CONFIG, truncation={"n_max": 20, "L_max": 20.0})
     assert main(["zeta", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "out.csv")]) == 0
-    assert calls == {"eigvals": 1, "det": 0, "matrix_power": 0}
+    assert calls == {"eigvals": 0, "det": 0, "matrix_power": 0}
 
 
 def test_orbits_sieve_digest_needs_no_anosov_check_or_power_per_period(tmp_path, monkeypatch):
@@ -552,6 +553,19 @@ def test_orbits_sieve_digest_needs_no_anosov_check_or_power_per_period(tmp_path,
     assert main(["orbits", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
     assert calls["eigvals"] <= 2 and calls["matrix_power"] == 0
     assert out.read_text().splitlines()[-1] == "# sieve_consistent: true"
+
+
+def test_orbits_of_a_conjugate_cat_map_match_those_of_the_cat_map(tmp_path):
+    # an integer conjugate of [2, 1, 1, 1] with entries near 1e18: the same Anosov check, census and traces
+    columns = {}
+    for a in ([2, 1, 1, 1], [1000000002, -1000000000999999999, 1, -999999999]):
+        out = tmp_path / "out.csv"
+        payload = dict(CAT_CONFIG, model={"catmap": {"A": a}}, truncation={"n_max": 12})
+        assert main(["orbits", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        rows = read_csv_rows(out)
+        columns[tuple(a)] = [[row[name] for name in ("period", "multiplicity", "trace_P", "det_P")] for row in rows]
+    first, second = columns.values()
+    assert len(first) == 12 and first == second
 
 
 def test_orbits_sieve_digest_flags_a_corrupted_census(tmp_path, monkeypatch):
@@ -636,9 +650,11 @@ def test_ir_divergence_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("catmap, message", [
     ({"A": [0, -1, 1, 0]}, "not Anosov: an eigenvalue lies on the unit circle"),
+    # eigenvalues e^{+-i pi/3}: trace 1 and det 1, which float eigenvalues of entries near 1e8 miss
+    ({"A": [100000000, -9999999900000001, 1, -99999999]}, "not Anosov: an eigenvalue lies on the unit circle"),
     ({"A": [2, 1, 1, 1], "roof": 1e308}, "orbit length must be positive and finite"),  # 2 * roof is inf
     ({"A": [2, 0, 0, 2]}, "A must be unimodular, got det = 4"),
-], ids=["rotation", "huge-roof", "not-unimodular"])
+], ids=["rotation", "elliptic", "huge-roof", "not-unimodular"])
 @pytest.mark.parametrize("command", ["orbits", "zeta", "bridge"])
 def test_invalid_catmap_exits_2_with_one_line(tmp_path, capsys, command, catmap, message):
     cfg = write_config(tmp_path, dict(CAT_CONFIG, model={"catmap": catmap}))

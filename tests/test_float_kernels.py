@@ -134,7 +134,7 @@ def complex_recurrence(roots):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_stacked_char_polys_match_per_matrix_bit_for_bit(m):
-    from ruellebf.flat_zeta import _char_poly, _float_char_polys
+    from ruellebf.flat_zeta import _float_char_polys
 
     maps = random_float_maps(np.random.default_rng(100 + m), m, 300)
     complex_spectra = sum(bool(np.iscomplexobj(np.linalg.eigvals(p))) for p in maps)
@@ -145,7 +145,7 @@ def test_stacked_char_polys_match_per_matrix_bit_for_bit(m):
         # the per-matrix formula: signed coefficients of a plain complex recurrence over the eigenvalues
         coeffs = complex_recurrence(complex(r) for r in np.linalg.eigvals(p).tolist())
         reference = np.array([(-1) ** k * c.real for k, c in enumerate(coeffs)])
-        assert row.tobytes() == reference.tobytes() == np.array(_char_poly(p)).tobytes()
+        assert row.tobytes() == reference.tobytes()
         assert _float_char_polys(p[None])[0].tobytes() == row.tobytes()
 
 

@@ -1,7 +1,8 @@
-"""Every command's output on the cat-map, spectrum-CSV and matrix configs of the CI, in both formats,
-against the files in tests/data/golden byte for byte; a command that refuses a config gives its
-recorded exit code and stderr (exits.json). spectrum-quoted.csv is spectrum.csv with CRLF line ends,
-every field quoted and a comment line: csv.reader reads it, where spectrum.csv is split line by line.
+"""Every command's output on each config in tests/data/golden (each *.json but exits.json and the
+<config>-<command>.json outputs, the CI's list too), in both formats, against the files there byte
+for byte; a command that refuses a config gives its recorded exit code and stderr (exits.json).
+spectrum-quoted.csv is spectrum.csv with CRLF line ends, every field quoted and a comment line:
+csv.reader reads it, where spectrum.csv is split line by line.
 spectrum-mixed.csv has an m = 1 row, then an m = 2 row, which every orbit command refuses at its line;
 spectrum-undecodable.csv has a bad row, then a latin-1 byte on the next line: the bad row's line is reported.
 The CSV outputs hold with scipy unimportable too, and through the process entry point
@@ -23,12 +24,15 @@ from ruellebf import cli
 GOLDEN = Path(__file__).parent / "data" / "golden"
 EXITS = json.loads((GOLDEN / "exits.json").read_text(encoding="utf-8"))
 ENV = {"PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}  # a fresh interpreter on this package
+COMMANDS = ["orbits", "zeta", "bridge", "partition", "diagrams"]
+# every config of the golden directory: each *.json but exits.json and the <config>-<command>.json outputs
+CONFIGS = sorted(path.stem for path in GOLDEN.glob("*.json")
+                 if path.stem != "exits" and not path.stem.endswith(tuple(f"-{command}" for command in COMMANDS)))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("command", ["orbits", "zeta", "bridge", "partition", "diagrams"])
-@pytest.mark.parametrize("config", ["catmap", "spectrum", "spectrum-quoted", "spectrum-mixed", "spectrum-undecodable",
-                                    "matrix"])
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("config", CONFIGS)
 def test_cli_reproduces_the_golden_bytes(monkeypatch, config, command, fmt):
     monkeypatch.chdir(GOLDEN)  # the spectrum config names its CSV by a relative path
     out, err = io.StringIO(), io.StringIO()
@@ -76,9 +80,7 @@ def assert_golden(results):
 
 def test_every_command_runs_with_scipy_unimportable():
     # one interpreter runs every command on every golden config: none of them reaches for scipy
-    runs = [[config, command]
-            for config in ("catmap", "spectrum", "spectrum-quoted", "spectrum-mixed", "spectrum-undecodable", "matrix")
-            for command in ("orbits", "zeta", "bridge", "partition", "diagrams")]
+    runs = [[config, command] for config in CONFIGS for command in COMMANDS]
     results, _ = run_without_scipy(runs)
     assert len(results) == len(runs)
     assert_golden(results)

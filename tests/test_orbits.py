@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ruellebf.orbits import (
+    SPECTRUM_HEADER,
     HyperbolicToralModel,
     PrimeOrbit,
     Representation,
@@ -124,11 +125,11 @@ def test_enumerate_keeps_return_maps_exact_past_float_range():
 
 def test_enumerate_keeps_return_maps_exact_past_int64():
     # from period 46 the entries of A^n pass 2^63, where numpy would store them as rounded floats
-    from ruellebf.flat_zeta import _char_poly
+    from ruellebf.flat_zeta import _char_poly, _integer_entries
 
     for orbit in enumerate_prime_orbits(CAT, 48)[44:]:
         assert orbit.poincare.tolist() == [list(row) for row in power(CAT, orbit.period)]
-        assert _char_poly(orbit.poincare)[-1] == 1
+        assert _char_poly(_integer_entries(orbit.poincare))[-1] == 1
 
 
 def test_enumerate_trivial_rep_all_ones():
@@ -184,7 +185,7 @@ def test_model_accepts_integral_float_entries():
 
 
 def test_bigint_vs_floating_eigenvalue_formula():
-    lam = max(np.linalg.eigvals(CAT.matrix()).real)
+    lam = max(np.linalg.eigvals(np.array(CAT.A, dtype=float)).real)
     for n in range(1, 31):
         exact = fixed_point_count(CAT, n)
         approx = abs(lam ** n + lam ** -n - 2)
@@ -199,6 +200,26 @@ def test_anosov_check_examples():
     assert anosov_check(HyperbolicToralModel(((0, -1), (1, 0))))[0] is False
 
 
+# eigenvalues e^{+-i pi/3}, and a conjugate of [2, 1, 1, 1]: float eigenvalues of entries near 1e8 and
+# 1e9 read the first as hyperbolic with theta = 0.337 and give the second theta = 1.844
+ELLIPTIC = ((100000000, -9999999900000001), (1, -99999999))
+CAT_CONJUGATE = ((1000000002, -1000000000999999999), (1, -999999999))
+
+
+def test_anosov_check_is_exact_on_large_entries():
+    assert anosov_check(HyperbolicToralModel(ELLIPTIC)) == (False, 0.0)
+    ok, theta = anosov_check(HyperbolicToralModel(CAT_CONJUGATE))
+    assert ok and theta == pytest.approx(math.log((3 + math.sqrt(5)) / 2), rel=1e-15, abs=0)
+    # det A = -1: hyperbolic iff tr A != 0, the expanding eigenvalue (|t| + sqrt(t^2 + 4)) / 2
+    assert anosov_check(HyperbolicToralModel(((0, 1), (1, 0)))) == (False, 0.0)
+    ok, theta = anosov_check(HyperbolicToralModel(((1, 1), (1, 0))))
+    assert ok and theta == pytest.approx(math.log((1 + math.sqrt(5)) / 2), rel=1e-15, abs=0)
+    # a trace past the float range, and a roof past the reciprocal of the float range
+    ok, theta = anosov_check(HyperbolicToralModel(((10**400, 1), (-1, 0))))
+    assert ok and theta == pytest.approx(400 * math.log(10), rel=1e-15)
+    assert anosov_check(HyperbolicToralModel(((2, 1), (1, 1)), roof=1e-320)) == (True, math.inf)
+
+
 def test_anosov_check_roof_scales_theta():
     model = HyperbolicToralModel(((2, 1), (1, 1)), roof=2.0)
     _, theta = anosov_check(model)
@@ -211,8 +232,10 @@ def test_model_requires_unimodular():
 
 
 def test_prime_orbit_rejects_unit_circle_eigenvalue():
-    with pytest.raises(ValueError, match="unit circle"):
-        PrimeOrbit(length=1.0, poincare=np.eye(2), rho=np.eye(1))
+    # trace 1 and det 1 in integers below 2**53, checked exactly: float eigenvalue moduli read 0.99996
+    for poincare in (np.eye(2), np.array([[10000000.0, -99999990000001.0], [1.0, -9999999.0]])):
+        with pytest.raises(ValueError, match="unit circle"):
+            PrimeOrbit(length=1.0, poincare=poincare, rho=np.eye(1))
 
 
 def test_prime_orbit_rejects_nonunitary_rho():
@@ -304,10 +327,12 @@ def test_loader_malformed_row_reports_line(tmp_path):
 
 
 def test_loader_unit_circle_row_rejected_with_line(tmp_path):
-    path = tmp_path / "circle.csv"
-    path.write_text(HEADER + "1.0,1,1,1.0;0.0;0.0;1.0,1.0,0.0\n")
-    with pytest.raises(SpectrumFormatError, match="line 2"):
-        load_length_spectrum(path)
+    # the second map has trace 1 and det 1, exactly: its float eigenvalue moduli read 0.99996
+    for row in ("1.0,1,1,1.0;0.0;0.0;1.0,1.0,0.0\n", "1.0,1,1,10000000;-99999990000001;1;-9999999,1,0\n"):
+        path = tmp_path / "circle.csv"
+        path.write_text(HEADER + row)
+        with pytest.raises(SpectrumFormatError, match="^line 2: Poincare map has an eigenvalue on the unit circle$"):
+            load_length_spectrum(path)
 
 
 def test_loader_wrong_entry_count_reports_line(tmp_path):
@@ -323,6 +348,31 @@ def test_loader_rejects_m_below_one_with_line(tmp_path):
     path.write_text(HEADER + "1.0,1,-1,2;1;1;1,1.0,0.0\n")
     with pytest.raises(SpectrumFormatError, match="line 2: m must be a positive integer"):
         load_length_spectrum(path)
+
+
+def test_a_quoted_file_is_read_without_a_wide_copy_of_its_text(tmp_path):
+    # csv.reader decodes the bytes of a quoted CRLF file as it reads them, where an io.StringIO of the
+    # decoded text would hold four bytes per character
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    rows = [SPECTRUM_HEADER]
+    for length in rng.uniform(1.0, 8.0, 4000).tolist():
+        p = np.diag([rng.uniform(2.0, 400.0), 0.05, rng.uniform(2.0, 30.0), 0.05]) + rng.uniform(-0.05, 0.05, (4, 4))
+        angle = rng.uniform(0.0, 2 * math.pi)
+        rows.append([repr(length), "1", "2", ";".join(map(repr, p.ravel().tolist())), repr(math.cos(angle)),
+                     repr(math.sin(angle))])
+    peaks = []
+    for name, quoting, end in (("plain.csv", csv.QUOTE_MINIMAL, "\n"), ("quoted.csv", csv.QUOTE_ALL, "\r\n")):
+        path = tmp_path / name
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=quoting, lineterminator=end).writerows(rows)
+        tracemalloc.start()
+        orbits = load_length_spectrum(path)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert len(orbits) == 4000
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_loader_reports_a_field_past_the_csv_limit_with_its_line(tmp_path):
