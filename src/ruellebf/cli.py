@@ -354,14 +354,14 @@ def cmd_orbits(cfg, fmt, out_path):
     n_max, _, _ = _parse_truncation(cfg)
     kind, model = _parse_model(cfg, rep)
     orbs, m, model_id, _ = _orbit_data(kind, model, n_max, math.inf)  # this command sums no atoms
-    # the maps of the float route share one stacked trace and one stacked determinant; the others read
-    # tr P = e_1 and det P = e_2m off the exact kernel of atom_table, one characteristic polynomial per
-    # distinct map
-    floating, maps, exact = flat_zeta._float_route(orbs, 2 * m)
+    # the maps of the float route share one stacked trace and one stacked determinant; the object stack
+    # of Python ints reads tr P = e_1 and det P = e_2m off the exact kernel of atom_table, one
+    # characteristic polynomial per distinct map
+    (floating, maps), (exact, ints) = flat_zeta._float_route(orbs, 2 * m)
     trace_p, det_p = np.zeros(len(orbs)), np.zeros(len(orbs))
     trace_p[floating] = np.trace(maps, axis1=1, axis2=2)
     det_p[floating] = np.linalg.det(maps)
-    e, _ = flat_zeta._exact_traces([flat_zeta._integer_entries(orbs[i].poincare) for i in exact.tolist()], 2 * m)
+    e, _ = flat_zeta._exact_traces(ints)
     trace_p[exact], det_p[exact] = e[:, 1], e[:, -1]
     rho = np.array([orbit.rho[0, 0] for orbit in orbs], dtype=complex)
     table = {"period": [-1 if orbit.period is None else orbit.period for orbit in orbs],

@@ -6,11 +6,13 @@ builds one AtomTable per (orbits, m, L_max) with atom_table, which computes
 and transversality-checks every atom of plain PrimeOrbits of one map size 2m
 and one twist rank r: an atom's exterior traces tr(wedge^k P^j) and
 det(I - P^j) come from one characteristic polynomial of P^j, in exact
-integers for integer-valued return maps (_exact_traces, once per distinct
-power), else from stacked eigenvalues (_float_route), independent of the
-BLAS build; the orbits table reads both routes too. The table has two
-kernels, each summed in the fixed atom order (ascending time, then input
-order, then repetition), so values are bit-stable:
+integers for integer-valued P^j (_exact_traces, once per distinct power),
+else from stacked eigenvalues (_float_traces), independent of the BLAS
+build. _float_route splits the return maps into a float stack and an
+object stack of Python ints, and one power loop, _powers, raises either;
+the orbits table reads both stacks too. The table has two kernels, each
+summed in the fixed atom order (ascending time, then input order, then
+repetition), so values are bit-stable:
   * AtomTable.log_zeta, the per-degree log zeta factors, the Euler product
     and the alternating assembly, columns over a whole lambda grid, each
     with a geometric tail estimate and the same for a lambda alone as inside
@@ -53,17 +55,6 @@ LOG_ZETA_BLOCK = 2 ** 18
 
 class NonTransverseOrbitError(ArithmeticError):
     """det(I - P^j) fell below the transversality threshold."""
-
-
-def _integer_entries(P: np.ndarray) -> tuple[tuple[int, ...], ...] | None:
-    """P as a tuple of rows of Python ints, the key of the exact route, when every entry is an exact
-    integer (floats below EXACT_INT_LIMIT in magnitude, Python ints at any size), else None."""
-    rows = P.tolist()
-    exact = P.dtype.kind in "iufO" and all(
-        isinstance(x, int) or (isinstance(x, float) and x.is_integer() and abs(x) < EXACT_INT_LIMIT)
-        for row in rows for x in row
-    )
-    return tuple(tuple(int(x) for x in row) for row in rows) if exact else None
 
 
 def _int_product(a: tuple, b: tuple) -> tuple:
@@ -127,25 +118,18 @@ def _abs_or_inf(z: complex) -> float:
         return math.hypot(z.real, z.imag)
 
 
-def _transversality_scale(p_power) -> float:
-    """max(1, max|I - P^j|)^d, the scale of the transversality threshold, of an array or of rows of
-    numbers; inf past the float range."""
-    rows = p_power.tolist() if isinstance(p_power, np.ndarray) else p_power
-    base = max([1.0] + [abs((i == j) - x) for i, row in enumerate(rows) for j, x in enumerate(row)])
-    with np.errstate(over="ignore"):  # an integer base keeps its exact power
-        return _float_or_inf(base ** len(rows) if isinstance(base, int) else np.float64(base) ** len(rows))
-
-
-def _exact_traces(powers: list, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(e, det(I - P^j)) as float columns of integer P^j given as tuples of rows of Python ints: one
-    exact _char_poly and one exact det(I - P^j) = sum_k (-1)^k e_k per distinct P^j, each value
+def _exact_traces(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, det(I - P^j)) as float columns of an (n, d, d) integer stack of P^j, int64 or Python ints:
+    one exact _char_poly and one exact det(I - P^j) = sum_k (-1)^k e_k per distinct P^j, each value
     rounded once by _float_or_inf."""
+    n, d = ints.shape[:2]
+    powers = [tuple(map(tuple, p)) for p in ints.tolist()]
     rows = {}
     for p_power in powers:
         if p_power not in rows:
             e = _char_poly(p_power)
             rows[p_power] = [*map(_float_or_inf, e), _float_or_inf(sum((-1) ** k * x for k, x in enumerate(e)))]
-    traces = np.array([rows[p_power] for p_power in powers], dtype=float).reshape(len(powers), d + 2)
+    traces = np.array([rows[p_power] for p_power in powers], dtype=float).reshape(n, d + 2)
     return traces[:, :-1], traces[:, -1]
 
 
@@ -279,51 +263,57 @@ class AtomTable:
 
 
 def _integer_valued(maps: np.ndarray) -> np.ndarray:
-    """Per map of an (n, d, d) float stack: whether _integer_entries reads it as integers."""
+    """Per map of an (n, d, d) float stack: whether every entry is an integer below EXACT_INT_LIMIT in
+    magnitude, so that the map reads exactly as Python ints."""
     return np.all((np.abs(maps) < EXACT_INT_LIMIT) & (maps == np.floor(maps)), axis=(1, 2))
 
 
-def _float_route(orbits, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(float positions, their (n, d, d) stack, exact positions), positions ascending: the orbits whose
-    d x d return maps take the float route, float maps that are not integer-valued, and the others,
-    whose maps _integer_entries reads exactly."""
+def _float_route(orbits, d: int) -> tuple[tuple, tuple]:
+    """The two routes of the orbits' d x d return maps, each (positions ascending, (n, d, d) stack): the
+    float maps that are not integer-valued as a float stack, and the others, integer, Python-int or
+    integer-valued float maps, as an object stack of Python ints."""
     is_float = [orbit.poincare.dtype.kind == "f" for orbit in orbits]
     maps = np.array([o.poincare for o, f in zip(orbits, is_float) if f], dtype=float).reshape(sum(is_float), d, d)
     keep = ~_integer_valued(maps)
     on_float = np.array(is_float, dtype=bool)
     on_float[on_float] = keep
-    return np.flatnonzero(on_float), maps[keep], np.flatnonzero(~on_float)
+    exact = np.flatnonzero(~on_float)
+    ints = np.array([[list(map(int, row)) for row in orbits[i].poincare.tolist()] for i in exact.tolist()],
+                    dtype=object).reshape(exact.size, d, d)
+    return (np.flatnonzero(on_float), maps[keep]), (exact, ints)
 
 
 def _transversality_scales(maps: np.ndarray) -> np.ndarray:
-    """_transversality_scale of each map of an (n, d, d) float stack, bit for bit: fmax passes over
-    NaN entries as Python's max from 1.0 does, and float_power is the libm pow of a float64 scalar,
-    where the power ufunc may take a SIMD pow that rounds differently."""
+    """max(1, max|I - P^j|)^d, the scale of the transversality threshold, of each map of an (n, d, d)
+    float stack or object stack of Python ints; inf past the float range. fmax passes over NaN entries.
+    On Python ints the power is exact and rounded once by _float_or_inf; on floats float_power is the
+    libm pow of a float64 scalar, where the power ufunc may take a SIMD pow that rounds differently."""
     n, d = maps.shape[:2]
-    deviation = np.abs(np.eye(d) - maps).reshape(n, d * d)
+    base = np.fmax.reduce(np.abs(np.eye(d, dtype=int) - maps).reshape(n, d * d), axis=1, initial=1)
+    if maps.dtype == object:
+        return np.array([_float_or_inf(x ** d) for x in base.tolist()], dtype=float)
     with np.errstate(over="ignore"):
-        return np.float_power(np.fmax.reduce(deviation, axis=1, initial=1.0), d)
+        return np.float_power(base, d)
 
 
-def _float_powers(base: np.ndarray, lengths: np.ndarray, reach: float) -> tuple:
-    """(index into base, j, P^j, scale) of every atom of an (n, d, d) stack of float return maps, one
-    stacked product per repetition j over the maps still within reach whose last scale was finite."""
+def _powers(base: np.ndarray, lengths: np.ndarray, reach: float) -> tuple:
+    """(index into base, j, P^j, scale) of every atom of an (n, d, d) stack of return maps, float or
+    Python ints: one stacked product per repetition j, exact on Python ints, over the maps still within
+    reach whose last scale was finite. That stop bounds the Python ints too."""
     index, js, powers, scales = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [base[:0]], [np.zeros(0)]
-    alive, power, j = np.arange(len(base)), base, 1
-    while alive.size:
-        within = j * lengths[alive] <= reach
-        alive, power = alive[within], power[within]
-        scale = _transversality_scales(power)
-        index.append(alive)
-        js.append(np.full(alive.size, j))
-        powers.append(power)
-        scales.append(scale)
-        finite = scale < math.inf
-        alive, power = alive[finite], power[finite]
-        # a P^j past the float range fails its check at its atom, or an earlier one fails first
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ base[alive]
-        j += 1
+    alive, j = np.flatnonzero(lengths <= reach), 1
+    power = base[alive]
+    # a P^j past the float range fails its check at its atom, or an earlier one fails first
+    with np.errstate(over="ignore", invalid="ignore"):
+        while alive.size:
+            scale = _transversality_scales(power)
+            index.append(alive)
+            js.append(np.full(alive.size, j))
+            powers.append(power)
+            scales.append(scale)
+            j += 1
+            go_on = (scale < math.inf) & (j * lengths[alive] <= reach)
+            alive, power = alive[go_on], power[go_on] @ base[alive[go_on]]
     return tuple(np.concatenate(c) for c in (index, js, powers, scales))
 
 
@@ -361,19 +351,30 @@ def _float_traces(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, det
 
 
+def _traces(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, det(I - P^j)) of an (n, d, d) stack of P^j, row by row: _exact_traces for an object stack of
+    Python ints and for the integer-valued maps of a float stack, _float_traces for the other float maps,
+    skipped when there are none."""
+    n, d = stack.shape[:2]
+    exact = np.ones(n, dtype=bool) if stack.dtype == object else _integer_valued(stack)
+    e, det = np.zeros((n, d + 1)), np.zeros(n)
+    e[exact], det[exact] = _exact_traces(stack if stack.dtype == object else stack[exact].astype(np.int64))
+    if not exact.all():
+        e[~exact], det[~exact] = _float_traces(stack[~exact])
+    return e, det
+
+
 def atom_table(orbits, m: int, L_max: float) -> AtomTable:
     """The atom table of orbits up to L_max; every return map must be 2m x 2m, a PrimeOrbit's float,
     integer or Python-int matrix, and every twist rho r x r, the r of the first orbit.
 
-    Each orbit's powers stop at the first P^j whose _transversality_scale is inf; that atom, like any
-    non-finite P^j, fails its check. The maps that _float_route leaves out are raised to powers on rows
-    of Python ints, one _transversality_scale per distinct P^j; their atoms, and any integer-valued P^j
-    of the float route (which keeps the scale of its float route), take their traces from
-    _exact_traces. The other float maps are raised by _float_powers and take their traces from the
-    stacked _float_traces, which a table without such atoms skips. _euler_coefficients serves both
-    routes. One pass over every atom in table order then checks |det(I - P^j)| against 1e-12 times
-    the scale and divides the weights; the first atom that fails, or whose exact trace or multiplicity
-    is past the float range, raises NonTransverseOrbitError or OverflowError.
+    _float_route splits the maps into a float stack and an object stack of Python ints. Each route is
+    raised by _powers, which stops an orbit's powers at the first P^j whose transversality scale is
+    inf (that atom, like any non-finite P^j, fails its check), and takes its traces from _traces. The
+    atoms of both routes are then sorted once into table order; _euler_coefficients serves both. One
+    pass over every atom in table order checks |det(I - P^j)| against 1e-12 times the scale and
+    divides the weights; the first atom that fails, or whose exact trace or multiplicity is past the
+    float range, raises NonTransverseOrbitError or OverflowError.
     """
     d, r = 2 * m, orbits[0].rho.shape[0] if orbits else 0
     for orbit in orbits:
@@ -382,43 +383,18 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
             raise ValueError(f"orbit carries a {size}x{size} return map, expected 2m = {d}")
         if rank != r:
             raise ValueError(f"orbit carries a {rank}x{rank} twist, expected the {r}x{r} of the first orbit")
-    reach = L_max * REACH_FACTOR
     lengths = np.array([orbit.length for orbit in orbits], dtype=float)
-    float_pos, floats, exact_pos = _float_route(orbits, d)
-    exact = []  # (t, input position, j, P^j, scale) of the maps raised in Python ints
-    scales = {}  # exact P^j -> its _transversality_scale
-    for pos in exact_pos.tolist():
-        length, base = orbits[pos].length, _integer_entries(orbits[pos].poincare)
-        j, p_power, scale = 1, base, 0.0
-        while j * length <= reach and scale < math.inf:
-            if j > 1:
-                p_power = _int_product(p_power, base)
-            scale = scales.get(p_power)
-            if scale is None:
-                scale = scales[p_power] = _transversality_scale(p_power)
-            exact.append((j * length, pos, j, p_power, scale))
-            j += 1
-    index, f_j, f_maps, f_scale = _float_powers(floats, lengths[float_pos], reach)
-    t = np.concatenate([np.array([a[0] for a in exact], dtype=float), f_j * lengths[float_pos[index]]])
-    pos = np.concatenate([np.array([a[1] for a in exact], dtype=int), float_pos[index]])
-    j = np.concatenate([np.array([a[2] for a in exact], dtype=int), f_j])
-    scale = np.concatenate([np.array([a[4] for a in exact], dtype=float), f_scale])
+    routes = []  # per route: (t, input position, j, scale, e, det(I - P^j)) of its atoms
+    for positions, stack in _float_route(orbits, d):
+        index, j, powers, scale = _powers(stack, lengths[positions], L_max * REACH_FACTOR)
+        pos = positions[index]
+        routes.append((j * lengths[pos], pos, j, scale, *_traces(powers)))
+    t, pos, j, scale, e, det = map(np.concatenate, zip(*routes))
     # table order: ascending (t, input position, j)
     order = np.lexsort((j, pos, t))
-    t, pos, j, scale = t[order], pos[order], j[order], scale[order]
-    on_exact, on_float = np.flatnonzero(order < len(exact)), np.flatnonzero(order >= len(exact))
-    maps = f_maps[order[on_float] - len(exact)]
-    stays_exact = _integer_valued(maps)
-    weights, det = np.zeros((t.size, d + 1), dtype=complex), np.zeros(t.size)
-    # every integer-valued P^j as rows of Python ints; e goes straight into the weights, divided below
-    rows = np.concatenate([on_exact, on_float[stays_exact]])
-    powers = [exact[a][3] for a in order[on_exact].tolist()] + list(map(_integer_entries, maps[stays_exact]))
-    weights.real[rows], det[rows] = _exact_traces(powers, d)
-    rows = on_float[~stays_exact]
-    if rows.size:  # a table of integer-valued return maps, as every cat-map table is, has no float atoms
-        weights.real[rows], det[rows] = _float_traces(maps[~stays_exact])
+    t, pos, j, scale, e, det = t[order], pos[order], j[order], scale[order], e[order], det[order]
     euler, overflow = _euler_coefficients(orbits, pos, j)
-    e, size = weights.real, np.abs(det)
+    size = np.abs(det)
     bad = ~((NON_TRANSVERSE_RTOL * scale <= size) & (size < math.inf))
     fails = bad | overflow | np.isinf(e).any(axis=1)
     if fails.any():
@@ -428,8 +404,8 @@ def atom_table(orbits, m: int, L_max: float) -> AtomTable:
         raise OverflowError("int too large to convert to float")
     # complex(e_k) / size: real part (e_k + 0.0 * (0.0 / size)) / size, so -0.0 reads 0.0; the imaginary
     # part (0.0 - e_k * (0.0 / size)) / size is 0.0 for every finite e_k
-    e += 0.0
-    e /= size[:, None]
+    weights = np.zeros(e.shape, dtype=complex)
+    weights.real = (e + 0.0) / size[:, None]
     group_times, group = np.unique(t, return_inverse=True)
     return AtomTable(m, t, euler, weights, (-1.0) ** m * np.copysign(1.0, det), group, group_times,
                      min(lengths.tolist(), default=math.inf))

@@ -119,7 +119,8 @@ class PrimeOrbit:
     """One aggregated class of prime closed orbits sharing (length, P, rho).
 
     An integer P (the built-in maps A^n) is kept exact, so that downstream
-    traces and determinants of it stay exact; any other P is stored as float.
+    traces and determinants of it stay exact, and a 2 x 2 one meets the unit
+    circle by the exact rule of _on_unit_circle; any other P is stored as float.
     """
 
     length: float
@@ -138,7 +139,12 @@ class PrimeOrbit:
             p = np.asarray(p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] % 2:
             raise ValueError("Poincare matrix must be square of even dimension 2m")
-        (error,) = _map_errors(np.asarray(p, dtype=float)[None])
+        if p.dtype.kind == "f" or p.shape != (2, 2):
+            (error,) = _map_errors(np.asarray(p, dtype=float)[None])
+        else:  # an integer 2 x 2 map: the exact rule on its trace and determinant in Python ints
+            (a, b), (c, d) = p.tolist()
+            on_circle = _on_unit_circle(a + d, a * d - b * c)
+            error = "Poincare map has an eigenvalue on the unit circle" if on_circle else None
         if error:
             raise ValueError(error)
         r = np.asarray(self.rho, dtype=complex)

@@ -1,11 +1,13 @@
 """The per-atom atom table and log zeta sum that the stacked ones in flat_zeta replaced, kept as
 the references the stacked columns are compared with bit for bit.
 
-Each atom is formed on its own: P^j by one product per repetition, its transversality scale and
-determinant in Python floats (or exact ints), its Euler coefficient from np.linalg.matrix_power of
-rho, its weights by Python complex division; log zeta adds the atoms' terms one at a time. The
-scalar transversality check, _transversality_denominator, lives here: atom_table checks every atom
-in one stacked pass, and this check, atom by atom, is what that pass is compared with.
+Each atom is formed on its own: P^j by one product per repetition (on an object array of Python
+ints for an integer or integer-valued map), its transversality scale by the scalar
+_transversality_scale and its determinant in Python floats (or exact ints), its Euler coefficient
+from np.linalg.matrix_power of rho, its weights by Python complex division; log zeta adds the
+atoms' terms one at a time. The scalar transversality check, _transversality_denominator, lives
+here: atom_table checks every atom in one stacked pass, and this check, atom by atom, is what that
+pass is compared with. _integer_entries reads a map as rows of Python ints, the key of _char_poly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import numpy as np
 
 from ruellebf.flat_zeta import (
+    EXACT_INT_LIMIT,
     NON_TRANSVERSE_RTOL,
     AtomTable,
     NonTransverseOrbitError,
@@ -22,9 +25,27 @@ from ruellebf.flat_zeta import (
     _float_char_polys,
     _float_or_inf,
     _geometric_tails,
-    _integer_entries,
-    _transversality_scale,
 )
+
+
+def _integer_entries(P: np.ndarray) -> tuple[tuple[int, ...], ...] | None:
+    """P as a tuple of rows of Python ints when every entry is an exact integer (floats below
+    EXACT_INT_LIMIT in magnitude, Python ints at any size), else None."""
+    rows = P.tolist()
+    exact = P.dtype.kind in "iufO" and all(
+        isinstance(x, int) or (isinstance(x, float) and x.is_integer() and abs(x) < EXACT_INT_LIMIT)
+        for row in rows for x in row
+    )
+    return tuple(tuple(int(x) for x in row) for row in rows) if exact else None
+
+
+def _transversality_scale(p_power) -> float:
+    """max(1, max|I - P^j|)^d, the scale of the transversality threshold, of an array or of rows of
+    numbers; inf past the float range."""
+    rows = p_power.tolist() if isinstance(p_power, np.ndarray) else p_power
+    base = max([1.0] + [abs((i == j) - x) for i, row in enumerate(rows) for j, x in enumerate(row)])
+    with np.errstate(over="ignore"):  # an integer base keeps its exact power
+        return _float_or_inf(base ** len(rows) if isinstance(base, int) else np.float64(base) ** len(rows))
 
 
 def _transversality_denominator(e: list, scale: float) -> float:

@@ -10,12 +10,12 @@ from ruellebf.flat_zeta import (
     NonTransverseOrbitError,
     _char_poly,
     _float_char_polys,
-    _integer_entries,
     atom_table,
     zeta_grid_rows,
 )
 from ruellebf.orbits import HyperbolicToralModel, PrimeOrbit, Representation, enumerate_prime_orbits
 
+from atom_reference import _integer_entries
 from math_reference import BranchCutError, flat_det_via_F, flat_trace_cyclicity_check, power
 
 CAT = HyperbolicToralModel(((2, 1), (1, 1)))
@@ -110,8 +110,7 @@ def test_flat_trace_atoms_sorted_with_t_min():
 def test_non_transverse_guard():
     # orbit ingestion already rejects unit-circle eigenvalues, so the sum-level
     # threshold is defense in depth; exercise it on the guard directly
-    from atom_reference import _transversality_denominator
-    from ruellebf.flat_zeta import _transversality_scale
+    from atom_reference import _transversality_denominator, _transversality_scale
 
     with pytest.raises(NonTransverseOrbitError):
         p = np.diag([1.0 + 1e-14, 0.5])
@@ -384,8 +383,7 @@ def test_exterior_trace_exact_on_large_integer_powers():
 
 
 def test_transversality_denominator_exact_for_integer_maps():
-    from atom_reference import _transversality_denominator
-    from ruellebf.flat_zeta import _transversality_scale
+    from atom_reference import _transversality_denominator, _transversality_scale
 
     def denominator(p):
         return _transversality_denominator(_char_poly(_integer_entries(p)), _transversality_scale(p))

@@ -168,20 +168,29 @@ def test_atom_table_keeps_integer_valued_float_powers_exact(monkeypatch):
 
 # ------------------------------------------------- the stacked atom table and log zeta
 
+# per m: maps of the exact route (int64, or integer-valued floats) and a float map whose square is
+# integer-valued, so that its even powers take the exact traces of the float route
+EXACT_MAPS = {
+    1: [np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([[0.0, 0.5], [6.0, 0.0]])],
+    2: [np.array([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]]),
+        np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, 2.0, 1.0]]),
+        np.array([[0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.25], [6.0, 0.0, 0.0, 0.0], [0.0, 8.0, 0.0, 0.0]])],
+}
+
+
 def random_spectrum(rng, m, n_orbits):
     """PrimeOrbits with float 2m x 2m return maps of spectral radius 1.2 to 2 (real and complex
     spectra, -0.0 below the diagonal of every triangular map) and one with zero eigenvalues, lengths
     on a 0.1 grid (shared times), twists 1, -1, +-i with signed zeros and random characters, and multiplicities 1 to
-    3. For m = 1 an integer-valued float map and one whose square is integer-valued join, so both
-    routes share the table."""
+    3. For m = 1 and m = 2 integer-valued maps and a float map whose square is integer-valued join, so both
+    routes share the table (EXACT_MAPS)."""
     maps = random_float_maps(rng, m, n_orbits)
     for i, p in enumerate(maps):
         p *= rng.uniform(1.2, 2.0) / np.max(np.abs(np.linalg.eigvals(p)))
         if i % 3 == 0:
             p[np.tril_indices(2 * m, -1)] = -0.0
     maps = list(maps)
-    if m == 1:
-        maps += [np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([[0.0, 0.5], [6.0, 0.0]])]
+    maps += EXACT_MAPS.get(m, [])
     maps.append(np.diag([1.5] + [0.0] * (2 * m - 1)))  # zero eigenvalues: zero coefficients
     # twists on and off the axes, where the signed zeros of Python's complex arithmetic show
     twists = [1.0, -1.0, complex(0.0, 1.0), complex(0.0, -1.0), complex(-0.0, -1.0)]
@@ -208,6 +217,50 @@ def test_stacked_atom_table_matches_per_atom_reference_bit_for_bit(m):
     lambdas = [3.0, 4.5 + 1.0j, -0.5 + 2.0j, 0.0, 12.0 - 2.0j]
     for got, want in zip(table.log_zeta(lambdas), reference_log_zeta(reference, lambdas)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_exact_route_maps_match_the_per_atom_reference_bit_for_bit(m):
+    from atom_reference import reference_atom_table
+    from ruellebf.flat_zeta import atom_table
+
+    # up to the sixth power of each map of EXACT_MAPS[m], two classes per map sharing their lengths
+    orbits = [PrimeOrbit(length, p, np.eye(1), multiplicity=2) for length in (0.5, 0.7) for p in EXACT_MAPS[m]]
+    table = atom_table(orbits, m, 3.0)
+    assert table.t.size == 10 * len(EXACT_MAPS[m])
+    assert_same_table(table, reference_atom_table(orbits, m, 3.0))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_transversality_scales_match_the_scalar_reference_bit_for_bit(d):
+    from atom_reference import _transversality_scale
+    from ruellebf.flat_zeta import _transversality_scales
+
+    rng = np.random.default_rng(40 + d)
+    # floats: deviations below and above 1, NaN, +-inf, and entries at the top of the float range and
+    # around its d-th root, where the power overflows or just does not
+    top = np.finfo(float).max
+    root = top ** (1.0 / d)
+    specials = [math.nan, math.inf, -math.inf, top, -top, root, np.nextafter(root, 0.0), np.nextafter(root, math.inf),
+                -root, 0.5, -0.0, 1.0, 2.0]
+    maps = rng.normal(scale=1.0, size=(400, d, d))
+    maps[350:] = np.eye(d) + rng.uniform(-1.0, 1.0, (50, d, d))  # every |I - P| entry at most 1: scale 1.0
+    for p in maps[:300]:
+        for _ in range(rng.integers(1, 3)):
+            p[rng.integers(0, d), rng.integers(0, d)] = rng.choice(specials)
+    got = _transversality_scales(maps)
+    assert got.tobytes() == np.array([_transversality_scale(p) for p in maps]).tobytes()
+    assert np.isinf(got).any() and (got == 1.0).any() and (got > 1.0).any()
+    # Python ints: past 2**63, around the d-th root of the float range, and past the float range
+    edge = 2 ** (1024 // d)
+    large = [2 ** 63 + 1, -(2 ** 64), edge - 1, edge, -edge, edge // 2 + 1, 10 ** 400]
+    ints = [rng.integers(-3, 4, (d, d)).tolist() for _ in range(100)]
+    for k, p in enumerate(ints[:70]):
+        p[k % d][k // d % d] = large[k % len(large)]
+    stack = np.array(ints, dtype=object)
+    got = _transversality_scales(stack)
+    assert got.tobytes() == np.array([_transversality_scale(p) for p in stack]).tobytes()
+    assert np.isinf(got).any() and (got < math.inf).any()
 
 
 def test_log_zeta_blocks_match_the_per_atom_sum(monkeypatch):

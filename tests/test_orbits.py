@@ -74,7 +74,7 @@ def test_sieve_consistency_exact():
 @pytest.mark.parametrize("a", [((2, 1), (1, 1)), ((3, 1), (2, 1))])
 def test_census_matches_binary_powers_and_fixed_point_counts(a):
     # the running product of the census against the binary powers of power and fixed_point_count
-    from ruellebf.flat_zeta import _integer_entries
+    from atom_reference import _integer_entries
     from ruellebf.orbits import _census
 
     model = HyperbolicToralModel(a)
@@ -117,7 +117,7 @@ def test_enumerate_single_period():
 
 def test_enumerate_keeps_return_maps_exact_past_float_range():
     # from period 39 the entries of A^n exceed 2^53, where a float map would round them
-    from ruellebf.flat_zeta import _integer_entries
+    from atom_reference import _integer_entries
 
     for orbit in enumerate_prime_orbits(CAT, 41):
         assert _integer_entries(orbit.poincare) == power(CAT, orbit.period)
@@ -125,7 +125,8 @@ def test_enumerate_keeps_return_maps_exact_past_float_range():
 
 def test_enumerate_keeps_return_maps_exact_past_int64():
     # from period 46 the entries of A^n pass 2^63, where numpy would store them as rounded floats
-    from ruellebf.flat_zeta import _char_poly, _integer_entries
+    from atom_reference import _integer_entries
+    from ruellebf.flat_zeta import _char_poly
 
     for orbit in enumerate_prime_orbits(CAT, 48)[44:]:
         assert orbit.poincare.tolist() == [list(row) for row in power(CAT, orbit.period)]
@@ -232,10 +233,20 @@ def test_model_requires_unimodular():
 
 
 def test_prime_orbit_rejects_unit_circle_eigenvalue():
-    # trace 1 and det 1 in integers below 2**53, checked exactly: float eigenvalue moduli read 0.99996
-    for poincare in (np.eye(2), np.array([[10000000.0, -99999990000001.0], [1.0, -9999999.0]])):
+    # trace 1 and det 1 in integers below 2**53, checked exactly: float eigenvalue moduli read 0.99996;
+    # an int64 map with an entry past 2**53 has trace 1 and det 1 too (eigenvalues e^{+-i pi/3}), which
+    # its float copy rounds away
+    for poincare in (np.eye(2), np.array([[10000000.0, -99999990000001.0], [1.0, -9999999.0]]),
+                     np.array([[100000000, -9999999900000001], [1, -99999999]])):
         with pytest.raises(ValueError, match="unit circle"):
             PrimeOrbit(length=1.0, poincare=poincare, rho=np.eye(1))
+
+
+def test_prime_orbit_accepts_a_python_int_map_past_the_float_range():
+    # hyperbolic: trace 10**400 and det -1, checked without a float copy of the map
+    poincare = np.array([[10**400, 1], [1, 0]], dtype=object)
+    orbit = PrimeOrbit(length=1.0, poincare=poincare, rho=np.eye(1))
+    assert orbit.poincare.dtype == object and orbit.poincare.tolist() == [[10**400, 1], [1, 0]]
 
 
 def test_prime_orbit_rejects_nonunitary_rho():
