@@ -184,6 +184,8 @@ def _parse_model(cfg, rep):
              "exactly one of catmap | spectrum_file | matrix required")
     kind = next(iter(model))
     body = model[kind]
+    _require(kind not in ("spectrum_file", "matrix") or rep.kind == "trivial", "rep",
+             f"a {kind} model takes only {{'trivial': true}}: a character twists a catmap model alone")
     if kind == "catmap":
         _require(isinstance(body, dict), "model.catmap", "must be an object")
         a = body.get("A")

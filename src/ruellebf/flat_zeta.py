@@ -39,7 +39,6 @@ tail_bound = inf rather than extrapolated.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +54,6 @@ LOG_ZETA_BLOCK = 2 ** 18
 
 class NonTransverseOrbitError(ArithmeticError):
     """det(I - P^j) fell below the transversality threshold."""
-
-
-def _int_product(a: tuple, b: tuple) -> tuple:
-    """a @ b for square matrices given as rows of Python ints."""
-    columns = tuple(zip(*b))
-    return tuple([tuple([sum(map(operator.mul, row, column)) for column in columns]) for row in a])
 
 
 def _float_char_polys(maps: np.ndarray) -> np.ndarray:
@@ -88,14 +81,14 @@ def _char_poly(a: tuple) -> list:
     """[e_0, ..., e_d], e_k = tr(wedge^k P), the sum of all k x k principal minors, of an integer matrix
     P given as a tuple of rows of Python ints, the exact route's key: Faddeev-LeVerrier in exact
     integers, A M_1 = A, e_k = (-1)^(k+1) tr(A M_k) / k (an exact division),
-    M_{k+1} = A M_k + (-1)^k e_k I. A float map takes _float_char_polys."""
-    e, am = [1], a
+    A M_{k+1} = A (A M_k) + (-1)^k e_k A, by the object-array @ that _powers raises the object stack
+    with. A float map takes _float_char_polys."""
+    p = np.array(a, dtype=object)
+    e, am = [1], p
     for k in range(1, len(a) + 1):
-        e.append((-1) ** (k + 1) * sum(row[i] for i, row in enumerate(am)) // k)
+        e.append((-1) ** (k + 1) * np.trace(am) // k)
         if k < len(a):
-            shift = (-1) ** k * e[k]
-            m_next = [[x + shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(am)]
-            am = _int_product(a, m_next)
+            am = p @ am + (-1) ** k * e[k] * p
     return e
 
 

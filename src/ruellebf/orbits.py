@@ -20,9 +20,9 @@ a row of another m is a format error at its line. The rows are kept in one
 list, transposed once into columns and converted one column at a time, and
 each distinct P_entries text is parsed once, into one float stack. The (P,
 rho) records are keyed by np.unique over the sign-normalised stack rows and
-each is validated once (the unit-circle check exact for integer 2 x 2 maps,
-one stacked eigvals call for the others, one stacked svd for the rho
-values); the rows then merge into classes over one sort of the record and
+each is validated once (by _map_errors, PrimeOrbit's own map check, exact
+for integer 2 x 2 maps, one stacked eigvals call for the others; one stacked
+svd for the rho values); the rows then merge into classes over one sort of the record and
 length keys, and each class's PrimeOrbit is built once, its P a read-only
 row of the stack. A loaded orbit carries its fields and nothing else: the
 traces and determinants of its return map are flat_zeta's. Errors are
@@ -38,11 +38,12 @@ import csv
 import io
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flat_zeta import _integer_valued
+from .flat_zeta import _float_or_inf, _integer_valued
 
 UNIT_CIRCLE_TOL = 1e-9
 
@@ -90,18 +91,24 @@ def _on_unit_circle(t: int, det: int) -> bool:
 
 
 def _map_errors(maps: np.ndarray) -> list[str | None]:
-    """Why PrimeOrbit rejects each map of an (n, 2m, 2m) float stack, None where it passes. A 2 x 2 map
-    that _integer_valued reads as integers meets the unit circle by the exact rule of _on_unit_circle;
-    the other finite maps, float or 4 x 4 and up, share one stacked eigvals call and the
-    UNIT_CIRCLE_TOL test."""
-    finite = np.all(np.isfinite(maps), axis=(1, 2))
-    exact = _integer_valued(maps) & (maps.shape[1:] == (2, 2))
-    on_circle, on_float = np.zeros(len(maps), dtype=bool), finite & ~exact
-    on_circle[on_float] = np.any(np.abs(np.abs(np.linalg.eigvals(maps[on_float])) - 1.0) <= UNIT_CIRCLE_TOL, axis=-1)
-    on_circle[exact] = [_on_unit_circle(a + d, a * d - b * c) for (a, b), (c, d) in maps[exact].astype(int).tolist()]
-    return ["Poincare map entries must be finite" if not fin
-            else "Poincare map has an eigenvalue on the unit circle" if hit else None
-            for fin, hit in zip(finite.tolist(), on_circle.tolist())]
+    """Why PrimeOrbit rejects each map of an (n, 2m, 2m) float, integer or Python-int stack, None where it
+    passes. A 2 x 2 map of integers, or one that _integer_valued reads as integers, meets the unit circle
+    by the exact rule of _on_unit_circle; the other maps share one stacked eigvals call on a float copy
+    and the UNIT_CIRCLE_TOL test, where a non-finite float entry, or an integer past the float range, is
+    refused."""
+    n, size = maps.shape[:2]
+    integer = maps.dtype.kind in "iuO"
+    floats = np.frompyfunc(_float_or_inf, 1, 1)(maps).astype(float) if integer else maps
+    finite = np.all(np.isfinite(floats), axis=(1, 2))
+    exact = (np.ones(n, dtype=bool) if integer else _integer_valued(maps)) & (size == 2)
+    on_circle, on_float = np.zeros(n, dtype=bool), finite & ~exact
+    on_circle[on_float] = np.any(np.abs(np.abs(np.linalg.eigvals(floats[on_float])) - 1.0) <= UNIT_CIRCLE_TOL, axis=-1)
+    ints = maps[exact] if integer else maps[exact].astype(int)
+    on_circle[exact] = [_on_unit_circle(a + d, a * d - b * c) for (a, b), (c, d) in ints.tolist()]
+    return ["Poincare map has an eigenvalue on the unit circle" if hit else None if fin or ex
+            else "an integer Poincare map larger than 2 x 2 must have entries within the float range" if integer
+            else "Poincare map entries must be finite"
+            for fin, ex, hit in zip(finite.tolist(), exact.tolist(), on_circle.tolist())]
 
 
 def _rho_errors(rhos: np.ndarray) -> list[str | None]:
@@ -119,8 +126,8 @@ class PrimeOrbit:
     """One aggregated class of prime closed orbits sharing (length, P, rho).
 
     An integer P (the built-in maps A^n) is kept exact, so that downstream
-    traces and determinants of it stay exact, and a 2 x 2 one meets the unit
-    circle by the exact rule of _on_unit_circle; any other P is stored as float.
+    traces and determinants of it stay exact; any other P of real numbers is
+    stored as float. Every P is checked by _map_errors.
     """
 
     length: float
@@ -134,23 +141,17 @@ class PrimeOrbit:
         if error:
             raise ValueError(error)
         p = np.asarray(self.poincare)
-        # an integer map stays exact: int64, or Python ints where int64 would overflow
-        if not (p.dtype.kind in "iu" or (p.dtype.kind == "O" and all(type(x) is int for x in p.flat))):
-            p = np.asarray(p, dtype=float)
+        if p.dtype.kind not in "biufO" or p.dtype.kind == "O" and not all(isinstance(x, numbers.Real) for x in p.flat):
+            raise ValueError("Poincare map entries must be real numbers")
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] % 2:
             raise ValueError("Poincare matrix must be square of even dimension 2m")
-        if p.dtype.kind == "f" or p.shape != (2, 2):
-            (error,) = _map_errors(np.asarray(p, dtype=float)[None])
-        else:  # an integer 2 x 2 map: the exact rule on its trace and determinant in Python ints
-            (a, b), (c, d) = p.tolist()
-            on_circle = _on_unit_circle(a + d, a * d - b * c)
-            error = "Poincare map has an eigenvalue on the unit circle" if on_circle else None
-        if error:
-            raise ValueError(error)
+        # an integer map stays exact: int64, or Python ints where int64 would overflow
+        if not (p.dtype.kind in "iu" or (p.dtype.kind == "O" and all(type(x) is int for x in p.flat))):
+            p = np.frompyfunc(_float_or_inf, 1, 1)(p).astype(float)
         r = np.asarray(self.rho, dtype=complex)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("representation value must be a square matrix")
-        error = _rho_errors(r[None])[0]
+        error = _map_errors(p[None])[0] or _rho_errors(r[None])[0]
         if error:
             raise ValueError(error)
         object.__setattr__(self, "poincare", p)

@@ -910,6 +910,22 @@ def test_boolean_config_values_exit_1(tmp_path, capsys, command, base, change, p
     _assert_one_line_error(capsys, f"config error at {path}")
 
 
+@pytest.mark.parametrize("command, base", [
+    ("orbits", dict(CAT_CONFIG, model={"spectrum_file": "spec.csv"})),
+    ("zeta", dict(CAT_CONFIG, model={"spectrum_file": "spec.csv"})),
+    ("bridge", MATRIX_CONFIG), ("partition", MATRIX_CONFIG), ("diagrams", MATRIX_CONFIG),
+])
+def test_a_character_on_a_spectrum_or_matrix_model_exits_1(tmp_path, capsys, command, base):
+    # a spectrum is twisted by its rho columns and a matrix model not at all: a character would change no number
+    cfg = write_config(tmp_path, dict(base, rep={"character": 0.7}))
+    assert main([command, "--config", cfg]) == 1
+    _assert_one_line_error(capsys, "config error at rep: ", "takes only {'trivial': true}")
+    # the rep is validated first
+    cfg = write_config(tmp_path, dict(base, rep={"character": math.inf}))
+    assert main([command, "--config", cfg]) == 1
+    _assert_one_line_error(capsys, "config error at rep.character: ")
+
+
 SPECTRUM_HEADER_LINE = "length,multiplicity,m,P_entries,rho_re,rho_im\n"
 
 

@@ -1,16 +1,21 @@
 import csv
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ruellebf.flat_zeta import atom_table
 from ruellebf.orbits import (
     SPECTRUM_HEADER,
     HyperbolicToralModel,
     PrimeOrbit,
     Representation,
     SpectrumFormatError,
+    _map_errors,
     anosov_check,
     enumerate_prime_orbits,
     load_length_spectrum,
@@ -247,6 +252,38 @@ def test_prime_orbit_accepts_a_python_int_map_past_the_float_range():
     poincare = np.array([[10**400, 1], [1, 0]], dtype=object)
     orbit = PrimeOrbit(length=1.0, poincare=poincare, rho=np.eye(1))
     assert orbit.poincare.dtype == object and orbit.poincare.tolist() == [[10**400, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("poincare, message", [
+    # eigenvalue 1, but a 4 x 4 map has no exact rule and this one no float copy
+    (np.array([[10**400, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]], dtype=object), "float range"),
+    (np.array([[2 + 5j, 1], [1, 1]]), "real numbers"),
+    (np.array([[2 + 5j, 1], [1, 1]], dtype=object), "real numbers"),
+], ids=["4x4-past-the-float-range", "complex", "complex-objects"])
+def test_prime_orbit_refuses_a_map_it_cannot_check(poincare, message):
+    # a ValueError, not an OverflowError, nor a complex map cut to its real part with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            PrimeOrbit(length=1.0, poincare=poincare, rho=np.eye(1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(entries=st.sampled_from([2, 4]).flatmap(lambda d: st.lists(st.integers(-9, 9), min_size=d * d, max_size=d * d)))
+@example(entries=[1, 1, -1, 0])  # trace 1, det 1: eigenvalues e^{+-i pi/3}
+@example(entries=[2, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, -1, 0, 0, 1, 0])  # a rotation block: eigenvalues +-i
+@example(entries=[2, 1, 0, 0, 1, 1, 0, 0, 0, 0, 3, 1, 0, 0, 2, 1])
+def test_an_integer_map_gets_one_verdict_and_one_table_in_every_spelling(entries):
+    d = math.isqrt(len(entries))
+    spellings = [np.array(entries, dtype=dtype).reshape(d, d) for dtype in (np.int64, object, float)]
+    verdicts = [_map_errors(p[None]) for p in spellings]
+    assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
+    if verdicts[0] == [None]:
+        # up to P^2: entries of at most 324, far from the transversality threshold
+        tables = [atom_table([PrimeOrbit(length=1.0, poincare=p, rho=np.eye(1))], d // 2, 2.0) for p in spellings]
+        for name in ("t", "euler", "weights", "sign", "group", "group_times"):
+            columns = [getattr(table, name) for table in tables]
+            assert all(c.dtype == columns[0].dtype and c.tobytes() == columns[0].tobytes() for c in columns), name
 
 
 def test_prime_orbit_rejects_nonunitary_rho():
